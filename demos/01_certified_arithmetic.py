@@ -12,7 +12,6 @@ from lpcat import (
     Exponent,
     pow2,
     pow_p,
-    refine,
     root_p,
     sqrt_real,
 )
@@ -45,13 +44,13 @@ print(f"  recovers 1/20 within 2^-28: {back.contains(F(1, 20)) and back.width < 
 print()
 print("== Precision-indexed reals ==")
 third = ComputableReal.constant(F(1, 3))
-print(f"refine(1/3, 5)   = {refine(third, 5)}   (width 2^-4, contains 1/3)")
+print(f"enclosure(5) of 1/3 = {third.enclosure(5)}   (width 2^-4, contains 1/3)")
 
 u = sqrt_real(F(1, 2))
 for k in (4, 16, 48):
     q = u.approx(k)
     print(f"1/sqrt2 approx(k={k:2d}) = {q}  (|q - value| < 2^-{k})")
-print(f"oracle accounting: {u.queries} queries, max precision {u.max_k}")
+print(f"oracle accounting: {u.stats.count} queries, max precision {u.stats.max_k}")
 
 print()
 print("== Exponents known only through an oracle ==")

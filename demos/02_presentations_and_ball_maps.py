@@ -18,18 +18,18 @@ from lpcat import (
     CheckSchedule,
     CRat,
     Exponent,
+    StandardGenSet,
     ZetaGenSet,
     ballmap_from_disjoint_family,
     check_ballmap,
     exact_rep,
     pow2,
-    standard_genset,
 )
 
 p = Exponent.from_rational(2)
 zeta = CRat(F(3, 5), F(4, 5))  # exact Pythagorean unimodular
 
-E = standard_genset(p)
+E = StandardGenSet(p)
 Fz = ZetaGenSet(zeta, p, label="F_zeta")
 
 print("== Two presentations, one norm oracle ==")

@@ -20,6 +20,7 @@ from fractions import Fraction as F
 from lpcat import (
     CeSet,
     Exponent,
+    TwistedGenSet,
     approx_e0,
     decide_membership,
     e0_rep,
@@ -30,12 +31,11 @@ from lpcat import (
     pow2,
     rep_with_offset_fault,
     scale_real,
-    twisted_genset,
 )
 
 ce = CeSet.odds()          # gamma = 2/3 exactly, so everything is checkable
 p = Exponent.from_rational(1)
-genset = twisted_genset(ce, p, field_mode="real")
+genset = TwistedGenSet(ce, p, field_mode="real")
 
 print("== The twisted norm consults only the enumeration prefix ==")
 for coeffs in ([1], [1, 1], [2, -1, F(1, 3)]):

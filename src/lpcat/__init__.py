@@ -11,17 +11,16 @@ from .rigor import (
     ComputablePoint,
     ComputableReal,
     ConfigError,
+    Counters,
     DegenerateScaleWarning,
     Enclosure,
     Exponent,
     NegativeBase,
     OracleFailure,
-    Rat,
     ceil_log2,
     iroot,
     pow2,
     pow_p,
-    refine,
     root_p,
     simplest_between,
     sqrt_real,
@@ -33,7 +32,6 @@ from .genset import (
     Fuel,
     GeneratingSet,
     NotUnitVector,
-    QueryStats,
     RationalBall,
     StandardGenSet,
     SupportsOverlap,
@@ -43,16 +41,13 @@ from .genset import (
     canonical_json_bytes,
     check_ballmap,
     compose_ballmaps,
-    eval_rep,
     exact_rep,
-    standard_genset,
 )
 from .twisted import (
     AccessViolation,
     CeSet,
     CeView,
     E0Approximation,
-    GammaReal,
     TwistedGenSet,
     approx_e0,
     ce_set_from_spec,
@@ -69,8 +64,6 @@ from .twisted import (
     real_with_offset_fault,
     rep_with_offset_fault,
     scale_real,
-    twisted_genset,
-    twisted_norm,
 )
 from .isometry import (
     ClassifierVerdict,

@@ -27,12 +27,12 @@ from .rigor import (
 from .lpspace import FiniteVector
 from .genset import (
     CheckSchedule,
+    StandardGenSet,
     ZetaGenSet,
     ballmap_from_disjoint_family,
     canonical_json_bytes,
     check_ballmap,
     exact_rep,
-    standard_genset,
 )
 from . import twisted as tw
 from . import isometry as iso
@@ -43,6 +43,23 @@ SCHEMA = "lpcat.report/1"
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+
+def natural(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def rational(text: str) -> str:
+    """argparse type: a rational literal, kept as written."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    return text
 
 
 def parse_p(text: str) -> Exponent:
@@ -57,6 +74,8 @@ def parse_p(text: str) -> Exponent:
             claimed = int(bits)
         except ValueError as exc:
             raise ConfigError(f"bad exponent oracle spec {text!r}") from exc
+        if value < 1:
+            raise ConfigError(f"exponent {value} < 1 is out of range")
 
         def fn(k: int) -> Fraction:
             if k > claimed:
@@ -87,17 +106,22 @@ def parse_coeffs(text: str) -> list[CRat]:
         raise ConfigError(f"cannot parse coefficients {text!r}") from exc
 
 
+def _read_json(path: str) -> dict:
+    """The JSON object stored at path; unreadable files, bad JSON and
+    other top-level values are invalid input."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return obj
+
+
 def load_ce(spec: str) -> tw.CeSet:
     if spec in ("odds", "primes"):
         return tw.CeSet.odds() if spec == "odds" else tw.CeSet.primes()
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"c.e. set spec {spec!r} is neither builtin nor a file")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON in {spec}: {exc}") from exc
-    return tw.ce_set_from_spec(obj)
+    return tw.ce_set_from_spec(_read_json(spec))
 
 
 def write_report(obj: dict, out: Optional[str]) -> bytes:
@@ -108,24 +132,21 @@ def write_report(obj: dict, out: Optional[str]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report record, one-line summary)
 # ---------------------------------------------------------------------------
 
 
-def cmd_norm(args) -> int:
-    started = time.perf_counter()
+def cmd_norm(args) -> tuple[dict, str]:
     p = parse_p(args.p)
     coeffs = parse_coeffs(args.coeffs)
     if args.genset == "E":
-        gs = standard_genset(p, args.field)
+        gs = StandardGenSet(p, args.field)
         ce = None
     else:
         ce = load_ce(args.ce_set)
-        gs = tw.twisted_genset(ce, p, args.field)
+        gs = tw.TwistedGenSet(ce, p, args.field)
     q = gs.norm_query(coeffs, args.k)
     record = {
-        "schema": SCHEMA,
-        "command": "norm",
         "genset": args.genset,
         "p": p.as_json(),
         "field": args.field,
@@ -137,44 +158,37 @@ def cmd_norm(args) -> int:
         ),
         "oracle_queries": gs.stats.as_dict(),
     }
-    data = write_report(record, args.out)
-    elapsed = time.perf_counter() - started
-    print(f"norm q={q} (k={args.k}, {elapsed:.3f}s)")
-    if not args.out:
-        print(data.decode())
-    return 0
+    return record, f"norm q={q} k={args.k}"
 
 
-def cmd_approx_e0(args) -> int:
-    started = time.perf_counter()
+def cmd_approx_e0(args) -> tuple[dict, str]:
     p = parse_p(args.p)
     ce = load_ce(args.ce_set)
     approx = tw.approx_e0(ce, p, args.k)
     record = {
-        "schema": SCHEMA,
-        "command": "approx-e0",
         "p": p.as_json(),
         "ce_set": ce.spec_json(),
         **approx.as_json(),
         "access": ce.stats.as_dict(),
     }
-    data = write_report(record, args.out)
-    elapsed = time.perf_counter() - started
-    print(
+    summary = (
         f"approx-e0 N1={approx.n1} q1={approx.q1} "
-        f"certified<{approx.certified_error.hi} ({elapsed:.3f}s)"
+        f"certified<{approx.certified_error.hi}"
     )
-    if not args.out:
-        print(data.decode())
-    return 0
+    return record, summary
+
+
+def _agreement(bits: list[tuple[int, bool]], ce: tw.CeSet) -> int:
+    """How many extracted membership bits the set's decision procedure
+    confirms."""
+    return sum(1 for n, member in bits if member == ce.decide(n))
 
 
 def _extraction_oracle(args, genset: tw.TwistedGenSet):
     base = tw.e0_rep(genset)
     label = "internal-e0"
     if args.oracle != "internal-e0":
-        obj = json.loads(Path(args.oracle).read_text())
-        descriptor = iso.IsometryDescriptor.from_json(obj)
+        descriptor = iso.IsometryDescriptor.from_json(_read_json(args.oracle))
         sources = [n for n in range(descriptor.size) if descriptor.phi[n] == 0]
         if not sources:
             raise ConfigError("descriptor never maps onto coordinate 0")
@@ -187,21 +201,17 @@ def _extraction_oracle(args, genset: tw.TwistedGenSet):
     return base, label
 
 
-def cmd_extract(args) -> int:
-    started = time.perf_counter()
+def cmd_extract(args) -> tuple[dict, str]:
     p = parse_p(args.p)
     ce = load_ce(args.ce_set)
-    genset = tw.twisted_genset(ce, p)
+    genset = tw.TwistedGenSet(ce, p)
     oracle, oracle_label = _extraction_oracle(args, genset)
     query_log: list = []
     bits = tw.membership_bits(
         oracle, p, ce, args.n_max, fuel=args.fuel, query_log=query_log
     )
-    truth = [(n, ce.decide(n)) for n in range(1, args.n_max + 1)]
-    agree = sum(1 for got, want in zip(bits, truth) if got == want)
+    agree = _agreement(bits, ce)
     record = {
-        "schema": SCHEMA,
-        "command": "extract",
         "p": p.as_json(),
         "ce_set": ce.spec_json(),
         "oracle": oracle_label,
@@ -211,19 +221,13 @@ def cmd_extract(args) -> int:
         "agreement_ok": agree == args.n_max,
         "query_log": query_log,
     }
-    data = write_report(record, args.out)
-    elapsed = time.perf_counter() - started
     flag = "" if agree == args.n_max else "  ** DISAGREEMENT FLAGGED **"
-    print(f"extract agreement={agree}/{args.n_max} ({elapsed:.3f}s){flag}")
-    if not args.out:
-        print(data.decode())
-    return 0
+    return record, f"extract agreement={agree}/{args.n_max}{flag}"
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args) -> tuple[dict, str]:
     p = parse_p(args.p)
-    obj = json.loads(Path(args.input).read_text())
+    obj = _read_json(args.input)
     if "phi" in obj:
         descriptor = iso.IsometryDescriptor.from_json(obj)
         images = [
@@ -236,18 +240,11 @@ def cmd_classify(args) -> int:
         raise ConfigError("classify input needs 'phi' (descriptor) or 'images'")
     verdict = iso.classify(images, p, args.tol)
     record = {
-        "schema": SCHEMA,
-        "command": "classify",
         "p": p.as_json(),
         "tol": args.tol,
         **verdict.as_json(),
     }
-    data = write_report(record, args.out)
-    elapsed = time.perf_counter() - started
-    print(f"classify verdict={verdict.verdict} ({elapsed:.3f}s)")
-    if not args.out:
-        print(data.decode())
-    return 0
+    return record, f"classify verdict={verdict.verdict}"
 
 
 def _demo_zeta(args, p: Exponent) -> tuple[dict, list[list[str]]]:
@@ -259,7 +256,7 @@ def _demo_zeta(args, p: Exponent) -> tuple[dict, list[list[str]]]:
         for n in range(8)
     ]
     bmap = ballmap_from_disjoint_family(
-        reps, genset, source=standard_genset(p), kind="mult-by-zeta"
+        reps, genset, source=StandardGenSet(p), kind="mult-by-zeta"
     )
     schedule = CheckSchedule.seeded("E", seed=args.seed)
     report = check_ballmap(bmap, lambda v: v.scale(zeta), schedule)
@@ -290,7 +287,7 @@ def _demo_rotation(args, p: Exponent) -> tuple[dict, list[list[str]]]:
 
 def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
     ce = load_ce(args.ce_set)
-    genset = tw.twisted_genset(ce, p)
+    genset = tw.TwistedGenSet(ce, p)
     rows = [["k", "N1", "q1", "certified_hi", "exact_error", "decide_calls"]]
     sweep = []
     for k in range(1, args.k + 1):
@@ -320,8 +317,7 @@ def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
         )
     oracle = tw.e0_rep(genset)
     bits = tw.membership_bits(oracle, p, ce, args.n_max, fuel=args.fuel)
-    truth = [(n, ce.decide(n)) for n in range(1, args.n_max + 1)]
-    agree = sum(1 for a, b in zip(bits, truth) if a == b)
+    agree = _agreement(bits, ce)
     record = {
         "scenario": "pour-el-richards",
         "ce_set": ce.spec_json(),
@@ -333,26 +329,17 @@ def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
     return record, rows
 
 
-def cmd_demo(args) -> int:
-    started = time.perf_counter()
+def cmd_demo(args) -> tuple[dict, str]:
     p = parse_p(args.p)
     builders = {
         "zeta": _demo_zeta,
         "rotation": _demo_rotation,
         "pour-el-richards": _demo_pour_el_richards,
     }
-    if args.scenario not in builders:
-        raise ConfigError(f"unknown scenario {args.scenario!r}")
     record, rows = builders[args.scenario](args, p)
-    record = {"schema": SCHEMA, "command": "demo", "seed": args.seed, **record}
-    data = write_report(record, args.out)
     if args.csv:
         Path(args.csv).write_text("\n".join(",".join(r) for r in rows) + "\n")
-    elapsed = time.perf_counter() - started
-    print(f"demo {args.scenario} done ({elapsed:.3f}s)")
-    if not args.out:
-        print(data.decode())
-    return 0
+    return {"seed": args.seed, **record}, f"demo {args.scenario} done"
 
 
 # ---------------------------------------------------------------------------
@@ -366,63 +353,72 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified experiments on effective presentations of lp",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--p": dict(default="2", help="exponent: rational, decimal, or oracle:<dec>:<bits>"),
+        "--out": dict(default=None, help="write canonical JSON report here"),
+        "--field": dict(choices=["real", "complex"], default="complex"),
+        "--ce-set": dict(default="odds", help="builtin name or spec file path"),
+        "--seed": dict(type=int, default=7),
+        "--fuel": dict(type=natural, default=100000),
+    }
 
-    def common(sp, ce_default="odds"):
-        sp.add_argument("--p", default="2", help="exponent: rational, decimal, or oracle:<dec>:<bits>")
-        sp.add_argument("--field", choices=["real", "complex"], default="complex")
-        sp.add_argument("--ce-set", default=ce_default, help="builtin name or spec file path")
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--out", default=None, help="write canonical JSON report here")
-        sp.add_argument("--fuel", type=int, default=100000)
+    def command(name: str, fn, help: str, *flags: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        for flag in ("--p", "--out", *flags):
+            sp.add_argument(flag, **shared[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("norm", help="certified norm of a finite combination")
-    common(sp)
+    sp = command("norm", cmd_norm, "certified norm of a finite combination", "--field", "--ce-set")
     sp.add_argument("--genset", choices=["E", "F"], required=True)
     sp.add_argument("--coeffs", required=True, help="comma list, each re or re:im")
-    sp.add_argument("--k", type=int, default=20)
-    sp.set_defaults(fn=cmd_norm)
+    sp.add_argument("--k", type=natural, default=20)
 
-    sp = sub.add_parser("approx-e0", help="decision-mode approximation of e0 over F")
-    common(sp)
-    sp.add_argument("--k", type=int, default=4)
-    sp.set_defaults(fn=cmd_approx_e0)
+    sp = command("approx-e0", cmd_approx_e0, "decision-mode approximation of e0 over F", "--ce-set")
+    sp.add_argument("--k", type=natural, default=4)
 
-    sp = sub.add_parser("extract", help="recover set membership through an isometry oracle")
-    common(sp)
+    sp = command(
+        "extract", cmd_extract, "recover set membership through an isometry oracle",
+        "--ce-set", "--fuel",
+    )
     sp.add_argument("--oracle", default="internal-e0", help="'internal-e0' or descriptor JSON path")
-    sp.add_argument("--n-max", type=int, default=20)
-    sp.add_argument("--corrupt", default=None, help="inject a rational offset fault into the oracle")
-    sp.set_defaults(fn=cmd_extract)
+    sp.add_argument("--n-max", type=natural, default=20)
+    sp.add_argument("--corrupt", type=rational, default=None,
+                    help="inject a rational offset fault into the oracle")
 
-    sp = sub.add_parser("classify", help="isometry trichotomy on basis images")
-    common(sp)
+    sp = command("classify", cmd_classify, "isometry trichotomy on basis images")
     sp.add_argument("--input", required=True, help="descriptor or images JSON file")
-    sp.add_argument("--tol", type=int, default=8)
-    sp.set_defaults(fn=cmd_classify)
+    sp.add_argument("--tol", type=natural, default=8)
 
-    sp = sub.add_parser("demo", help="narrative scenario with certified numbers")
-    common(sp)
+    sp = command(
+        "demo", cmd_demo, "narrative scenario with certified numbers",
+        "--ce-set", "--seed", "--fuel",
+    )
     sp.add_argument("--scenario", required=True, choices=["zeta", "rotation", "pour-el-richards"])
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--k", type=int, default=8)
-    sp.add_argument("--n-max", type=int, default=12)
+    sp.add_argument("--samples", type=natural, default=100)
+    sp.add_argument("--k", type=natural, default=8)
+    sp.add_argument("--n-max", type=natural, default=12)
     sp.add_argument("--csv", default=None, help="write the sweep table here")
-    sp.set_defaults(fn=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        record, summary = args.fn(args)
     except ConfigError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
+    data = write_report({"schema": SCHEMA, "command": args.command, **record}, args.out)
+    print(f"{summary} ({time.perf_counter() - started:.3f}s)")
+    if not args.out:
+        print(data.decode())
+    return 0
 
 
 if __name__ == "__main__":

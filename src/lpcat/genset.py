@@ -25,6 +25,7 @@ from .rigor import (
     CRat,
     CRAT_ZERO,
     ConfigError,
+    Counters,
     Enclosure,
     Exponent,
     ceil_log2,
@@ -44,24 +45,6 @@ class SupportsOverlap(ValueError):
     """Two family members were certified to share support."""
 
 
-class QueryStats:
-    """Per-oracle accounting: query count and largest precision requested."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.count = 0
-        self.max_k = -1
-
-    def record(self, k: int) -> None:
-        with self._lock:
-            self.count += 1
-            if k > self.max_k:
-                self.max_k = k
-
-    def as_dict(self) -> dict:
-        return {"count": self.count, "max_k": self.max_k}
-
-
 def _coerce_coeffs(coeffs: Sequence) -> tuple[CRat, ...]:
     return tuple(CRat.of(c) for c in coeffs)
 
@@ -77,14 +60,14 @@ class GeneratingSet:
         self.p = p
         self.field_mode = field_mode
         self.label = label or self.kind
-        self.stats = QueryStats()
+        self.stats = Counters(count=0, max_k=-1)
 
     # -- oracle surface ------------------------------------------------------
 
     def norm_query(self, coeffs: Sequence, k: int) -> Fraction:
         """Rational q with q - 2^-k < |sum a_j f_j| < q + 2^-k."""
         cs = self._validated(coeffs)
-        self.stats.record(k)
+        self.stats.record("count", max_k=k)
         return self.norm_enclosure(cs, k).midpoint
 
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
@@ -178,10 +161,6 @@ class ZetaGenSet(GeneratingSet):
         return d
 
 
-def standard_genset(p: Exponent, field_mode: str = COMPLEX, label: str = "E") -> StandardGenSet:
-    return StandardGenSet(p, field_mode, label)
-
-
 # ---------------------------------------------------------------------------
 # computable vectors with respect to a presentation
 # ---------------------------------------------------------------------------
@@ -205,13 +184,13 @@ class VectorRep:
         self.exact_vector = exact_vector
         self._cache: dict[int, tuple[CRat, ...]] = {}
         self._lock = threading.RLock()
-        self.stats = QueryStats()
+        self.stats = Counters(count=0, max_k=-1)
 
     def coefficients(self, k: int) -> tuple[CRat, ...]:
         if k < 0:
             raise ValueError("precision index must be nonnegative")
         with self._lock:
-            self.stats.record(k)
+            self.stats.record("count", max_k=k)
             got = self._cache.get(k)
             if got is None:
                 got = _coerce_coeffs(self._fn(k))
@@ -241,11 +220,6 @@ def exact_rep(genset: GeneratingSet, coeffs: Sequence, label: str = "") -> Vecto
         label or "exact",
         exact_vector=genset.vector_of(cs),
     )
-
-
-def eval_rep(rep: VectorRep, k: int) -> tuple[CRat, ...]:
-    """Query a rep at precision k; oracle refusals propagate unmasked."""
-    return rep.coefficients(k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,10 @@ from .genset import (
     VectorRep,
     ballmap_from_disjoint_family,
     exact_rep,
-    standard_genset,
 )
 
 
-class NotUnimodular(ValueError):
+class NotUnimodular(ConfigError):
     """A descriptor scalar failed the modulus-one certificate."""
 
 
@@ -132,13 +131,16 @@ class IsometryDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryDescriptor":
-        pairs = sorted((int(a), int(b)) for a, b in obj["phi"])
+        try:
+            pairs = sorted((int(a), int(b)) for a, b in obj["phi"])
+            lambdas = []
+            for row in obj["lambdas"]:
+                rn, rd, imn, imd = (int(x) for x in row)
+                lambdas.append(CRat(Fraction(rn, rd), Fraction(imn, imd)))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed descriptor: {exc!r}") from exc
         if [a for a, _ in pairs] != list(range(len(pairs))):
             raise ConfigError("phi pairs must cover 0..N-1")
-        lambdas = []
-        for row in obj["lambdas"]:
-            rn, rd, imn, imd = (int(x) for x in row)
-            lambdas.append(CRat(Fraction(rn, rd), Fraction(imn, imd)))
         return cls(tuple(b for _, b in pairs), tuple(lambdas))
 
     @classmethod
@@ -177,10 +179,10 @@ def descriptor_to_ballmap(
 ) -> BallMap:
     """Ball map of the isometry induced by the descriptor, via the
     disjoint-family construction over the standard presentation."""
-    target = standard_genset(p, field_mode, label="E")
+    target = StandardGenSet(p, field_mode)
     reps = [d.image_rep(n, target) for n in range(d.size)]
     return ballmap_from_disjoint_family(
-        reps, target, source=standard_genset(p, field_mode, label="E"),
+        reps, target, source=StandardGenSet(p, field_mode),
         fuel=fuel, kind=f"descriptor[{d.size}]"
     )
 
@@ -301,7 +303,7 @@ def classify(
 def rotation_images(p: Exponent) -> tuple[VectorRep, VectorRep]:
     """Reps over the standard set of the rotated pair (e0 + e1)/sqrt 2 and
     (e0 - e1)/sqrt 2; coefficient queries at k carry error below 2^-k."""
-    genset = standard_genset(p, label="E")
+    genset = StandardGenSet(p)
     u = sqrt_real(Fraction(1, 2), label="1/sqrt2")
 
     def make(sign: int, name: str) -> VectorRep:

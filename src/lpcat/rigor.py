@@ -2,7 +2,7 @@
 
 The whole library runs on three numeric currencies:
 
-* exact rationals (``fractions.Fraction``, aliased ``Rat``),
+* exact rationals (``fractions.Fraction``),
 * ``Enclosure``, a closed interval with exact rational endpoints that
   certifiably contains the exact value it stands for, and
 * ``ComputableReal``, a query interface mapping a precision index k to a
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional, Union
-
-Rat = Fraction
 
 RatLike = Union[int, Fraction]
 
@@ -347,12 +345,35 @@ CRAT_ONE = CRat(_ONE)
 # ---------------------------------------------------------------------------
 
 
+class Counters:
+    """Lock-guarded event counters.  Each owner names its fields and their
+    starting values; ``as_dict`` reports exactly those fields."""
+
+    def __init__(self, **fields: int):
+        self._lock = threading.Lock()
+        self._fields = tuple(fields)
+        vars(self).update(fields)
+
+    def record(self, add: str = "", **highs: int) -> None:
+        """Add one to the field named ``add``, and raise each field named
+        in ``highs`` to at least its value."""
+        with self._lock:
+            if add:
+                setattr(self, add, getattr(self, add) + 1)
+            for name, value in highs.items():
+                if value > getattr(self, name):
+                    setattr(self, name, value)
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+
 class ComputableReal:
     """A real known through an approximation algorithm: ``approx(k)``
     returns a rational q with |q - x| < 2^-k.
 
     Results are memoised per precision so repeated queries are
-    deterministic and cheap; the instance counts queries and the largest
+    deterministic and cheap; ``stats`` counts queries and the largest
     precision requested, which is how reductions downstream get their
     empirical cost accounting.
     """
@@ -362,75 +383,43 @@ class ComputableReal:
         self._cache: dict[int, Fraction] = {}
         self._lock = threading.RLock()
         self.label = label
-        self.queries = 0
-        self.max_k = -1
+        self.stats = Counters(count=0, max_k=-1)
+
+    @staticmethod
+    def _coerce(value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("approximation oracles must return rationals")
+        return Fraction(value)
 
     def approx(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("precision index must be nonnegative")
         with self._lock:
-            self.queries += 1
-            if k > self.max_k:
-                self.max_k = k
+            self.stats.record("count", max_k=k)
             got = self._cache.get(k)
             if got is None:
-                got = self._fn(k)
-                if isinstance(got, int):
-                    got = Fraction(got)
-                if not isinstance(got, Fraction):
-                    raise TypeError("approximation oracles must return rationals")
+                got = self._coerce(self._fn(k))
                 self._cache[k] = got
             return got
 
     def enclosure(self, k: int) -> Enclosure:
+        """Certified [approx(k) - 2^-k, approx(k) + 2^-k]."""
         return Enclosure.from_center(self.approx(k), pow2(-k))
 
     @classmethod
-    def constant(cls, q: RatLike, label: str = "") -> "ComputableReal":
-        q = Fraction(q)
+    def constant(cls, q, label: str = "") -> "ComputableReal":
+        q = cls._coerce(q)
         return cls(lambda _k: q, label or f"const({q})")
 
     def __repr__(self) -> str:
-        return f"ComputableReal({self.label})"
+        return f"{type(self).__name__}({self.label})"
 
 
-class ComputablePoint:
+class ComputablePoint(ComputableReal):
     """Complex analogue of ComputableReal: approx(k) returns a rational
     point within 2^-k of the represented complex scalar."""
 
-    def __init__(self, fn: Callable[[int], CRat], label: str = "point"):
-        self._fn = fn
-        self._cache: dict[int, CRat] = {}
-        self._lock = threading.RLock()
-        self.label = label
-        self.queries = 0
-        self.max_k = -1
-
-    def approx(self, k: int) -> CRat:
-        if k < 0:
-            raise ValueError("precision index must be nonnegative")
-        with self._lock:
-            self.queries += 1
-            if k > self.max_k:
-                self.max_k = k
-            got = self._cache.get(k)
-            if got is None:
-                got = CRat.of(self._fn(k))
-                self._cache[k] = got
-            return got
-
-    @classmethod
-    def constant(cls, z, label: str = "") -> "ComputablePoint":
-        z = CRat.of(z)
-        return cls(lambda _k: z, label or f"const({z})")
-
-    def __repr__(self) -> str:
-        return f"ComputablePoint({self.label})"
-
-
-def refine(x: ComputableReal, k: int) -> Enclosure:
-    """Certified enclosure [approx(k) - 2^-k, approx(k) + 2^-k]."""
-    return x.enclosure(k)
+    _coerce = staticmethod(CRat.of)
 
 
 # ---------------------------------------------------------------------------

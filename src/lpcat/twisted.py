@@ -42,6 +42,7 @@ from .rigor import (
     CRAT_ZERO,
     ComputableReal,
     ConfigError,
+    Counters,
     DegenerateScaleWarning,
     Enclosure,
     Exponent,
@@ -49,7 +50,6 @@ from .rigor import (
     ceil_log2,
     frac_floor,
     pow2,
-    refine,
     simplest_between,
     _pow_slack,
 )
@@ -89,25 +89,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class CeStats:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.max_stage = -1
-        self.decide_calls = 0
-
-    def record_stage(self, s: int) -> None:
-        with self._lock:
-            if s > self.max_stage:
-                self.max_stage = s
-
-    def record_decide(self) -> None:
-        with self._lock:
-            self.decide_calls += 1
-
-    def as_dict(self) -> dict:
-        return {"max_stage": self.max_stage, "decide_calls": self.decide_calls}
-
-
 class CeSet:
     """A set of positive naturals with a stage-by-stage enumeration and a
     decision procedure, instrumented so tests can prove which access mode
@@ -129,7 +110,7 @@ class CeSet:
         self._member = member_fn
         self._natural_order = natural_order
         self._exact_gamma = exact_gamma
-        self.stats = CeStats()
+        self.stats = Counters(max_stage=-1, decide_calls=0)
         self._lock = threading.RLock()
         self._order: list[int] = []
         self._left_sums: list[Fraction] = [Fraction(0)]
@@ -238,21 +219,21 @@ class CeSet:
             raise ValueError("stages are natural numbers")
         with self._lock:
             self._extend_order(s)
-            self.stats.record_stage(s)
+            self.stats.record(max_stage=s)
             return self._order[s]
 
     def prefix(self, s: int) -> tuple[int, ...]:
         """(c_0, ..., c_s)."""
         with self._lock:
             self._extend_order(s)
-            self.stats.record_stage(s)
+            self.stats.record(max_stage=s)
             return tuple(self._order[: s + 1])
 
     def left_sum(self, s: int) -> Fraction:
         """gamma_s = sum over the first s+1 enumerated elements of 2^-c."""
         with self._lock:
             self._extend_order(s)
-            self.stats.record_stage(s)
+            self.stats.record(max_stage=s)
             return self._left_sums[s + 1]
 
     # -- decision mode ---------------------------------------------------------
@@ -260,7 +241,7 @@ class CeSet:
     def decide(self, n: int) -> bool:
         if n < 0:
             raise ValueError("membership queries take natural numbers")
-        self.stats.record_decide()
+        self.stats.record("decide_calls")
         if n == 0:
             return False
         return self._member(n)
@@ -305,80 +286,31 @@ class CeView:
     matching their declared access modes, and any out-of-contract call
     raises instead of silently consulting the set."""
 
+    # The access mode each forwarded method needs, checked before the call.
+    _MODES = {
+        "element_at": "enumeration",
+        "prefix": "enumeration",
+        "left_sum": "enumeration",
+        "decide": "decision",
+        "gamma_enclosure": "decision",
+        "gamma_real": "decision",
+    }
+
     def __init__(self, base: CeSet, *, allow_enumerate: bool, allow_decide: bool):
         self._base = base
-        self._allow_enumerate = allow_enumerate
-        self._allow_decide = allow_decide
+        self._allowed = {"enumeration": allow_enumerate, "decision": allow_decide}
 
-    @property
-    def label(self) -> str:
-        return self._base.label
-
-    @property
-    def sorted_enumeration(self) -> bool:
-        return self._base.sorted_enumeration
-
-    @property
-    def stats(self) -> CeStats:
-        return self._base.stats
-
-    def _enum_ok(self):
-        if not self._allow_enumerate:
-            raise AccessViolation("enumeration access not declared")
-
-    def _decide_ok(self):
-        if not self._allow_decide:
-            raise AccessViolation("decision access not declared")
-
-    def element_at(self, s: int) -> int:
-        self._enum_ok()
-        return self._base.element_at(s)
-
-    def prefix(self, s: int) -> tuple[int, ...]:
-        self._enum_ok()
-        return self._base.prefix(s)
-
-    def left_sum(self, s: int) -> Fraction:
-        self._enum_ok()
-        return self._base.left_sum(s)
-
-    def decide(self, n: int) -> bool:
-        self._decide_ok()
-        return self._base.decide(n)
-
-    def gamma_enclosure(self, k: int) -> Enclosure:
-        self._decide_ok()
-        return self._base.gamma_enclosure(k)
-
-    def gamma_real(self) -> ComputableReal:
-        self._decide_ok()
-        return self._base.gamma_real()
-
-
-class GammaReal:
-    """The left-c.e. real gamma = sum_{c in C} 2^-c, with both of its
-    faces: the nondecreasing enumeration stream gamma_s, and (in decision
-    mode) a certified approximation oracle."""
-
-    def __init__(self, ce: CeSet):
-        self.ce = ce
-
-    def left_sum(self, s: int) -> Fraction:
-        return self.ce.left_sum(s)
-
-    def enclosure(self, k: int) -> Enclosure:
-        return self.ce.gamma_enclosure(k)
-
-    def real(self) -> ComputableReal:
-        return self.ce.gamma_real()
-
-    def exact(self) -> Optional[Fraction]:
-        return self.ce.exact_gamma()
+    def __getattr__(self, name: str):
+        mode = self._MODES.get(name)
+        if mode is not None:
+            if not self._allowed[mode]:
+                raise AccessViolation(f"{mode} access not declared")
+        elif name not in ("label", "sorted_enumeration", "stats"):
+            raise AttributeError(f"'CeView' object has no attribute {name!r}")
+        return getattr(self._base, name)
 
 
 # -- spec files ---------------------------------------------------------------
-
-_BUILTIN_CE = {"odds": CeSet.odds, "primes": CeSet.primes}
 
 
 def ce_set_from_spec(obj: dict) -> CeSet:
@@ -386,11 +318,14 @@ def ce_set_from_spec(obj: dict) -> CeSet:
     Any spec mentioning 0 is rejected."""
     kind = obj.get("kind")
     label = obj.get("label") or kind or "ce"
-    elements = obj.get("elements")
-    delays = obj.get("delays")
-    if elements and any(int(e) == 0 for e in elements):
+    try:
+        elements = [int(e) for e in obj.get("elements") or ()]
+        delays = [(int(e), int(s)) for e, s in obj.get("delays") or ()]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed c.e. set spec: {exc}") from exc
+    if 0 in elements:
         raise ConfigError("0 is never a member of the constructed set")
-    if delays and any(int(e) == 0 for e, _ in delays):
+    if any(e == 0 for e, _ in delays):
         raise ConfigError("0 cannot appear in a delay schedule")
     if kind == "odds":
         base = CeSet.odds(label)
@@ -404,11 +339,11 @@ def ce_set_from_spec(obj: dict) -> CeSet:
         if not elements:
             raise ConfigError("throttled sets need an elements list")
         base = CeSet.explicit(elements, label)
-        return base.with_delays([(int(e), int(s)) for e, s in (delays or ())], label)
+        return base.with_delays(delays, label)
     else:
         raise ConfigError(f"unknown c.e. set kind {kind!r}")
     if delays:
-        return base.with_delays([(int(e), int(s)) for e, s in delays], label)
+        return base.with_delays(delays, label)
     return base
 
 
@@ -531,12 +466,6 @@ class TwistedGenSet(GeneratingSet):
         return d
 
 
-def twisted_genset(
-    ce: CeSet, p: Exponent, field_mode: str = COMPLEX, label: str = ""
-) -> TwistedGenSet:
-    return TwistedGenSet(ce, p, field_mode, label)
-
-
 def genset_from_descriptor(obj: dict) -> GeneratingSet:
     """Rebuild a generating set from its JSON descriptor (the inverse of
     ``descriptor()`` for sets whose construction parameters serialise:
@@ -558,12 +487,6 @@ def genset_from_descriptor(obj: dict) -> GeneratingSet:
     if kind == "twisted":
         return TwistedGenSet(ce_set_from_spec(obj["ce_set"]), p, field_mode, label)
     raise ConfigError(f"unknown generating-set kind {kind!r}")
-
-
-def twisted_norm(genset: TwistedGenSet, alphas: Sequence, k: int) -> Fraction:
-    """Rational q with q - 2^-k < |sum a_j f_j| < q + 2^-k, consulting only
-    enumeration stages below len(alphas) - 1."""
-    return genset.norm_query(alphas, k)
 
 
 def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:
@@ -606,7 +529,7 @@ def expanded_residual_norm(
     supp_top = max(target.support(), default=0)
     depth = max(m, supp_top, 2)
     c_prefix = ce.prefix(depth - 1)
-    prefix_mass = sum((pow2(-c) for c in c_prefix), Fraction(0))
+    prefix_mass = ce.left_sum(depth - 1)
     half = p.half()
     ucache: dict = {}
 
@@ -714,11 +637,10 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     n1 = None
     for candidate in range(3, 512):
         for kt in (k + 10, k + 26, k + 48):
-            prefix = ce.prefix(candidate - 2)
-            pre_mass = sum((pow2(-c) for c in prefix), Fraction(0))
+            pre_mass = ce.left_sum(candidate - 2)
             tail = (ce.gamma_enclosure(kt) - Enclosure.point(pre_mass)).clamp_nonneg()
             if ce.sorted_enumeration:
-                tail = Enclosure(tail.lo, min(tail.hi, pow2(-prefix[-1])))
+                tail = Enclosure(tail.lo, min(tail.hi, pow2(-ce.element_at(candidate - 2))))
             tail_norm = _pow_slack(tail, p.reciprocal(), kt)
             if tail_norm.hi <= rhs.lo:
                 n1 = candidate
@@ -732,7 +654,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     q1 = simplest_between(scale.hi - eps.lo, scale.lo + eps.lo)
 
     prefix = ce.prefix(n1 - 2)
-    pre_mass = sum((pow2(-c) for c in prefix), Fraction(0))
+    pre_mass = ce.left_sum(n1 - 2)
     kr = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
     ucache: dict = {}
     for _ in range(6):
@@ -833,7 +755,7 @@ def gamma_from_scale(
     contradicting 0 < gamma at check scale; that is flagged with a warning
     (the value is still produced).
     """
-    if refine(s, check_k).hi <= 1 + pow2(-check_k):
+    if s.enclosure(check_k).hi <= 1 + pow2(-check_k):
         warnings.warn(
             f"scale oracle {s.label} certified <= 1: gamma degenerates to <= 0",
             DegenerateScaleWarning,
@@ -845,7 +767,7 @@ def gamma_from_scale(
     def fn(k: int) -> Fraction:
         kk = k + guard
         for _ in range(64):
-            se = refine(s, kk)
+            se = s.enclosure(kk)
             if se.lo > 0:
                 sp = _pow_slack(se, p_exp, kk)
                 if sp.lo > 0:

@@ -19,6 +19,7 @@ from lpcat import (
     CheckSchedule,
     Exponent,
     FiniteVector,
+    TwistedGenSet,
     approx_e0,
     basis,
     canonical_json_bytes,
@@ -33,7 +34,6 @@ from lpcat import (
     random_descriptor,
     rep_with_offset_fault,
     rotation_demo,
-    twisted_genset,
 )
 
 F = Fraction
@@ -80,7 +80,7 @@ def build_criterion_1_and_7(seed: int = SEED) -> dict:
         p = Exponent.from_rational(p_val)
         for make in (CeSet.odds, CeSet.primes):
             genset_ce = make()
-            genset = twisted_genset(genset_ce, p)
+            genset = TwistedGenSet(genset_ce, p)
             oracle_ce = make()
             for coeffs, k in cases:
                 before_stage = genset_ce.stats.max_stage
@@ -115,7 +115,7 @@ def build_criterion_2() -> dict:
     digest_parts = []
     for p_val in P_VALUES:
         p = Exponent.from_rational(p_val)
-        genset = twisted_genset(CeSet.odds(), p)
+        genset = TwistedGenSet(CeSet.odds(), p)
         for k in range(1, 41):
             q = genset.norm_query([1], k)
             digest_parts.append(q)
@@ -175,12 +175,12 @@ def build_criterion_4() -> dict:
     agreements = {}
     for name, make in sets.items():
         ce = make()
-        genset = twisted_genset(ce, p)
+        genset = TwistedGenSet(ce, p)
         bits = membership_bits(e0_rep(genset), p, ce, 20)
         agree = sum(1 for n, got in bits if got == ce.decide(n))
         agreements[name] = agree
     ce = CeSet.odds()
-    corrupted = rep_with_offset_fault(e0_rep(twisted_genset(ce, p)), F(-1, 8))
+    corrupted = rep_with_offset_fault(e0_rep(TwistedGenSet(ce, p)), F(-1, 8))
     bad_bits = membership_bits(corrupted, p, ce, 20)
     bad_agree = sum(1 for n, got in bad_bits if got == ce.decide(n))
     return {

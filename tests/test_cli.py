@@ -205,3 +205,45 @@ class TestDeterminism:
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+MALFORMED = {
+    "descriptor-zero-denominator": (
+        ["classify", "--input", "{f}"], {"phi": [[0, 0]], "lambdas": [[1, 0, 0, 1]]},
+    ),
+    "descriptor-without-lambdas": (["classify", "--input", "{f}"], {"phi": [[0, 0]]}),
+    "descriptor-not-unimodular": (
+        ["classify", "--input", "{f}"], {"phi": [[0, 0]], "lambdas": [[2, 1, 0, 1]]},
+    ),
+    "input-not-json": (["classify", "--input", "{f}"], "phi: [[0, 0]]"),
+    "input-missing": (["classify", "--input", "{f}"], None),
+    "set-element-not-integer": (
+        ["norm", "--genset", "F", "--coeffs", "1", "--ce-set", "{f}"],
+        {"kind": "explicit", "elements": ["x"]},
+    ),
+    "oracle-not-json": (["extract", "--n-max", "2", "--oracle", "{f}"], "{"),
+    "negative-k": (["norm", "--genset", "E", "--coeffs", "1", "--k", "-3"], None),
+    "corrupt-not-rational": (["extract", "--n-max", "2", "--corrupt", "abc"], None),
+    "oracle-exponent-below-one": (
+        ["norm", "--genset", "E", "--coeffs", "1", "--p", "oracle:0.5:10"], None,
+    ),
+    "flag-classify-does-not-read": (
+        ["classify", "--input", str(DATA / "descriptor_identity.json"), "--field", "real"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, argv, content):
+    """Bad files and flag values are invalid input: exit 2 with a message,
+    never a traceback.  A ``{f}`` argument names a file holding ``content``
+    (JSON-encoded unless it is a string), or no file when it is None."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    try:
+        code = main([arg.replace("{f}", str(path)) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the flag value
+        code = exc.code
+    assert code == 2

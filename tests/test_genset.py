@@ -15,17 +15,16 @@ from lpcat import (
     FiniteVector,
     NotUnitVector,
     RationalBall,
+    StandardGenSet,
     SupportsOverlap,
     ZetaGenSet,
     ballmap_from_disjoint_family,
     basis,
     check_ballmap,
     compose_ballmaps,
-    eval_rep,
     exact_rep,
     norm_p,
     pow2,
-    standard_genset,
 )
 from lpcat.genset import BallMap, Fuel
 
@@ -43,20 +42,20 @@ def shift_family(genset, size):
 
 class TestNormOracle:
     def test_unit(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         q = gs.norm_query([1], 20)
         assert abs(q - 1) < pow2(-20)
 
     def test_three_four_five(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         assert gs.norm_query([3, 4], 20) == 5
 
     def test_l1_disjoint(self, p1):
-        gs = standard_genset(p1, field_mode="real")
+        gs = StandardGenSet(p1, field_mode="real")
         assert gs.norm_query([1, 1], 12) == 2
 
     def test_real_mode_rejects_complex(self, p2):
-        gs = standard_genset(p2, field_mode="real")
+        gs = StandardGenSet(p2, field_mode="real")
         with pytest.raises(ConfigError):
             gs.norm_query([CRat(F(0), F(1))], 10)
 
@@ -64,7 +63,7 @@ class TestNormOracle:
         """Contract consistency across precisions plus seminorm coherence
         (homogeneity, triangle) at query precision, on sampled inputs."""
         rng = random.Random(99)
-        for gs in (standard_genset(p32), ZetaGenSet(ZETA, p32)):
+        for gs in (StandardGenSet(p32), ZetaGenSet(ZETA, p32)):
             for _ in range(60):
                 coeffs = [
                     CRat(F(rng.randint(-5, 5), rng.randint(1, 5)),
@@ -78,7 +77,7 @@ class TestNormOracle:
                 assert abs(two - 2 * qa) < 3 * pow2(-k)
 
     def test_query_accounting(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         gs.norm_query([1], 5)
         gs.norm_query([1, 2], 17)
         assert gs.stats.count == 2 and gs.stats.max_k == 17
@@ -86,13 +85,13 @@ class TestNormOracle:
     def test_coherence_sweep_all_shipped_sets(self, p32):
         """Contract consistency across k <= 40 on 1000 coefficient lists
         spread over every shipped kind of generating set."""
-        from lpcat import CeSet, twisted_genset
+        from lpcat import CeSet, TwistedGenSet
 
         gensets = [
-            standard_genset(p32),
+            StandardGenSet(p32),
             ZetaGenSet(ZETA, p32),
-            twisted_genset(CeSet.odds(), p32),
-            twisted_genset(CeSet.primes(), p32),
+            TwistedGenSet(CeSet.odds(), p32),
+            TwistedGenSet(CeSet.primes(), p32),
         ]
         rng = random.Random(2025)
         for gs in gensets:
@@ -108,10 +107,10 @@ class TestNormOracle:
                 assert abs(qa - qb) < pow2(-k) + pow2(-kp)
 
     def test_triangle_at_query_precision(self, p32):
-        from lpcat import CeSet, twisted_genset
+        from lpcat import CeSet, TwistedGenSet
 
         rng = random.Random(515)
-        for gs in (standard_genset(p32), twisted_genset(CeSet.odds(), p32)):
+        for gs in (StandardGenSet(p32), TwistedGenSet(CeSet.odds(), p32)):
             for _ in range(25):
                 n = rng.randint(1, 4)
                 u = [CRat.of(F(rng.randint(-5, 5), rng.randint(1, 5))) for _ in range(n)]
@@ -127,11 +126,11 @@ class TestNormOracle:
         the same certified answers as a sequential run."""
         import concurrent.futures
 
-        from lpcat import CeSet, twisted_genset
+        from lpcat import CeSet, TwistedGenSet
 
-        gs = twisted_genset(CeSet.odds(), p32)
+        gs = TwistedGenSet(CeSet.odds(), p32)
         jobs = [([CRat.of(F(i, 3)), CRat.of(F(1, i + 1))], 12 + i) for i in range(1, 9)]
-        expected = [twisted_genset(CeSet.odds(), p32).norm_query(c, k) for c, k in jobs]
+        expected = [TwistedGenSet(CeSet.odds(), p32).norm_query(c, k) for c, k in jobs]
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda job: gs.norm_query(*job), jobs))
         assert got == expected
@@ -140,22 +139,22 @@ class TestNormOracle:
 
 class TestReps:
     def test_exact_rep_of_e0(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         rep = exact_rep(gs, [1])
-        assert eval_rep(rep, 30) == (CRat.of(1),)
+        assert rep.coefficients(30) == (CRat.of(1),)
 
     def test_zeta_e0_over_zeta_set(self, p2):
         """The twisted vector is trivially computable in its own set:
         coefficient 1 on the first generator."""
         gs = ZetaGenSet(ZETA, p2)
         rep = exact_rep(gs, [1])
-        assert eval_rep(rep, 40) == (CRat.of(1),)
+        assert rep.coefficients(40) == (CRat.of(1),)
         assert rep.exact_vector == FiniteVector.from_items([(0, ZETA)])
         enc = gs.residual_norm(rep.exact_vector, rep.coefficients(10), 20)
         assert enc == Enclosure.point(0)
 
     def test_rep_accounting(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         rep = exact_rep(gs, [1, 2])
         rep.coefficients(9)
         rep.coefficients(3)
@@ -164,7 +163,7 @@ class TestReps:
 
 class TestBallMapConstruction:
     def test_identity_family_is_identity_map(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
         bmap = ballmap_from_disjoint_family(reps, gs)
         ball = RationalBall((CRat.of(1), CRat.of(2)), F(1, 4), "E")
@@ -182,7 +181,7 @@ class TestBallMapConstruction:
         assert report.passed
 
     def test_shift_family_norm_preserved(self, p32):
-        gs = standard_genset(p32)
+        gs = StandardGenSet(p32)
         bmap = ballmap_from_disjoint_family(shift_family(gs, 8), gs, kind="shift")
         rng = random.Random(4)
         for _ in range(10):
@@ -198,19 +197,19 @@ class TestBallMapConstruction:
             assert left.intersects(right.pad(pow2(-5)))
 
     def test_non_unit_rejected(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [2])]
         with pytest.raises(NotUnitVector):
             ballmap_from_disjoint_family(reps, gs)
 
     def test_overlap_rejected(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [1]), exact_rep(gs, [1])]
         with pytest.raises(SupportsOverlap):
             ballmap_from_disjoint_family(reps, gs)
 
     def test_fuel_produces_no_output(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(4)]
         bmap = ballmap_from_disjoint_family(
             reps, gs, fuel=Fuel(max_precision=2, max_family=4)
@@ -219,7 +218,7 @@ class TestBallMapConstruction:
         assert bmap.apply(tiny) is None
 
     def test_wrong_source_label_rejected(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [1])]
         bmap = ballmap_from_disjoint_family(reps, gs)
         with pytest.raises(ConfigError):
@@ -228,7 +227,7 @@ class TestBallMapConstruction:
 
 class TestChecker:
     def test_identity_passes(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
         bmap = ballmap_from_disjoint_family(reps, gs)
         report = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=1))
@@ -237,7 +236,7 @@ class TestChecker:
 
     def test_doubled_radius_still_correct(self, p2):
         """Correctness is one-sided: a looser output ball stays correct."""
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
         inner = ballmap_from_disjoint_family(reps, gs)
 
@@ -254,7 +253,7 @@ class TestChecker:
     def test_dropped_coordinate_violates(self, p2):
         """A map that forgets coordinate 0 fails correctness with the
         witness ball around e0."""
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
 
         def drop(ball):
             coeffs = (CRat.of(0),) + ball.coeffs[1:]
@@ -272,7 +271,7 @@ class TestChecker:
     def test_composition_matches_composed_family(self, p2):
         """Composing two family maps includes the composed family's map at
         ball level: direct output sits inside the sequential output."""
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         shift1 = ballmap_from_disjoint_family(shift_family(gs, 10), gs)
         shift2 = ballmap_from_disjoint_family(
             [exact_rep(gs, [CRat.of(0)] * (n + 2) + [CRat.of(1)]) for n in range(10)],
@@ -298,11 +297,11 @@ class TestChecker:
         """Norm enclosures of input and output centers are consistent at
         width 2^-30 for tight input balls (the synthesized map realises an
         isometry up to the ball radius)."""
-        from lpcat import CeSet, twisted_genset
+        from lpcat import CeSet, TwistedGenSet
         from lpcat.twisted import identity_family
 
-        gsE = standard_genset(p32)
-        gsF = twisted_genset(CeSet.odds(), p32)
+        gsE = StandardGenSet(p32)
+        gsF = TwistedGenSet(CeSet.odds(), p32)
         bmap = ballmap_from_disjoint_family(identity_family(gsF, 8), gsF)
         rng = random.Random(44)
         for _ in range(10):
@@ -317,7 +316,7 @@ class TestChecker:
             assert left.pad(pow2(-30)).intersects(right)
 
     def test_report_bytes_deterministic(self, p2):
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
         bmap = ballmap_from_disjoint_family(reps, gs)
         a = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=5)).to_bytes()
@@ -327,18 +326,18 @@ class TestChecker:
 
 class TestDescriptors:
     def test_genset_descriptor(self, p32):
-        d = standard_genset(p32).descriptor()
+        d = StandardGenSet(p32).descriptor()
         assert d["kind"] == "standard" and d["p"] == "3/2"
         z = ZetaGenSet(ZETA, p32).descriptor()
         assert z["zeta"] == ["3/5", "4/5"]
 
     def test_genset_descriptor_round_trip(self, p32):
-        from lpcat import CeSet, genset_from_descriptor, twisted_genset
+        from lpcat import CeSet, genset_from_descriptor, TwistedGenSet
 
         for gs in (
-            standard_genset(p32),
+            StandardGenSet(p32),
             ZetaGenSet(ZETA, p32),
-            twisted_genset(CeSet.odds(), p32),
+            TwistedGenSet(CeSet.odds(), p32),
         ):
             rebuilt = genset_from_descriptor(gs.descriptor())
             assert rebuilt.descriptor() == gs.descriptor()

@@ -23,9 +23,8 @@ from lpcat import (
     random_descriptor,
     rotation_demo,
     rotation_images,
-    standard_genset,
 )
-from lpcat.genset import RationalBall, exact_rep
+from lpcat.genset import RationalBall, StandardGenSet, exact_rep
 from lpcat.rigor import ComputablePoint, sqrt_real
 
 F = Fraction
@@ -121,7 +120,7 @@ class TestClassifier:
     def test_straddling_coordinate_yields_unknown(self, p2):
         """A coordinate whose enclosure straddles the threshold must not be
         guessed either way."""
-        gs = standard_genset(p2)
+        gs = StandardGenSet(p2)
         tol = 8
         tiny = pow2(-tol)  # exactly at the band edge
 
@@ -145,7 +144,7 @@ class TestClassifier:
         assert report.passed
         images = [d.apply(basis(n)) for n in range(8)]
         assert classify(images, p32, tol=10).verdict == "Conforms"
-        gs = standard_genset(p32)
+        gs = StandardGenSet(p32)
         reps = [exact_rep(gs, [img.get(i) for i in range(9)]) for img in images]
         bmap2 = ballmap_from_disjoint_family(reps, gs)
         report2 = check_ballmap(bmap2, d.apply, CheckSchedule.seeded("E", seed=32))

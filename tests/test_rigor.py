@@ -23,7 +23,6 @@ from lpcat import (
     iroot,
     pow2,
     pow_p,
-    refine,
     root_p,
     simplest_between,
     sqrt_real,
@@ -211,13 +210,13 @@ class TestOracleTrackExponent:
 class TestComputableReal:
     def test_refine_contract(self):
         third = ComputableReal.constant(F(1, 3))
-        enc = refine(third, 5)
+        enc = third.enclosure(5)
         assert enc.width == pow2(-4)
         assert enc.contains(F(1, 3))
 
     def test_refine_exponent_fast_path(self):
         p = Exponent.from_rational(F(3, 2))
-        enc = refine(p.real, 8)
+        enc = p.real.enclosure(8)
         assert enc.width == pow2(-7)
         assert enc.contains(F(3, 2))
 
@@ -240,7 +239,7 @@ class TestComputableReal:
         x = sqrt_real(7)
         x.approx(3)
         x.approx(9)
-        assert x.queries == 2 and x.max_k == 9
+        assert x.stats.count == 2 and x.stats.max_k == 9
 
 
 class TestSimplestBetween:

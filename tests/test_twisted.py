@@ -22,8 +22,8 @@ from lpcat import (
     Enclosure,
     Exponent,
     FiniteVector,
-    GammaReal,
     OracleFailure,
+    TwistedGenSet,
     approx_e0,
     basis,
     ce_set_from_spec,
@@ -39,7 +39,6 @@ from lpcat import (
     real_with_offset_fault,
     rep_with_offset_fault,
     scale_real,
-    twisted_genset,
 )
 from lpcat.rigor import ComputableReal
 
@@ -113,25 +112,44 @@ class TestCeSets:
         ce = CeSet.odds()
         enum_only = ce.view(enumerate=True, decide=False)
         assert enum_only.element_at(0) == 1
-        with pytest.raises(AccessViolation):
-            enum_only.decide(3)
+        assert enum_only.prefix(2) == (1, 3, 5)
+        assert enum_only.left_sum(1) == F(5, 8)
+        assert (enum_only.label, enum_only.sorted_enumeration) == ("odds", True)
         decide_only = ce.view(enumerate=False, decide=True)
         assert decide_only.decide(3) is True
-        with pytest.raises(AccessViolation):
-            decide_only.prefix(0)
+        assert decide_only.gamma_enclosure(4).contains(GAMMA_ODDS)
+        assert decide_only.gamma_real().enclosure(6).contains(GAMMA_ODDS)
+        before = (ce.stats.max_stage, ce.stats.decide_calls)
+        refused = {
+            enum_only: (("decide", (3,)), ("gamma_enclosure", (40,)), ("gamma_real", ())),
+            decide_only: (("element_at", (40,)), ("prefix", (40,)), ("left_sum", (40,))),
+        }
+        for view, calls in refused.items():
+            for name, args in calls:
+                with pytest.raises(AccessViolation):
+                    getattr(view, name)(*args)
+        assert (ce.stats.max_stage, ce.stats.decide_calls) == before
+        assert decide_only.stats is ce.stats
+        for view in (enum_only, decide_only):
+            for name in ("exact_gamma", "spec_json", "_member"):
+                with pytest.raises(AttributeError):
+                    getattr(view, name)
 
 
 class TestGammaReal:
+    """gamma = sum_{c in C} 2^-c through the set's own faces: the
+    enumeration stream left_sum and the decision-mode enclosures."""
+
     def test_left_stream_monotone_below_gamma(self):
-        g = GammaReal(CeSet.odds())
-        sums = [g.left_sum(s) for s in range(12)]
+        ce = CeSet.odds()
+        sums = [ce.left_sum(s) for s in range(12)]
         assert all(a < b for a, b in zip(sums, sums[1:]))
         assert all(s < GAMMA_ODDS for s in sums)
 
     def test_enclosure_contains_exact(self):
-        g = GammaReal(CeSet.odds())
+        ce = CeSet.odds()
         for k in (1, 5, 12, 30):
-            enc = g.enclosure(k)
+            enc = ce.gamma_enclosure(k)
             assert enc.contains(GAMMA_ODDS)
             assert enc.width <= pow2(-k)
 
@@ -139,19 +157,18 @@ class TestGammaReal:
         ce = explicit_set()
         expected = F(1, 4) + F(1, 32) + F(1, 512) + F(1, 512)
         assert ce.exact_gamma() == expected
-        assert GammaReal(ce).enclosure(20).contains(expected)
+        assert ce.gamma_enclosure(20).contains(expected)
 
     def test_tail_bound_from_least_missing(self):
         """gamma - gamma_s is at most 2^-(least natural not yet enumerated)."""
         ce = CeSet.odds()
-        g = GammaReal(ce)
         for s in range(1, 10):
-            left = g.left_sum(s)
+            left = ce.left_sum(s)
             missing = min(set(range(1, 50)) - set(ce.prefix(s)))
             assert GAMMA_ODDS - left <= pow2(-missing)
 
     def test_real_consistency(self):
-        x = GammaReal(CeSet.primes()).real()
+        x = CeSet.primes().gamma_real()
         for k in (0, 3, 17, 40, 64):
             for kp in (1, 9, 25, 64):
                 assert abs(x.approx(k) - x.approx(kp)) < pow2(-k) + pow2(-kp)
@@ -202,20 +219,20 @@ def manual_l1_norm(coeffs, depth=80):
 class TestTwistedNorm:
     def test_f0_is_unit(self, odds, p1, p2, p32):
         for p in (p1, p2, p32):
-            gs = twisted_genset(CeSet.odds(), p)
+            gs = TwistedGenSet(CeSet.odds(), p)
             q = gs.norm_query([1], 40)
             assert abs(q - 1) < pow2(-40)
 
     def test_zero(self, odds, p32):
-        gs = twisted_genset(odds, p32)
+        gs = TwistedGenSet(odds, p32)
         assert gs.norm_query([0, 0, 0], 20) == 0
 
     def test_exact_two(self, p1):
-        gs = twisted_genset(CeSet.odds(), p1, field_mode="real")
+        gs = TwistedGenSet(CeSet.odds(), p1, field_mode="real")
         assert gs.norm_query([1, 1], 20) == 2
 
     def test_against_manual_expansion(self, p1):
-        gs = twisted_genset(CeSet.odds(), p1, field_mode="real")
+        gs = TwistedGenSet(CeSet.odds(), p1, field_mode="real")
         rng = random.Random(8)
         for _ in range(20):
             coeffs = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
@@ -228,7 +245,7 @@ class TestTwistedNorm:
         """Telescoping route vs the decision-mode expansion route."""
         rng = random.Random(21)
         for ce_fn in (CeSet.odds, CeSet.primes):
-            gs = twisted_genset(ce_fn(), p32)
+            gs = TwistedGenSet(ce_fn(), p32)
             for _ in range(30):
                 coeffs = [
                     CRat(F(rng.randint(-6, 6), rng.randint(1, 6)),
@@ -247,7 +264,7 @@ class TestTwistedNorm:
         never the decision procedure."""
         for length in (1, 2, 5, 9):
             ce = CeSet.odds()
-            gs = twisted_genset(ce, p2)
+            gs = TwistedGenSet(ce, p2)
             gs.norm_query([1] * length, 30)
             assert ce.stats.max_stage == length - 2  # -1 means untouched
             assert ce.stats.decide_calls == 0
@@ -302,7 +319,7 @@ class TestApproxE0:
                 assert out.certified_error.hi < pow2(-k)
 
     def test_rep_contract(self, p2):
-        gs = twisted_genset(CeSet.odds(), p2)
+        gs = TwistedGenSet(CeSet.odds(), p2)
         rep = e0_rep(gs)
         for k in (2, 6, 10):
             coeffs = rep.coefficients(k)
@@ -310,10 +327,8 @@ class TestApproxE0:
             assert err.hi < pow2(-k)
 
     def test_rep_at_k2_is_the_worked_list(self, p1):
-        from lpcat import eval_rep
-
-        gs = twisted_genset(CeSet.odds(), p1)
-        assert eval_rep(e0_rep(gs), 2) == (
+        gs = TwistedGenSet(CeSet.odds(), p1)
+        assert e0_rep(gs).coefficients(2) == (
             CRat.of(3),
             CRat.of(F(-3, 2)),
             CRat.of(F(-3, 8)),
@@ -323,7 +338,7 @@ class TestApproxE0:
 
 class TestScaleExtraction:
     def test_converges_to_three(self, p1):
-        gs = twisted_genset(CeSet.odds(), p1)
+        gs = TwistedGenSet(CeSet.odds(), p1)
         oracle = e0_rep(gs)
         for k in (3, 8, 16):
             assert abs(extract_scale(oracle, p1, k) - 3) < pow2(-k)
@@ -331,20 +346,20 @@ class TestScaleExtraction:
     def test_unimodular_independence(self, p1):
         """A unit multiple of e0 extracts the same scale: the modulus kills
         the scalar."""
-        gs = twisted_genset(CeSet.odds(), p1)
+        gs = TwistedGenSet(CeSet.odds(), p1)
         base = e0_rep(gs)
         for lam in (CRat.of(-1), CRat(F(3, 5), F(4, 5))):
             scaled = base.scaled(lam)
             assert abs(extract_scale(scaled, p1, 10) - 3) < pow2(-10)
 
     def test_consistency(self, p32):
-        gs = twisted_genset(CeSet.primes(), p32)
+        gs = TwistedGenSet(CeSet.primes(), p32)
         s = scale_real(e0_rep(gs), p32)
         for k in (2, 9, 15):
             assert abs(s.approx(k) - s.approx(k + 1)) < pow2(-k) + pow2(-k - 1)
 
     def test_query_log(self, p1):
-        gs = twisted_genset(CeSet.odds(), p1)
+        gs = TwistedGenSet(CeSet.odds(), p1)
         log = []
         extract_scale(e0_rep(gs), p1, 6, query_log=log)
         assert log and log[0]["k"] == 6 and log[0]["k_prime"] > 6
@@ -362,7 +377,7 @@ class TestGammaFromScale:
         assert abs(g.approx(8)) < pow2(-8)
 
     def test_odds_p2_pipeline(self, p2):
-        gs = twisted_genset(CeSet.odds(), p2)
+        gs = TwistedGenSet(CeSet.odds(), p2)
         s = scale_real(e0_rep(gs), p2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -386,7 +401,7 @@ class TestMembership:
     @pytest.mark.parametrize("make", [CeSet.odds, CeSet.primes, throttled_set])
     def test_round_trip_20_bits(self, make, p1):
         ce = make()
-        gs = twisted_genset(ce, p1)
+        gs = TwistedGenSet(ce, p1)
         bits = membership_bits(e0_rep(gs), p1, ce, 20)
         for n, got in bits:
             assert got == ce.decide(n), n
@@ -401,7 +416,7 @@ class TestMembership:
 
     def test_corrupted_rep_detected(self, p1):
         ce = CeSet.odds()
-        gs = twisted_genset(ce, p1)
+        gs = TwistedGenSet(ce, p1)
         bad = rep_with_offset_fault(e0_rep(gs), F(-1, 8))
         bits = membership_bits(bad, p1, ce, 20)
         agree = sum(1 for n, got in bits if got == ce.decide(n))
