@@ -124,10 +124,18 @@ def load_ce(spec: str) -> tw.CeSet:
     return tw.ce_set_from_spec(_read_json(spec))
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write data to path; an unwritable path is invalid input."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_report(obj: dict, out: Optional[str]) -> bytes:
     data = canonical_json_bytes(obj)
     if out:
-        Path(out).write_bytes(data)
+        _write(out, data)
     return data
 
 
@@ -235,7 +243,10 @@ def cmd_classify(args) -> tuple[dict, str]:
             for n in range(descriptor.size)
         ]
     elif "images" in obj:
-        images = [FiniteVector.from_quintuples(rows) for rows in obj["images"]]
+        try:
+            images = [FiniteVector.from_quintuples(rows) for rows in obj["images"]]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed images: {exc!r}") from exc
     else:
         raise ConfigError("classify input needs 'phi' (descriptor) or 'images'")
     verdict = iso.classify(images, p, args.tol)
@@ -288,33 +299,18 @@ def _demo_rotation(args, p: Exponent) -> tuple[dict, list[list[str]]]:
 def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
     ce = load_ce(args.ce_set)
     genset = tw.TwistedGenSet(ce, p)
-    rows = [["k", "N1", "q1", "certified_hi", "exact_error", "decide_calls"]]
     sweep = []
     for k in range(1, args.k + 1):
         fresh = load_ce(args.ce_set)
-        approx = tw.approx_e0(fresh, p, k)
-        sweep.append(
-            {
-                "k": k,
-                "N1": approx.n1,
-                "q1": str(approx.q1),
-                "certified_error_bound": approx.certified_error.as_json(),
-                "exact_error": (
-                    None if approx.exact_error is None else str(approx.exact_error)
-                ),
-                "decide_calls": fresh.stats.decide_calls,
-            }
-        )
-        rows.append(
-            [
-                str(k),
-                str(approx.n1),
-                str(approx.q1),
-                str(approx.certified_error.hi),
-                "" if approx.exact_error is None else str(approx.exact_error),
-                str(fresh.stats.decide_calls),
-            ]
-        )
+        entry = tw.approx_e0(fresh, p, k).as_json()
+        del entry["coefficients"]
+        sweep.append({**entry, "decide_calls": fresh.stats.decide_calls})
+    rows = [["k", "N1", "q1", "certified_hi", "exact_error", "decide_calls"]]
+    rows += [
+        [str(s["k"]), str(s["N1"]), s["q1"], s["certified_error_bound"][1],
+         s["exact_error"] or "", str(s["decide_calls"])]
+        for s in sweep
+    ]
     oracle = tw.e0_rep(genset)
     bits = tw.membership_bits(oracle, p, ce, args.n_max, fuel=args.fuel)
     agree = _agreement(bits, ce)
@@ -338,7 +334,7 @@ def cmd_demo(args) -> tuple[dict, str]:
     }
     record, rows = builders[args.scenario](args, p)
     if args.csv:
-        Path(args.csv).write_text("\n".join(",".join(r) for r in rows) + "\n")
+        _write(args.csv, ("\n".join(",".join(r) for r in rows) + "\n").encode())
     return {"seed": args.seed, **record}, f"demo {args.scenario} done"
 
 
@@ -408,13 +404,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         record, summary = args.fn(args)
+        data = write_report({"schema": SCHEMA, "command": args.command, **record}, args.out)
     except ConfigError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
-    data = write_report({"schema": SCHEMA, "command": args.command, **record}, args.out)
     print(f"{summary} ({time.perf_counter() - started:.3f}s)")
     if not args.out:
         print(data.decode())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -28,6 +27,7 @@ from .rigor import (
     Counters,
     Enclosure,
     Exponent,
+    PrecisionOracle,
     ceil_log2,
     pow2,
 )
@@ -166,10 +166,12 @@ class ZetaGenSet(GeneratingSet):
 # ---------------------------------------------------------------------------
 
 
-class VectorRep:
+class VectorRep(PrecisionOracle):
     """A vector computable with respect to a generating set: for every k,
     ``coefficients(k)`` is a finite coefficient list whose combination lies
     within 2^-k of the represented vector."""
+
+    _coerce = staticmethod(_coerce_coeffs)
 
     def __init__(
         self,
@@ -178,24 +180,12 @@ class VectorRep:
         label: str = "",
         exact_vector: Optional[FiniteVector] = None,
     ):
+        super().__init__(fn, label or "rep")
         self.genset = genset
-        self._fn = fn
-        self.label = label or "rep"
         self.exact_vector = exact_vector
-        self._cache: dict[int, tuple[CRat, ...]] = {}
-        self._lock = threading.RLock()
-        self.stats = Counters(count=0, max_k=-1)
 
     def coefficients(self, k: int) -> tuple[CRat, ...]:
-        if k < 0:
-            raise ValueError("precision index must be nonnegative")
-        with self._lock:
-            self.stats.record("count", max_k=k)
-            got = self._cache.get(k)
-            if got is None:
-                got = _coerce_coeffs(self._fn(k))
-                self._cache[k] = got
-            return got
+        return self._lookup(k)
 
     def scaled(self, a, label: str = "") -> "VectorRep":
         a = CRat.of(a)
@@ -295,19 +285,11 @@ class BallMap:
         }
 
 
-def _abs_upper(c: CRat) -> Fraction:
-    exact = c.abs_exact()
-    if exact is not None:
-        return exact
-    return c.abs_enclosure(4).hi
-
-
 def ballmap_from_disjoint_family(
     reps: Sequence[VectorRep],
     target: GeneratingSet,
     *,
     source: Optional[StandardGenSet] = None,
-    truncation_k: int = 10,
     fuel: Optional[Fuel] = None,
     kind: str = "disjoint-family",
 ) -> BallMap:
@@ -315,10 +297,11 @@ def ballmap_from_disjoint_family(
     vector, per the three-criteria recipe: approximate the image of the
     center within the input radius r and answer with radius 2r.
 
-    Preconditions are checked at truncation scale: every rep must pass the
-    unit-norm certificate, and when exact expansions or coordinate reps
-    are available, pairwise support disjointness is certified; otherwise
-    disjointness is the caller's responsibility (recorded in the map kind).
+    Preconditions are checked at truncation scale 2^-10: every rep must
+    pass the unit-norm certificate, and when exact expansions or
+    coordinate reps are available, pairwise support disjointness is
+    certified; otherwise disjointness is the caller's responsibility
+    (recorded in the map kind).
     """
     reps = list(reps)
     if not reps:
@@ -326,7 +309,7 @@ def ballmap_from_disjoint_family(
     if source is None:
         source = StandardGenSet(target.p, target.field_mode)
     fuel = fuel or Fuel()
-    tk = truncation_k
+    tk = 10
 
     slack = pow2(-tk)
     for n, rep in enumerate(reps):
@@ -361,7 +344,7 @@ def ballmap_from_disjoint_family(
         if len(alphas) > len(reps) or len(alphas) > fuel.max_family:
             return None
         r = ball.radius
-        total = sum((_abs_upper(a) for a in alphas), Fraction(0))
+        total = sum((a.abs_enclosure(4).hi for a in alphas), Fraction(0))
         if total == 0:
             return RationalBall((CRAT_ZERO,), 2 * r, target.label)
         k_q = max(1, ceil_log2(total / r) + 1)
@@ -425,9 +408,6 @@ class CheckSchedule:
         seed: int = 7,
         n_balls: int = 4,
         n_vectors: int = 3,
-        eps_bits: Sequence[int] = tuple(range(1, 13)),
-        width: int = 4,
-        residual_k: int = 20,
     ) -> "CheckSchedule":
         rng = random.Random(seed)
 
@@ -436,15 +416,15 @@ class CheckSchedule:
 
         balls = []
         for _ in range(n_balls):
-            coeffs = tuple(CRat.of(rat()) for _ in range(rng.randint(1, width)))
+            coeffs = tuple(CRat.of(rat()) for _ in range(rng.randint(1, 4)))
             radius = Fraction(1, rng.randint(2, 16))
             balls.append(RationalBall(coeffs, radius, source_label))
         vectors = []
         for _ in range(n_vectors):
-            items = [(i, rat()) for i in range(rng.randint(1, width))]
+            items = [(i, rat()) for i in range(rng.randint(1, 4))]
             vectors.append(FiniteVector.from_items(items))
-        eps = tuple(pow2(-b) for b in eps_bits)
-        return cls(tuple(balls), tuple(vectors), eps, 3, residual_k, seed)
+        eps = tuple(pow2(-b) for b in range(1, 13))
+        return cls(tuple(balls), tuple(vectors), eps, seed=seed)
 
     def as_json(self) -> dict:
         return {

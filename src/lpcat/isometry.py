@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .rigor import (
     CRat,
@@ -31,7 +31,6 @@ from .rigor import (
 from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
 from .genset import (
     BallMap,
-    Fuel,
     StandardGenSet,
     VectorRep,
     ballmap_from_disjoint_family,
@@ -170,20 +169,13 @@ def random_descriptor(rng: random.Random, size: int) -> IsometryDescriptor:
     return IsometryDescriptor(tuple(perm), lambdas)
 
 
-def descriptor_to_ballmap(
-    d: IsometryDescriptor,
-    p: Exponent,
-    *,
-    field_mode: str = "complex",
-    fuel: Optional[Fuel] = None,
-) -> BallMap:
+def descriptor_to_ballmap(d: IsometryDescriptor, p: Exponent) -> BallMap:
     """Ball map of the isometry induced by the descriptor, via the
     disjoint-family construction over the standard presentation."""
-    target = StandardGenSet(p, field_mode)
+    target = StandardGenSet(p)
     reps = [d.image_rep(n, target) for n in range(d.size)]
     return ballmap_from_disjoint_family(
-        reps, target, source=StandardGenSet(p, field_mode),
-        fuel=fuel, kind=f"descriptor[{d.size}]"
+        reps, target, source=StandardGenSet(p), kind=f"descriptor[{d.size}]"
     )
 
 
@@ -330,22 +322,16 @@ def _rotated_abs2_terms(v: FiniteVector) -> list[Enclosure]:
     return terms
 
 
-def rotation_demo(
-    p: Exponent,
-    *,
-    samples: int = 100,
-    seed: int = 11,
-    tol: int = 8,
-    width_bits: int = 30,
-) -> dict:
+def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     """Certified two-sided report on the rotation map.
 
     The rotation preserves the l2 norm on every sampled rational vector
-    (certified enclosures at the requested width are consistent), yet the
-    classifier must reject its basis images on support grounds; and for
-    the ambient p != 2 the same map fails norm preservation on a certified
-    witness vector.
+    (certified enclosures of width 2^-30 are consistent), yet the
+    classifier, at tolerance 2^-8, must reject its basis images on support
+    grounds; and for the ambient p != 2 the same map fails norm
+    preservation on a certified witness vector.
     """
+    width_bits = 30
     p2 = Exponent.from_rational(2)
     rng = random.Random(seed)
     consistent = 0
@@ -364,7 +350,7 @@ def rotation_demo(
             max_gap = max(max_gap, gap)
 
     img0, img1 = rotation_images(p2)
-    verdict = classify([img0, img1], p2, tol)
+    verdict = classify([img0, img1], p2, 8)
 
     report = {
         "schema": "lpcat.rotation-demo/1",

@@ -123,16 +123,17 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         return _ZERO
     if hi < 0:
         return -simplest_between(-hi, -lo)
-
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        ia = a.numerator // a.denominator
-        if a == ia:
-            return Fraction(ia)
-        if ia + 1 <= b:
-            return Fraction(ia + 1)
-        return ia + 1 / rec(1 / (b - ia), 1 / (a - ia))
-
-    return rec(lo, hi)
+    # While [lo, hi] holds no integer, strip the shared integer part and
+    # invert; then fold the continued fraction back up.
+    parts: list[int] = []
+    while frac_ceil(lo) > hi:
+        ia = frac_floor(lo)
+        parts.append(ia)
+        lo, hi = 1 / (hi - ia), 1 / (lo - ia)
+    q = Fraction(frac_ceil(lo))
+    for ia in reversed(parts):
+        q = ia + 1 / q
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,6 @@ class Enclosure:
     def pad(self, slack: RatLike) -> "Enclosure":
         slack = Fraction(slack)
         return Enclosure(self.lo - slack, self.hi + slack)
-
-    def hull(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def clamp_nonneg(self) -> "Enclosure":
         """Intersect with [0, inf); sound whenever the enclosed value is
@@ -368,30 +366,23 @@ class Counters:
         return {name: getattr(self, name) for name in self._fields}
 
 
-class ComputableReal:
-    """A real known through an approximation algorithm: ``approx(k)``
-    returns a rational q with |q - x| < 2^-k.
+class PrecisionOracle:
+    """An answer function ``fn(k)`` of a precision index k, memoised.
 
-    Results are memoised per precision so repeated queries are
-    deterministic and cheap; ``stats`` counts queries and the largest
-    precision requested, which is how reductions downstream get their
-    empirical cost accounting.
+    Each k is computed once, under a lock, and coerced by the subclass's
+    ``_coerce``, so repeated queries are deterministic and cheap; ``stats``
+    counts queries and the largest precision requested, which is how
+    reductions downstream get their empirical cost accounting.
     """
 
-    def __init__(self, fn: Callable[[int], Fraction], label: str = "real"):
+    def __init__(self, fn: Callable[[int], object], label: str):
         self._fn = fn
-        self._cache: dict[int, Fraction] = {}
+        self._cache: dict = {}
         self._lock = threading.RLock()
         self.label = label
         self.stats = Counters(count=0, max_k=-1)
 
-    @staticmethod
-    def _coerce(value) -> Fraction:
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError("approximation oracles must return rationals")
-        return Fraction(value)
-
-    def approx(self, k: int) -> Fraction:
+    def _lookup(self, k: int):
         if k < 0:
             raise ValueError("precision index must be nonnegative")
         with self._lock:
@@ -401,6 +392,23 @@ class ComputableReal:
                 got = self._coerce(self._fn(k))
                 self._cache[k] = got
             return got
+
+
+class ComputableReal(PrecisionOracle):
+    """A real known through an approximation algorithm: ``approx(k)``
+    returns a rational q with |q - x| < 2^-k."""
+
+    def __init__(self, fn: Callable[[int], Fraction], label: str = "real"):
+        super().__init__(fn, label)
+
+    @staticmethod
+    def _coerce(value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("approximation oracles must return rationals")
+        return Fraction(value)
+
+    def approx(self, k: int) -> Fraction:
+        return self._lookup(k)
 
     def enclosure(self, k: int) -> Enclosure:
         """Certified [approx(k) - 2^-k, approx(k) + 2^-k]."""
@@ -477,8 +485,8 @@ class Exponent:
         return cls(ComputableReal.constant(q, f"p={q}"), q, _checked=True)
 
     @classmethod
-    def from_real(cls, real: ComputableReal, check_k: int = 12) -> "Exponent":
-        if not real.approx(check_k) > 1 - pow2(-check_k):
+    def from_real(cls, real: ComputableReal) -> "Exponent":
+        if not real.approx(12) > 1 - pow2(-12):
             raise ConfigError("exponent oracle is not certified >= 1")
         return cls(real, None, _checked=True)
 

@@ -357,19 +357,13 @@ def _quad_in_u(a: Fraction, b: Fraction, c: Fraction, u: Enclosure) -> Enclosure
     return (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
 
 
-def _u_enclosure(
-    c: int, p: Exponent, K: int, cache: Optional[dict] = None
-) -> Enclosure:
-    """Certified 2^(-c/p) = (2^-c)^(1/p)."""
+def _u_enclosure(c: int, p: Exponent, K: int, cache: dict) -> Enclosure:
+    """Certified 2^(-c/p) = (2^-c)^(1/p), memoised in ``cache``."""
     key = (c, K)
-    if cache is not None:
-        got = cache.get(key)
-        if got is not None:
-            return got
-    enc = _pow_slack(Enclosure.point(pow2(-c)), p.reciprocal(), K)
-    if cache is not None:
-        cache[key] = enc
-    return enc
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = _pow_slack(Enclosure.point(pow2(-c)), p.reciprocal(), K)
+    return got
 
 
 def _epsilon_enclosure(
@@ -378,7 +372,7 @@ def _epsilon_enclosure(
     c: int,
     p: Exponent,
     K: int,
-    ucache: Optional[dict] = None,
+    ucache: dict,
 ) -> Enclosure:
     """Certified E_j = |a0 u + aj|^p - |a0|^p 2^-c with u = 2^(-c/p), to
     slack below 2^-K.
@@ -410,7 +404,7 @@ def epsilon_j(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     """The j-th correction term of the telescoping norm identity."""
     if c < 1:
         raise ConfigError("enumerated elements are >= 1")
-    return _epsilon_enclosure(CRat.of(alpha0), CRat.of(alphaj), c, p, k)
+    return _epsilon_enclosure(CRat.of(alpha0), CRat.of(alphaj), c, p, k, {})
 
 
 class TwistedGenSet(GeneratingSet):
@@ -493,13 +487,8 @@ def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:
     """Exact-rational certificate that the twisted generator has norm 1 at
     p = 1: (1 - gamma) plus the mass below the cutoff plus the tail bound,
     summed as enclosures, lands in [1 - 2^-b, 1 + 2^-b]."""
-    q = Fraction(0)
-    for j in range(1, b + 1):
-        if ce.decide(j):
-            q += pow2(-j)
-    one_minus_gamma = Enclosure(1 - q - pow2(-b), 1 - q)
-    gamma = Enclosure(q, q + pow2(-b))
-    return one_minus_gamma + gamma
+    gamma = ce.gamma_enclosure(b - 1)
+    return (Enclosure.point(1) - gamma) + gamma
 
 
 # ---------------------------------------------------------------------------
@@ -737,25 +726,26 @@ def extract_scale(
     return out
 
 
-def scale_real(oracle: VectorRep, p: Exponent) -> ComputableReal:
-    """(1 - gamma)^(-1/p) as a ComputableReal driven by the oracle."""
+def scale_real(
+    oracle: VectorRep, p: Exponent, query_log: Optional[list] = None
+) -> ComputableReal:
+    """(1 - gamma)^(-1/p) as a ComputableReal driven by the oracle; each
+    oracle query appends its precisions to ``query_log`` when one is given."""
     return ComputableReal(
-        lambda k: extract_scale(oracle, p, k), f"scale[{oracle.label}]"
+        lambda k: extract_scale(oracle, p, k, query_log), f"scale[{oracle.label}]"
     )
 
 
-def gamma_from_scale(
-    s: ComputableReal, p: Exponent, check_k: int = 8
-) -> ComputableReal:
+def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
     """gamma = 1 - s^-p as a ComputableReal.
 
     Guard g = ceil(log2 ub(p)) + 2 covers the derivative p s^-(p+1) <= p
     for s >= 1; an escalation loop covers scales close to 0.  A scale
-    certified below 1 + 2^-check_k pins gamma to the degenerate corner,
+    certified below 1 + 2^-8 pins gamma to the degenerate corner,
     contradicting 0 < gamma at check scale; that is flagged with a warning
     (the value is still produced).
     """
-    if s.enclosure(check_k).hi <= 1 + pow2(-check_k):
+    if s.enclosure(8).hi <= 1 + pow2(-8):
         warnings.warn(
             f"scale oracle {s.label} certified <= 1: gamma degenerates to <= 0",
             DegenerateScaleWarning,
@@ -799,14 +789,9 @@ def decide_membership(
         return False
     m = n + 2
     threshold = gamma.approx(m) - pow2(-m)
-    seen: set[int] = set()
-    total = Fraction(0)
     for s in range(fuel):
-        c = enum.element_at(s)
-        seen.add(c)
-        total += pow2(-c)
-        if total > threshold:
-            return n in seen
+        if enum.left_sum(s) > threshold:
+            return n in enum.prefix(s)
     raise OracleFailure(
         f"enumeration fuel exhausted at {fuel} stages; gamma oracle likely corrupt"
     )
@@ -823,12 +808,9 @@ def membership_bits(
 ) -> list[tuple[int, bool]]:
     """The full reverse pipeline: scale extraction, gamma recovery, then
     bit-by-bit membership, using only enumeration access to the set."""
-    s = ComputableReal(
-        lambda k: extract_scale(oracle, p, k, query_log), f"scale[{oracle.label}]"
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
-        gamma = gamma_from_scale(s, p)
+        gamma = gamma_from_scale(scale_real(oracle, p, query_log), p)
     enum_view = ce.view(enumerate=True, decide=False)
     return [
         (n, decide_membership(gamma, enum_view, n, fuel=fuel))

@@ -220,9 +220,7 @@ def build_criterion_5(seed: int = SEED) -> dict:
 def build_criterion_6(seed: int = SEED) -> dict:
     """The p = 2 boundary: 100-sample certified l2 preservation with a
     Violates classification, and a certified p = 1 counterexample."""
-    report = rotation_demo(
-        Exponent.from_rational(1), samples=100, seed=seed, tol=8, width_bits=30
-    )
+    report = rotation_demo(Exponent.from_rational(1), samples=100, seed=seed)
     overlap_witnesses = [
         w for w in report["classifier"]["witnesses"] if w["kind"] == "support_overlap"
     ]

@@ -1,5 +1,6 @@
 """End-to-end runs of the command driver: records, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -207,6 +208,58 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Pinned SHA-256 digests of canonical reports and of the pour-el-richards
+# CSV.  The determinism tests compare two runs of the same code; these pin
+# the bytes across refactors.
+GOLDEN = {
+    "norm-standard": (
+        ["norm", "--genset", "E", "--p", "2", "--coeffs", "3,4", "--k", "12"],
+        "5f1dba537a60926e2b79ffb47d705265861f742a6d572ab14e30ff1574df0ef0", None,
+    ),
+    "norm-twisted": (
+        ["norm", "--genset", "F", "--p", "3/2", "--ce-set", "odds", "--coeffs", "1,1",
+         "--k", "20"],
+        "a52126fc5f5f051527d495be78a4408dcb224c1f2b05660721bc84595e3f11da", None,
+    ),
+    "approx-e0": (
+        ["approx-e0", "--p", "1", "--ce-set", "odds", "--k", "2"],
+        "4a282c52f0ce786304014e01593aa635d84480391fb949de0ad27ffe7339104e", None,
+    ),
+    "extract": (
+        ["extract", "--p", "1", "--ce-set", "odds", "--n-max", "12"],
+        "ed51e9d9d8aaa882b832eec76b51e122310e899fbef5bc90202d759b99a1afd4", None,
+    ),
+    "classify": (
+        ["classify", "--p", "3/2", "--input", str(DATA / "descriptor_swap.json"), "--tol", "8"],
+        "b5cc7572ab89cd4230e6a511eaa95c06bd9cae72d2cc1858954127c1bae2a5d3", None,
+    ),
+    "demo-zeta": (
+        ["demo", "--scenario", "zeta", "--p", "2"],
+        "af2680e0b5768a011be8801e1359469b2057a76affa3c8586e21541957c53649", None,
+    ),
+    "demo-rotation": (
+        ["demo", "--scenario", "rotation", "--p", "1", "--samples", "15", "--seed", "3"],
+        "ef38ec303e2407cc5b1c08392c5c3a6f8a33b63087df59fcbac2ef03f335fa08", None,
+    ),
+    "demo-pour-el-richards": (
+        ["demo", "--scenario", "pour-el-richards", "--p", "1", "--ce-set", "odds",
+         "--k", "4", "--n-max", "8"],
+        "2c4fc7faf3e3025fafb5d0abf009865c7a17409e7ef53e6cc3493a5c5a74bf4d",
+        "98399ba27240942cf878471f40e37a1fcaedbb5b8ae84e7ed016f1ef2bb7ad17",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, report_sha, csv_sha", GOLDEN.values(), ids=list(GOLDEN))
+def test_report_bytes_match_golden(tmp_path, argv, report_sha, csv_sha):
+    csv = tmp_path / "sweep.csv"
+    code, _, out = run(tmp_path, *argv, *(["--csv", str(csv)] if csv_sha else []))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == report_sha
+    if csv_sha:
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+
+
 MALFORMED = {
     "descriptor-zero-denominator": (
         ["classify", "--input", "{f}"], {"phi": [[0, 0]], "lambdas": [[1, 0, 0, 1]]},
@@ -230,6 +283,17 @@ MALFORMED = {
     "flag-classify-does-not-read": (
         ["classify", "--input", str(DATA / "descriptor_identity.json"), "--field", "real"],
         None,
+    ),
+    "images-row-not-quintuple": (["classify", "--input", "{f}"], {"images": [[[0, 1, 1, 0]]]}),
+    "images-zero-denominator": (
+        ["classify", "--input", "{f}"], {"images": [[[0, 1, 0, 0, 1]]]},
+    ),
+    "images-not-a-list": (["classify", "--input", "{f}"], {"images": 5}),
+    "out-unwritable": (
+        ["norm", "--genset", "E", "--coeffs", "1", "--out", "{f}/d/x.json"], None,
+    ),
+    "csv-unwritable": (
+        ["demo", "--scenario", "rotation", "--samples", "2", "--csv", "{f}/d/x.csv"], None,
     ),
 }
 

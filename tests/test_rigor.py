@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpcat import (
+    ComputablePoint,
     ComputableReal,
     ConfigError,
     Enclosure,
     Exponent,
     NegativeBase,
+    StandardGenSet,
+    VectorRep,
     ceil_log2,
     iroot,
     pow2,
@@ -242,6 +245,37 @@ class TestComputableReal:
         assert x.stats.count == 2 and x.stats.max_k == 9
 
 
+MEMO_ORACLES = {
+    "real": (ComputableReal, "approx"),
+    "point": (ComputablePoint, "approx"),
+    "vector": (
+        lambda fn: VectorRep(StandardGenSet(Exponent.from_rational(2)), lambda k: [fn(k)]),
+        "coefficients",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, method", MEMO_ORACLES.values(), ids=list(MEMO_ORACLES))
+def test_memo_contract(make, method):
+    """Every precision oracle computes each k once, counts every query and
+    the largest k asked, and rejects a negative k before counting it."""
+    computed = []
+
+    def fn(k):
+        computed.append(k)
+        return F(1, k + 1)
+
+    oracle = make(fn)
+    query = getattr(oracle, method)
+    answers = [query(k) for k in (3, 1, 3, 5, 1)]
+    assert computed == [3, 1, 5]
+    assert answers[0] == answers[2] and answers[1] == answers[4]
+    assert oracle.stats.count == 5 and oracle.stats.max_k == 5
+    with pytest.raises(ValueError):
+        query(-1)
+    assert computed == [3, 1, 5] and oracle.stats.count == 5
+
+
 class TestSimplestBetween:
     def test_examples(self):
         assert simplest_between(F(2885, 1000), F(3115, 1000)) == 3
@@ -249,6 +283,15 @@ class TestSimplestBetween:
         assert simplest_between(F(2, 3), F(3, 4)) == F(2, 3)
         assert simplest_between(F(-1, 3), F(1, 5)) == 0
         assert simplest_between(F(-7, 2), F(-10, 3)) == F(-7, 2)
+
+    def test_deep_descent(self):
+        """An interval of width about 2^-1527 around the golden ratio takes
+        about 1100 continued-fraction steps."""
+        a, b = 1, 1
+        for _ in range(1100):
+            a, b = b, a + b
+        lo, hi = sorted((F(b, a), F(a + b, b)))
+        assert simplest_between(lo, hi) == F(b, a)
 
     @given(
         st.fractions(min_value=-50, max_value=50, max_denominator=40),
