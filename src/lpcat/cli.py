@@ -76,6 +76,8 @@ def parse_p(text: str) -> Exponent:
             raise ConfigError(f"bad exponent oracle spec {text!r}") from exc
         if value < 1:
             raise ConfigError(f"exponent {value} < 1 is out of range")
+        if claimed < 0:
+            raise ConfigError(f"exponent oracle claims {claimed} bits, a negative count")
 
         def fn(k: int) -> Fraction:
             if k > claimed:

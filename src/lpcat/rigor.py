@@ -9,9 +9,15 @@ The whole library runs on three numeric currencies:
   rational within 2^-k of the represented real.
 
 Every operation is outward rounded: the result encloses the exact image of
-every point of its inputs.  There is no floating point anywhere.  Powers
-t^(a/b) reduce to an exact integer power followed by an integer Newton
-floor-root, so every bound is certified by integer comparisons alone.
+every point of its inputs.  There is no floating point anywhere.  A power
+t^(a/b) takes one of two routes, chosen by cost.  The exact route is an
+exact integer power followed by an integer Newton floor-root (exact on
+perfect powers); it is taken when its largest operand, the root operand
+of about a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale 2^-K,
+fits a fixed bit budget.  Otherwise the dyadic route takes iterated
+directed square roots and directed binary powers on integer mantissas at
+one binary exponent 2^-P, each rounded product a multiply and a shift.
+Either way every bound is certified by integer operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by simple rationals and
@@ -569,31 +575,76 @@ def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
     return Fraction(n, 1 << P)
 
 
-def _sqrt_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
-    """Directed square root at P dyadic bits, for x >= 1."""
-    n = (x.numerator << (2 * P)) // x.denominator
+# The dyadic kernel works on integer mantissas: m stands for m / 2^P at a
+# working precision P shared by every value of one enclosure, so a rounded
+# multiply is one integer product and one shift, with no gcd.
+
+
+def _mul_dyadic(x: int, y: int, P: int, up: bool) -> int:
+    """Directed product of two mantissas at scale 2^P."""
+    if up:
+        return -((-x * y) >> P)
+    return (x * y) >> P
+
+
+def _sqrt_dyadic(n: int, up: bool) -> int:
+    """Floor, or ceiling when up, of the square root of n >= 0.  For
+    n = m << P it is the directed square root of m / 2^P at scale 2^P."""
     r = isqrt(n)
     if up and r * r != n:
         r += 1
-    return Fraction(r, 1 << P)
+    return r
 
 
-def _ipow_dyadic(base: Fraction, m: int, P: int, up: bool) -> Fraction:
-    """Directed base**m by binary exponentiation with per-step rounding to
-    P dyadic bits; sound for base >= 0 (down) resp. base >= true (up)."""
-    result = _ONE
-    b = base
-    while m:
-        if m & 1:
-            result = _round_dyadic(result * b, P, up)
-        m >>= 1
-        if m:
-            b = _round_dyadic(b * b, P, up)
+def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
+    """Directed (m / 2^P)**n as a mantissa at scale 2^P, by binary
+    exponentiation with per-step rounding; sound for a lower (down) resp.
+    upper (up) bound on the base."""
+    result = 1 << P
+    while n:
+        if n & 1:
+            result = _mul_dyadic(result, m, P, up)
+        n >>= 1
+        if n:
+            m = _mul_dyadic(m, m, P, up)
     return result
 
 
+# Dyadic-route results, keyed by (t, e, tb) for enclosures and by
+# (num, den, j, P) for square-root chains; emptied when it grows past 4096.
 _DYADIC_POW_CACHE: dict = {}
-_EXACT_POW_LIMIT = 256
+# Largest operand, in bits, the exact power route may build (see _pow_dir).
+# Rational-track powers stay far below it (about 11k bits at most in the
+# tests and benchmark workloads); the Newton roots past it run to millions
+# of bits.
+_EXACT_POW_BUDGET = 1 << 16
+
+
+def _cache_dyadic(key, value):
+    if len(_DYADIC_POW_CACHE) > 4096:
+        _DYADIC_POW_CACHE.clear()
+    _DYADIC_POW_CACHE[key] = value
+    return value
+
+
+def _root_chains(num: int, den: int, j: int, P: int) -> tuple[int, int]:
+    """Mantissas at scale 2^P of lower and upper bounds on (num/den)^(2^-j),
+    for num/den > 1, by j directed square roots.  Cached: both ends of an
+    exponent bracket, and each refinement of it, share the same chains."""
+    key = (num, den, j, P)
+    got = _DYADIC_POW_CACHE.get(key)
+    if got is not None:
+        return got
+    # The first root is taken straight from tt * 4^P, rounded down
+    # resp. up, so the upper chain starts above sqrt(tt) even when the
+    # floor of tt * 4^P happens to be a perfect square.
+    n_lo, rem = divmod(num << (2 * P), den)
+    r_lo = _sqrt_dyadic(n_lo, up=False)
+    r_hi = _sqrt_dyadic(n_lo + (rem != 0), up=True)
+    for _ in range(j - 1):
+        r_lo = _sqrt_dyadic(r_lo << P, up=False)
+        r_hi = _sqrt_dyadic(r_hi << P, up=True)
+    return _cache_dyadic(key, (r_lo, r_hi))
 
 
 def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
@@ -602,8 +653,10 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
 
     Writes e as an interval of dyadics m/2^j, takes j iterated directed
     square roots of t, then powers back up with directed binary
-    exponentiation at P working bits.  Cost is O(j + log m) rounded
-    multiplies, independent of e's denominator.
+    exponentiation at P working bits.  Values are integer mantissas at
+    scale 2^P throughout; each endpoint becomes a Fraction once, at the
+    end.  Cost is O(j + log m) rounded multiplies, independent of e's
+    denominator.
     """
     key = (t, e, tb)
     got = _DYADIC_POW_CACHE.get(key)
@@ -611,34 +664,44 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         return got
     invert = t < 1
     tt = 1 / t if invert else t
-    mag = tt.numerator.bit_length() - tt.denominator.bit_length() + 1
+    num, den = tt.numerator, tt.denominator
+    mag = num.bit_length() - den.bit_length() + 1
     j = tb + 8
     for _ in range(64):
         P = tb + j + 2 * mag + frac_ceil(e * mag) + 16
         m_lo = frac_floor(e * (1 << j))
         m_hi = frac_ceil(e * (1 << j))
-        r_lo, r_hi = tt, tt
-        for _ in range(j):
-            r_lo = _sqrt_dyadic(r_lo, P, up=False)
-            r_hi = _sqrt_dyadic(r_hi, P, up=True)
-        lo = _ipow_dyadic(r_lo, m_lo, P, up=False)
-        hi = _ipow_dyadic(r_hi, m_hi, P, up=True)
+        r_lo, r_hi = _root_chains(num, den, j, P)
+        lo = Fraction(_ipow_dyadic(r_lo, m_lo, P, up=False), 1 << P)
+        hi = Fraction(_ipow_dyadic(r_hi, m_hi, P, up=True), 1 << P)
         enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
         if enc.width < pow2(-tb):
-            if len(_DYADIC_POW_CACHE) > 4096:
-                _DYADIC_POW_CACHE.clear()
-            _DYADIC_POW_CACHE[key] = enc
-            return enc
+            return _cache_dyadic(key, enc)
         j += max(16, tb // 2)
     raise OracleFailure("dyadic power failed to converge")
+
+
+def _exact_pow_bits(t: Fraction, e: Fraction, K: int) -> int:
+    """Upper bound on the bit length of the largest operand the exact route
+    builds for t**e at scale 2^-K: t**a = n/d, and for b > 1 the root
+    operand n * 2^(bK) * d^(b-1) that _root_dir hands to iroot."""
+    a, b = e.numerator, e.denominator
+    num_bits, den_bits = t.numerator.bit_length(), t.denominator.bit_length()
+    if b == 1:
+        return a * max(num_bits, den_bits)
+    return a * num_bits + (b - 1) * a * den_bits + b * K
 
 
 def _pow_dir(t: Fraction, e: Fraction, K: int, up: bool) -> Fraction:
     """Directed bound on t**e for t >= 0 and rational e > 0.
 
-    Low-height exponents go through exact integer powering plus an integer
-    Newton floor-root (exact on perfect powers); high-height exponents,
-    as produced by oracle-track brackets, take the dyadic route.
+    The route is chosen by cost, not by the height of e = a/b.  The exact
+    route forms t**a and takes an integer Newton floor-root of it, exact
+    on perfect powers; it is taken whenever its largest operand (bounded
+    by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the budget,
+    typically a base of thousands of bits under a bracket exponent such
+    as 128/193, Newton's method would run on millions of bits and converge
+    only linearly; the integer-mantissa dyadic route is taken instead.
     """
     if t < 0:
         raise NegativeBase("power of a negative rational")
@@ -646,12 +709,11 @@ def _pow_dir(t: Fraction, e: Fraction, K: int, up: bool) -> Fraction:
         return _ZERO
     if t == 1 or e == 1:
         return t if e == 1 else _ONE
-    a, b = e.numerator, e.denominator
-    if a <= _EXACT_POW_LIMIT and b <= _EXACT_POW_LIMIT:
-        y = t ** a
-        if b == 1:
+    if _exact_pow_bits(t, e, K) <= _EXACT_POW_BUDGET:
+        y = t ** e.numerator
+        if e.denominator == 1:
             return y
-        return _root_dir(y, b, K, up)
+        return _root_dir(y, e.denominator, K, up)
     enc = _pow_dyadic_enclosure(t, e, K)
     return enc.hi if up else enc.lo
 
@@ -671,7 +733,7 @@ def _exp_gap(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Fraction:
     """Upper bound on the width contributed by exponent uncertainty, which
     peaks at the t-endpoint farthest from 1."""
     gap = _ZERO
-    for t in (x.lo, x.hi):
+    for t in (x.lo,) if x.lo == x.hi else (x.lo, x.hi):
         if t in (0, 1):
             continue
         a = _pow_dir(t, e_lo, K, up=False)

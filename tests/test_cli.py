@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lpcat import pow2
+from lpcat import pow2, rigor
 from lpcat.cli import main
 
 F = Fraction
@@ -53,6 +53,27 @@ class TestNorm:
 
     def test_bad_exponent_exits_2(self):
         assert main(["norm", "--genset", "E", "--p", "1/2", "--coeffs", "1"]) == 2
+
+
+@pytest.mark.parametrize("coeffs, k", [("1,1", 10), ("1:1/3", 4)], ids=["real", "complex"])
+def test_oracle_exponent_twisted_norm_within_budget(tmp_path, monkeypatch, coeffs, k):
+    """Twisted norms with an oracle-track exponent once handed iroot root
+    operands of millions of bits, and took 15-75 s.  Any iroot operand past
+    the exact-route budget fails the test at once; the answer must agree
+    with the rational-track one."""
+    iroot = rigor.iroot
+
+    def guarded(n, b):
+        bits = n.bit_length()
+        assert bits <= rigor._EXACT_POW_BUDGET, f"iroot of {bits} bits"
+        return iroot(n, b)
+
+    monkeypatch.setattr(rigor, "iroot", guarded)
+    argv = ["norm", "--genset", "F", "--coeffs", coeffs, "--k", str(k)]
+    code, rec, _ = run(tmp_path, *argv, "--p", "oracle:1.5:40")
+    assert code == 0
+    _, ref, _ = run(tmp_path, *argv, "--p", "3/2", out_name="ref.json")
+    assert abs(F(rec["q"]) - F(ref["q"])) <= 2 * pow2(-k)
 
 
 class TestApproxE0:
@@ -279,6 +300,9 @@ MALFORMED = {
     "corrupt-not-rational": (["extract", "--n-max", "2", "--corrupt", "abc"], None),
     "oracle-exponent-below-one": (
         ["norm", "--genset", "E", "--coeffs", "1", "--p", "oracle:0.5:10"], None,
+    ),
+    "oracle-exponent-negative-bits": (
+        ["norm", "--genset", "E", "--coeffs", "1", "--p", "oracle:1.5:-1"], None,
     ),
     "flag-classify-does-not-read": (
         ["classify", "--input", str(DATA / "descriptor_identity.json"), "--field", "real"],

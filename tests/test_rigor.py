@@ -7,12 +7,14 @@ endpoints; the library path under test goes through integer Newton
 floor-roots instead.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lpcat import rigor
 from lpcat import (
     ComputablePoint,
     ComputableReal,
@@ -208,6 +210,100 @@ class TestOracleTrackExponent:
             Exponent.from_rational(F(1, 2))
         with pytest.raises(ConfigError):
             Exponent.from_real(ComputableReal.constant(F(9, 10)))
+
+
+def ref_sqrt_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
+    """The Fraction form of the dyadic kernel's square root, kept as the
+    reference for the integer-mantissa kernel."""
+    n = (x.numerator << (2 * P)) // x.denominator
+    r = math.isqrt(n)
+    if up and r * r != n:
+        r += 1
+    return F(r, 1 << P)
+
+
+def ref_ipow_dyadic(base: Fraction, m: int, P: int, up: bool) -> Fraction:
+    result, b = F(1), base
+    while m:
+        if m & 1:
+            result = rigor._round_dyadic(result * b, P, up)
+        m >>= 1
+        if m:
+            b = rigor._round_dyadic(b * b, P, up)
+    return result
+
+
+def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
+    invert = t < 1
+    tt = 1 / t if invert else t
+    mag = tt.numerator.bit_length() - tt.denominator.bit_length() + 1
+    j = tb + 8
+    while True:
+        P = tb + j + 2 * mag + rigor.frac_ceil(e * mag) + 16
+        m_lo = rigor.frac_floor(e * (1 << j))
+        m_hi = rigor.frac_ceil(e * (1 << j))
+        r_lo, r_hi = tt, tt
+        for _ in range(j):
+            r_lo = ref_sqrt_dyadic(r_lo, P, up=False)
+            r_hi = ref_sqrt_dyadic(r_hi, P, up=True)
+        lo = ref_ipow_dyadic(r_lo, m_lo, P, up=False)
+        hi = ref_ipow_dyadic(r_hi, m_hi, P, up=True)
+        enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
+        if enc.width < pow2(-tb):
+            return enc
+        j += max(16, tb // 2)
+
+
+def positive_rationals_but_one():
+    side = st.integers(min_value=1, max_value=10**12)
+    return st.builds(F, side, side).filter(lambda t: t != 1)
+
+
+def exponents_up_to_three():
+    """Rationals in (0, 3] of height up to 2^60."""
+    return st.integers(min_value=1, max_value=2**60).flatmap(
+        lambda b: st.integers(min_value=1, max_value=min(3 * b, 2**60)).map(lambda a: F(a, b))
+    )
+
+
+class TestDyadicPowerKernel:
+    """The dyadic route of _pow_dir runs on integer mantissas; it must give
+    the very endpoints of the Fraction kernel it replaced."""
+
+    @settings(max_examples=40)
+    @given(positive_rationals_but_one(), exponents_up_to_three(), st.integers(1, 80))
+    def test_matches_fraction_kernel(self, t, e, tb):
+        rigor._DYADIC_POW_CACHE.pop((t, e, tb), None)
+        enc = rigor._pow_dyadic_enclosure(t, e, tb)
+        ref = ref_pow_dyadic_enclosure(t, e, tb)
+        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+        assert enc.width < pow2(-tb)
+        a, b = e.numerator, e.denominator
+        if b <= 8:
+            assert enc.lo ** b <= t ** a <= enc.hi ** b
+
+    def test_exact_route_at_the_budget(self):
+        """Rational-track powers of large bases stay on the exact route: a
+        budget set too low would turn this perfect power into an interval."""
+        rng = random.Random(11)
+        s = F(rng.getrandbits(1000) | 1 << 999, rng.getrandbits(1000) | 1 << 999)
+        assert min(s.numerator.bit_length(), s.denominator.bit_length()) > 990
+        for up in (False, True):
+            assert rigor._pow_dir(s ** 2, F(3, 2), 120, up) == s ** 3
+        got = pow_p(Enclosure.point(s ** 2), Exponent.from_rational(F(3, 2)), 120)
+        assert got == Enclosure.point(s ** 3)
+
+    def test_large_operands_take_the_dyadic_route(self):
+        """An oracle-track bracket exponent on a 1500-bit base: the exact
+        route would hand iroot a root operand of millions of bits."""
+        rng = random.Random(12)
+        t = F(rng.getrandbits(1500) | 1 << 1499, rng.getrandbits(1500) | 1 << 1499)
+        e = F(128, 193)
+        assert rigor._exact_pow_bits(t, e, 15) > rigor._EXACT_POW_BUDGET
+        lo = rigor._pow_dir(t, e, 15, up=False)
+        hi = rigor._pow_dir(t, e, 15, up=True)
+        assert hi - lo < pow2(-15)
+        assert lo ** 193 <= t ** 128 <= hi ** 193
 
 
 class TestComputableReal:
