@@ -247,7 +247,7 @@ def cmd_classify(args) -> tuple[dict, str]:
     elif "images" in obj:
         try:
             images = [FiniteVector.from_quintuples(rows) for rows in obj["images"]]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed images: {exc!r}") from exc
     else:
         raise ConfigError("classify input needs 'phi' (descriptor) or 'images'")

@@ -254,9 +254,6 @@ class Fuel:
     max_precision: int = 96
     max_family: int = 4096
 
-    def as_dict(self) -> dict:
-        return {"max_precision": self.max_precision, "max_family": self.max_family}
-
 
 @dataclass
 class BallMap:
@@ -266,7 +263,6 @@ class BallMap:
     target: GeneratingSet
     kind: str
     fn: Callable[[RationalBall], Optional[RationalBall]]
-    fuel: Fuel = field(default_factory=Fuel)
 
     def apply(self, ball: RationalBall) -> Optional[RationalBall]:
         if ball.genset_label != self.source.label:
@@ -274,15 +270,6 @@ class BallMap:
                 f"ball over {ball.genset_label!r} fed to a map from {self.source.label!r}"
             )
         return self.fn(ball)
-
-    def descriptor(self) -> dict:
-        return {
-            "schema": "lpcat.ballmap/1",
-            "kind": self.kind,
-            "source": self.source.label,
-            "target": self.target.label,
-            "fuel": self.fuel.as_dict(),
-        }
 
 
 def ballmap_from_disjoint_family(
@@ -362,7 +349,7 @@ def ballmap_from_disjoint_family(
         beta = tuple(acc.get(i, CRAT_ZERO) for i in range(top + 1))
         return RationalBall(beta, 2 * r, target.label)
 
-    return BallMap(source, target, kind, transform, fuel)
+    return BallMap(source, target, kind, transform)
 
 
 def compose_ballmaps(first: BallMap, second: BallMap, kind: str = "") -> BallMap:

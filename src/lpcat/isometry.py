@@ -136,7 +136,7 @@ class IsometryDescriptor:
             for row in obj["lambdas"]:
                 rn, rd, imn, imd = (int(x) for x in row)
                 lambdas.append(CRat(Fraction(rn, rd), Fraction(imn, imd)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed descriptor: {exc!r}") from exc
         if [a for a, _ in pairs] != list(range(len(pairs))):
             raise ConfigError("phi pairs must cover 0..N-1")

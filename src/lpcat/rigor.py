@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 RatLike = Union[int, Fraction]
 
@@ -294,9 +294,6 @@ class CRat:
             self.re * other.im + self.im * other.re,
         )
 
-    def conj(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im
@@ -441,22 +438,6 @@ class ComputablePoint(ComputableReal):
 # ---------------------------------------------------------------------------
 
 
-class _Exp(NamedTuple):
-    """Internal positive exponent handle: either an exact rational or a
-    bracket provider yielding simple rationals around the value."""
-
-    fast: Optional[Fraction]
-    bracket_fn: Optional[Callable[[int], tuple[Fraction, Fraction]]]
-
-    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
-        if self.fast is not None:
-            return (self.fast, self.fast)
-        return self.bracket_fn(max(k, 4))
-
-    def ub(self) -> Fraction:
-        return self.bracket(4)[1]
-
-
 def _real_bracket(real: ComputableReal) -> Callable[[int], tuple[Fraction, Fraction]]:
     def bracket(k: int) -> tuple[Fraction, Fraction]:
         q = real.approx(k)
@@ -474,7 +455,10 @@ class Exponent:
 
     The rational fast path makes the frequent cases (p = 1, 3/2, 2, 3)
     exact wherever the arithmetic permits; the oracle track keeps every
-    algorithm meaningful for exponents that are merely computable.
+    algorithm meaningful for exponents that are merely computable.  The
+    power machinery reads an exponent through ``fast`` and ``bracket``;
+    ``half()`` and ``reciprocal()`` give p/2 and 1/p as Exponents of their
+    own (values below 1 occur only there), each built once.
     """
 
     def __init__(self, real: ComputableReal, fast: Optional[Fraction], _checked: bool = False):
@@ -482,6 +466,8 @@ class Exponent:
         self.fast = fast
         if not _checked:
             raise ConfigError("use Exponent.from_rational or Exponent.from_real")
+        self._bracket = _real_bracket(real)
+        self._views: dict = {}
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Exponent":
@@ -498,39 +484,45 @@ class Exponent:
 
     # -- views used by the power machinery ---------------------------------
 
-    def _exp(self) -> _Exp:
+    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= value <= hi from the oracle at precision
+        at least max(k, 4); (fast, fast) on the rational track."""
         if self.fast is not None:
-            return _Exp(self.fast, None)
-        return _Exp(None, _real_bracket(self.real))
-
-    def half(self) -> _Exp:
-        if self.fast is not None:
-            return _Exp(self.fast / 2, None)
-        inner = _real_bracket(self.real)
-
-        def bracket(k: int) -> tuple[Fraction, Fraction]:
-            lo, hi = inner(k + 1)
-            return (lo / 2, hi / 2)
-
-        return _Exp(None, bracket)
-
-    def reciprocal(self) -> _Exp:
-        if self.fast is not None:
-            return _Exp(1 / self.fast, None)
-        inner = _real_bracket(self.real)
-
-        def bracket(k: int) -> tuple[Fraction, Fraction]:
-            lo, hi = inner(k + 1)
-            return (1 / hi, 1 / lo)
-
-        return _Exp(None, bracket)
+            return (self.fast, self.fast)
+        return self._bracket(max(k, 4))
 
     def ub(self) -> Fraction:
-        return self._exp().ub()
+        return self.bracket(4)[1]
 
-    @property
-    def is_one(self) -> bool:
-        return self.fast == 1
+    def half(self) -> "Exponent":
+        """p/2, which takes a squared modulus |a|^2 to |a|^p."""
+        return self._view("p/2", lambda lo, hi: (lo / 2, hi / 2))
+
+    def reciprocal(self) -> "Exponent":
+        """1/p, the exponent of a p-th root."""
+        return self._view("1/p", lambda lo, hi: (1 / hi, 1 / lo))
+
+    def _view(self, name: str, f: Callable[[Fraction, Fraction], tuple]) -> "Exponent":
+        """The exponent whose bracket is f(lo, hi) of this exponent's bracket
+        taken one bit finer, built on first use.  Its fast value is f at the
+        point fast, and its oracle f at the point approx(k + 2): within 2^-k,
+        since |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for p >= 1.
+        Threads racing on first use may each build one, but all of them get
+        the one stored."""
+        view = self._views.get(name)
+        if view is None:
+
+            def point(q: Fraction) -> Fraction:
+                return f(q, q)[0]
+
+            fast = None if self.fast is None else point(self.fast)
+            real = ComputableReal(
+                lambda k: point(self.real.approx(k + 2)), f"{name}[{self.real.label}]"
+            )
+            view = Exponent(real, fast, _checked=True)
+            view._bracket = lambda k: f(*self._bracket(k + 1))
+            view = self._views.setdefault(name, view)
+        return view
 
     def __repr__(self) -> str:
         if self.fast is not None:
@@ -742,7 +734,7 @@ def _exp_gap(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Fraction:
     return gap
 
 
-def _pow_slack(x: Enclosure, exp: _Exp, K: int) -> Enclosure:
+def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
     """Enclosure of {t**exp : t in x} exceeding the exact image width by
     less than 2^-K.
 
@@ -778,14 +770,12 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     """
     if x.lo < 0:
         raise NegativeBase(f"pow_p on negative enclosure {x}")
-    if p.is_one:
-        return x
     extra = 0
     if x.hi < 1 and x.lo > 0:
         over = p.ub() - 1
         if over > 0:
             extra = frac_ceil(over * ceil_log2(1 / x.lo))
-    return _pow_slack(x, p._exp(), k + extra)
+    return _pow_slack(x, p, k + extra)
 
 
 def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
@@ -798,8 +788,6 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     """
     if x.lo < 0:
         raise NegativeBase(f"root_p on negative enclosure {x}")
-    if p.is_one:
-        return x
     return _pow_slack(x, p.reciprocal(), k)
 
 
@@ -834,7 +822,6 @@ def norm_from_power_sum(
     2^-(k+1)p the norm is returned as [0, 2^-(k+1)].  A bounded escalation
     loop covers the remaining cases.
     """
-    recip = p.reciprocal()
     p_ub = p.ub()
     K = k + 4
     for _ in range(64):
@@ -844,7 +831,7 @@ def norm_from_power_sum(
         if s.lo == 0:
             t0 = pow2(-(k + 1))
             kt = frac_ceil(Fraction(k + 2) * p_ub) + 4
-            _, e_hi = p._exp().bracket(kt)
+            _, e_hi = p.bracket(kt)
             threshold = _pow_dir(t0, e_hi, kt, up=False)
             if s.hi <= threshold:
                 return Enclosure(_ZERO, t0)
@@ -860,7 +847,7 @@ def norm_from_power_sum(
             if s.lo <= 0:
                 K += max(8, k // 2)
                 continue
-        out = _pow_slack(s, recip, k + 2)
+        out = root_p(s, p, k + 2)
         if out.width < pow2(-k):
             return out
         K += max(8, k // 2)

@@ -50,6 +50,7 @@ from .rigor import (
     ceil_log2,
     frac_floor,
     pow2,
+    root_p,
     simplest_between,
     _pow_slack,
 )
@@ -321,7 +322,7 @@ def ce_set_from_spec(obj: dict) -> CeSet:
     try:
         elements = [int(e) for e in obj.get("elements") or ()]
         delays = [(int(e), int(s)) for e, s in obj.get("delays") or ()]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed c.e. set spec: {exc}") from exc
     if 0 in elements:
         raise ConfigError("0 is never a member of the constructed set")
@@ -362,7 +363,7 @@ def _u_enclosure(c: int, p: Exponent, K: int, cache: dict) -> Enclosure:
     key = (c, K)
     got = cache.get(key)
     if got is None:
-        got = cache[key] = _pow_slack(Enclosure.point(pow2(-c)), p.reciprocal(), K)
+        got = cache[key] = root_p(Enclosure.point(pow2(-c)), p, K)
     return got
 
 
@@ -527,7 +528,7 @@ def expanded_residual_norm(
         kg = per + 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
         gamma = ce.gamma_enclosure(kg)
         one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = _pow_slack(one_minus, p.reciprocal(), per + 2)
+        w = root_p(one_minus, p, per + 2)
 
         t0 = target.get(0)
         b0 = -2 * (t0.re * a0.re + t0.im * a0.im)
@@ -597,7 +598,7 @@ def _inv_root_one_minus_gamma(
         gamma = ce.gamma_enclosure(k)
         one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
         if one_minus.lo > 0:
-            root = _pow_slack(one_minus, p.reciprocal(), k)
+            root = root_p(one_minus, p, k)
             if root.lo > 0:
                 out = root.recip()
                 if out.width <= width_target:
@@ -618,9 +619,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     coarse = _inv_root_one_minus_gamma(ce, p, Fraction(1, 4))
     m_int = frac_floor(coarse.hi) + 1
 
-    eps = _pow_slack(Enclosure.point(Fraction(1, 2)), p.reciprocal(), k + 6).scale(
-        pow2(-k)
-    )
+    eps = root_p(Enclosure.point(Fraction(1, 2)), p, k + 6).scale(pow2(-k))
     rhs = Enclosure(eps.lo / (eps.lo + m_int), eps.hi / (eps.hi + m_int))
 
     n1 = None
@@ -630,7 +629,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
             tail = (ce.gamma_enclosure(kt) - Enclosure.point(pre_mass)).clamp_nonneg()
             if ce.sorted_enumeration:
                 tail = Enclosure(tail.lo, min(tail.hi, pow2(-ce.element_at(candidate - 2))))
-            tail_norm = _pow_slack(tail, p.reciprocal(), kt)
+            tail_norm = root_p(tail, p, kt)
             if tail_norm.hi <= rhs.lo:
                 n1 = candidate
                 break
@@ -752,14 +751,13 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
             stacklevel=2,
         )
     guard = ceil_log2(p.ub()) + 2
-    p_exp = p._exp()
 
     def fn(k: int) -> Fraction:
         kk = k + guard
         for _ in range(64):
             se = s.enclosure(kk)
             if se.lo > 0:
-                sp = _pow_slack(se, p_exp, kk)
+                sp = _pow_slack(se, p, kk)
                 if sp.lo > 0:
                     out = Enclosure.point(1) - sp.recip()
                     if out.width < pow2(-k):

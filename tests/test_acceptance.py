@@ -365,6 +365,24 @@ def test_criterion_7_oracle_discipline():
     assert report["decide_violations"] == 0
 
 
+# SHA-256 of canonical_json_bytes(first_run(n)); any change to a report's
+# bytes, however it arises, shows here.
+REPORT_SHA = {
+    1: "a5edc21e399c1d5bf41d9e54ef55e933ab84061cee9af50ea34cee84ca2f687e",
+    2: "3af4a388377ea291e60b42ab5a1e6f0082af798ff0f6d3f4cb4b94b5c49c75e7",
+    3: "e89aed269d2d8f6efe84e93deac4517eb33fa061bd23129e051e07681be3400b",
+    4: "b6941f6b6aa7502c4273fbb4165b591482e72923747974ef3f9ba9a77d396bb7",
+    5: "c9d95b0e6b0c465cc7fa967291be273b02bc74c4e4a8a5e25d39bd00221488cf",
+    6: "579bf3ac5e9d77b3ed2c296b5be095fdc9bed19a862be805348dcd9ca7aa34c0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_SHA))
+def test_report_bytes_match_golden(n):
+    digest = hashlib.sha256(canonical_json_bytes(first_run(n))).hexdigest()
+    assert digest == REPORT_SHA[n]
+
+
 def test_criterion_8_determinism():
     first = {n: canonical_json_bytes(first_run(n)) for n in range(1, 7)}
     second = {n: canonical_json_bytes(_BUILDERS[n]()) for n in range(1, 7)}

@@ -268,6 +268,34 @@ GOLDEN = {
         "2c4fc7faf3e3025fafb5d0abf009865c7a17409e7ef53e6cc3493a5c5a74bf4d",
         "98399ba27240942cf878471f40e37a1fcaedbb5b8ae84e7ed016f1ef2bb7ad17",
     ),
+    # Oracle-track exponents: the bracket views p/2 and 1/p of every layer.
+    "oracle-norm-twisted": (
+        ["norm", "--genset", "F", "--p", "oracle:1.5:40", "--ce-set", "odds",
+         "--coeffs", "1,1", "--k", "10"],
+        "00f56e45faa0d6cd01f8b2bdf4f5e668f8580f06b8321f9e87bbe88274ddaa69", None,
+    ),
+    "oracle-norm-standard": (
+        ["norm", "--genset", "E", "--p", "oracle:1.5:400", "--coeffs", "1,1/3,2",
+         "--k", "30"],
+        "fcf4f66af751a97e636d9037d1319cd4d1e6773f9483296f3da3a14be2e6fe77", None,
+    ),
+    "oracle-norm-twisted-complex": (
+        ["norm", "--genset", "F", "--p", "oracle:1.5:400", "--ce-set", "primes",
+         "--coeffs", "1,1/3:1/5,2", "--k", "20"],
+        "9c9986e165b3c2f36c37c565cde647656a58c3b060d686034fd7bb96e2b3f937", None,
+    ),
+    "oracle-approx-e0": (
+        ["approx-e0", "--p", "oracle:1.5:400", "--ce-set", "odds", "--k", "3"],
+        "aeecd85f7f80f37f505fad6cb6d2375a059841eab116c9d32ee6b4aad28efec1", None,
+    ),
+    "oracle-extract": (
+        ["extract", "--p", "oracle:1.5:400", "--ce-set", "odds", "--n-max", "4"],
+        "d703de4e5ed84a4404b8de050a75b4241e576da7fc3200788b2d397e6bffd3ab", None,
+    ),
+    "oracle-demo-rotation": (
+        ["demo", "--scenario", "rotation", "--p", "oracle:1.5:400", "--samples", "5"],
+        "65cecfaa552a5f40e1cbaaa421b5a4858bfe5d7bd3f5a8f5b3daf8ea6d3a8c6d", None,
+    ),
 }
 
 
@@ -318,6 +346,25 @@ MALFORMED = {
     ),
     "csv-unwritable": (
         ["demo", "--scenario", "rotation", "--samples", "2", "--csv", "{f}/d/x.csv"], None,
+    ),
+    # JSON numbers past the float range parse as infinity; int() of one
+    # raises OverflowError.
+    "descriptor-number-overflows": (
+        ["classify", "--input", "{f}"], '{"phi": [[0, 1e400]], "lambdas": [[1, 1, 0, 1]]}',
+    ),
+    "images-number-overflows": (
+        ["classify", "--input", "{f}"], '{"images": [[[0, 1e400, 1, 0, 1]]]}',
+    ),
+    "oracle-number-overflows": (
+        ["extract", "--n-max", "2", "--oracle", "{f}"],
+        '{"phi": [[0, 1e400]], "lambdas": [[1, 1, 0, 1]]}',
+    ),
+    "set-element-overflows": (
+        ["approx-e0", "--ce-set", "{f}"], '{"kind": "explicit", "elements": [2, 1e400]}',
+    ),
+    "set-delay-overflows": (
+        ["approx-e0", "--ce-set", "{f}"],
+        '{"kind": "throttled", "elements": [1, 5], "delays": [[5, 1e400]]}',
     ),
 }
 

@@ -205,6 +205,19 @@ class TestOracleTrackExponent:
         assert got.intersects(oracle)
         assert got.width < pow2(-14)
 
+    def test_half_and_reciprocal_views(self):
+        """p/2 and 1/p are Exponents built once per exponent; on both
+        tracks their brackets and oracles hold the true value."""
+        inexact = Exponent.from_real(ComputableReal(lambda k: F(7, 3) - pow2(-k - 1), "p"))
+        for p in (Exponent.from_rational(F(7, 3)), inexact):
+            assert p.half() is p.half() and p.reciprocal() is p.reciprocal()
+            for view, value in ((p.half(), F(7, 6)), (p.reciprocal(), F(3, 7))):
+                assert isinstance(view, Exponent)
+                for k in (0, 4, 20, 60):
+                    lo, hi = view.bracket(k)
+                    assert lo <= value <= hi
+                    assert abs(view.real.approx(k) - value) < pow2(-k)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             Exponent.from_rational(F(1, 2))
