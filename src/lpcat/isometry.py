@@ -27,6 +27,7 @@ from .rigor import (
     Exponent,
     pow2,
     sqrt_real,
+    strict_int,
 )
 from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
 from .genset import (
@@ -131,10 +132,10 @@ class IsometryDescriptor:
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryDescriptor":
         try:
-            pairs = sorted((int(a), int(b)) for a, b in obj["phi"])
+            pairs = sorted((strict_int(a), strict_int(b)) for a, b in obj["phi"])
             lambdas = []
             for row in obj["lambdas"]:
-                rn, rd, imn, imd = (int(x) for x in row)
+                rn, rd, imn, imd = (strict_int(x) for x in row)
                 lambdas.append(CRat(Fraction(rn, rd), Fraction(imn, imd)))
         except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed descriptor: {exc!r}") from exc

@@ -19,6 +19,7 @@ from .rigor import (
     Exponent,
     ceil_log2,
     norm_from_power_sum,
+    strict_int,
     _pow_slack,
 )
 
@@ -94,7 +95,7 @@ class FiniteVector:
         for row in rows:
             if len(row) != 5:
                 raise ValueError("vector rows must be quintuples")
-            i, rn, rd, imn, imd = (int(x) for x in row)
+            i, rn, rd, imn, imd = (strict_int(x) for x in row)
             items.append((i, CRat(Fraction(rn, rd), Fraction(imn, imd))))
         return cls.from_items(items)
 

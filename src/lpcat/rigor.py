@@ -11,13 +11,16 @@ The whole library runs on three numeric currencies:
 Every operation is outward rounded: the result encloses the exact image of
 every point of its inputs.  There is no floating point anywhere.  A power
 t^(a/b) takes one of two routes, chosen by cost.  The exact route is an
-exact integer power followed by an integer Newton floor-root (exact on
-perfect powers); it is taken when its largest operand, the root operand
-of about a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale 2^-K,
-fits a fixed bit budget.  Otherwise the dyadic route takes iterated
-directed square roots and directed binary powers on integer mantissas at
-one binary exponent 2^-P, each rounded product a multiply and a shift.
-Either way every bound is certified by integer operations alone.
+exact integer power followed by an integer floor-root: nested integer
+square roots when b is a power of two, Newton iteration otherwise, and
+exact on perfect powers.  It is taken when its largest operand, the root
+operand of about a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale
+2^-K, fits a fixed bit budget; the two ends of a point power then differ
+only by 2^-K on the one floor-root, which is computed once for both.
+Otherwise the dyadic route takes iterated directed square roots and
+directed binary powers on integer mantissas at one binary exponent 2^-P,
+each rounded product a multiply and a shift.  Either way every bound is
+certified by integer operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by simple rationals and
@@ -74,6 +77,15 @@ def pow2(k: int) -> Fraction:
     return Fraction(1, 1 << (-k))
 
 
+def strict_int(value) -> int:
+    """An integer field of a JSON input, taken as it is: bool, float, str
+    and every other type raise ConfigError, where int() would truncate
+    1.9 to 1 or parse "3"."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return value
+
+
 def frac_ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
@@ -86,17 +98,21 @@ def ceil_log2(q: Fraction) -> int:
     """Least t with 2**t >= q, for q > 0."""
     if q <= 0:
         raise ValueError("ceil_log2 needs a positive argument")
-    t = q.numerator.bit_length() - q.denominator.bit_length() + 1
-    while pow2(t - 1) >= q:
-        t -= 1
+    n, d = q.numerator, q.denominator
+    t = n.bit_length() - d.bit_length()
+    # 2^(t-1) < n/d < 2^(t+1); one integer comparison settles n/d > 2^t.
+    if (n > d << t) if t >= 0 else (n << -t > d):
+        t += 1
     return t
 
 
 def iroot(n: int, b: int) -> int:
-    """Floor of the b-th root of a nonnegative integer, by Newton iteration.
+    """Floor of the b-th root of a nonnegative integer.
 
-    The iterate is monotonically decreasing once above the root, so the
-    first non-decrease certifies the floor root.
+    A power-of-two index 2^j takes j nested integer square roots, exact
+    because floor(sqrt(floor(y))) = floor(sqrt(y)).  Any other index takes
+    Newton iteration: the iterate is monotonically decreasing once above
+    the root, so the first non-decrease certifies the floor root.
     """
     if n < 0:
         raise NegativeBase("iroot of a negative integer")
@@ -104,8 +120,11 @@ def iroot(n: int, b: int) -> int:
         raise ValueError("root index must be positive")
     if b == 1 or n in (0, 1):
         return n
-    if b == 2:
-        return isqrt(n)
+    if b & (b - 1) == 0:
+        while b > 1:
+            n = isqrt(n)
+            b >>= 1
+        return n
     if n.bit_length() <= b:
         return 1
     x = 1 << -((-n.bit_length()) // b)
@@ -201,7 +220,9 @@ class Enclosure:
     def clamp_nonneg(self) -> "Enclosure":
         """Intersect with [0, inf); sound whenever the enclosed value is
         known to be nonnegative."""
-        return Enclosure(max(self.lo, _ZERO), max(self.hi, _ZERO))
+        if self.lo >= 0:
+            return self
+        return Enclosure(_ZERO, max(self.hi, _ZERO))
 
     # -- arithmetic (exact endpoints, outward by construction) -------------
 
@@ -540,25 +561,6 @@ class Exponent:
 # ---------------------------------------------------------------------------
 
 
-def _root_dir(y: Fraction, b: int, K: int, up: bool) -> Fraction:
-    """Dyadic bound on y^(1/b) at scale 2^-K, outward in the requested
-    direction; exact when the root is rational."""
-    if y < 0:
-        raise NegativeBase("root of a negative rational")
-    if y == 0 or y == 1 or b == 1:
-        return y
-    n, d = y.numerator, y.denominator
-    rn = iroot(n, b)
-    if rn ** b == n:
-        rd = iroot(d, b)
-        if rd ** b == d:
-            return Fraction(rn, rd)
-    scaled = iroot(n * (1 << (b * K)) * d ** (b - 1), b) // d
-    if up:
-        return Fraction(scaled + 1, 1 << K)
-    return Fraction(scaled, 1 << K)
-
-
 def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
     scaled = x * (1 << P)
     n = scaled.numerator // scaled.denominator
@@ -676,7 +678,7 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
 def _exact_pow_bits(t: Fraction, e: Fraction, K: int) -> int:
     """Upper bound on the bit length of the largest operand the exact route
     builds for t**e at scale 2^-K: t**a = n/d, and for b > 1 the root
-    operand n * 2^(bK) * d^(b-1) that _root_dir hands to iroot."""
+    operand n * 2^(bK) * d^(b-1) that _pow_exact hands to iroot."""
     a, b = e.numerator, e.denominator
     num_bits, den_bits = t.numerator.bit_length(), t.denominator.bit_length()
     if b == 1:
@@ -684,28 +686,54 @@ def _exact_pow_bits(t: Fraction, e: Fraction, K: int) -> int:
     return a * num_bits + (b - 1) * a * den_bits + b * K
 
 
+def _pow_exact(t: Fraction, e: Fraction, K: int) -> Optional[tuple[RatLike, bool]]:
+    """The exact route for t**e at scale 2^-K, or None where t**e does not
+    take it (t <= 0, t = 1, e = 1, or an operand past the budget).
+
+    Forms t**a and an integer floor-root of it.  Returns (t**e, True) when
+    the power is rational, which the floor-root detects on perfect powers;
+    otherwise (s, False) for the integer s = floor(2^K t**e), so that
+    s / 2^K < t**e < (s + 1) / 2^K.  Both directed bounds read this one
+    result.
+    """
+    if t <= 0 or t == 1 or e == 1 or _exact_pow_bits(t, e, K) > _EXACT_POW_BUDGET:
+        return None
+    a, b = e.numerator, e.denominator
+    if b == 1:
+        return t ** a, True
+    n, d = t.numerator ** a, t.denominator ** a
+    rn = iroot(n, b)
+    if rn ** b == n:
+        rd = iroot(d, b)
+        if rd ** b == d:
+            return Fraction(rn, rd), True
+    return iroot((n << (b * K)) * d ** (b - 1), b) // d, False
+
+
 def _pow_dir(t: Fraction, e: Fraction, K: int, up: bool) -> Fraction:
     """Directed bound on t**e for t >= 0 and rational e > 0.
 
     The route is chosen by cost, not by the height of e = a/b.  The exact
-    route forms t**a and takes an integer Newton floor-root of it, exact
-    on perfect powers; it is taken whenever its largest operand (bounded
-    by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the budget,
-    typically a base of thousands of bits under a bracket exponent such
-    as 128/193, Newton's method would run on millions of bits and converge
-    only linearly; the integer-mantissa dyadic route is taken instead.
+    route (_pow_exact) forms t**a and takes an integer floor-root of it,
+    exact on perfect powers; it is taken whenever its largest operand
+    (bounded by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the
+    budget, typically a base of thousands of bits under a bracket exponent
+    such as 128/193, Newton's method would run on millions of bits and
+    converge only linearly; the integer-mantissa dyadic route is taken
+    instead.
     """
     if t < 0:
         raise NegativeBase("power of a negative rational")
+    got = _pow_exact(t, e, K)
+    if got is not None:
+        q, exact = got
+        if exact:
+            return q
+        return Fraction(q + 1 if up else q, 1 << K)
     if t == 0:
         return _ZERO
     if t == 1 or e == 1:
         return t if e == 1 else _ONE
-    if _exact_pow_bits(t, e, K) <= _EXACT_POW_BUDGET:
-        y = t ** e.numerator
-        if e.denominator == 1:
-            return y
-        return _root_dir(y, e.denominator, K, up)
     enc = _pow_dyadic_enclosure(t, e, K)
     return enc.hi if up else enc.lo
 
@@ -714,8 +742,17 @@ def _pow_box(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Enclosure:
     """Outward enclosure of {t**e : t in x, e in [e_lo, e_hi]} for x >= 0.
 
     t**e is increasing in t, and monotone in e with direction decided by
-    the position of t relative to 1, so corner evaluation is sound.
+    the position of t relative to 1, so corner evaluation is sound.  A
+    point power on the exact route computes its power and root once, for
+    both ends.
     """
+    if x.lo == x.hi and e_lo == e_hi:
+        got = _pow_exact(x.lo, e_lo, K)
+        if got is not None:
+            q, exact = got
+            if exact:
+                return Enclosure(q, q)
+            return Enclosure(Fraction(q, 1 << K), Fraction(q + 1, 1 << K))
     lo_e = e_hi if x.lo < 1 else e_lo
     hi_e = e_hi if x.hi > 1 else e_lo
     return Enclosure(_pow_dir(x.lo, lo_e, K, up=False), _pow_dir(x.hi, hi_e, K, up=True))
@@ -782,9 +819,12 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     """Certified enclosure of {t**(1/p) : t in x} for a nonnegative
     enclosure, exceeding the exact image width by less than 2^-k.
 
-    Roots reduce to integer Newton floor-roots after exact integer
-    powering, so both endpoints carry integer-arithmetic certificates;
-    rational roots (perfect powers) are detected and returned exactly.
+    A root is the power x^(1/p) and takes the route _pow_dir picks: an
+    integer floor-root after exact integer powering, or past the operand
+    budget directed dyadic square roots and powers on integer mantissas.
+    Either way both endpoints carry integer-arithmetic certificates; on
+    the exact route rational roots (perfect powers) are detected and
+    returned exactly.
     """
     if x.lo < 0:
         raise NegativeBase(f"root_p on negative enclosure {x}")

@@ -52,6 +52,7 @@ from .rigor import (
     pow2,
     root_p,
     simplest_between,
+    strict_int,
     _pow_slack,
 )
 from .lpspace import FiniteVector, basis
@@ -320,8 +321,8 @@ def ce_set_from_spec(obj: dict) -> CeSet:
     kind = obj.get("kind")
     label = obj.get("label") or kind or "ce"
     try:
-        elements = [int(e) for e in obj.get("elements") or ()]
-        delays = [(int(e), int(s)) for e, s in obj.get("delays") or ()]
+        elements = [strict_int(e) for e in obj.get("elements") or ()]
+        delays = [(strict_int(e), strict_int(s)) for e, s in obj.get("delays") or ()]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed c.e. set spec: {exc}") from exc
     if 0 in elements:
@@ -354,8 +355,19 @@ def ce_set_from_spec(obj: dict) -> CeSet:
 
 
 def _quad_in_u(a: Fraction, b: Fraction, c: Fraction, u: Enclosure) -> Enclosure:
-    """a*u^2 + b*u + c over a nonnegative enclosure u."""
-    return (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
+    """a*u^2 + b*u + c over a nonnegative enclosure u, for a >= 0.
+
+    The same endpoints as the interval expression
+    (u*u).scale(a) + u.scale(b) + point(c), computed directly: with
+    u >= 0 and a >= 0 the square term rises with u, and the linear term
+    takes the end of u that the sign of b picks.
+    """
+    ul, uh = u.lo, u.hi
+    if ul < 0 or a < 0:
+        raise ValueError(f"quadratic in u needs u >= 0 and a >= 0, got u = {u}, a = {a}")
+    if b >= 0:
+        return Enclosure((a * ul + b) * ul + c, (a * uh + b) * uh + c)
+    return Enclosure(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
 
 
 def _u_enclosure(c: int, p: Exponent, K: int, cache: dict) -> Enclosure:
@@ -369,20 +381,23 @@ def _u_enclosure(c: int, p: Exponent, K: int, cache: dict) -> Enclosure:
 
 def _epsilon_enclosure(
     alpha0: CRat,
+    a: Fraction,
     alphaj: CRat,
     c: int,
     p: Exponent,
     K: int,
     ucache: dict,
+    a_pows: dict,
 ) -> Enclosure:
     """Certified E_j = |a0 u + aj|^p - |a0|^p 2^-c with u = 2^(-c/p), to
-    slack below 2^-K.
+    slack below 2^-K, where a = |a0|^2.
 
     |a0 u + aj|^2 is an exact-coefficient quadratic in u, so the only
     inexact inputs are u itself and the two half-exponent powers.  Initial
     guard: the quadratic's u-derivative is at most |b| + 2a on [0, 1].
+    The power |a0|^p depends only on a0 and the working precision kt, so
+    one sum of E_j terms shares it through ``a_pows``, keyed by kt.
     """
-    a = alpha0.abs2()
     b = 2 * (alpha0.re * alphaj.re + alpha0.im * alphaj.im)
     cq = alphaj.abs2()
     half = p.half()
@@ -392,8 +407,10 @@ def _epsilon_enclosure(
         u = _u_enclosure(c, p, ku, ucache)
         m2 = _quad_in_u(a, b, cq, u).clamp_nonneg()
         term1 = _pow_slack(m2, half, kt)
-        term2 = _pow_slack(Enclosure.point(a), half, kt).scale(pow2(-c))
-        out = term1 - term2
+        a_pow = a_pows.get(kt)
+        if a_pow is None:
+            a_pow = a_pows[kt] = _pow_slack(Enclosure.point(a), half, kt)
+        out = term1 - a_pow.scale(pow2(-c))
         if out.width < pow2(-K):
             return out
         ku += 8
@@ -405,7 +422,8 @@ def epsilon_j(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     """The j-th correction term of the telescoping norm identity."""
     if c < 1:
         raise ConfigError("enumerated elements are >= 1")
-    return _epsilon_enclosure(CRat.of(alpha0), CRat.of(alphaj), c, p, k, {})
+    alpha0 = CRat.of(alpha0)
+    return _epsilon_enclosure(alpha0, alpha0.abs2(), CRat.of(alphaj), c, p, k, {}, {})
 
 
 class TwistedGenSet(GeneratingSet):
@@ -439,14 +457,16 @@ class TwistedGenSet(GeneratingSet):
         m = len(cs) - 1
         c_list = self._enum.prefix(m - 1) if m >= 1 else ()
         a0 = cs[0]
+        a = a0.abs2()
         half = self.p.half()
 
         def sum_at(K: int) -> Enclosure:
             per = K + ceil_log2(Fraction(m + 2))
-            total = _pow_slack(Enclosure.point(a0.abs2()), half, per)
+            total = _pow_slack(Enclosure.point(a), half, per)
+            a_pows: dict = {}
             for j in range(1, m + 1):
                 total = total + _epsilon_enclosure(
-                    a0, cs[j], c_list[j - 1], self.p, per, self._ucache
+                    a0, a, cs[j], c_list[j - 1], self.p, per, self._ucache, a_pows
                 )
             return total
 

@@ -366,6 +366,20 @@ MALFORMED = {
         ["approx-e0", "--ce-set", "{f}"],
         '{"kind": "throttled", "elements": [1, 5], "delays": [[5, 1e400]]}',
     ),
+    # Integer fields take JSON integers only: int() would read 1.9 as 1
+    # and true as 1, and the command would go on with another input.
+    "descriptor-lambda-float": (
+        ["classify", "--p", "3/2", "--input", "{f}"],
+        {"phi": [[0, 0]], "lambdas": [[1.9, 1, 0, 1]]},
+    ),
+    "images-entry-float": (["classify", "--input", "{f}"], {"images": [[[0, 1.5, 1, 0, 1]]]}),
+    "set-element-float": (
+        ["approx-e0", "--ce-set", "{f}"], {"kind": "explicit", "elements": [3.9, 5]},
+    ),
+    "set-delay-bool": (
+        ["approx-e0", "--ce-set", "{f}"],
+        {"kind": "throttled", "elements": [1, 5], "delays": [[5, True]]},
+    ),
 }
 
 

@@ -3,7 +3,7 @@ approximation-oracle contracts.
 
 Expected values for the inexact cases come from an independent interval
 bisection oracle that certifies its brackets by squaring (or cubing, ...)
-endpoints; the library path under test goes through integer Newton
+endpoints; the library path under test goes through integer
 floor-roots instead.
 """
 
@@ -47,6 +47,19 @@ def bisect_root(y: Fraction, b: int, k: int) -> Enclosure:
         else:
             hi = mid
     return Enclosure(lo, hi)
+
+
+def newton_iroot(n: int, b: int) -> int:
+    """Independent floor-root: Newton iteration from above for any index,
+    the route iroot takes for indices that are not powers of two."""
+    if n in (0, 1) or n.bit_length() <= b:
+        return min(n, 1)
+    x = 1 << -((-n.bit_length()) // b)
+    while True:
+        y = ((b - 1) * x + n // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
 
 
 class TestEnclosureArithmetic:
@@ -119,6 +132,24 @@ class TestIntegerRoots:
     def test_iroot_exact_cubes(self):
         assert iroot(8, 3) == 2
         assert iroot(10**18, 3) == 10**6
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(0, 4000).flatmap(lambda bits: st.integers(0, 1 << bits)),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_power_of_two_index_by_nested_isqrt(self, n, j, near_power):
+        """iroot(n, 2^j) takes j nested isqrt calls; floor(sqrt(floor(y)))
+        = floor(sqrt(y)) makes that exact.  near_power moves n to a
+        perfect power r^b or just below one, where an off-by-one shows."""
+        b = 1 << j
+        if near_power:
+            n = newton_iroot(n, b) ** b - (n & 1)
+            n = max(n, 0)
+        r = iroot(n, b)
+        assert r ** b <= n < (r + 1) ** b
+        assert r == newton_iroot(n, b)
 
 
 class TestPowRoot:
@@ -319,6 +350,53 @@ class TestDyadicPowerKernel:
         assert lo ** 193 <= t ** 128 <= hi ** 193
 
 
+def point_powers():
+    """(t, e, K) for point powers: small bases, perfect powers t = s^b
+    (exact answers), and bases of 31k-34k bits under e = 1/2, whose root
+    operand of about 2 * bits(t) + 2K bits straddles _EXACT_POW_BUDGET."""
+    exps = st.sampled_from([F(1, 2), F(3, 4), F(3, 2), F(2), F(5, 3), F(1), F(2, 7)])
+    precision = st.integers(1, 160)
+    small = st.tuples(positive_rationals_but_one(), exps, precision)
+    perfect = st.builds(
+        lambda s, e, K: (s ** e.denominator, e, K), positive_rationals_but_one(), exps, precision
+    )
+
+    def large(bits, seed, K):
+        rng = random.Random(seed)
+        return (F(rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1), F(1, 2), K)
+
+    big = st.builds(large, st.integers(31_000, 34_000), st.integers(0, 2**32), st.integers(1, 40))
+    return st.one_of(small, perfect, big, st.tuples(st.sampled_from([F(0), F(1)]), exps, precision))
+
+
+class TestPointPowers:
+    """A point power reads one exact-route result for both ends; it must
+    give the very endpoints of two directed calls."""
+
+    @settings(max_examples=60)
+    @given(point_powers())
+    def test_point_box_equals_two_directed_ends(self, case):
+        t, e, K = case
+        got = rigor._pow_box(Enclosure.point(t), e, e, K)
+        assert got == Enclosure(rigor._pow_dir(t, e, K, False), rigor._pow_dir(t, e, K, True))
+
+    @pytest.mark.parametrize("half_bits, over", [(16_000, False), (16_500, True)])
+    def test_both_sides_of_the_budget(self, half_bits, over):
+        """Square roots of a perfect square s^2 and of a non-square next to
+        it: exact below the budget, a dyadic interval past it."""
+        rng = random.Random(half_bits)
+        s = F(rng.getrandbits(half_bits) | 1 << (half_bits - 1),
+              rng.getrandbits(half_bits) | 1 << (half_bits - 1))
+        e, K = F(1, 2), 10
+        for t in (s * s, F(s.numerator ** 2 + 1, s.denominator ** 2)):
+            assert (rigor._exact_pow_bits(t, e, K) > rigor._EXACT_POW_BUDGET) == over
+            got = rigor._pow_box(Enclosure.point(t), e, e, K)
+            assert got == Enclosure(rigor._pow_dir(t, e, K, False), rigor._pow_dir(t, e, K, True))
+            assert got.lo ** 2 <= t <= got.hi ** 2
+            assert got.width <= pow2(-K)
+        assert (rigor._pow_box(Enclosure.point(s * s), e, e, K) == Enclosure.point(s)) != over
+
+
 class TestComputableReal:
     def test_refine_contract(self):
         third = ComputableReal.constant(F(1, 3))
@@ -421,3 +499,10 @@ def test_ceil_log2():
     assert ceil_log2(F(3)) == 2
     assert ceil_log2(F(1, 3)) == -1
     assert ceil_log2(F(4)) == 2
+
+
+@given(st.integers(1, 1 << 200), st.integers(1, 1 << 200))
+def test_ceil_log2_least_power_above(n, d):
+    q = F(n, d)
+    t = ceil_log2(q)
+    assert pow2(t - 1) < q <= pow2(t)

@@ -12,7 +12,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from lpcat import rigor
 from lpcat import (
     AccessViolation,
     CeSet,
@@ -41,6 +43,7 @@ from lpcat import (
     scale_real,
 )
 from lpcat.rigor import ComputableReal
+from lpcat.twisted import _quad_in_u
 
 F = Fraction
 
@@ -199,6 +202,52 @@ class TestEpsilonTerms:
     def test_requires_positive_element(self, p1):
         with pytest.raises(ConfigError):
             epsilon_j(1, 1, c=0, p=p1, k=5)
+
+
+nonneg_dyadics = st.builds(
+    lambda m, e: F(m, 1 << e), st.integers(0, 1 << 80), st.integers(0, 90)
+)
+rationals = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+
+
+class TestQuadraticInU:
+    @given(nonneg_dyadics, nonneg_dyadics, rationals.map(abs), rationals, rationals)
+    def test_endpoints_equal_the_interval_formula(self, ul, width, a, b, c):
+        u = Enclosure(ul, ul + width)
+        ref = (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
+        got = _quad_in_u(a, b, c, u)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+    def test_negative_u_raises(self):
+        with pytest.raises(ValueError):
+            _quad_in_u(F(1), F(-1), F(0), Enclosure(F(-1, 8), F(1, 2)))
+
+
+@pytest.mark.parametrize("p, before", [(F(1), 508), (F(3, 2), 513), (F(2), 4)])
+def test_warm_norm_iroot_work(monkeypatch, p, before):
+    """Work guard, free of timing noise: iroot calls in one warm m = 64,
+    k = 30 telescoping norm query.  It made ``before`` calls while each
+    point power computed its two ends apart and every E_j term recomputed
+    |a_0|^p; sharing both cuts at least 40 % at p = 1 and 3/2."""
+    presentation = TwistedGenSet(CeSet.odds(), Exponent.from_rational(p))
+    rng = random.Random(7)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    coeffs = [CRat(rat(), rat()) for _ in range(64)]
+    presentation.norm_enclosure(coeffs, 30)
+    calls = 0
+    iroot = rigor.iroot
+
+    def counted(n, b):
+        nonlocal calls
+        calls += 1
+        return iroot(n, b)
+
+    monkeypatch.setattr(rigor, "iroot", counted)
+    presentation.norm_enclosure(coeffs, 30)
+    assert calls <= (before if p == 2 else 0.6 * before)
 
 
 def manual_l1_norm(coeffs, depth=80):
