@@ -116,7 +116,7 @@ class CeSet:
         self._lock = threading.RLock()
         self._order: list[int] = []
         self._left_sums: list[Fraction] = [Fraction(0)]
-        self._gamma_cache: dict[int, Fraction] = {}
+        self._gamma_sums: list[Fraction] = [Fraction(0)]
         self._spec_obj = spec_obj or {"label": label, "kind": kind}
 
         self._pinned_by_stage: dict[int, int] = {}
@@ -249,19 +249,28 @@ class CeSet:
         return self._member(n)
 
     def gamma_enclosure(self, k: int) -> Enclosure:
-        """Certified [q, q + 2^-(k+1)] around gamma, by deciding every
-        candidate up to the tail cutoff B = k + 1."""
+        """Certified [q, q + 2^-(k+1)] around gamma, q the mass of the
+        members up to the tail cutoff B = k + 1.  Like the enumeration's
+        left sums, the decided prefix grows and each candidate is decided
+        once."""
+        if k < 0:
+            raise ValueError("precision must be a natural number")
         b = k + 1
         with self._lock:
-            q = self._gamma_cache.get(b)
-        if q is None:
-            q = Fraction(0)
-            for j in range(1, b + 1):
-                if self.decide(j):
-                    q += pow2(-j)
-            with self._lock:
-                self._gamma_cache[b] = q
+            sums = self._gamma_sums
+            for j in range(len(sums), b + 1):
+                sums.append(sums[-1] + pow2(-j) if self.decide(j) else sums[-1])
+            q = sums[b]
         return Enclosure(q, q + pow2(-b))
+
+    def tail_mass(self, s: int, k: int) -> Enclosure:
+        """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
+        sum through stage s, capped by 2^-c_s when the enumeration is
+        sorted.  Needs both access modes."""
+        tail = (self.gamma_enclosure(k) - Enclosure.point(self.left_sum(s))).clamp_nonneg()
+        if self.sorted_enumeration:
+            tail = Enclosure(tail.lo, min(tail.hi, pow2(-self.element_at(s))))
+        return tail
 
     def gamma_real(self) -> ComputableReal:
         return ComputableReal(
@@ -539,9 +548,7 @@ def expanded_residual_norm(
     supp_top = max(target.support(), default=0)
     depth = max(m, supp_top, 2)
     c_prefix = ce.prefix(depth - 1)
-    prefix_mass = ce.left_sum(depth - 1)
     half = p.half()
-    ucache: dict = {}
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
@@ -562,20 +569,14 @@ def expanded_residual_norm(
                     Enclosure.point(diff.abs2()), half, per
                 )
                 continue
-            u = _u_enclosure(c_prefix[n - 1], p, per + 4, ucache)
+            u = root_p(Enclosure.point(pow2(-c_prefix[n - 1])), p, per + 4)
             bq = -2 * (diff.re * a0.re + diff.im * a0.im)
             m2 = _quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
             total = total + _pow_slack(m2, half, per)
 
         if not a0.is_zero:
-            tail_mass = (gamma - Enclosure.point(prefix_mass)).clamp_nonneg()
-            if ce.sorted_enumeration and c_prefix:
-                geometric = Enclosure(Fraction(0), pow2(-c_prefix[-1]))
-                tail_mass = Enclosure(
-                    max(tail_mass.lo, geometric.lo), min(tail_mass.hi, geometric.hi)
-                )
             a0_pow = _pow_slack(Enclosure.point(a0sq), half, per)
-            total = total + a0_pow * tail_mass
+            total = total + a0_pow * ce.tail_mass(depth - 1, kg)
         return total
 
     return norm_from_power_sum(sum_at, p, k)
@@ -645,11 +646,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     n1 = None
     for candidate in range(3, 512):
         for kt in (k + 10, k + 26, k + 48):
-            pre_mass = ce.left_sum(candidate - 2)
-            tail = (ce.gamma_enclosure(kt) - Enclosure.point(pre_mass)).clamp_nonneg()
-            if ce.sorted_enumeration:
-                tail = Enclosure(tail.lo, min(tail.hi, pow2(-ce.element_at(candidate - 2))))
-            tail_norm = root_p(tail, p, kt)
+            tail_norm = root_p(ce.tail_mass(candidate - 2, kt), p, kt)
             if tail_norm.hi <= rhs.lo:
                 n1 = candidate
                 break
@@ -664,11 +661,10 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     prefix = ce.prefix(n1 - 2)
     pre_mass = ce.left_sum(n1 - 2)
     kr = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
-    ucache: dict = {}
     for _ in range(6):
         coeffs = [CRat.of(q1)]
         for c in prefix:
-            u = _u_enclosure(c, p, kr, ucache)
+            u = root_p(Enclosure.point(pow2(-c)), p, kr)
             value = u.lo if u.width == 0 else u.midpoint
             coeffs.append(CRat.of(-q1 * value))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)

@@ -244,7 +244,7 @@ GOLDEN = {
     ),
     "approx-e0": (
         ["approx-e0", "--p", "1", "--ce-set", "odds", "--k", "2"],
-        "4a282c52f0ce786304014e01593aa635d84480391fb949de0ad27ffe7339104e", None,
+        "04ce4e5404f064de27af4c65460016c1295a69a0313d96c58437f8af1417455b", None,
     ),
     "extract": (
         ["extract", "--p", "1", "--ce-set", "odds", "--n-max", "12"],
@@ -265,8 +265,8 @@ GOLDEN = {
     "demo-pour-el-richards": (
         ["demo", "--scenario", "pour-el-richards", "--p", "1", "--ce-set", "odds",
          "--k", "4", "--n-max", "8"],
-        "2c4fc7faf3e3025fafb5d0abf009865c7a17409e7ef53e6cc3493a5c5a74bf4d",
-        "98399ba27240942cf878471f40e37a1fcaedbb5b8ae84e7ed016f1ef2bb7ad17",
+        "4da5d83cab77ef32acbd2f124c1da3864eaa62a7b274cad7b801f147fdc64c33",
+        "3b03ff3aa959be6558c1ed1a6dc74f0ed5f8442c8660bcff4b5c2b4fec109164",
     ),
     # Oracle-track exponents: the bracket views p/2 and 1/p of every layer.
     "oracle-norm-twisted": (
@@ -286,7 +286,7 @@ GOLDEN = {
     ),
     "oracle-approx-e0": (
         ["approx-e0", "--p", "oracle:1.5:400", "--ce-set", "odds", "--k", "3"],
-        "aeecd85f7f80f37f505fad6cb6d2375a059841eab116c9d32ee6b4aad28efec1", None,
+        "4fbae82353e600d0aa33afedaf8c0becd397efc9046b6d4e00d395d85144d9fc", None,
     ),
     "oracle-extract": (
         ["extract", "--p", "oracle:1.5:400", "--ce-set", "odds", "--n-max", "4"],

@@ -8,6 +8,7 @@ decision procedures.
 """
 
 import random
+import threading
 import warnings
 from fractions import Fraction
 
@@ -175,6 +176,84 @@ class TestGammaReal:
         for k in (0, 3, 17, 40, 64):
             for kp in (1, 9, 25, 64):
                 assert abs(x.approx(k) - x.approx(kp)) < pow2(-k) + pow2(-kp)
+
+    def test_each_candidate_decided_once(self):
+        """Cutoff B = k + 1 decides 1..B in all; a later, larger cutoff
+        decides only the candidates above the largest one seen so far."""
+        ce = CeSet.odds()
+        counts = []
+        for k in (9, 19, 29, 39):
+            ce.gamma_enclosure(k)
+            counts.append(ce.stats.decide_calls)
+        assert counts == [10, 20, 30, 40]
+        ce = CeSet.odds()
+        ce.gamma_enclosure(39)
+        ce.gamma_enclosure(9)
+        assert ce.stats.decide_calls == 40
+
+    @given(
+        st.sampled_from(["odds", "primes", "explicit"]),
+        st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=8),
+    )
+    def test_growing_prefix_matches_fresh_sums(self, kind, ks):
+        make = {"odds": CeSet.odds, "primes": CeSet.primes, "explicit": explicit_set}[kind]
+        ce = make()
+        for k in ks:
+            b = k + 1
+            fresh = make()
+            q = sum((pow2(-j) for j in range(1, b + 1) if fresh.decide(j)), F(0))
+            assert ce.gamma_enclosure(k) == Enclosure(q, q + pow2(-b))
+        assert ce.stats.decide_calls == max(ks) + 1
+
+    def test_negative_precision_rejected(self):
+        ce = CeSet.odds()
+        with pytest.raises(ValueError):
+            ce.gamma_enclosure(-1)
+        assert ce.stats.decide_calls == 0
+
+    def test_concurrent_enclosures_decide_once(self):
+        ks = list(range(61))
+        want = {k: CeSet.primes().gamma_enclosure(k) for k in ks}
+        ce = CeSet.primes()
+        got: dict = {}
+        errors: list = []
+
+        def worker(seed: int) -> None:
+            order = ks[:]
+            random.Random(seed).shuffle(order)
+            try:
+                for k in order:
+                    got[(seed, k)] = ce.gamma_enclosure(k)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len(got) == 8 * len(ks)
+        assert all(enc == want[k] for (_, k), enc in got.items())
+        assert ce.stats.decide_calls == 61
+
+    @pytest.mark.parametrize("make", [CeSet.odds, explicit_set, throttled_set],
+                             ids=["odds", "explicit", "throttled"])
+    def test_tail_mass(self, make):
+        """tail_mass(s, k) encloses gamma - gamma_s and is the formula the
+        N1 search and the expansion residual each wrote out by hand."""
+        ce = make()
+        gamma = ce.exact_gamma()
+        for s in range(21):
+            left = ce.left_sum(s)
+            for k in (4, 20, 60):
+                tail = ce.tail_mass(s, k)
+                assert tail.contains(gamma - left)
+                ref = (ce.gamma_enclosure(k) - Enclosure.point(left)).clamp_nonneg()
+                if ce.sorted_enumeration:
+                    ref = Enclosure(ref.lo, min(ref.hi, pow2(-ce.element_at(s))))
+                    assert tail.hi <= pow2(-ce.element_at(s))
+                assert tail == ref
 
 
 class TestEpsilonTerms:
