@@ -13,10 +13,13 @@ every point of its inputs.  There is no floating point anywhere.  A power
 t^(a/b) takes one of two routes, chosen by cost.  The exact route is an
 exact integer power followed by an integer floor-root: nested integer
 square roots when b is a power of two, Newton iteration otherwise, and
-exact on perfect powers.  It is taken when its largest operand, the root
-operand of about a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale
-2^-K, fits a fixed bit budget; the two ends of a point power then differ
-only by 2^-K on the one floor-root, which is computed once for both.
+exact on perfect powers.  It is taken when its largest operand, bounded
+by a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale 2^-K, fits a
+fixed bit budget; the two ends of a point power then differ only by 2^-K
+on the one floor-root, which is computed once for both.  The same
+floor-root takes powers of integer ratios m / den straight to integer
+mantissas at scale 2^-K (``_pow_mantissas``), so a caller that sums such
+terms, the twisted norm, builds no Fraction per term.
 Otherwise the dyadic route takes iterated directed square roots and
 directed binary powers on integer mantissas at one binary exponent 2^-P,
 each rounded product a multiply and a shift.  Either way every bound is
@@ -460,11 +463,18 @@ class ComputablePoint(ComputableReal):
 
 
 def _real_bracket(real: ComputableReal) -> Callable[[int], tuple[Fraction, Fraction]]:
+    """Dyadic brackets of an exponent oracle at precision k.  A bracket
+    whose upper end lies below 1 certifies p < 1, which ``from_real``'s
+    one check at precision 12 cannot rule out, so it raises; the p/2 and
+    1/p views read these brackets and inherit the check."""
+
     def bracket(k: int) -> tuple[Fraction, Fraction]:
         q = real.approx(k)
         eps = pow2(-k)
         lo = _round_dyadic(q - eps, k, up=False)
         hi = _round_dyadic(q + eps, k, up=True)
+        if hi < 1:
+            raise OracleFailure(f"exponent oracle {real.label} is certified below 1")
         return (lo, hi)
 
     return bracket
@@ -677,13 +687,29 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
 
 def _exact_pow_bits(t: Fraction, e: Fraction, K: int) -> int:
     """Upper bound on the bit length of the largest operand the exact route
-    builds for t**e at scale 2^-K: t**a = n/d, and for b > 1 the root
-    operand n * 2^(bK) * d^(b-1) that _pow_exact hands to iroot."""
+    builds for t**e at scale 2^-K: t**a = n/d, and for b > 1 the bound
+    n * 2^(bK) * d^(b-1) on the root operand.  _floor_root divides by d
+    before the root, so its operands are smaller still; the (b-1) term is
+    kept because this bound decides which powers take the exact route,
+    and with it the digits that reports print."""
     a, b = e.numerator, e.denominator
     num_bits, den_bits = t.numerator.bit_length(), t.denominator.bit_length()
     if b == 1:
         return a * max(num_bits, den_bits)
     return a * num_bits + (b - 1) * a * den_bits + b * K
+
+
+def _floor_root(num: int, den: int, b: int) -> tuple[int, bool]:
+    """(r, exact): r = floor((num / den)^(1/b)) for integers num >= 0 and
+    den >= 1, and whether r is the root itself.
+
+    The one integer floor-root of the exact route.  For integer r,
+    r^b <= num / den holds iff r^b <= num // den, so one division comes
+    first and iroot sees only the quotient, or nothing when b = 1.
+    """
+    q, rem = divmod(num, den)
+    r = iroot(q, b) if b > 1 else q
+    return r, not rem and r ** b == q
 
 
 def _pow_exact(t: Fraction, e: Fraction, K: int) -> Optional[tuple[RatLike, bool]]:
@@ -707,7 +733,7 @@ def _pow_exact(t: Fraction, e: Fraction, K: int) -> Optional[tuple[RatLike, bool
         rd = iroot(d, b)
         if rd ** b == d:
             return Fraction(rn, rd), True
-    return iroot((n << (b * K)) * d ** (b - 1), b) // d, False
+    return _floor_root(n << (b * K), d, b)[0], False
 
 
 def _pow_dir(t: Fraction, e: Fraction, K: int, up: bool) -> Fraction:
@@ -793,6 +819,37 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
             return _pow_box(x, e_lo, e_hi, K + 3)
         kp += max(8, K // 2)
     raise OracleFailure("exponent bracket failed to converge")
+
+
+def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:
+    """Mantissas (l, h) at scale 2^-(K+2) with l <= 2^(K+2) t**exp <= h for
+    every t in [lo/den, hi/den], for integers 0 <= lo <= hi and den >= 1;
+    like _pow_slack, they exceed the exact image width by less than 2^-K.
+
+    Rational track, exponent a/b: each end is the exact route's floor-root
+    of (m/den)^a 2^(b(K+2)), read from one integer numerator and
+    denominator, so no Fraction is built; the upper end steps up one unit
+    unless the root is exact.  The oracle track, and a rational exponent
+    whose operand would pass the budget, take _pow_slack, whose ends lie
+    within 2^-(K+1) of the image, and round them outward to the grid.
+    """
+    T = K + 2
+    e = exp.fast
+    if e is not None:
+        a, b = e.numerator, e.denominator
+        if a * max(hi.bit_length(), den.bit_length()) + b * T <= _EXACT_POW_BUDGET:
+            den_a = den ** a
+
+            def end(m: int) -> tuple[int, bool]:
+                return _floor_root(m ** a << (b * T), den_a, b)
+
+            r, exact = end(lo)
+            if lo != hi:
+                r_hi, exact = end(hi)
+                return r, r_hi if exact else r_hi + 1
+            return r, r if exact else r + 1
+    enc = _pow_slack(Enclosure(Fraction(lo, den), Fraction(hi, den)), exp, K)
+    return frac_floor(enc.lo * (1 << T)), frac_ceil(enc.hi * (1 << T))
 
 
 def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:

@@ -15,11 +15,19 @@ of a combination a_0 f_0 + ... + a_M f_M expands telescopically as
     E_j = |a_0 2^(-c_{j-1}/p) + a_j|^p - |a_0|^p 2^(-c_{j-1}),
 
 which consults only the first M enumerated elements and never the set's
-decision procedure.  Conversely, anything that can point at a unit
-multiple of e_0 in F-coordinates reveals (1 - gamma)^(-1/p), hence gamma,
-hence membership in C bit by bit.  This module implements both directions
-with certificates, plus the decision-mode approximation of e_0 that makes
-the forward isometry computable from C.
+decision procedure.  The sum runs on integer mantissas: each E_j is one
+integer quadratic in the mantissa of 2^(-c/p), a p/2 power by the exact
+route's integer floor-root (rounded brackets on the oracle track), and
+directed shifts into two integer running sums, every step rounded
+outward, with one Enclosure per sum.  The independent expansion route
+(``expanded_residual_norm``) stays on exact Fractions and shares none of
+that kernel, so comparing the two checks it.
+
+Conversely, anything that can point at a unit multiple of e_0 in
+F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
+in C bit by bit.  This module implements both directions with
+certificates, plus the decision-mode approximation of e_0 that makes the
+forward isometry computable from C.
 
 Desk-scale sets here are genuinely decidable; what the algorithms preserve
 is the access discipline.  Every operation declares which access modes it
@@ -53,6 +61,7 @@ from .rigor import (
     root_p,
     simplest_between,
     strict_int,
+    _pow_mantissas,
     _pow_slack,
 )
 from .lpspace import FiniteVector, basis
@@ -379,49 +388,92 @@ def _quad_in_u(a: Fraction, b: Fraction, c: Fraction, u: Enclosure) -> Enclosure
     return Enclosure(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
 
 
-def _u_enclosure(c: int, p: Exponent, K: int, cache: dict) -> Enclosure:
-    """Certified 2^(-c/p) = (2^-c)^(1/p), memoised in ``cache``."""
-    key = (c, K)
+# The telescoping kernel: an integer m stands for m / 2^s at a scale s
+# fixed by the precision, and every step rounds outward.
+
+
+def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, int]:
+    """(A, B, C, D, g): |a0 u + aj|^2 = (A u^2 + B u + C) / D in integers,
+    so A / D = |a0|^2, B / D = 2 Re(a0 conj aj) and C / D = |aj|^2, with
+    the u-precision guard g = 4 + ceil(log2(1 + |B/D| + 2A/D)), since the
+    quadratic's u-derivative is at most |b| + 2a on [0, 1].  Writing each
+    scalar as (X + iY) / d over the product d of its two denominators
+    needs no gcd."""
+    d0 = alpha0.re.denominator * alpha0.im.denominator
+    dj = alphaj.re.denominator * alphaj.im.denominator
+    x0 = alpha0.re.numerator * alpha0.im.denominator
+    y0 = alpha0.im.numerator * alpha0.re.denominator
+    xj = alphaj.re.numerator * alphaj.im.denominator
+    yj = alphaj.im.numerator * alphaj.re.denominator
+    A = (x0 * x0 + y0 * y0) * dj * dj
+    B = 2 * (x0 * xj + y0 * yj) * d0 * dj
+    C = (xj * xj + yj * yj) * d0 * d0
+    D = (d0 * dj) ** 2
+    return A, B, C, D, 4 + ceil_log2(Fraction(D + abs(B) + 2 * A, D))
+
+
+def _u_mantissas(c: int, p: Exponent, ku: int, cache: dict) -> tuple[int, int]:
+    """Floor and ceiling mantissas at scale 2^-(ku+2) of 2^(-c/p) =
+    (2^-c)^(1/p), memoised in ``cache`` under (c, ku)."""
+    key = (c, ku)
     got = cache.get(key)
     if got is None:
-        got = cache[key] = root_p(Enclosure.point(pow2(-c)), p, K)
+        got = cache[key] = _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku)
     return got
 
 
-def _epsilon_enclosure(
-    alpha0: CRat,
+def _abs_pow(a: Fraction, half: Exponent, kt: int, a_pows: dict) -> tuple[int, int]:
+    """|a0|^p = a^(p/2) for a = |a0|^2, as mantissas at scale 2^-(kt+2).  It
+    depends only on a0 and kt, so one sum shares it through ``a_pows``."""
+    got = a_pows.get(kt)
+    if got is None:
+        got = a_pows[kt] = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, kt)
+    return got
+
+
+def _epsilon_mantissas(
+    quad: tuple[int, int, int, int, int],
     a: Fraction,
-    alphaj: CRat,
     c: int,
     p: Exponent,
     K: int,
     ucache: dict,
     a_pows: dict,
-) -> Enclosure:
-    """Certified E_j = |a0 u + aj|^p - |a0|^p 2^-c with u = 2^(-c/p), to
-    slack below 2^-K, where a = |a0|^2.
+) -> tuple[int, int]:
+    """Mantissas at scale 2^-(K+5) of a certified E_j = |a0 u + aj|^p -
+    |a0|^p 2^-c, u = 2^(-c/p), of width below 2^-K; ``quad`` is
+    _quad_coefficients(a0, aj) and a = |a0|^2.
 
-    |a0 u + aj|^2 is an exact-coefficient quadratic in u, so the only
-    inexact inputs are u itself and the two half-exponent powers.  Initial
-    guard: the quadratic's u-derivative is at most |b| + 2a on [0, 1].
-    The power |a0|^p depends only on a0 and the working precision kt, so
-    one sum of E_j terms shares it through ``a_pows``, keyed by kt.
+    u comes as mantissas U at scale 2^-Q; the quadratic is then one
+    integer polynomial A U^2 + B 2^Q U + C 4^Q over D 4^Q, floored for the
+    low end and ceiled for the high end at scale 2^-2Q.  Its p/2 power and
+    |a0|^p come from _pow_mantissas at scale 2^-(kt+2), and the subtraction
+    of |a0|^p 2^-c lands on the sum's scale with one directed shift per
+    end.  u's precision ku is a multiple of the retry step 8, so the
+    ``ucache`` key (c, ku) does not follow the coefficients' sizes.
     """
-    b = 2 * (alpha0.re * alphaj.re + alpha0.im * alphaj.im)
-    cq = alphaj.abs2()
+    A, B, C, D, guard = quad
     half = p.half()
-    ku = K + 4 + ceil_log2(1 + abs(b) + 2 * a)
+    W = K + 5
+    ku = -(-(K + guard) // 8) * 8
     kt = K + 3
     for _ in range(40):
-        u = _u_enclosure(c, p, ku, ucache)
-        m2 = _quad_in_u(a, b, cq, u).clamp_nonneg()
-        term1 = _pow_slack(m2, half, kt)
-        a_pow = a_pows.get(kt)
-        if a_pow is None:
-            a_pow = a_pows[kt] = _pow_slack(Enclosure.point(a), half, kt)
-        out = term1 - a_pow.scale(pow2(-c))
-        if out.width < pow2(-K):
-            return out
+        Q = ku + 2
+        ul, uh = _u_mantissas(c, p, ku, ucache)
+        BQ, CQ = B << Q, C << (2 * Q)
+        if B >= 0:
+            lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
+        else:
+            lo, hi = A * ul * ul + BQ * uh, A * uh * uh + BQ * ul
+        m_lo = max((lo + CQ) // D, 0)
+        m_hi = max(-((-hi - CQ) // D), 0)
+        t_lo, t_hi = _pow_mantissas(m_lo, m_hi, 1 << (2 * Q), half, kt)
+        ap_lo, ap_hi = _abs_pow(a, half, kt, a_pows)
+        drop = kt + 2 + c - W
+        lo = ((t_lo << c) - ap_hi) >> drop
+        hi = -((ap_lo - (t_hi << c)) >> drop)
+        if hi - lo < 1 << (W - K):
+            return lo, hi
         ku += 8
         kt += 8
     raise OracleFailure("epsilon term failed to converge")
@@ -432,7 +484,9 @@ def epsilon_j(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     if c < 1:
         raise ConfigError("enumerated elements are >= 1")
     alpha0 = CRat.of(alpha0)
-    return _epsilon_enclosure(alpha0, alpha0.abs2(), CRat.of(alphaj), c, p, k, {}, {})
+    quad = _quad_coefficients(alpha0, CRat.of(alphaj))
+    lo, hi = _epsilon_mantissas(quad, alpha0.abs2(), c, p, k, {}, {})
+    return Enclosure(Fraction(lo, 1 << (k + 5)), Fraction(hi, 1 << (k + 5)))
 
 
 class TwistedGenSet(GeneratingSet):
@@ -468,16 +522,19 @@ class TwistedGenSet(GeneratingSet):
         a0 = cs[0]
         a = a0.abs2()
         half = self.p.half()
+        terms = [(_quad_coefficients(a0, cs[j]), c_list[j - 1]) for j in range(1, m + 1)]
 
         def sum_at(K: int) -> Enclosure:
+            # |a0|^p and every E_j at scale 2^-(per+5), summed as two integers.
             per = K + ceil_log2(Fraction(m + 2))
-            total = _pow_slack(Enclosure.point(a), half, per)
             a_pows: dict = {}
-            for j in range(1, m + 1):
-                total = total + _epsilon_enclosure(
-                    a0, a, cs[j], c_list[j - 1], self.p, per, self._ucache, a_pows
-                )
-            return total
+            lo, hi = _abs_pow(a, half, per + 3, a_pows)
+            for quad, c in terms:
+                e_lo, e_hi = _epsilon_mantissas(quad, a, c, self.p, per, self._ucache, a_pows)
+                lo += e_lo
+                hi += e_hi
+            scale = 1 << (per + 5)
+            return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
         return norm_from_power_sum(sum_at, self.p, k)
 

@@ -368,7 +368,7 @@ def test_criterion_7_oracle_discipline():
 # SHA-256 of canonical_json_bytes(first_run(n)); any change to a report's
 # bytes, however it arises, shows here.
 REPORT_SHA = {
-    1: "a5edc21e399c1d5bf41d9e54ef55e933ab84061cee9af50ea34cee84ca2f687e",
+    1: "33702450220f5c1ff2fe9e9ba4fffe66f51298f036e25ce2342efc7daaf2b652",
     2: "3af4a388377ea291e60b42ab5a1e6f0082af798ff0f6d3f4cb4b94b5c49c75e7",
     3: "e89aed269d2d8f6efe84e93deac4517eb33fa061bd23129e051e07681be3400b",
     4: "b6941f6b6aa7502c4273fbb4165b591482e72923747974ef3f9ba9a77d396bb7",

@@ -272,7 +272,7 @@ GOLDEN = {
     "oracle-norm-twisted": (
         ["norm", "--genset", "F", "--p", "oracle:1.5:40", "--ce-set", "odds",
          "--coeffs", "1,1", "--k", "10"],
-        "00f56e45faa0d6cd01f8b2bdf4f5e668f8580f06b8321f9e87bbe88274ddaa69", None,
+        "c08c024bf17167d15cd1219f8b29507949df46b89ee79069b128fa2a4dd405e5", None,
     ),
     "oracle-norm-standard": (
         ["norm", "--genset", "E", "--p", "oracle:1.5:400", "--coeffs", "1,1/3,2",
@@ -282,7 +282,7 @@ GOLDEN = {
     "oracle-norm-twisted-complex": (
         ["norm", "--genset", "F", "--p", "oracle:1.5:400", "--ce-set", "primes",
          "--coeffs", "1,1/3:1/5,2", "--k", "20"],
-        "9c9986e165b3c2f36c37c565cde647656a58c3b060d686034fd7bb96e2b3f937", None,
+        "f0fa0546100bb9d2246d375a697a580ca9c0dbd9bf91439cb5fe472ec1da9353", None,
     ),
     "oracle-approx-e0": (
         ["approx-e0", "--p", "oracle:1.5:400", "--ce-set", "odds", "--k", "3"],

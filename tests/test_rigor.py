@@ -22,6 +22,7 @@ from lpcat import (
     Enclosure,
     Exponent,
     NegativeBase,
+    OracleFailure,
     StandardGenSet,
     VectorRep,
     ceil_log2,
@@ -255,6 +256,24 @@ class TestOracleTrackExponent:
         with pytest.raises(ConfigError):
             Exponent.from_real(ComputableReal.constant(F(9, 10)))
 
+    def test_oracle_below_one_raises_once_certified(self):
+        """from_real's check at precision 12 passes p = 9999/10000; the
+        first bracket whose upper end falls below 1 (here at precision 15)
+        raises, in the exponent and in both of its views."""
+        below = Exponent.from_real(ComputableReal.constant(F(9999, 10000)))
+        assert below.bracket(14)[1] == 1
+        with pytest.raises(OracleFailure):
+            pow_p(Enclosure.point(2), below, 30)
+        for view in (below.half(), below.reciprocal()):
+            with pytest.raises(OracleFailure):
+                view.bracket(15)
+        for real in (ComputableReal.constant(1), sqrt_real(2)):
+            p = Exponent.from_real(real)
+            for k in (4, 15, 60):
+                lo, hi = p.bracket(k)
+                assert lo <= hi and hi >= 1
+            assert pow_p(Enclosure.point(2), p, 30).width < pow2(-30)
+
 
 def ref_sqrt_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
     """The Fraction form of the dyadic kernel's square root, kept as the
@@ -395,6 +414,55 @@ class TestPointPowers:
             assert got.lo ** 2 <= t <= got.hi ** 2
             assert got.width <= pow2(-K)
         assert (rigor._pow_box(Enclosure.point(s * s), e, e, K) == Enclosure.point(s)) != over
+
+
+class TestMantissaPowers:
+    """The floor-root kernel and the mantissa power, certified by integer
+    comparisons of b-th powers rather than by the code under test."""
+
+    @given(st.integers(0, 1 << 300), st.integers(1, 1 << 120), st.integers(1, 7))
+    def test_floor_root(self, num, den, b):
+        r, exact = rigor._floor_root(num, den, b)
+        assert r ** b * den <= num < (r + 1) ** b * den
+        assert exact == (r ** b * den == num)
+
+    @given(
+        st.integers(0, 1 << 90),
+        st.integers(0, 1 << 90),
+        st.integers(1, 1 << 70),
+        st.sampled_from([F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 7), F(2)]),
+        st.integers(0, 60),
+        st.booleans(),
+    )
+    def test_pow_mantissas_brackets_with_slack_below_2_to_minus_K(
+        self, lo, width, den, e, K, oracle
+    ):
+        hi = lo + width
+        a, b, T = e.numerator, e.denominator, K + 2
+
+        def exponent(on_oracle: bool) -> Exponent:
+            """e on one track; below 1 as the 1/p view of p = 1/e, the way
+            the p/2 and 1/p views reach the kernel."""
+            q = 1 / e if e < 1 else e
+            if on_oracle:
+                p = Exponent.from_real(ComputableReal.constant(q))
+            else:
+                p = Exponent.from_rational(q)
+            return p.reciprocal() if e < 1 else p
+
+        l, h = rigor._pow_mantissas(lo, hi, den, exponent(False), K)
+        # l <= 2^T (lo/den)^e and h >= 2^T (hi/den)^e, and the rational
+        # track is tight: within one unit of either end.
+        assert l ** b * den ** a <= lo ** a << (T * b) < (l + 1) ** b * den ** a
+        assert hi ** a << (T * b) <= h ** b * den ** a
+        assert h == 0 or (h - 1) ** b * den ** a < hi ** a << (T * b)
+        if not oracle:
+            return
+        ol, oh = rigor._pow_mantissas(lo, hi, den, exponent(True), K)
+        assert ol <= l and h <= oh
+        # The exact image spans more than h - l - 2 units, and the slack
+        # allowed is 2^-K, which is 4 units.
+        assert oh - ol < max(h - l - 2, 0) + 4
 
 
 class TestComputableReal:

@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lpcat import rigor
 from lpcat import (
@@ -43,8 +43,8 @@ from lpcat import (
     rep_with_offset_fault,
     scale_real,
 )
-from lpcat.rigor import ComputableReal
-from lpcat.twisted import _quad_in_u
+from lpcat.rigor import ComputableReal, ceil_log2
+from lpcat.twisted import _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
 
@@ -302,6 +302,81 @@ class TestQuadraticInU:
             _quad_in_u(F(1), F(-1), F(0), Enclosure(F(-1, 8), F(1, 2)))
 
 
+def reference_epsilon(alpha0, a, alphaj, c, p, K, u_at, first_try=0):
+    """The Fraction route of E_j that the integer-mantissa kernel replaced,
+    kept as the reference: u_at(ku) supplies 2^(-c/p) at precision ku,
+    and the retry schedule may start at a later try."""
+    b = 2 * (alpha0.re * alphaj.re + alpha0.im * alphaj.im)
+    cq = alphaj.abs2()
+    half = p.half()
+    ku = K + 4 + ceil_log2(1 + abs(b) + 2 * a) + 8 * first_try
+    kt = K + 3 + 8 * first_try
+    for _ in range(40):
+        u = u_at(ku)
+        m2 = _quad_in_u(a, b, cq, u).clamp_nonneg()
+        term1 = rigor._pow_slack(m2, half, kt)
+        a_pow = rigor._pow_slack(Enclosure.point(a), half, kt)
+        out = term1 - a_pow.scale(pow2(-c))
+        if out.width < pow2(-K):
+            return out
+        ku += 8
+        kt += 8
+    raise OracleFailure("epsilon term failed to converge")
+
+
+small_rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+complex_rationals = st.builds(CRat, small_rationals, small_rationals)
+KERNEL_EXPONENTS = {
+    "1": Exponent.from_rational(1),
+    "3/2": Exponent.from_rational(F(3, 2)),
+    "2": Exponent.from_rational(2),
+    "7/3": Exponent.from_rational(F(7, 3)),
+    "oracle 3/2": Exponent.from_real(ComputableReal(lambda k: F(3, 2), "oracle 3/2")),
+}
+
+
+class TestEpsilonKernel:
+    @given(
+        alpha0=complex_rationals,
+        alphaj=complex_rationals,
+        c=st.integers(1, 300),
+        K=st.integers(4, 130),
+        name=st.sampled_from(sorted(KERNEL_EXPONENTS)),
+    )
+    # a_j close to -2^(-2/3) a_0: m2 nears 0 and the term retries once.
+    @example(CRat(1), CRat(F(-6299605249, 10**10)), 1, 130, "3/2")
+    @example(CRat(1), CRat(F(-6299605249, 10**10)), 1, 130, "oracle 3/2")
+    def test_mantissa_kernel_against_fraction_route(self, alpha0, alphaj, c, K, name):
+        """Both tracks: the integer-mantissa term meets the Fraction
+        reference and is narrower than 2^-K.  Rational track: on the u the
+        kernel used, at the try it stopped on, it contains the reference."""
+        p = KERNEL_EXPONENTS[name]
+        a = alpha0.abs2()
+        ucache: dict = {}
+        lo, hi = _epsilon_mantissas(
+            _quad_coefficients(alpha0, alphaj), a, c, p, K, ucache, {}
+        )
+        ours = Enclosure(F(lo, 1 << (K + 5)), F(hi, 1 << (K + 5)))
+        assert ours.width < pow2(-K)
+
+        def own_u(ku):
+            return rigor.root_p(Enclosure.point(pow2(-c)), p, ku)
+
+        assert ours.intersects(reference_epsilon(alpha0, a, alphaj, c, p, K, own_u))
+        if p.fast is None:
+            return
+
+        def kernel_u(ku):
+            ku = -(-ku // 8) * 8
+            ul, uh = ucache[(c, ku)]
+            return Enclosure(F(ul, 1 << (ku + 2)), F(uh, 1 << (ku + 2)))
+
+        kus = sorted(ku for _, ku in ucache)
+        tries = (kus[-1] - kus[0]) // 8
+        ref = reference_epsilon(alpha0, a, alphaj, c, p, K, kernel_u, first_try=tries)
+        assert ours.encloses(ref), (ours, ref)
+
+
 @pytest.mark.parametrize("p, before", [(F(1), 508), (F(3, 2), 513), (F(2), 4)])
 def test_warm_norm_iroot_work(monkeypatch, p, before):
     """Work guard, free of timing noise: iroot calls in one warm m = 64,
@@ -327,6 +402,54 @@ def test_warm_norm_iroot_work(monkeypatch, p, before):
     monkeypatch.setattr(rigor, "iroot", counted)
     presentation.norm_enclosure(coeffs, 30)
     assert calls <= (before if p == 2 else 0.6 * before)
+
+
+@pytest.mark.parametrize("p, before", [(F(1), 319), (F(3, 2), 320), (F(2), 255)])
+def test_warm_norm_enclosure_work(monkeypatch, p, before):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    warm m = 64, k = 30 telescoping norm query.  It made ``before`` while
+    every E_j term built about five; the sum on integer mantissas builds
+    one Enclosure per sum."""
+    presentation = TwistedGenSet(CeSet.odds(), Exponent.from_rational(p))
+    rng = random.Random(7)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    coeffs = [CRat(rat(), rat()) for _ in range(64)]
+    presentation.norm_enclosure(coeffs, 30)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    presentation.norm_enclosure(coeffs, 30)
+    assert made <= 16 < before
+
+
+def test_ucache_keys_do_not_follow_coefficient_sizes():
+    """u's precision is rounded up to a multiple of the retry step, so the
+    cache holds few keys, and answers do not depend on which queries came
+    first."""
+    p = Exponent.from_rational(F(3, 2))
+    rng = random.Random(3)
+
+    def rat():
+        return F(rng.randint(-99, 99), rng.randint(1, 99))
+
+    queries = [([CRat(rat(), rat()) for _ in range(m + 1)], k)
+               for m in (1, 4, 9) for k in (10, 30)]
+    forward = TwistedGenSet(CeSet.odds(), p)
+    backward = TwistedGenSet(CeSet.odds(), p)
+    ahead = [forward.norm_enclosure(cs, k) for cs, k in queries]
+    behind = [backward.norm_enclosure(cs, k) for cs, k in reversed(queries)]
+    assert ahead == behind[::-1]
+    assert forward._ucache.keys() == backward._ucache.keys()
+    assert all(ku % 8 == 0 for _, ku in forward._ucache)
 
 
 def manual_l1_norm(coeffs, depth=80):
