@@ -59,8 +59,8 @@ for k in (2, 6, 10):
 print()
 print("== An isometry oracle leaks the set ==")
 oracle = e0_rep(genset)
-print(f"scale extraction: (1 - gamma)^(-1) = {float(extract_scale(oracle, p, 20)):.8f}  (exact value 3)")
-gamma = gamma_from_scale(scale_real(oracle, p), p)
+print(f"scale extraction: (1 - gamma)^(-1) = {float(extract_scale(oracle, 20)):.8f}  (exact value 3)")
+gamma = gamma_from_scale(scale_real(oracle), p)
 print(f"recovered gamma at k=20: {float(gamma.approx(20)):.8f}  (exact value 2/3)")
 view = ce.view(enumerate=True, decide=False)
 sample = {n: decide_membership(gamma, view, n) for n in (0, 1, 2, 7, 8, 15)}

@@ -25,7 +25,7 @@ from .rigor import (
     simplest_between,
     sqrt_real,
 )
-from .lpspace import FiniteVector, basis, disjoint, norm_of_abs2_terms, norm_p, norm_pow_sum
+from .lpspace import FiniteVector, basis, disjoint, norm_of_abs2_terms, norm_p
 from .genset import (
     BallMap,
     CheckSchedule,

@@ -112,12 +112,6 @@ def disjoint(u: FiniteVector, v: FiniteVector) -> bool:
     return not (u.support() & v.support())
 
 
-def norm_pow_sum(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
-    """Certified enclosure of sum |a_n|^p with slack below 2^-k."""
-    terms = [Enclosure.point(c.abs2()) for _, c in v.coords]
-    return abs2_pow_sum(terms, p, k)
-
-
 def abs2_pow_sum(abs2_terms: Sequence[Enclosure], p: Exponent, k: int) -> Enclosure:
     """Sum of m^(p/2) over enclosures m of squared moduli, with total slack
     below 2^-k.  Shared by exact vectors and truncation-scale images."""
@@ -139,7 +133,8 @@ def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
     """
     if v.is_zero:
         return Enclosure.point(0)
-    return norm_from_power_sum(lambda K: norm_pow_sum(v, p, K), p, k)
+    terms = [Enclosure.point(c.abs2()) for _, c in v.coords]
+    return norm_from_power_sum(lambda K: abs2_pow_sum(terms, p, K), p, k)
 
 
 def norm_of_abs2_terms(

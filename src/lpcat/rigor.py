@@ -10,16 +10,17 @@ The whole library runs on three numeric currencies:
 
 Every operation is outward rounded: the result encloses the exact image of
 every point of its inputs.  There is no floating point anywhere.  A power
-t^(a/b) takes one of two routes, chosen by cost.  The exact route is an
-exact integer power followed by an integer floor-root: nested integer
-square roots when b is a power of two, Newton iteration otherwise, and
-exact on perfect powers.  It is taken when its largest operand, bounded
-by a*bits(num t) + (b-1)*a*bits(den t) + b*K bits at scale 2^-K, fits a
-fixed bit budget; the two ends of a point power then differ only by 2^-K
-on the one floor-root, which is computed once for both.  The same
-floor-root takes powers of integer ratios m / den straight to integer
-mantissas at scale 2^-K (``_pow_mantissas``), so a caller that sums such
-terms, the twisted norm, builds no Fraction per term.
+t^(a/b) of a rational point is routed and decoded in one place,
+``_pow_point``, which returns both of its ends and takes one of two
+routes, chosen by cost.  The exact route is an exact integer power
+followed by an integer floor-root: nested integer square roots when b is
+a power of two, Newton iteration otherwise, and exact on perfect powers.
+It is taken when its largest operand, bounded by ``_exact_pow_bits`` at
+scale 2^-K, fits a fixed bit budget; the two ends then differ only by
+2^-K on the one floor-root.  The same floor-root, under the same budget,
+takes powers of integer ratios m / den straight to integer mantissas at
+scale 2^-K (``_pow_mantissas``), so a caller that sums such terms, the
+twisted norm, builds no Fraction per term.
 Otherwise the dyadic route takes iterated directed square roots and
 directed binary powers on integer mantissas at one binary exponent 2^-P,
 each rounded product a multiply and a shift.  Either way every bound is
@@ -349,8 +350,7 @@ class CRat:
         exact = self.abs_exact()
         if exact is not None:
             return Enclosure.point(exact)
-        m2 = Enclosure.point(self.abs2())
-        return _pow_box(m2, _HALF, _HALF, k + 2)
+        return Enclosure(*_pow_point(self.abs2(), _HALF, k + 2))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -617,7 +617,7 @@ def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
 # Dyadic-route results, keyed by (t, e, tb) for enclosures and by
 # (num, den, j, P) for square-root chains; emptied when it grows past 4096.
 _DYADIC_POW_CACHE: dict = {}
-# Largest operand, in bits, the exact power route may build (see _pow_dir).
+# Largest operand, in bits, the exact power route may build (see _pow_point).
 # Rational-track powers stay far below it (about 11k bits at most in the
 # tests and benchmark workloads); the Newton roots past it run to millions
 # of bits.
@@ -685,15 +685,15 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     raise OracleFailure("dyadic power failed to converge")
 
 
-def _exact_pow_bits(t: Fraction, e: Fraction, K: int) -> int:
+def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
     """Upper bound on the bit length of the largest operand the exact route
-    builds for t**e at scale 2^-K: t**a = n/d, and for b > 1 the bound
-    n * 2^(bK) * d^(b-1) on the root operand.  _floor_root divides by d
-    before the root, so its operands are smaller still; the (b-1) term is
-    kept because this bound decides which powers take the exact route,
-    and with it the digits that reports print."""
+    builds for (n/d)**e at scale 2^-K, n and d of num_bits and den_bits
+    bits: (n/d)**a for b = 1, else the bound n^a * 2^(bK) * d^(a(b-1)) on
+    the root operand.  _floor_root divides by d^a before the root, so its
+    operands are smaller still; the (b-1) term is kept because this bound
+    decides which powers take the exact route, and with it the digits that
+    reports print."""
     a, b = e.numerator, e.denominator
-    num_bits, den_bits = t.numerator.bit_length(), t.denominator.bit_length()
     if b == 1:
         return a * max(num_bits, den_bits)
     return a * num_bits + (b - 1) * a * den_bits + b * K
@@ -712,76 +712,55 @@ def _floor_root(num: int, den: int, b: int) -> tuple[int, bool]:
     return r, not rem and r ** b == q
 
 
-def _pow_exact(t: Fraction, e: Fraction, K: int) -> Optional[tuple[RatLike, bool]]:
-    """The exact route for t**e at scale 2^-K, or None where t**e does not
-    take it (t <= 0, t = 1, e = 1, or an operand past the budget).
+def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper bounds on t**e for rational t >= 0 and e > 0, at
+    most 2^-K apart and equal when the power is rational on the exact
+    route: the one router and decoder of a point power.
 
-    Forms t**a and an integer floor-root of it.  Returns (t**e, True) when
-    the power is rational, which the floor-root detects on perfect powers;
-    otherwise (s, False) for the integer s = floor(2^K t**e), so that
-    s / 2^K < t**e < (s + 1) / 2^K.  Both directed bounds read this one
-    result.
+    The route is chosen by cost, not by the height of e = a/b.  The exact
+    route forms t**a and takes one integer floor-root s of it for both
+    ends, s / 2^K < t**e < (s + 1) / 2^K, and returns perfect powers
+    exactly.  It is taken whenever its largest operand (bounded by
+    _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the budget,
+    typically a base of thousands of bits under a bracket exponent such as
+    128/193, Newton's method would run on millions of bits and converge
+    only linearly; the integer-mantissa dyadic route is taken instead.
     """
-    if t <= 0 or t == 1 or e == 1 or _exact_pow_bits(t, e, K) > _EXACT_POW_BUDGET:
-        return None
+    if t in (0, 1) or e == 1:
+        return t, t
+    n, d = t.numerator, t.denominator
+    if _exact_pow_bits(n.bit_length(), d.bit_length(), e, K) > _EXACT_POW_BUDGET:
+        enc = _pow_dyadic_enclosure(t, e, K)
+        return enc.lo, enc.hi
     a, b = e.numerator, e.denominator
     if b == 1:
-        return t ** a, True
-    n, d = t.numerator ** a, t.denominator ** a
+        q = t ** a
+        return q, q
+    n, d = n ** a, d ** a
     rn = iroot(n, b)
     if rn ** b == n:
         rd = iroot(d, b)
         if rd ** b == d:
-            return Fraction(rn, rd), True
-    return _floor_root(n << (b * K), d, b)[0], False
-
-
-def _pow_dir(t: Fraction, e: Fraction, K: int, up: bool) -> Fraction:
-    """Directed bound on t**e for t >= 0 and rational e > 0.
-
-    The route is chosen by cost, not by the height of e = a/b.  The exact
-    route (_pow_exact) forms t**a and takes an integer floor-root of it,
-    exact on perfect powers; it is taken whenever its largest operand
-    (bounded by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the
-    budget, typically a base of thousands of bits under a bracket exponent
-    such as 128/193, Newton's method would run on millions of bits and
-    converge only linearly; the integer-mantissa dyadic route is taken
-    instead.
-    """
-    if t < 0:
-        raise NegativeBase("power of a negative rational")
-    got = _pow_exact(t, e, K)
-    if got is not None:
-        q, exact = got
-        if exact:
-            return q
-        return Fraction(q + 1 if up else q, 1 << K)
-    if t == 0:
-        return _ZERO
-    if t == 1 or e == 1:
-        return t if e == 1 else _ONE
-    enc = _pow_dyadic_enclosure(t, e, K)
-    return enc.hi if up else enc.lo
+            q = Fraction(rn, rd)
+            return q, q
+    s = _floor_root(n << (b * K), d, b)[0]
+    return Fraction(s, 1 << K), Fraction(s + 1, 1 << K)
 
 
 def _pow_box(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Enclosure:
     """Outward enclosure of {t**e : t in x, e in [e_lo, e_hi]} for x >= 0.
 
     t**e is increasing in t, and monotone in e with direction decided by
-    the position of t relative to 1, so corner evaluation is sound.  A
-    point power on the exact route computes its power and root once, for
-    both ends.
+    the position of t relative to 1, so corner evaluation is sound.  When
+    both corners are one point power, as for a point x under a point
+    exponent, its one _pow_point result gives both ends.
     """
-    if x.lo == x.hi and e_lo == e_hi:
-        got = _pow_exact(x.lo, e_lo, K)
-        if got is not None:
-            q, exact = got
-            if exact:
-                return Enclosure(q, q)
-            return Enclosure(Fraction(q, 1 << K), Fraction(q + 1, 1 << K))
     lo_e = e_hi if x.lo < 1 else e_lo
     hi_e = e_hi if x.hi > 1 else e_lo
-    return Enclosure(_pow_dir(x.lo, lo_e, K, up=False), _pow_dir(x.hi, hi_e, K, up=True))
+    lo, hi = _pow_point(x.lo, lo_e, K)
+    if (x.hi, hi_e) != (x.lo, lo_e):
+        hi = _pow_point(x.hi, hi_e, K)[1]
+    return Enclosure(lo, hi)
 
 
 def _exp_gap(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Fraction:
@@ -791,9 +770,7 @@ def _exp_gap(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Fraction:
     for t in (x.lo,) if x.lo == x.hi else (x.lo, x.hi):
         if t in (0, 1):
             continue
-        a = _pow_dir(t, e_lo, K, up=False)
-        b = _pow_dir(t, e_hi, K, up=True)
-        gap = max(gap, abs(b - a))
+        gap = max(gap, abs(_pow_point(t, e_hi, K)[1] - _pow_point(t, e_lo, K)[0]))
     return gap
 
 
@@ -837,7 +814,7 @@ def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[i
     e = exp.fast
     if e is not None:
         a, b = e.numerator, e.denominator
-        if a * max(hi.bit_length(), den.bit_length()) + b * T <= _EXACT_POW_BUDGET:
+        if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) <= _EXACT_POW_BUDGET:
             den_a = den ** a
 
             def end(m: int) -> tuple[int, bool]:
@@ -862,8 +839,6 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     the output's magnitude, so that a subsequent root at the same k
     recovers the base without amplifying the rounding.
     """
-    if x.lo < 0:
-        raise NegativeBase(f"pow_p on negative enclosure {x}")
     extra = 0
     if x.hi < 1 and x.lo > 0:
         over = p.ub() - 1
@@ -876,15 +851,13 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     """Certified enclosure of {t**(1/p) : t in x} for a nonnegative
     enclosure, exceeding the exact image width by less than 2^-k.
 
-    A root is the power x^(1/p) and takes the route _pow_dir picks: an
+    A root is the power x^(1/p) and takes the route _pow_point picks: an
     integer floor-root after exact integer powering, or past the operand
     budget directed dyadic square roots and powers on integer mantissas.
     Either way both endpoints carry integer-arithmetic certificates; on
     the exact route rational roots (perfect powers) are detected and
     returned exactly.
     """
-    if x.lo < 0:
-        raise NegativeBase(f"root_p on negative enclosure {x}")
     return _pow_slack(x, p.reciprocal(), k)
 
 
@@ -893,10 +866,10 @@ def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
     q = Fraction(q)
     if q < 0:
         raise NegativeBase("sqrt of a negative rational")
-    point = Enclosure.point(q)
 
     def fn(k: int) -> Fraction:
-        return _pow_box(point, _HALF, _HALF, k + 2).midpoint
+        lo, hi = _pow_point(q, _HALF, k + 2)
+        return (lo + hi) / 2
 
     return ComputableReal(fn, label or f"sqrt({q})")
 
@@ -929,7 +902,7 @@ def norm_from_power_sum(
             t0 = pow2(-(k + 1))
             kt = frac_ceil(Fraction(k + 2) * p_ub) + 4
             _, e_hi = p.bracket(kt)
-            threshold = _pow_dir(t0, e_hi, kt, up=False)
+            threshold = _pow_point(t0, e_hi, kt)[0]
             if s.hi <= threshold:
                 return Enclosure(_ZERO, t0)
             K += max(8, k // 2)

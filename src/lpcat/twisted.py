@@ -397,8 +397,9 @@ def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, 
     so A / D = |a0|^2, B / D = 2 Re(a0 conj aj) and C / D = |aj|^2, with
     the u-precision guard g = 4 + ceil(log2(1 + |B/D| + 2A/D)), since the
     quadratic's u-derivative is at most |b| + 2a on [0, 1].  Writing each
-    scalar as (X + iY) / d over the product d of its two denominators
-    needs no gcd."""
+    scalar as (X + iY) / d over the product d of its two denominators, and
+    g - 4 as the bit length of ceil(N / D) - 1 for N = D + |B| + 2A, needs
+    no gcd."""
     d0 = alpha0.re.denominator * alpha0.im.denominator
     dj = alphaj.re.denominator * alphaj.im.denominator
     x0 = alpha0.re.numerator * alpha0.im.denominator
@@ -409,7 +410,7 @@ def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, 
     B = 2 * (x0 * xj + y0 * yj) * d0 * dj
     C = (xj * xj + yj * yj) * d0 * d0
     D = (d0 * dj) ** 2
-    return A, B, C, D, 4 + ceil_log2(Fraction(D + abs(B) + 2 * A, D))
+    return A, B, C, D, 4 + ((D + abs(B) + 2 * A - 1) // D).bit_length()
 
 
 def _u_mantissas(c: int, p: Exponent, ku: int, cache: dict) -> tuple[int, int]:
@@ -771,7 +772,6 @@ def identity_family(genset: TwistedGenSet, size: int) -> list[VectorRep]:
 
 def extract_scale(
     oracle: VectorRep,
-    p: Exponent,
     k: int,
     query_log: Optional[list] = None,
 ) -> Fraction:
@@ -798,13 +798,11 @@ def extract_scale(
     return out
 
 
-def scale_real(
-    oracle: VectorRep, p: Exponent, query_log: Optional[list] = None
-) -> ComputableReal:
+def scale_real(oracle: VectorRep, query_log: Optional[list] = None) -> ComputableReal:
     """(1 - gamma)^(-1/p) as a ComputableReal driven by the oracle; each
     oracle query appends its precisions to ``query_log`` when one is given."""
     return ComputableReal(
-        lambda k: extract_scale(oracle, p, k, query_log), f"scale[{oracle.label}]"
+        lambda k: extract_scale(oracle, k, query_log), f"scale[{oracle.label}]"
     )
 
 
@@ -881,7 +879,7 @@ def membership_bits(
     bit-by-bit membership, using only enumeration access to the set."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
-        gamma = gamma_from_scale(scale_real(oracle, p, query_log), p)
+        gamma = gamma_from_scale(scale_real(oracle, query_log), p)
     enum_view = ce.view(enumerate=True, decide=False)
     return [
         (n, decide_membership(gamma, enum_view, n, fuel=fuel))

@@ -1,0 +1,76 @@
+"""Source lint: every function parameter in ``src/lpcat`` is read.
+
+A parameter that no line of its function reads is an interface the code
+does not honour: callers pass a value that changes nothing.  Exempt are
+names with a leading underscore (kept unread on purpose), the instance or
+class a method is bound to, abstract methods whose body only raises
+NotImplementedError, and the interface defaults in ``ALLOWED``, whose
+subclasses read the argument.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lpcat"
+
+# Qualified function name -> parameters it may leave unread.
+ALLOWED = {
+    "GeneratingSet.vector_of": {"coeffs"},
+}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node, is_method) for every function, nested ones
+    named after their enclosing class or function."""
+
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child, in_class
+                yield from walk(child, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.", True)
+            else:
+                yield from walk(child, prefix, in_class)
+
+    yield from walk(tree, "", False)
+
+
+def _is_abstract(func: ast.FunctionDef) -> bool:
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Raise)
+        and "NotImplementedError" in ast.unparse(body[0])
+    )
+
+
+def _unread_parameters(func: ast.FunctionDef, is_method: bool) -> set[str]:
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(ast.unparse(d) == "staticmethod" for d in func.decorator_list)
+    if is_method and not static:
+        positional = positional[1:]
+    params = [*positional, *args.kwonlyargs, args.vararg, args.kwarg]
+    names = {a.arg for a in params if a is not None and not a.arg.startswith("_")}
+    read = {
+        node.id
+        for stmt in func.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return names - read
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func, is_method in _functions(tree):
+            if _is_abstract(func):
+                continue
+            missing = _unread_parameters(func, is_method) - ALLOWED.get(name, set())
+            unread += [f"{path.name}:{func.lineno} {name}({p})" for p in sorted(missing)]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

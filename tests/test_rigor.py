@@ -317,6 +317,11 @@ def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         j += max(16, tb // 2)
 
 
+def exact_bits(t: Fraction, e: Fraction, K: int) -> int:
+    """The exact route's operand bound for the point power t**e."""
+    return rigor._exact_pow_bits(t.numerator.bit_length(), t.denominator.bit_length(), e, K)
+
+
 def positive_rationals_but_one():
     side = st.integers(min_value=1, max_value=10**12)
     return st.builds(F, side, side).filter(lambda t: t != 1)
@@ -330,8 +335,9 @@ def exponents_up_to_three():
 
 
 class TestDyadicPowerKernel:
-    """The dyadic route of _pow_dir runs on integer mantissas; it must give
-    the very endpoints of the Fraction kernel it replaced."""
+    """The dyadic route of _pow_point, the one router of a point power,
+    runs on integer mantissas; it must give the very endpoints of the
+    Fraction kernel it replaced."""
 
     @settings(max_examples=40)
     @given(positive_rationals_but_one(), exponents_up_to_three(), st.integers(1, 80))
@@ -352,7 +358,7 @@ class TestDyadicPowerKernel:
         s = F(rng.getrandbits(1000) | 1 << 999, rng.getrandbits(1000) | 1 << 999)
         assert min(s.numerator.bit_length(), s.denominator.bit_length()) > 990
         for up in (False, True):
-            assert rigor._pow_dir(s ** 2, F(3, 2), 120, up) == s ** 3
+            assert rigor._pow_point(s ** 2, F(3, 2), 120)[up] == s ** 3
         got = pow_p(Enclosure.point(s ** 2), Exponent.from_rational(F(3, 2)), 120)
         assert got == Enclosure.point(s ** 3)
 
@@ -362,9 +368,8 @@ class TestDyadicPowerKernel:
         rng = random.Random(12)
         t = F(rng.getrandbits(1500) | 1 << 1499, rng.getrandbits(1500) | 1 << 1499)
         e = F(128, 193)
-        assert rigor._exact_pow_bits(t, e, 15) > rigor._EXACT_POW_BUDGET
-        lo = rigor._pow_dir(t, e, 15, up=False)
-        hi = rigor._pow_dir(t, e, 15, up=True)
+        assert exact_bits(t, e, 15) > rigor._EXACT_POW_BUDGET
+        lo, hi = rigor._pow_point(t, e, 15)
         assert hi - lo < pow2(-15)
         assert lo ** 193 <= t ** 128 <= hi ** 193
 
@@ -389,31 +394,41 @@ def point_powers():
 
 
 class TestPointPowers:
-    """A point power reads one exact-route result for both ends; it must
-    give the very endpoints of two directed calls."""
+    """A point box reads both of its ends off one _pow_point result; it
+    must give the very endpoints of that directed pair."""
 
     @settings(max_examples=60)
     @given(point_powers())
     def test_point_box_equals_two_directed_ends(self, case):
         t, e, K = case
         got = rigor._pow_box(Enclosure.point(t), e, e, K)
-        assert got == Enclosure(rigor._pow_dir(t, e, K, False), rigor._pow_dir(t, e, K, True))
+        assert got == Enclosure(*rigor._pow_point(t, e, K))
 
     @pytest.mark.parametrize("half_bits, over", [(16_000, False), (16_500, True)])
     def test_both_sides_of_the_budget(self, half_bits, over):
         """Square roots of a perfect square s^2 and of a non-square next to
-        it: exact below the budget, a dyadic interval past it."""
+        it: exact below the budget, a dyadic interval past it.  The
+        mantissa power reads the same budget: on a square m^2 / 4^(K+2),
+        whose root lies on its 2^-(K+2) grid, it returns l == h exactly
+        when the base is below the budget, at p = 1 so that p/2 = 1/2."""
         rng = random.Random(half_bits)
         s = F(rng.getrandbits(half_bits) | 1 << (half_bits - 1),
               rng.getrandbits(half_bits) | 1 << (half_bits - 1))
         e, K = F(1, 2), 10
         for t in (s * s, F(s.numerator ** 2 + 1, s.denominator ** 2)):
-            assert (rigor._exact_pow_bits(t, e, K) > rigor._EXACT_POW_BUDGET) == over
+            assert (exact_bits(t, e, K) > rigor._EXACT_POW_BUDGET) == over
             got = rigor._pow_box(Enclosure.point(t), e, e, K)
-            assert got == Enclosure(rigor._pow_dir(t, e, K, False), rigor._pow_dir(t, e, K, True))
+            assert got == Enclosure(*rigor._pow_point(t, e, K))
             assert got.lo ** 2 <= t <= got.hi ** 2
             assert got.width <= pow2(-K)
         assert (rigor._pow_box(Enclosure.point(s * s), e, e, K) == Enclosure.point(s)) != over
+        T = K + 2
+        m = rng.getrandbits(2 * half_bits) | 1 << (2 * half_bits - 1) | 1
+        num, den = m * m, 1 << (2 * T)
+        assert (exact_bits(F(num, den), e, T) > rigor._EXACT_POW_BUDGET) == over
+        l, h = rigor._pow_mantissas(num, num, den, Exponent.from_rational(1).half(), K)
+        assert l <= m <= h
+        assert (l == h) != over
 
 
 class TestMantissaPowers:

@@ -592,7 +592,7 @@ class TestScaleExtraction:
         gs = TwistedGenSet(CeSet.odds(), p1)
         oracle = e0_rep(gs)
         for k in (3, 8, 16):
-            assert abs(extract_scale(oracle, p1, k) - 3) < pow2(-k)
+            assert abs(extract_scale(oracle, k) - 3) < pow2(-k)
 
     def test_unimodular_independence(self, p1):
         """A unit multiple of e0 extracts the same scale: the modulus kills
@@ -601,18 +601,18 @@ class TestScaleExtraction:
         base = e0_rep(gs)
         for lam in (CRat.of(-1), CRat(F(3, 5), F(4, 5))):
             scaled = base.scaled(lam)
-            assert abs(extract_scale(scaled, p1, 10) - 3) < pow2(-10)
+            assert abs(extract_scale(scaled, 10) - 3) < pow2(-10)
 
     def test_consistency(self, p32):
         gs = TwistedGenSet(CeSet.primes(), p32)
-        s = scale_real(e0_rep(gs), p32)
+        s = scale_real(e0_rep(gs))
         for k in (2, 9, 15):
             assert abs(s.approx(k) - s.approx(k + 1)) < pow2(-k) + pow2(-k - 1)
 
     def test_query_log(self, p1):
         gs = TwistedGenSet(CeSet.odds(), p1)
         log = []
-        extract_scale(e0_rep(gs), p1, 6, query_log=log)
+        extract_scale(e0_rep(gs), 6, query_log=log)
         assert log and log[0]["k"] == 6 and log[0]["k_prime"] > 6
 
 
@@ -629,7 +629,7 @@ class TestGammaFromScale:
 
     def test_odds_p2_pipeline(self, p2):
         gs = TwistedGenSet(CeSet.odds(), p2)
-        s = scale_real(e0_rep(gs), p2)
+        s = scale_real(e0_rep(gs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = gamma_from_scale(s, p2)
