@@ -688,14 +688,14 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
 def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
     """Upper bound on the bit length of the largest operand the exact route
     builds for (n/d)**e at scale 2^-K, n and d of num_bits and den_bits
-    bits: (n/d)**a for b = 1, else the bound n^a * 2^(bK) * d^(a(b-1)) on
-    the root operand.  _floor_root divides by d^a before the root, so its
-    operands are smaller still; the (b-1) term is kept because this bound
-    decides which powers take the exact route, and with it the digits that
-    reports print."""
+    bits: the larger of n^a * 2^K and d^a for b = 1, else the bound
+    n^a * 2^(bK) * d^(a(b-1)) on the root operand n^a * 2^(bK), which also
+    covers d^a.  The (b-1) term is kept because this bound decides which
+    powers take the exact route, and with it the digits that reports
+    print."""
     a, b = e.numerator, e.denominator
     if b == 1:
-        return a * max(num_bits, den_bits)
+        return max(a * num_bits + K, a * den_bits)
     return a * num_bits + (b - 1) * a * den_bits + b * K
 
 
@@ -729,10 +729,11 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     if t in (0, 1) or e == 1:
         return t, t
     n, d = t.numerator, t.denominator
-    if _exact_pow_bits(n.bit_length(), d.bit_length(), e, K) > _EXACT_POW_BUDGET:
+    a, b = e.numerator, e.denominator
+    scale = K if b > 1 else 0  # an integer power is built unshifted
+    if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
         enc = _pow_dyadic_enclosure(t, e, K)
         return enc.lo, enc.hi
-    a, b = e.numerator, e.denominator
     if b == 1:
         q = t ** a
         return q, q

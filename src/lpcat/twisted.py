@@ -222,7 +222,6 @@ class CeSet:
                 while nxt in self._pinned_elements:
                     nxt = next(self._natural_iter)
             self._order.append(nxt)
-            self._left_sums.append(self._left_sums[-1] + pow2(-nxt))
 
     def element_at(self, s: int) -> int:
         """c_s, the element enumerated at stage s."""
@@ -241,11 +240,17 @@ class CeSet:
             return tuple(self._order[: s + 1])
 
     def left_sum(self, s: int) -> Fraction:
-        """gamma_s = sum over the first s+1 enumerated elements of 2^-c."""
+        """gamma_s = sum over the first s+1 enumerated elements of 2^-c.
+        The exact sums are built only as far as asked: on a sparse set
+        their denominators grow with the largest element (about 1.3M bits
+        after 100,000 primes), which a scan of ``element_at`` never pays."""
         with self._lock:
             self._extend_order(s)
             self.stats.record(max_stage=s)
-            return self._left_sums[s + 1]
+            sums = self._left_sums
+            for c in self._order[len(sums) - 1 : s + 1]:
+                sums.append(sums[-1] + pow2(-c))
+            return sums[s + 1]
 
     # -- decision mode ---------------------------------------------------------
 
@@ -839,6 +844,52 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
     return ComputableReal(fn, f"gamma-from-{s.label}")
 
 
+def _decide_bits(
+    gamma: ComputableReal, enum: CeSet | CeView, n_max: int, fuel: int
+) -> list[bool]:
+    """Membership of 1, ..., N = n_max in C from one gamma query and one
+    scan of the enumeration.
+
+    The query at precision N + 3 gives g with |g - gamma| < 2^-(N+3).  Bit
+    n is read at the first stage whose left sum clears t_n = g - 2^-(n+2).
+    For every n <= N, gamma - t_n lies in (2^-(n+3), 2^-(n+1)), so past
+    that stage the mass not yet enumerated is below 2^-n, and n is in C
+    iff it has already been enumerated.  The thresholds grow with n, so
+    one forward scan reads every bit.
+
+    The scan keeps the left sum as an integer at scale 2^-(N+4), over the
+    elements up to N + 4 only.  That sum never exceeds the true left sum,
+    so clearing t_n still certifies the bit; the mass it drops is at most
+    2^-(N+4), below gamma - t_n - 2^-(n+4), so a correct oracle still
+    clears every threshold.  An oracle that overshoots gamma may never
+    let it, and ``fuel`` stages bound the scan.
+    """
+    if n_max < 1:
+        return []
+    scale = n_max + 4
+    g = gamma.approx(n_max + 3)
+    # total > t_n 2^scale iff total > floor(g 2^scale) - 2^(scale-n-2),
+    # total being an integer; n = len(bits) + 1 is the next bit.
+    top = (g.numerator << scale) // g.denominator
+    element_at = enum.element_at
+    seen = bytearray(n_max + 1)
+    bits: list[bool] = []
+    total = 0
+    for s in range(fuel):
+        c = element_at(s)
+        if c <= scale:
+            total += 1 << (scale - c)
+            if c <= n_max:
+                seen[c] = 1
+        while total > top - (1 << (scale - len(bits) - 3)):
+            bits.append(bool(seen[len(bits) + 1]))
+            if len(bits) == n_max:
+                return bits
+    raise OracleFailure(
+        f"enumeration fuel exhausted at {fuel} stages; gamma oracle likely corrupt"
+    )
+
+
 def decide_membership(
     gamma: ComputableReal,
     enum: CeSet | CeView,
@@ -846,24 +897,14 @@ def decide_membership(
     *,
     fuel: int = 100000,
 ) -> bool:
-    """Membership of n in C from a gamma oracle plus enumeration access.
-
-    Request gamma to within 2^-(n+2), enumerate until the left sum clears
-    the approximation minus its tolerance; past that point the remaining
-    mass is below 2^-n, so n is in C iff it has already been enumerated.
-    """
+    """Membership of n in C from a gamma oracle plus enumeration access:
+    the N = n case of the one-query scan of ``membership_bits``, with gamma
+    read to within 2^-(n+3)."""
     if n < 0:
         raise ValueError("membership queries take natural numbers")
     if n == 0:
         return False
-    m = n + 2
-    threshold = gamma.approx(m) - pow2(-m)
-    for s in range(fuel):
-        if enum.left_sum(s) > threshold:
-            return n in enum.prefix(s)
-    raise OracleFailure(
-        f"enumeration fuel exhausted at {fuel} stages; gamma oracle likely corrupt"
-    )
+    return _decide_bits(gamma, enum, n, fuel)[-1]
 
 
 def membership_bits(
@@ -876,15 +917,18 @@ def membership_bits(
     query_log: Optional[list] = None,
 ) -> list[tuple[int, bool]]:
     """The full reverse pipeline: scale extraction, gamma recovery, then
-    bit-by-bit membership, using only enumeration access to the set."""
+    membership of 1, ..., n_max, using only enumeration access to the set.
+
+    The oracle is queried twice: once at precision 8 for the degenerate
+    scale check, and once at the top, where one approximation of gamma to
+    within 2^-(n_max+3) decides every bit (see ``_decide_bits``).
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
         gamma = gamma_from_scale(scale_real(oracle, query_log), p)
     enum_view = ce.view(enumerate=True, decide=False)
-    return [
-        (n, decide_membership(gamma, enum_view, n, fuel=fuel))
-        for n in range(1, n_max + 1)
-    ]
+    bits = _decide_bits(gamma, enum_view, n_max, fuel)
+    return list(enumerate(bits, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ GOLDEN = {
     ),
     "extract": (
         ["extract", "--p", "1", "--ce-set", "odds", "--n-max", "12"],
-        "ed51e9d9d8aaa882b832eec76b51e122310e899fbef5bc90202d759b99a1afd4", None,
+        "5f2465255064673d9882969d597272da34f720e0d206a3762904078e4e867ed2", None,
     ),
     "classify": (
         ["classify", "--p", "3/2", "--input", str(DATA / "descriptor_swap.json"), "--tol", "8"],
@@ -290,7 +290,7 @@ GOLDEN = {
     ),
     "oracle-extract": (
         ["extract", "--p", "oracle:1.5:400", "--ce-set", "odds", "--n-max", "4"],
-        "d703de4e5ed84a4404b8de050a75b4241e576da7fc3200788b2d397e6bffd3ab", None,
+        "3c00e0d1a329b6575fe0711663a5d363c812e38994676034db1660d4e21e852d", None,
     ),
     "oracle-demo-rotation": (
         ["demo", "--scenario", "rotation", "--p", "oracle:1.5:400", "--samples", "5"],

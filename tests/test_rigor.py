@@ -479,6 +479,28 @@ class TestMantissaPowers:
         # allowed is 2^-K, which is 4 units.
         assert oh - ol < max(h - l - 2, 0) + 4
 
+    def test_integer_power_counts_its_shift(self, monkeypatch):
+        """At p = 2 the mantissa power is m^1 << (K + 2) over den: the
+        budget must count the shift.  Left out, a 65,536-bit upper end at
+        K = 30 handed _floor_root a 65,568-bit operand; K + 2 bits less and
+        the exact route still runs, exactly at the budget."""
+        floor_root = rigor._floor_root
+        operands = []
+
+        def guarded(num, den, b):
+            operands.append(max(num.bit_length(), den.bit_length()))
+            return floor_root(num, den, b)
+
+        monkeypatch.setattr(rigor, "_floor_root", guarded)
+        half, K = Exponent.from_rational(2).half(), 30
+        T = K + 2
+        rng = random.Random(30)
+        for bits in (rigor._EXACT_POW_BUDGET - T, rigor._EXACT_POW_BUDGET):
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            l, h = rigor._pow_mantissas(m, m, 3, half, K)
+            assert 3 * l <= m << T <= 3 * h
+        assert operands == [rigor._EXACT_POW_BUDGET]
+
 
 class TestComputableReal:
     def test_refine_contract(self):

@@ -43,8 +43,10 @@ from lpcat import (
     rep_with_offset_fault,
     scale_real,
 )
+from lpcat import twisted
+from lpcat.cli import main
 from lpcat.rigor import ComputableReal, ceil_log2
-from lpcat.twisted import _epsilon_mantissas, _quad_coefficients, _quad_in_u
+from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
 
@@ -689,3 +691,74 @@ class TestMembership:
         gamma = ComputableReal.constant(F(2, 3))
         assert decide_membership(gamma, ce.view(decide=False), 9) is True
         assert ce.stats.decide_calls == 0
+
+    def test_upward_corruption_on_a_sparse_set_exhausts_fuel(self):
+        """The fuel bound holds on the primes too: the scan reads elements,
+        not exact left sums, whose denominators past stage 8000 alone run
+        to about 80k bits and took tens of seconds to build."""
+        ce = CeSet.primes()
+        gamma = real_with_offset_fault(ce.gamma_real(), F(1, 8))
+        with pytest.raises(OracleFailure):
+            decide_membership(gamma, ce.view(decide=False), 6, fuel=20000)
+
+    @pytest.mark.parametrize("elements", [[2, 5, 9], [1, 3, 4, 8, 13], [3, 6, 7, 10, 11, 12, 17]])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_query_at_the_edge(self, elements, sign):
+        """A gamma oracle off by just under its tolerance, either way: every
+        bit up to N read from the one query at N + 3, and each single bit
+        read from its own query at n + 3, is still right."""
+        ce = CeSet.explicit(elements)
+        exact = ce.exact_gamma()
+        gamma = ComputableReal(lambda k: exact + sign * (pow2(-k) - pow2(-(k + 20))))
+        view = ce.view(decide=False)
+        want = [ce.decide(n) for n in range(1, 25)]
+        for n_max in (1, 6, 13, 24):
+            assert _decide_bits(gamma, view, n_max, 100000) == want[:n_max]
+        assert [decide_membership(gamma, view, n) for n in range(1, 25)] == want
+
+    @given(
+        st.sets(st.integers(1, 40), min_size=1, max_size=16).filter(lambda s: len(s) < max(s)),
+        st.integers(0, 4),
+        st.sampled_from([F(1), F(3, 2), F(2)]),
+        st.integers(1, 40),
+    )
+    def test_membership_bits_match_ground_truth(self, elements, delayed, p, n_max):
+        """Explicit and throttled sets: the one-query extraction agrees with
+        the decision procedure on every bit."""
+        ce = CeSet.explicit(elements)
+        pinned = sorted(elements)[-delayed:] if delayed else []
+        if pinned:
+            ce = ce.with_delays([(e, 2 * len(elements) + i) for i, e in enumerate(pinned)])
+        pe = Exponent.from_rational(p)
+        bits = membership_bits(e0_rep(TwistedGenSet(ce, pe)), pe, ce, n_max)
+        assert bits == [(n, ce.decide(n)) for n in range(1, n_max + 1)]
+
+    def test_query_count_does_not_grow_with_n_max(self, p1):
+        """One degenerate-scale check and one top query, however many bits."""
+        lengths = []
+        for n_max in (4, 20, 40):
+            ce = CeSet.odds()
+            log = []
+            membership_bits(e0_rep(TwistedGenSet(ce, p1)), p1, ce, n_max, query_log=log)
+            lengths.append(len(log))
+        assert lengths[0] == lengths[1] == lengths[2] == 2
+
+
+@pytest.mark.parametrize("n_max", [4, 20, 40])
+def test_extract_approx_e0_work(tmp_path, monkeypatch, n_max):
+    """Work guard, free of timing noise: approx_e0 runs in one extract.
+    It ran n_max + 1 times while each bit queried gamma at its own
+    precision; one top query leaves the bootstrap, the degenerate-scale
+    check and the top query itself."""
+    calls = 0
+    approx = twisted.approx_e0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return approx(*args)
+
+    monkeypatch.setattr(twisted, "approx_e0", counted)
+    argv = ["extract", "--ce-set", "odds", "--p", "3/2", "--n-max", str(n_max)]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert calls <= 3
