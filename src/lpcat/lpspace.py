@@ -131,10 +131,7 @@ def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
     Exact whenever every |a_n|^p and the final root are rational, e.g.
     p = 1 with real rational coordinates, or Pythagorean points.
     """
-    if v.is_zero:
-        return Enclosure.point(0)
-    terms = [Enclosure.point(c.abs2()) for _, c in v.coords]
-    return norm_from_power_sum(lambda K: abs2_pow_sum(terms, p, K), p, k)
+    return norm_of_abs2_terms([Enclosure.point(c.abs2()) for _, c in v.coords], p, k)
 
 
 def norm_of_abs2_terms(

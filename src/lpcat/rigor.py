@@ -393,32 +393,76 @@ class Counters:
         return {name: getattr(self, name) for name in self._fields}
 
 
+# Entries a MemoTable holds before it evicts its oldest.
+_MEMO_BOUND = 1 << 13
+_MISSING = object()
+
+
+class MemoTable:
+    """The one memo table type: every cache that outlives a call is one.
+
+    ``get(key, compute)`` returns the value stored under key, or stores and
+    returns ``compute()``.  A hit is one dict read, without the lock.  A
+    miss computes under the table's reentrant lock, so racing threads
+    compute each key once, and a computation may fill other keys of the
+    same table.  Past ``_MEMO_BOUND`` entries the oldest stored is evicted.
+    ``stats`` counts misses and evictions; hits go uncounted, so a hit
+    stays one read.
+    """
+
+    def __init__(self):
+        self._data: dict = {}
+        self._lock = threading.RLock()
+        self.stats = Counters(misses=0, evictions=0)
+
+    def get(self, key, compute: Callable[[], object]):
+        try:
+            return self._data[key]
+        except KeyError:
+            pass
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                value = compute()
+                self.stats.record("misses")
+                while len(self._data) >= _MEMO_BOUND:
+                    del self._data[next(iter(self._data))]
+                    self.stats.record("evictions")
+                self._data[key] = value
+            return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+
 class PrecisionOracle:
     """An answer function ``fn(k)`` of a precision index k, memoised.
 
-    Each k is computed once, under a lock, and coerced by the subclass's
+    Each k is computed once, in a MemoTable, and coerced by the subclass's
     ``_coerce``, so repeated queries are deterministic and cheap; ``stats``
     counts queries and the largest precision requested, which is how
-    reductions downstream get their empirical cost accounting.
+    reductions downstream get their empirical cost accounting.  Hits are
+    ``stats.count`` less the table's misses.
     """
 
     def __init__(self, fn: Callable[[int], object], label: str):
         self._fn = fn
-        self._cache: dict = {}
-        self._lock = threading.RLock()
+        self._cache = MemoTable()
         self.label = label
         self.stats = Counters(count=0, max_k=-1)
 
     def _lookup(self, k: int):
         if k < 0:
             raise ValueError("precision index must be nonnegative")
-        with self._lock:
-            self.stats.record("count", max_k=k)
-            got = self._cache.get(k)
-            if got is None:
-                got = self._coerce(self._fn(k))
-                self._cache[k] = got
-            return got
+        self.stats.record("count", max_k=k)
+        return self._cache.get(k, lambda: self._coerce(self._fn(k)))
 
 
 class ComputableReal(PrecisionOracle):
@@ -498,7 +542,7 @@ class Exponent:
         if not _checked:
             raise ConfigError("use Exponent.from_rational or Exponent.from_real")
         self._bracket = _real_bracket(real)
-        self._views: dict = {}
+        self._views = MemoTable()
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Exponent":
@@ -527,32 +571,28 @@ class Exponent:
 
     def half(self) -> "Exponent":
         """p/2, which takes a squared modulus |a|^2 to |a|^p."""
-        return self._view("p/2", lambda lo, hi: (lo / 2, hi / 2))
+        return self._views.get("p/2", lambda: self._view("p/2", lambda lo, hi: (lo / 2, hi / 2)))
 
     def reciprocal(self) -> "Exponent":
         """1/p, the exponent of a p-th root."""
-        return self._view("1/p", lambda lo, hi: (1 / hi, 1 / lo))
+        return self._views.get("1/p", lambda: self._view("1/p", lambda lo, hi: (1 / hi, 1 / lo)))
 
     def _view(self, name: str, f: Callable[[Fraction, Fraction], tuple]) -> "Exponent":
         """The exponent whose bracket is f(lo, hi) of this exponent's bracket
-        taken one bit finer, built on first use.  Its fast value is f at the
-        point fast, and its oracle f at the point approx(k + 2): within 2^-k,
-        since |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for p >= 1.
-        Threads racing on first use may each build one, but all of them get
-        the one stored."""
-        view = self._views.get(name)
-        if view is None:
+        taken one bit finer; ``half`` and ``reciprocal`` build each view
+        once, in ``_views``.  Its fast value is f at the point fast, and its
+        oracle f at the point approx(k + 2): within 2^-k, since
+        |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for p >= 1."""
 
-            def point(q: Fraction) -> Fraction:
-                return f(q, q)[0]
+        def point(q: Fraction) -> Fraction:
+            return f(q, q)[0]
 
-            fast = None if self.fast is None else point(self.fast)
-            real = ComputableReal(
-                lambda k: point(self.real.approx(k + 2)), f"{name}[{self.real.label}]"
-            )
-            view = Exponent(real, fast, _checked=True)
-            view._bracket = lambda k: f(*self._bracket(k + 1))
-            view = self._views.setdefault(name, view)
+        fast = None if self.fast is None else point(self.fast)
+        real = ComputableReal(
+            lambda k: point(self.real.approx(k + 2)), f"{name}[{self.real.label}]"
+        )
+        view = Exponent(real, fast, _checked=True)
+        view._bracket = lambda k: f(*self._bracket(k + 1))
         return view
 
     def __repr__(self) -> str:
@@ -615,8 +655,9 @@ def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
 
 
 # Dyadic-route results, keyed by (t, e, tb) for enclosures and by
-# (num, den, j, P) for square-root chains; emptied when it grows past 4096.
-_DYADIC_POW_CACHE: dict = {}
+# (num, den, j, P) for square-root chains: both ends of an exponent
+# bracket, and each refinement of it, share the same chains.
+_DYADIC_POW_CACHE = MemoTable()
 # Largest operand, in bits, the exact power route may build (see _pow_point).
 # Rational-track powers stay far below it (about 11k bits at most in the
 # tests and benchmark workloads); the Newton roots past it run to millions
@@ -624,21 +665,9 @@ _DYADIC_POW_CACHE: dict = {}
 _EXACT_POW_BUDGET = 1 << 16
 
 
-def _cache_dyadic(key, value):
-    if len(_DYADIC_POW_CACHE) > 4096:
-        _DYADIC_POW_CACHE.clear()
-    _DYADIC_POW_CACHE[key] = value
-    return value
-
-
 def _root_chains(num: int, den: int, j: int, P: int) -> tuple[int, int]:
     """Mantissas at scale 2^P of lower and upper bounds on (num/den)^(2^-j),
-    for num/den > 1, by j directed square roots.  Cached: both ends of an
-    exponent bracket, and each refinement of it, share the same chains."""
-    key = (num, den, j, P)
-    got = _DYADIC_POW_CACHE.get(key)
-    if got is not None:
-        return got
+    for num/den > 1, by j directed square roots."""
     # The first root is taken straight from tt * 4^P, rounded down
     # resp. up, so the upper chain starts above sqrt(tt) even when the
     # floor of tt * 4^P happens to be a perfect square.
@@ -648,7 +677,7 @@ def _root_chains(num: int, den: int, j: int, P: int) -> tuple[int, int]:
     for _ in range(j - 1):
         r_lo = _sqrt_dyadic(r_lo << P, up=False)
         r_hi = _sqrt_dyadic(r_hi << P, up=True)
-    return _cache_dyadic(key, (r_lo, r_hi))
+    return r_lo, r_hi
 
 
 def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
@@ -662,10 +691,6 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     end.  Cost is O(j + log m) rounded multiplies, independent of e's
     denominator.
     """
-    key = (t, e, tb)
-    got = _DYADIC_POW_CACHE.get(key)
-    if got is not None:
-        return got
     invert = t < 1
     tt = 1 / t if invert else t
     num, den = tt.numerator, tt.denominator
@@ -675,12 +700,14 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         P = tb + j + 2 * mag + frac_ceil(e * mag) + 16
         m_lo = frac_floor(e * (1 << j))
         m_hi = frac_ceil(e * (1 << j))
-        r_lo, r_hi = _root_chains(num, den, j, P)
+        r_lo, r_hi = _DYADIC_POW_CACHE.get(
+            (num, den, j, P), lambda: _root_chains(num, den, j, P)
+        )
         lo = Fraction(_ipow_dyadic(r_lo, m_lo, P, up=False), 1 << P)
         hi = Fraction(_ipow_dyadic(r_hi, m_hi, P, up=True), 1 << P)
         enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
         if enc.width < pow2(-tb):
-            return _cache_dyadic(key, enc)
+            return enc
         j += max(16, tb // 2)
     raise OracleFailure("dyadic power failed to converge")
 
@@ -732,7 +759,7 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0  # an integer power is built unshifted
     if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
-        enc = _pow_dyadic_enclosure(t, e, K)
+        enc = _DYADIC_POW_CACHE.get((t, e, K), lambda: _pow_dyadic_enclosure(t, e, K))
         return enc.lo, enc.hi
     if b == 1:
         q = t ** a

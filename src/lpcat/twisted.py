@@ -54,9 +54,11 @@ from .rigor import (
     DegenerateScaleWarning,
     Enclosure,
     Exponent,
+    MemoTable,
     OracleFailure,
     ceil_log2,
     frac_floor,
+    norm_from_power_sum,
     pow2,
     root_p,
     simplest_between,
@@ -73,7 +75,6 @@ from .genset import (
     ZetaGenSet,
     exact_rep,
 )
-from .rigor import norm_from_power_sum
 
 
 class AccessViolation(RuntimeError):
@@ -418,54 +419,38 @@ def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, 
     return A, B, C, D, 4 + ((D + abs(B) + 2 * A - 1) // D).bit_length()
 
 
-def _u_mantissas(c: int, p: Exponent, ku: int, cache: dict) -> tuple[int, int]:
-    """Floor and ceiling mantissas at scale 2^-(ku+2) of 2^(-c/p) =
-    (2^-c)^(1/p), memoised in ``cache`` under (c, ku)."""
-    key = (c, ku)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku)
-    return got
-
-
-def _abs_pow(a: Fraction, half: Exponent, kt: int, a_pows: dict) -> tuple[int, int]:
-    """|a0|^p = a^(p/2) for a = |a0|^2, as mantissas at scale 2^-(kt+2).  It
-    depends only on a0 and kt, so one sum shares it through ``a_pows``."""
-    got = a_pows.get(kt)
-    if got is None:
-        got = a_pows[kt] = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, kt)
-    return got
-
-
 def _epsilon_mantissas(
     quad: tuple[int, int, int, int, int],
     a: Fraction,
+    a_pow: tuple[int, int],
     c: int,
     p: Exponent,
     K: int,
-    ucache: dict,
-    a_pows: dict,
+    ucache: MemoTable,
 ) -> tuple[int, int]:
     """Mantissas at scale 2^-(K+5) of a certified E_j = |a0 u + aj|^p -
     |a0|^p 2^-c, u = 2^(-c/p), of width below 2^-K; ``quad`` is
-    _quad_coefficients(a0, aj) and a = |a0|^2.
+    _quad_coefficients(a0, aj), a = |a0|^2, and ``a_pow`` is |a0|^p =
+    a^(p/2) as mantissas at scale 2^-(K+5), shared by every term of a sum.
 
     u comes as mantissas U at scale 2^-Q; the quadratic is then one
     integer polynomial A U^2 + B 2^Q U + C 4^Q over D 4^Q, floored for the
-    low end and ceiled for the high end at scale 2^-2Q.  Its p/2 power and
-    |a0|^p come from _pow_mantissas at scale 2^-(kt+2), and the subtraction
-    of |a0|^p 2^-c lands on the sum's scale with one directed shift per
-    end.  u's precision ku is a multiple of the retry step 8, so the
-    ``ucache`` key (c, ku) does not follow the coefficients' sizes.
+    low end and ceiled for the high end at scale 2^-2Q.  Its p/2 power
+    comes from _pow_mantissas at scale 2^-(kt+2), as does |a0|^p on a
+    retry, and the subtraction of |a0|^p 2^-c lands on the sum's scale
+    with one directed shift per end.  u's precision ku is a multiple of
+    the retry step 8, so the ``ucache`` key (c, ku) does not follow the
+    coefficients' sizes.
     """
     A, B, C, D, guard = quad
     half = p.half()
     W = K + 5
     ku = -(-(K + guard) // 8) * 8
     kt = K + 3
+    ap_lo, ap_hi = a_pow
     for _ in range(40):
         Q = ku + 2
-        ul, uh = _u_mantissas(c, p, ku, ucache)
+        ul, uh = ucache.get((c, ku), lambda: _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku))
         BQ, CQ = B << Q, C << (2 * Q)
         if B >= 0:
             lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
@@ -474,7 +459,6 @@ def _epsilon_mantissas(
         m_lo = max((lo + CQ) // D, 0)
         m_hi = max(-((-hi - CQ) // D), 0)
         t_lo, t_hi = _pow_mantissas(m_lo, m_hi, 1 << (2 * Q), half, kt)
-        ap_lo, ap_hi = _abs_pow(a, half, kt, a_pows)
         drop = kt + 2 + c - W
         lo = ((t_lo << c) - ap_hi) >> drop
         hi = -((ap_lo - (t_hi << c)) >> drop)
@@ -482,6 +466,7 @@ def _epsilon_mantissas(
             return lo, hi
         ku += 8
         kt += 8
+        ap_lo, ap_hi = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, kt)
     raise OracleFailure("epsilon term failed to converge")
 
 
@@ -491,7 +476,9 @@ def epsilon_j(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
         raise ConfigError("enumerated elements are >= 1")
     alpha0 = CRat.of(alpha0)
     quad = _quad_coefficients(alpha0, CRat.of(alphaj))
-    lo, hi = _epsilon_mantissas(quad, alpha0.abs2(), c, p, k, {}, {})
+    a = alpha0.abs2()
+    a_pow = _pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), k + 3)
+    lo, hi = _epsilon_mantissas(quad, a, a_pow, c, p, k, MemoTable())
     return Enclosure(Fraction(lo, 1 << (k + 5)), Fraction(hi, 1 << (k + 5)))
 
 
@@ -517,7 +504,7 @@ class TwistedGenSet(GeneratingSet):
         super().__init__(p, field_mode, label or f"F[{ce.label}]")
         self.ce = ce
         self._enum = ce.view(enumerate=True, decide=False)
-        self._ucache: dict = {}
+        self._ucache = MemoTable()
 
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
         cs = tuple(CRat.of(c) for c in coeffs)
@@ -533,10 +520,10 @@ class TwistedGenSet(GeneratingSet):
         def sum_at(K: int) -> Enclosure:
             # |a0|^p and every E_j at scale 2^-(per+5), summed as two integers.
             per = K + ceil_log2(Fraction(m + 2))
-            a_pows: dict = {}
-            lo, hi = _abs_pow(a, half, per + 3, a_pows)
+            a_pow = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, per + 3)
+            lo, hi = a_pow
             for quad, c in terms:
-                e_lo, e_hi = _epsilon_mantissas(quad, a, c, self.p, per, self._ucache, a_pows)
+                e_lo, e_hi = _epsilon_mantissas(quad, a, a_pow, c, self.p, per, self._ucache)
                 lo += e_lo
                 hi += e_hi
             scale = 1 << (per + 5)

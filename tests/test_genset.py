@@ -122,19 +122,52 @@ class TestNormOracle:
                 )
 
     def test_concurrent_queries(self, p32):
-        """Oracles are safe for concurrent sessions: parallel queries give
-        the same certified answers as a sequential run."""
+        """Oracles are safe for concurrent sessions: parallel queries on
+        shared presentations, over a rational and over an oracle exponent,
+        give the same certified answers as a sequential run, and the shared
+        exponent oracle computes each precision once."""
         import concurrent.futures
+        import sys
+        import threading
+        import time
+        from collections import Counter
 
-        from lpcat import CeSet, TwistedGenSet
+        from lpcat import CeSet, ComputableReal, TwistedGenSet, sqrt_real
 
-        gs = TwistedGenSet(CeSet.odds(), p32)
-        jobs = [([CRat.of(F(i, 3)), CRat.of(F(1, i + 1))], 12 + i) for i in range(1, 9)]
-        expected = [TwistedGenSet(CeSet.odds(), p32).norm_query(c, k) for c, k in jobs]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda job: gs.norm_query(*job), jobs))
+        root2 = sqrt_real(2)
+        calls: Counter = Counter()
+        calls_lock = threading.Lock()
+
+        def counted(k):
+            # A slow oracle: the sleep lets other threads ask for the same k.
+            with calls_lock:
+                calls[k] += 1
+            time.sleep(1e-3)
+            return root2.approx(k)
+
+        p_oracle = Exponent.from_real(ComputableReal(counted, "sqrt2"))
+        shared = [TwistedGenSet(CeSet.odds(), p) for p in (p32, p_oracle)]
+        serial = [
+            TwistedGenSet(CeSet.odds(), p) for p in (p32, Exponent.from_real(sqrt_real(2)))
+        ]
+        jobs = [
+            (g, [CRat.of(F(i, 3)), CRat.of(F(1, i + 1))], 12 + i)
+            for i in range(1, 9)
+            for g in (0, 1)
+        ]
+        expected = [serial[g].norm_query(c, k) for g, c, k in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(
+                    pool.map(lambda job: shared[job[0]].norm_query(*job[1:]), jobs, timeout=120)
+                )
+        finally:
+            sys.setswitchinterval(interval)
         assert got == expected
-        assert gs.stats.count == len(jobs)
+        assert [gs.stats.count for gs in shared] == [len(jobs) // 2] * 2
+        assert calls and set(calls.values()) == {1}
 
 
 class TestReps:

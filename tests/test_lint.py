@@ -1,11 +1,15 @@
-"""Source lint: every function parameter in ``src/lpcat`` is read.
+"""Source lint for ``src/lpcat``.
 
-A parameter that no line of its function reads is an interface the code
-does not honour: callers pass a value that changes nothing.  Exempt are
-names with a leading underscore (kept unread on purpose), the instance or
-class a method is bound to, abstract methods whose body only raises
-NotImplementedError, and the interface defaults in ``ALLOWED``, whose
-subclasses read the argument.
+Every function parameter is read.  A parameter that no line of its
+function reads is an interface the code does not honour: callers pass a
+value that changes nothing.  Exempt are names with a leading underscore
+(kept unread on purpose), the instance or class a method is bound to,
+abstract methods whose body only raises NotImplementedError, and the
+interface defaults in ``ALLOWED``, whose subclasses read the argument.
+
+Every cache is a ``rigor.MemoTable``: no module-level name or ``self.``
+attribute is bound to an empty dict outside that class, save the tables
+in ``NOT_CACHES``.
 """
 
 import ast
@@ -17,6 +21,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lpcat"
 ALLOWED = {
     "GeneratingSet.vector_of": {"coeffs"},
 }
+
+# Dicts kept on an object that are not memo tables: a delay schedule.
+NOT_CACHES = {"CeSet._pinned_by_stage"}
 
 
 def _functions(tree: ast.Module):
@@ -74,3 +81,50 @@ def test_every_parameter_is_read():
             missing = _unread_parameters(func, is_method) - ALLOWED.get(name, set())
             unread += [f"{path.name}:{func.lineno} {name}({p})" for p in sorted(missing)]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _is_empty_dict(node) -> bool:
+    if isinstance(node, ast.Call):
+        return ast.unparse(node) == "dict()"
+    return isinstance(node, ast.Dict) and not node.keys
+
+
+def _empty_dict_bindings(tree: ast.Module):
+    """(name, line) of each module-level name and each ``self.`` attribute
+    bound to an empty dict, the attribute named after its class; the
+    MemoTable class itself is skipped."""
+
+    def targets(stmt):
+        if isinstance(stmt, ast.Assign) and _is_empty_dict(stmt.value):
+            return stmt.targets
+        if isinstance(stmt, ast.AnnAssign) and _is_empty_dict(stmt.value):
+            return [stmt.target]
+        return []
+
+    for stmt in tree.body:
+        for target in targets(stmt):
+            if isinstance(target, ast.Name):
+                yield target.id, stmt.lineno
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name == "MemoTable":
+            continue
+        for stmt in ast.walk(cls):
+            for target in targets(stmt):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    yield f"{cls.name}.{target.attr}", stmt.lineno
+
+
+def test_every_cache_is_a_memo_table():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [
+            f"{path.name}:{line} {name}"
+            for name, line in _empty_dict_bindings(tree)
+            if name not in NOT_CACHES
+        ]
+    assert not stray, "dicts that should be MemoTables:\n" + "\n".join(stray)

@@ -38,14 +38,16 @@ from lpcat import (
     f0_norm_sandwich,
     gamma_from_scale,
     membership_bits,
+    norm_p,
     pow2,
     real_with_offset_fault,
     rep_with_offset_fault,
     scale_real,
+    sqrt_real,
 )
 from lpcat import twisted
 from lpcat.cli import main
-from lpcat.rigor import ComputableReal, ceil_log2
+from lpcat.rigor import ComputableReal, MemoTable, ceil_log2
 from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
@@ -354,9 +356,10 @@ class TestEpsilonKernel:
         kernel used, at the try it stopped on, it contains the reference."""
         p = KERNEL_EXPONENTS[name]
         a = alpha0.abs2()
-        ucache: dict = {}
+        a_pow = rigor._pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), K + 3)
+        ucache = MemoTable()
         lo, hi = _epsilon_mantissas(
-            _quad_coefficients(alpha0, alphaj), a, c, p, K, ucache, {}
+            _quad_coefficients(alpha0, alphaj), a, a_pow, c, p, K, ucache
         )
         ours = Enclosure(F(lo, 1 << (K + 5)), F(hi, 1 << (K + 5)))
         assert ours.width < pow2(-K)
@@ -370,10 +373,12 @@ class TestEpsilonKernel:
 
         def kernel_u(ku):
             ku = -(-ku // 8) * 8
-            ul, uh = ucache[(c, ku)]
+            assert (c, ku) in ucache
+            ul, uh = rigor._pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku)
             return Enclosure(F(ul, 1 << (ku + 2)), F(uh, 1 << (ku + 2)))
 
-        kus = sorted(ku for _, ku in ucache)
+        kus = [ku for ku in range(0, 1024, 8) if (c, ku) in ucache]
+        assert len(kus) == len(ucache)
         tries = (kus[-1] - kus[0]) // 8
         ref = reference_epsilon(alpha0, a, alphaj, c, p, K, kernel_u, first_try=tries)
         assert ours.encloses(ref), (ours, ref)
@@ -450,8 +455,46 @@ def test_ucache_keys_do_not_follow_coefficient_sizes():
     ahead = [forward.norm_enclosure(cs, k) for cs, k in queries]
     behind = [backward.norm_enclosure(cs, k) for cs, k in reversed(queries)]
     assert ahead == behind[::-1]
-    assert forward._ucache.keys() == backward._ucache.keys()
-    assert all(ku % 8 == 0 for _, ku in forward._ucache)
+    # Membership over every (c, ku) with ku a multiple of 8 accounts for
+    # all of both tables' entries, so their keys agree and are all such.
+    grid = [(c, ku) for c in range(64) for ku in range(0, 512, 8)]
+    keys = [key for key in grid if key in forward._ucache]
+    assert keys == [key for key in grid if key in backward._ucache]
+    assert len(keys) == len(forward._ucache) == len(backward._ucache)
+
+
+def test_long_session_stays_within_the_memo_bound(monkeypatch):
+    """With the memo bound cut to 64, a session of fresh twisted-norm and
+    oracle-track queries makes every growing table evict: each holds at
+    most 64 entries, and every answer equals the one under the full bound."""
+
+    def session():
+        rigor._DYADIC_POW_CACHE.clear()
+        p_oracle = Exponent.from_real(sqrt_real(2))
+        presentations = [
+            TwistedGenSet(CeSet.odds(), p) for p in (Exponent.from_rational(F(3, 2)), p_oracle)
+        ]
+        rng = random.Random(7)
+
+        def rat():
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+        answers = []
+        for _ in range(30):
+            coeffs = [CRat(rat(), rat()) for _ in range(rng.randint(2, 12))]
+            k = rng.randint(4, 90)
+            answers += [g.norm_query(coeffs, k) for g in presentations]
+            answers.append(norm_p(FiniteVector.from_items(enumerate(coeffs)), p_oracle, k))
+        tables = [rigor._DYADIC_POW_CACHE, p_oracle.real._cache]
+        return answers, tables + [g._ucache for g in presentations]
+
+    unbounded, _ = session()
+    monkeypatch.setattr(rigor, "_MEMO_BOUND", 64)
+    evicted = rigor._DYADIC_POW_CACHE.stats.evictions  # a module-level table
+    bounded, tables = session()
+    assert bounded == unbounded
+    assert rigor._DYADIC_POW_CACHE.stats.evictions > evicted
+    assert all(table.stats.evictions > 0 and len(table) <= 64 for table in tables)
 
 
 def manual_l1_norm(coeffs, depth=80):
