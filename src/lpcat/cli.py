@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -62,20 +63,51 @@ def rational(text: str) -> str:
     return text
 
 
+# Bounds on an exponent p, plain or oracle: 1 <= p <= _P_MAX, with at most
+# _P_BITS bits in its numerator and in its denominator.  Past them the
+# power kernels build integers of millions of digits or run for minutes:
+# unbounded, p = 1e400 overflows a shift, p = 10000 writes a q of more
+# than 4300 digits, p = 100000 runs past a minute, and so does an oracle
+# twisted norm at p = 1024.  A decimal exponent part eN of more than four
+# digits is refused before Fraction() expands 10**N: with at most 4300
+# digits before it, such a value lies outside [1, _P_MAX].
+_P_MAX = 64
+_P_BITS = 128
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
+
+
+def _exponent_value(text: str) -> Fraction:
+    """The rational an exponent spec or oracle value spells, within the
+    bounds above; anything else raises ConfigError."""
+    out_of_range = ConfigError(f"exponent {text!r} is out of range [1, {_P_MAX}]")
+    power = _DECIMAL_EXPONENT.search(text)
+    if power and len(power.group(1).lstrip("0_")) > 4:
+        raise out_of_range
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot parse exponent {text!r}") from exc
+    if value < 1 or value > _P_MAX:
+        raise out_of_range
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > _P_BITS:
+        raise ConfigError(f"exponent {text!r} has more than {_P_BITS} bits in a term")
+    return value
+
+
 def parse_p(text: str) -> Exponent:
     """Exponent spec: a rational like '3/2', a decimal like '1.5', or a
     decimal oracle 'oracle:<decimal>:<claimed bits>' which refuses queries
-    beyond its claimed precision."""
+    beyond its claimed precision.  Either way the value p must satisfy
+    1 <= p <= 64, with numerator and denominator of at most 128 bits each;
+    other specs raise ConfigError."""
     text = text.strip()
     if text.startswith("oracle:"):
         try:
             _, digits, bits = text.split(":")
-            value = Fraction(digits)
             claimed = int(bits)
         except ValueError as exc:
             raise ConfigError(f"bad exponent oracle spec {text!r}") from exc
-        if value < 1:
-            raise ConfigError(f"exponent {value} < 1 is out of range")
+        value = _exponent_value(digits)
         if claimed < 0:
             raise ConfigError(f"exponent oracle claims {claimed} bits, a negative count")
 
@@ -87,11 +119,7 @@ def parse_p(text: str) -> Exponent:
             return value
 
         return Exponent.from_real(ComputableReal(fn, f"oracle:{digits}"))
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse exponent {text!r}") from exc
-    return Exponent.from_rational(value)
+    return Exponent.from_rational(_exponent_value(text))
 
 
 def parse_scalar(text: str) -> CRat:

@@ -98,16 +98,20 @@ def frac_floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
 
+def _log2_floor(n: int, d: int) -> int:
+    """floor(log2(n / d)) for integers n, d >= 1."""
+    f = n.bit_length() - d.bit_length()
+    # 2^(f-1) < n/d < 2^(f+1); one integer comparison settles n/d < 2^f.
+    if (n < d << f) if f >= 0 else (n << -f < d):
+        f -= 1
+    return f
+
+
 def ceil_log2(q: Fraction) -> int:
     """Least t with 2**t >= q, for q > 0."""
     if q <= 0:
         raise ValueError("ceil_log2 needs a positive argument")
-    n, d = q.numerator, q.denominator
-    t = n.bit_length() - d.bit_length()
-    # 2^(t-1) < n/d < 2^(t+1); one integer comparison settles n/d > 2^t.
-    if (n > d << t) if t >= 0 else (n << -t > d):
-        t += 1
-    return t
+    return -_log2_floor(q.denominator, q.numerator)
 
 
 def iroot(n: int, b: int) -> int:
@@ -624,13 +628,6 @@ def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
 # multiply is one integer product and one shift, with no gcd.
 
 
-def _mul_dyadic(x: int, y: int, P: int, up: bool) -> int:
-    """Directed product of two mantissas at scale 2^P."""
-    if up:
-        return -((-x * y) >> P)
-    return (x * y) >> P
-
-
 def _sqrt_dyadic(n: int, up: bool) -> int:
     """Floor, or ceiling when up, of the square root of n >= 0.  For
     n = m << P it is the directed square root of m / 2^P at scale 2^P."""
@@ -643,20 +640,30 @@ def _sqrt_dyadic(n: int, up: bool) -> int:
 def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
     """Directed (m / 2^P)**n as a mantissa at scale 2^P, by binary
     exponentiation with per-step rounding; sound for a lower (down) resp.
-    upper (up) bound on the base."""
+    upper (up) bound on the base.  A rounded product is one integer
+    product and one shift: floor is ``x >> P``, ceiling ``-(-x >> P)``."""
     result = 1 << P
+    if up:
+        while n:
+            if n & 1:
+                result = -((-result * m) >> P)
+            n >>= 1
+            if n:
+                m = -((-m * m) >> P)
+        return result
     while n:
         if n & 1:
-            result = _mul_dyadic(result, m, P, up)
+            result = (result * m) >> P
         n >>= 1
         if n:
-            m = _mul_dyadic(m, m, P, up)
+            m = (m * m) >> P
     return result
 
 
-# Dyadic-route results, keyed by (t, e, tb) for enclosures and by
-# (num, den, j, P) for square-root chains: both ends of an exponent
-# bracket, and each refinement of it, share the same chains.
+# Dyadic-route results, keyed by integers only, so a lookup hashes no
+# Fraction: by (n, d, a, b, K) for the enclosure of (n/d)**(a/b) at
+# 2^-K and by (num, den, j, P) for square-root chains.  Both ends of an
+# exponent bracket, and each refinement of it, share the same chains.
 _DYADIC_POW_CACHE = MemoTable()
 # Largest operand, in bits, the exact power route may build (see _pow_point).
 # Rational-track powers stay far below it (about 11k bits at most in the
@@ -759,7 +766,7 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0  # an integer power is built unshifted
     if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
-        enc = _DYADIC_POW_CACHE.get((t, e, K), lambda: _pow_dyadic_enclosure(t, e, K))
+        enc = _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(t, e, K))
         return enc.lo, enc.hi
     if b == 1:
         q = t ** a
@@ -791,15 +798,65 @@ def _pow_box(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def _exp_gap(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Fraction:
-    """Upper bound on the width contributed by exponent uncertainty, which
-    peaks at the t-endpoint farthest from 1."""
-    gap = _ZERO
-    for t in (x.lo,) if x.lo == x.hi else (x.lo, x.hi):
-        if t in (0, 1):
-            continue
-        gap = max(gap, abs(_pow_point(t, e_hi, K)[1] - _pow_point(t, e_lo, K)[0]))
-    return gap
+def _exp_gap(
+    x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(gap, lo, hi) from the corner powers of x under the exponent
+    bracket [e_lo, e_hi]: t**e_lo and t**e_hi by _pow_point at 2^-K, once
+    for each endpoint t of x.
+
+    gap is the largest |hi(t**e_hi) - lo(t**e_lo)| over the endpoints,
+    where lo and hi are the ends _pow_point returns, each within 2^-K of
+    the power, and g = |t**e_hi - t**e_lo| is the true corner gap.  For
+    t > 1 the difference lies in [g, g + 2^(1-K)], an upper bound on g.
+    For t < 1 it lies in [-g, -g + 2^(1-K)], so its absolute value is not
+    an upper bound on g; a gap below 2^(1-K) still gives g < 2^(2-K).
+    Endpoints 0 and 1 add nothing.
+
+    [lo, hi] is the corner box of those same powers: t**e is increasing
+    in t and monotone in e, rising for t > 1 and falling for t < 1, so the
+    box encloses {t**e : t in x, e in [e_lo, e_hi]}.
+    """
+    at_lo = (_pow_point(x.lo, e_lo, K), _pow_point(x.lo, e_hi, K))
+    at_hi = at_lo if x.hi == x.lo else (_pow_point(x.hi, e_lo, K), _pow_point(x.hi, e_hi, K))
+    gap = max(abs(at_lo[1][1] - at_lo[0][0]), abs(at_hi[1][1] - at_hi[0][0]))
+    return gap, at_lo[x.lo < 1][0], at_hi[x.hi > 1][1]
+
+
+def _gap_terms(t: Fraction) -> tuple[bool, int, int]:
+    """(t < 1, f, l) for a power base t > 0, t != 1, and u = max(t, 1/t):
+    f = floor(log2 u) and 2^l <= ln u, all from integer bit lengths.  They
+    are what _gap_must_fail reads of t, taken once per _pow_slack call."""
+    below = t < 1
+    n, d = (t.denominator, t.numerator) if below else (t.numerator, t.denominator)
+    f = _log2_floor(n, d)
+    # ln u >= f ln 2 > f / 2 once u >= 2, and ln u >= (u - 1) / u below 2.
+    ln_bits = f.bit_length() - 2 if f else (n - d).bit_length() - 1 - n.bit_length()
+    return below, f, ln_bits
+
+
+def _gap_must_fail(
+    terms: list[tuple[bool, int, int]], e_lo: Fraction, e_hi: Fraction, K: int
+) -> bool:
+    """Whether the bracket [e_lo, e_hi] certifies a true corner gap
+    g >= 2^-(K+1) at some endpoint whose _gap_terms are in terms; then
+    _exp_gap at K + 3 reads at least 2^-(K+2), and _pow_slack's round at K
+    must fail.
+
+    By the mean value theorem g = t**xi ln(u) (e_hi - e_lo) for some xi in
+    the bracket.  t**xi >= 1 for t > 1, as e_lo > 0 in every bracket, and
+    t**xi >= u**-e_hi >= 2^-ceil(e_hi (f + 1)) for t < 1.  Each factor is
+    bounded below by a power of two from integer bit lengths; the one
+    Fraction built is e_hi - e_lo, and e_lo < e_hi in every bracket.
+    """
+    width = e_hi - e_lo
+    bits = _log2_floor(width.numerator, width.denominator) + K + 1
+    for below, f, ln_bits in terms:
+        if below:
+            ln_bits += e_hi.numerator * (f + 1) // -e_hi.denominator
+        if bits + ln_bits >= 0:
+            return True
+    return False
 
 
 def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
@@ -807,8 +864,14 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
     less than 2^-K.
 
     Rational track: direct directed rounding at K + 2 (guard g = 2).
-    Oracle track: exponent bracket refined until the corner gap falls
-    under 2^-(K+2), with rounding at K + 3.
+    Oracle track: the exponent bracket is refined from precision
+    max(6, K // 2) in steps of max(8, K // 2) until the corner gap
+    _exp_gap reads at K + 3 falls under 2^-(K+2), which leaves each true
+    corner gap below 2^-(K+1).  A round whose bracket _gap_must_fail
+    certifies a true gap of at least 2^-(K+1) cannot pass, so its corner
+    powers are never computed; every round that runs, and the bracket
+    taken, are those of the unskipped loop.  The passing round's box is
+    built from the corner powers its gap was read from.
     """
     if x.lo < 0:
         raise NegativeBase(f"negative base enclosure {x}")
@@ -816,12 +879,16 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
         if exp.fast == 1:
             return x
         return _pow_box(x, exp.fast, exp.fast, K + 2)
+    ends = (x.lo,) if x.lo == x.hi else (x.lo, x.hi)
+    terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
     kp = max(6, K // 2)
     threshold = pow2(-(K + 2))
     for _ in range(64):
         e_lo, e_hi = exp.bracket(kp)
-        if _exp_gap(x, e_lo, e_hi, K + 3) < threshold:
-            return _pow_box(x, e_lo, e_hi, K + 3)
+        if not _gap_must_fail(terms, e_lo, e_hi, K):
+            gap, lo, hi = _exp_gap(x, e_lo, e_hi, K + 3)
+            if gap < threshold:
+                return Enclosure(lo, hi)
         kp += max(8, K // 2)
     raise OracleFailure("exponent bracket failed to converge")
 

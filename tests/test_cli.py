@@ -1,11 +1,14 @@
 """End-to-end runs of the command driver: records, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpcat import pow2, rigor
 from lpcat.cli import main
@@ -332,6 +335,22 @@ MALFORMED = {
     "oracle-exponent-negative-bits": (
         ["norm", "--genset", "E", "--coeffs", "1", "--p", "oracle:1.5:-1"], None,
     ),
+    # Huge exponents: unbounded, these overflowed a shift (1e400), wrote a
+    # q past the 4300-digit int-to-str limit (10000) or ran past a minute
+    # (100000).  parse_p bounds p to [1, 64] with terms of 128 bits.
+    "exponent-1e400": (
+        ["norm", "--genset", "E", "--coeffs", "1/2,1/3", "--k", "10", "--p", "1e400"], None,
+    ),
+    "exponent-10000": (
+        ["norm", "--genset", "E", "--coeffs", "1/2,1/3", "--k", "10", "--p", "10000"], None,
+    ),
+    "exponent-100000": (
+        ["norm", "--genset", "E", "--coeffs", "1/2,1/3", "--k", "10", "--p", "100000"], None,
+    ),
+    "oracle-exponent-1e400": (
+        ["norm", "--genset", "E", "--coeffs", "1/2,1/3", "--k", "10", "--p", "oracle:1e400:40"],
+        None,
+    ),
     "flag-classify-does-not-read": (
         ["classify", "--input", str(DATA / "descriptor_identity.json"), "--field", "real"],
         None,
@@ -391,8 +410,40 @@ def test_malformed_input_exits_2(tmp_path, argv, content):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
+    stderr = io.StringIO()
     try:
-        code = main([arg.replace("{f}", str(path)) for arg in argv])
+        with contextlib.redirect_stderr(stderr):
+            code = main([arg.replace("{f}", str(path)) for arg in argv])
     except SystemExit as exc:  # argparse rejects the flag value
         code = exc.code
     assert code == 2
+    assert "Traceback" not in stderr.getvalue()
+
+
+def exponent_values():
+    """Exponent strings: decimals and fractions in and out of [1, 64],
+    integers of any size and sign, 1eN forms of any size, and junk."""
+    ints = st.integers(-(10**6), 10**6) | st.integers(-(2**200), 2**200)
+    return st.one_of(
+        st.builds("{}.{}".format, st.integers(1, 64), st.integers(0, 10**40)),
+        st.builds("{}/{}".format, st.integers(1, 200), st.integers(1, 100)),
+        st.builds(str, ints),
+        st.builds("{}/{}".format, ints, ints),
+        st.builds("{}e{}".format, st.integers(-20, 20), st.integers(-(10**12), 10**12)),
+        st.text(alphabet="0123456789eE+-./:_ x", max_size=12),
+    )
+
+
+@settings(max_examples=80)
+@given(exponent_values(), st.builds(str, st.integers(-5, 60)) | exponent_values())
+def test_exponent_spec_fuzz(value, bits):
+    """Any --p string, plain or an oracle spec with a short, negative,
+    huge or junk claimed bit count, ends with exit 0, 2 or 3 and no
+    traceback."""
+    for spec in (value, f"oracle:{value}:{bits}"):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            argv = ["norm", "--genset", "E", "--coeffs", "1/2", "--k", "4", f"--p={spec}"]
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()

@@ -21,12 +21,14 @@ from lpcat import (
     ConfigError,
     Enclosure,
     Exponent,
+    FiniteVector,
     NegativeBase,
     OracleFailure,
     StandardGenSet,
     VectorRep,
     ceil_log2,
     iroot,
+    norm_p,
     pow2,
     pow_p,
     root_p,
@@ -499,6 +501,145 @@ class TestMantissaPowers:
             l, h = rigor._pow_mantissas(m, m, 3, half, K)
             assert 3 * l <= m << T <= 3 * h
         assert operands == [rigor._EXACT_POW_BUDGET]
+
+
+def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
+    """The oracle-track loop of _pow_slack with no round skipped: every
+    round reads both corner powers at each endpoint, and the passing
+    round's box comes from _pow_box, which reads them again."""
+    kp = max(6, K // 2)
+    for _ in range(64):
+        e_lo, e_hi = exp.bracket(kp)
+        gap = F(0)
+        for t in (x.lo,) if x.lo == x.hi else (x.lo, x.hi):
+            if t in (0, 1):
+                continue
+            at_hi = rigor._pow_point(t, e_hi, K + 3)[1]
+            gap = max(gap, abs(at_hi - rigor._pow_point(t, e_lo, K + 3)[0]))
+        if gap < pow2(-(K + 2)):
+            return rigor._pow_box(x, e_lo, e_hi, K + 3)
+        kp += max(8, K // 2)
+    raise OracleFailure("exponent bracket failed to converge")
+
+
+def power_bases():
+    """Positive rationals on both sides of 1: random terms of up to about
+    2000 bits, 1 +- 2^-m, and the endpoints 0 and 1.  A random base lies
+    between 2^-2000 and 2^64: the dyadic kernel's escalation on t**e of
+    hundreds of bits, which the loops under test share, would take
+    seconds per example."""
+
+    def random_base(den_bits, shift, seed):
+        rng = random.Random(seed)
+        num_bits = max(1, den_bits + shift)
+        return F(rng.getrandbits(num_bits) | 1 << (num_bits - 1),
+                 rng.getrandbits(den_bits) | 1 << (den_bits - 1))
+
+    sizes = st.integers(1, 64) | st.integers(64, 2000)
+    return st.one_of(
+        st.builds(random_base, sizes, st.integers(-2000, 64), st.integers(0, 2**32)),
+        st.builds(lambda m, sign: 1 + F(sign, 1 << m), st.integers(1, 200), st.sampled_from([-1, 1])),
+        st.sampled_from([F(0), F(1)]),
+    )
+
+
+def base_enclosures():
+    """Points and intervals of power_bases, some straddling 1."""
+    bases = power_bases()
+    return bases.map(Enclosure.point) | st.builds(
+        lambda a, b: Enclosure(min(a, b), max(a, b)), bases, bases
+    )
+
+
+def oracle_exponents():
+    """Oracle-track exponents p = sqrt(n) and constant-oracle rationals,
+    and their p/2 and 1/p views, whose brackets may lie below 1."""
+    reals = st.builds(sqrt_real, st.integers(1, 20)) | st.builds(
+        ComputableReal.constant, st.fractions(1, 4, max_denominator=100)
+    )
+    views = {"p": lambda p: p, "p/2": Exponent.half, "1/p": Exponent.reciprocal}
+    return st.builds(
+        lambda real, view: views[view](Exponent.from_real(real)), reals, st.sampled_from(list(views))
+    )
+
+
+class TestOracleTrackPowers:
+    """_pow_slack's oracle track skips rounds whose bracket certifies a
+    corner gap that cannot pass, and builds its box from the corner powers
+    of the passing round; neither may change a round's outcome or an
+    endpoint."""
+
+    @settings(max_examples=60)
+    @given(base_enclosures(), oracle_exponents(), st.integers(0, 80))
+    def test_skip_is_sound_and_output_unchanged(self, x, exp, K):
+        ends = [t for t in {x.lo, x.hi} if t not in (0, 1)]
+        terms = [rigor._gap_terms(t) for t in ends]
+        threshold = pow2(-(K + 2))
+
+        def must_fail(kp):
+            return rigor._gap_must_fail(terms, *exp.bracket(kp), K)
+
+        def true_gap_above(kp, bound):
+            """Whether some true corner gap may reach bound: an upper
+            bound on it from corner powers 20 bits finer than the loop's."""
+            e_lo, e_hi = exp.bracket(kp)
+            for t in ends:
+                (lo_a, hi_a), (lo_b, hi_b) = (rigor._pow_point(t, e, K + 23) for e in (e_lo, e_hi))
+                if max(hi_b - lo_a, hi_a - lo_b) >= bound:
+                    return True
+            return False
+
+        # The tightest claim: the last bracket, one bit finer at a time
+        # from the loop's first, that the predicate says must fail.  Its
+        # true corner gap is at least 2^-(K+1).
+        kp0, step = max(6, K // 2), max(8, K // 2)
+        kp = kp0
+        while kp < kp0 + 64 * step and must_fail(kp):
+            kp += 1
+        if kp > kp0:
+            assert true_gap_above(kp - 1, 2 * threshold)
+        # The loop's own rounds: a round the predicate skips reads a gap
+        # at K + 3 of at least 2^-(K+2), so it could not have passed.
+        for kp in range(kp0, kp0 + 64 * step, step):
+            e_lo, e_hi = exp.bracket(kp)
+            gap = rigor._exp_gap(x, e_lo, e_hi, K + 3)[0]
+            if rigor._gap_must_fail(terms, e_lo, e_hi, K):
+                assert gap >= threshold
+            if gap < threshold:
+                break
+        try:
+            want = ref_pow_slack(x, exp, K)
+        except OracleFailure:
+            with pytest.raises(OracleFailure):
+                rigor._pow_slack(x, exp, K)
+            return
+        assert rigor._pow_slack(x, exp, K) == want
+
+    def test_sqrt2_norm_work(self, monkeypatch):
+        """Work guard, free of timing noise: _exp_gap rounds in one seeded
+        m = 64, k = 30 norm at p = sqrt(2), from an empty dyadic cache.
+        It ran 167 while every round computed its corner powers.  The
+        cache it leaves holds integer keys only."""
+        rng = random.Random(7)
+        vector = FiniteVector.from_items(
+            [(i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(64)]
+        )
+        rounds = 0
+        exp_gap = rigor._exp_gap
+
+        def counted(*args):
+            nonlocal rounds
+            rounds += 1
+            return exp_gap(*args)
+
+        monkeypatch.setattr(rigor, "_exp_gap", counted)
+        rigor._DYADIC_POW_CACHE.clear()
+        norm_p(vector, Exponent.from_real(sqrt_real(2)), 30)
+        assert rounds <= 90 < 167
+        keys = list(rigor._DYADIC_POW_CACHE._data)
+        assert keys and all(
+            isinstance(key, tuple) and all(type(part) is int for part in key) for key in keys
+        )
 
 
 class TestComputableReal:
