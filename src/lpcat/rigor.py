@@ -34,8 +34,9 @@ Precision bookkeeping convention: an operation asked for precision k
 returns an enclosure that exceeds the width of the exact image of its
 input set by less than 2^-k.  On point inputs that means output width
 below 2^-k.  Each operation documents the guard bits it adds on top of k;
-a bounded escalation loop backs the guard up when the initial estimate is
-too optimistic.
+a bounded escalation loop, ``escalate``, backs the guard up when the
+initial estimate is too optimistic: it yields the working precisions of
+the retries, up to a cap, and raises OracleFailure when they run out.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 RatLike = Union[int, Fraction]
 
@@ -167,6 +168,25 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     for ia in reversed(parts):
         q = ia + 1 / q
     return q
+
+
+# ---------------------------------------------------------------------------
+# precision escalation
+# ---------------------------------------------------------------------------
+
+
+def escalate(start: int, step: Callable[[int], int], cap: int, failure: str) -> Iterator[int]:
+    """The working precisions start, start + step(start), ... of a bounded
+    escalation loop, at most cap of them, each raised by step of the one
+    before; a caller returns or breaks once its certificate holds.  Run
+    dry, it raises OracleFailure(failure).  Every cold retry loop in the
+    library runs on it, Ziv-style: try at a precision, and on failure try
+    again higher, up to a cap."""
+    k = start
+    for _ in range(cap):
+        yield k
+        k += step(k)
+    raise OracleFailure(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +722,7 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     tt = 1 / t if invert else t
     num, den = tt.numerator, tt.denominator
     mag = num.bit_length() - den.bit_length() + 1
-    j = tb + 8
-    for _ in range(64):
+    for j in escalate(tb + 8, lambda _: max(16, tb // 2), 64, "dyadic power failed to converge"):
         P = tb + j + 2 * mag + frac_ceil(e * mag) + 16
         m_lo = frac_floor(e * (1 << j))
         m_hi = frac_ceil(e * (1 << j))
@@ -715,8 +734,6 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
         if enc.width < pow2(-tb):
             return enc
-        j += max(16, tb // 2)
-    raise OracleFailure("dyadic power failed to converge")
 
 
 def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
@@ -782,19 +799,16 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     return Fraction(s, 1 << K), Fraction(s + 1, 1 << K)
 
 
-def _pow_box(x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int) -> Enclosure:
-    """Outward enclosure of {t**e : t in x, e in [e_lo, e_hi]} for x >= 0.
+def _pow_box(x: Enclosure, e: Fraction, K: int) -> Enclosure:
+    """Outward enclosure of {t**e : t in x} for x >= 0 and rational e > 0.
 
-    t**e is increasing in t, and monotone in e with direction decided by
-    the position of t relative to 1, so corner evaluation is sound.  When
-    both corners are one point power, as for a point x under a point
-    exponent, its one _pow_point result gives both ends.
+    t**e is increasing in t, so the lower end of x.lo**e and the upper end
+    of x.hi**e bound it.  A point x reads both ends off its one _pow_point
+    result.
     """
-    lo_e = e_hi if x.lo < 1 else e_lo
-    hi_e = e_hi if x.hi > 1 else e_lo
-    lo, hi = _pow_point(x.lo, lo_e, K)
-    if (x.hi, hi_e) != (x.lo, lo_e):
-        hi = _pow_point(x.hi, hi_e, K)[1]
+    lo, hi = _pow_point(x.lo, e, K)
+    if x.hi != x.lo:
+        hi = _pow_point(x.hi, e, K)[1]
     return Enclosure(lo, hi)
 
 
@@ -878,19 +892,17 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
     if exp.fast is not None:
         if exp.fast == 1:
             return x
-        return _pow_box(x, exp.fast, exp.fast, K + 2)
+        return _pow_box(x, exp.fast, K + 2)
     ends = (x.lo,) if x.lo == x.hi else (x.lo, x.hi)
     terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
-    kp = max(6, K // 2)
     threshold = pow2(-(K + 2))
-    for _ in range(64):
+    step = max(8, K // 2)
+    for kp in escalate(max(6, K // 2), lambda _: step, 64, "exponent bracket failed to converge"):
         e_lo, e_hi = exp.bracket(kp)
         if not _gap_must_fail(terms, e_lo, e_hi, K):
             gap, lo, hi = _exp_gap(x, e_lo, e_hi, K + 3)
             if gap < threshold:
                 return Enclosure(lo, hi)
-        kp += max(8, K // 2)
-    raise OracleFailure("exponent bracket failed to converge")
 
 
 def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:
@@ -988,8 +1000,11 @@ def norm_from_power_sum(
     loop covers the remaining cases.
     """
     p_ub = p.ub()
-    K = k + 4
-    for _ in range(64):
+    step = max(8, k // 2)
+    # A guard jump moves K past the schedule; later rounds keep the offset.
+    jump = 0
+    for K in escalate(k + 4, lambda _: step, 64, "norm extraction failed to converge"):
+        K += jump
         s = sum_at(K).clamp_nonneg()
         if s.hi == 0:
             return Enclosure.point(0)
@@ -1000,20 +1015,17 @@ def norm_from_power_sum(
             threshold = _pow_point(t0, e_hi, kt)[0]
             if s.hi <= threshold:
                 return Enclosure(_ZERO, t0)
-            K += max(8, k // 2)
             continue
         guard = 0
         if s.lo < 1:
             bits = ceil_log2(1 / s.lo)
             guard = frac_ceil(Fraction(bits) * (p_ub - 1) / p_ub) + 2
         if guard and K < k + 2 + guard:
+            jump += k + 2 + guard - K
             K = k + 2 + guard
             s = sum_at(K).clamp_nonneg()
             if s.lo <= 0:
-                K += max(8, k // 2)
                 continue
         out = root_p(s, p, k + 2)
         if out.width < pow2(-k):
             return out
-        K += max(8, k // 2)
-    raise OracleFailure("norm extraction failed to converge")

@@ -57,6 +57,7 @@ from .rigor import (
     MemoTable,
     OracleFailure,
     ceil_log2,
+    escalate,
     frac_floor,
     norm_from_power_sum,
     pow2,
@@ -339,9 +340,16 @@ class CeView:
 # -- spec files ---------------------------------------------------------------
 
 
+# Largest element a spec may list or delay.  An element c puts 2^-c into
+# gamma and 2^(-c/p) into the e_0 coefficients: at c = 15000 a report
+# rational passes Python's 4300-digit int-to-str limit, at 10^7 approx-e0
+# runs for minutes, and at 10^14 an explicit set cannot be built.
+_MAX_SPEC_ELEMENT = 4096
+
+
 def ce_set_from_spec(obj: dict) -> CeSet:
     """Build a set from its JSON spec: {label, kind, elements?, delays?}.
-    Any spec mentioning 0 is rejected."""
+    Every listed or delayed element must lie in [1, 4096]."""
     kind = obj.get("kind")
     label = obj.get("label") or kind or "ce"
     try:
@@ -349,10 +357,9 @@ def ce_set_from_spec(obj: dict) -> CeSet:
         delays = [(strict_int(e), strict_int(s)) for e, s in obj.get("delays") or ()]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed c.e. set spec: {exc}") from exc
-    if 0 in elements:
-        raise ConfigError("0 is never a member of the constructed set")
-    if any(e == 0 for e, _ in delays):
-        raise ConfigError("0 cannot appear in a delay schedule")
+    for e in [*elements, *(e for e, _ in delays)]:
+        if not 1 <= e <= _MAX_SPEC_ELEMENT:
+            raise ConfigError(f"set element {e} is outside [1, {_MAX_SPEC_ELEMENT}]")
     if kind == "odds":
         base = CeSet.odds(label)
     elif kind == "primes":
@@ -448,6 +455,10 @@ def _epsilon_mantissas(
     ku = -(-(K + guard) // 8) * 8
     kt = K + 3
     ap_lo, ap_hi = a_pow
+    # The one retry loop not on rigor.escalate: this kernel runs 108 times
+    # per twisted-norm benchmark operation, and driving it by escalate, as
+    # a generator or as a callback, cost about 8 % of that workload's
+    # ops/s (medians 1034 against 952-954 over six 5 s pairs each).
     for _ in range(40):
         Q = ku + 2
         ul, uh = ucache.get((c, ku), lambda: _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku))
@@ -664,8 +675,8 @@ def _inv_root_one_minus_gamma(
     ce: CeSet, p: Exponent, width_target: Fraction
 ) -> Enclosure:
     """Certified (1 - gamma)^(-1/p) to the requested width, decision mode."""
-    k = max(6, ceil_log2(1 / width_target) + 2)
-    for _ in range(64):
+    start = max(6, ceil_log2(1 / width_target) + 2)
+    for k in escalate(start, lambda k: max(6, k // 2), 64, "scale enclosure failed to converge"):
         gamma = ce.gamma_enclosure(k)
         one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
         if one_minus.lo > 0:
@@ -674,8 +685,6 @@ def _inv_root_one_minus_gamma(
                 out = root.recip()
                 if out.width <= width_target:
                     return out
-        k += max(6, k // 2)
-    raise OracleFailure("scale enclosure failed to converge")
 
 
 def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
@@ -710,8 +719,9 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
 
     prefix = ce.prefix(n1 - 2)
     pre_mass = ce.left_sum(n1 - 2)
-    kr = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
-    for _ in range(6):
+    start = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
+    failure = "coefficient rationalisation failed to certify"
+    for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
         for c in prefix:
             u = root_p(Enclosure.point(pow2(-c)), p, kr)
@@ -720,9 +730,6 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
         if certified.hi < pow2(-k):
             break
-        kr += 16
-    else:
-        raise OracleFailure("coefficient rationalisation failed to certify")
 
     exact_error = None
     gamma_exact = ce.exact_gamma()
@@ -816,8 +823,8 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
     guard = ceil_log2(p.ub()) + 2
 
     def fn(k: int) -> Fraction:
-        kk = k + guard
-        for _ in range(64):
+        step = max(6, k // 2)
+        for kk in escalate(k + guard, lambda _: step, 64, "gamma-from-scale failed to converge"):
             se = s.enclosure(kk)
             if se.lo > 0:
                 sp = _pow_slack(se, p, kk)
@@ -825,8 +832,6 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
                     out = Enclosure.point(1) - sp.recip()
                     if out.width < pow2(-k):
                         return out.midpoint
-            kk += max(6, k // 2)
-        raise OracleFailure("gamma-from-scale failed to converge")
 
     return ComputableReal(fn, f"gamma-from-{s.label}")
 

@@ -399,6 +399,20 @@ MALFORMED = {
         ["approx-e0", "--ce-set", "{f}"],
         {"kind": "throttled", "elements": [1, 5], "delays": [[5, True]]},
     ),
+    # Elements past 4096: these wrote a rational past the 4300-digit
+    # int-to-str limit (30000), ran past a minute (10^7) or ran out of
+    # memory building the set (10^14).
+    "set-element-30000": (
+        ["approx-e0", "--k", "3", "--ce-set", "{f}"], {"kind": "explicit", "elements": [1, 30000]},
+    ),
+    "set-element-10-million": (
+        ["approx-e0", "--k", "3", "--ce-set", "{f}"],
+        {"kind": "explicit", "elements": [1, 10000000]},
+    ),
+    "set-element-10-to-14": (
+        ["approx-e0", "--k", "3", "--ce-set", "{f}"],
+        {"kind": "explicit", "elements": [99999999999999]},
+    ),
 }
 
 

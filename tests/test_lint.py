@@ -10,6 +10,10 @@ interface defaults in ``ALLOWED``, whose subclasses read the argument.
 Every cache is a ``rigor.MemoTable``: no module-level name or ``self.``
 attribute is bound to an empty dict outside that class, save the tables
 in ``NOT_CACHES``.
+
+Every precision-escalation loop runs on ``rigor.escalate``: outside it,
+no ``for _ in range(...)`` loop is followed by ``raise OracleFailure``
+or holds one in its ``else``, save the functions in ``OWN_LOOPS``.
 """
 
 import ast
@@ -24,6 +28,11 @@ ALLOWED = {
 
 # Dicts kept on an object that are not memo tables: a delay schedule.
 NOT_CACHES = {"CeSet._pinned_by_stage"}
+
+# Functions that may keep a hand-rolled escalation loop.  escalate is the
+# loop itself.  The E_j kernel runs 108 times per twisted-norm benchmark
+# operation, and escalate there cost about 8 % of that workload's ops/s.
+OWN_LOOPS = {"escalate", "_epsilon_mantissas"}
 
 
 def _functions(tree: ast.Module):
@@ -128,3 +137,56 @@ def test_every_cache_is_a_memo_table():
             if name not in NOT_CACHES
         ]
     assert not stray, "dicts that should be MemoTables:\n" + "\n".join(stray)
+
+
+def _raises_oracle_failure(stmt) -> bool:
+    return (
+        isinstance(stmt, ast.Raise)
+        and stmt.exc is not None
+        and ast.unparse(stmt.exc).startswith("OracleFailure(")
+    )
+
+
+def _own_nodes(func):
+    """func and the nodes in it, without the functions and classes defined
+    in it, which _functions yields on their own."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    stack = [func]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [child for child in ast.iter_child_nodes(node) if not isinstance(child, scopes)]
+
+
+def _hand_rolled_escalations(func):
+    """Lines of ``for _ in range(...)`` loops in func that are followed by
+    ``raise OracleFailure`` or hold one in their ``else``."""
+    for node in _own_nodes(func):
+        for field in ("body", "orelse", "finalbody"):
+            body = getattr(node, field, None)
+            if not isinstance(body, list):
+                continue
+            for stmt, after in zip(body, body[1:] + [None]):
+                if not (
+                    isinstance(stmt, ast.For)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id == "_"
+                    and isinstance(stmt.iter, ast.Call)
+                    and ast.unparse(stmt.iter.func) == "range"
+                ):
+                    continue
+                if _raises_oracle_failure(after) or any(
+                    _raises_oracle_failure(s) for s in stmt.orelse
+                ):
+                    yield stmt.lineno
+
+
+def test_every_escalation_runs_on_escalate():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func, _ in _functions(tree):
+            if name in OWN_LOOPS:
+                continue
+            stray += [f"{path.name}:{line} {name}" for line in _hand_rolled_escalations(func)]
+    assert not stray, "escalation loops that should use rigor.escalate:\n" + "\n".join(stray)

@@ -219,6 +219,61 @@ class TestPowRoot:
         assert out.contains(0) and out.contains(1) and out.contains(F(1, 4))
 
 
+class TestEscalation:
+    """rigor.escalate and the schedules of the loops it drives."""
+
+    def test_yields_the_schedule_at_most_cap_times(self):
+        gen = rigor.escalate(6, lambda k: max(6, k // 2), 5, "dry")
+        got = [next(gen) for _ in range(5)]
+        assert got == [6, 12, 18, 27, 40]
+        with pytest.raises(OracleFailure, match="^dry$"):
+            next(gen)
+
+    def test_raises_only_when_run_dry(self):
+        with pytest.raises(OracleFailure, match="^ran out$"):
+            for _ in rigor.escalate(0, lambda _: 1, 3, "ran out"):
+                pass
+        with pytest.raises(OracleFailure, match="^none$"):
+            for _ in rigor.escalate(0, lambda _: 1, 0, "none"):
+                pytest.fail("a cap of 0 yields nothing")
+
+    def test_early_exit_raises_nothing(self):
+        seen = []
+        for K in rigor.escalate(3, lambda _: 4, 10, "unreachable"):
+            seen.append(K)
+            if K == 11:
+                break
+        assert seen == [3, 7, 11]
+
+        def first_past(bound):
+            for K in rigor.escalate(1, lambda k: k, 64, "unreachable"):
+                if K > bound:
+                    return K
+
+        assert first_past(100) == 128
+        gen = rigor.escalate(0, lambda _: 1, 1, "unreachable")
+        next(gen)
+        gen.close()
+
+    def test_norm_from_power_sum_schedule(self):
+        """A guard jump whose sum at the jumped precision still touches 0
+        retries one step past the jump.  S = 2^-40 at p = 3/2 and k = 10
+        needs a guard of 16 bits, so K jumps from 14 to 28; the sum there
+        reaches 0, so the next round is at 28 + 8 = 36, where the sum is
+        certified small enough for [0, 2^-11]."""
+        S = pow2(-40)
+        asked = []
+
+        def sum_at(K):
+            asked.append(K)
+            slack = pow2(-(K + 1))
+            return Enclosure(S if K == 14 else max(F(0), S - slack), S + slack)
+
+        got = rigor.norm_from_power_sum(sum_at, Exponent.from_rational(F(3, 2)), 10)
+        assert asked == [14, 28, 36]
+        assert got == Enclosure(F(0), F(1, 2048))
+
+
 class TestOracleTrackExponent:
     def make_oracle_p(self, value: Fraction) -> Exponent:
         return Exponent.from_real(ComputableReal(lambda k: value, "p-oracle"))
@@ -402,7 +457,7 @@ class TestPointPowers:
     @given(point_powers())
     def test_point_box_equals_two_directed_ends(self, case):
         t, e, K = case
-        got = rigor._pow_box(Enclosure.point(t), e, e, K)
+        got = rigor._pow_box(Enclosure.point(t), e, K)
         assert got == Enclosure(*rigor._pow_point(t, e, K))
 
     @pytest.mark.parametrize("half_bits, over", [(16_000, False), (16_500, True)])
@@ -418,11 +473,11 @@ class TestPointPowers:
         e, K = F(1, 2), 10
         for t in (s * s, F(s.numerator ** 2 + 1, s.denominator ** 2)):
             assert (exact_bits(t, e, K) > rigor._EXACT_POW_BUDGET) == over
-            got = rigor._pow_box(Enclosure.point(t), e, e, K)
+            got = rigor._pow_box(Enclosure.point(t), e, K)
             assert got == Enclosure(*rigor._pow_point(t, e, K))
             assert got.lo ** 2 <= t <= got.hi ** 2
             assert got.width <= pow2(-K)
-        assert (rigor._pow_box(Enclosure.point(s * s), e, e, K) == Enclosure.point(s)) != over
+        assert (rigor._pow_box(Enclosure.point(s * s), e, K) == Enclosure.point(s)) != over
         T = K + 2
         m = rng.getrandbits(2 * half_bits) | 1 << (2 * half_bits - 1) | 1
         num, den = m * m, 1 << (2 * T)
@@ -504,9 +559,10 @@ class TestMantissaPowers:
 
 
 def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
-    """The oracle-track loop of _pow_slack with no round skipped: every
-    round reads both corner powers at each endpoint, and the passing
-    round's box comes from _pow_box, which reads them again."""
+    """The oracle-track loop of _pow_slack with no round skipped, on its
+    own counter: every round reads both corner powers at each endpoint,
+    and the passing round's box takes, at each end of x, the corner
+    power at the exponent that end's side of 1 picks."""
     kp = max(6, K // 2)
     for _ in range(64):
         e_lo, e_hi = exp.bracket(kp)
@@ -517,7 +573,9 @@ def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
             at_hi = rigor._pow_point(t, e_hi, K + 3)[1]
             gap = max(gap, abs(at_hi - rigor._pow_point(t, e_lo, K + 3)[0]))
         if gap < pow2(-(K + 2)):
-            return rigor._pow_box(x, e_lo, e_hi, K + 3)
+            lo = rigor._pow_point(x.lo, e_hi if x.lo < 1 else e_lo, K + 3)[0]
+            hi = rigor._pow_point(x.hi, e_hi if x.hi > 1 else e_lo, K + 3)[1]
+            return Enclosure(lo, hi)
         kp += max(8, K // 2)
     raise OracleFailure("exponent bracket failed to converge")
 

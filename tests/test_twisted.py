@@ -115,6 +115,16 @@ class TestCeSets:
             ce_set_from_spec({"kind": "explicit", "elements": [0, 2]})
         with pytest.raises(ConfigError):
             ce_set_from_spec({"kind": "unknown"})
+        # Listed and delayed elements lie in [1, 4096]; the error names one
+        # that does not.
+        assert ce_set_from_spec({"kind": "explicit", "elements": [1, 4096]}).decide(4096)
+        for spec, bad in (
+            ({"kind": "explicit", "elements": [-3]}, -3),
+            ({"kind": "explicit", "elements": [1, 4097]}, 4097),
+            ({"kind": "throttled", "elements": [1, 5], "delays": [[5000, 1]]}, 5000),
+        ):
+            with pytest.raises(ConfigError, match=f"set element {bad} is outside"):
+                ce_set_from_spec(spec)
 
     def test_access_views(self):
         ce = CeSet.odds()
