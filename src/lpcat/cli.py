@@ -149,9 +149,9 @@ def _read_json(path: str) -> dict:
 
 
 def load_ce(spec: str) -> tw.CeSet:
-    if spec in ("odds", "primes"):
-        return tw.CeSet.odds() if spec == "odds" else tw.CeSet.primes()
-    return tw.ce_set_from_spec(_read_json(spec))
+    """A builtin set name (odds, primes) or the path of a spec file."""
+    obj = {"kind": spec} if spec in ("odds", "primes") else _read_json(spec)
+    return tw.ce_set_from_spec(obj)
 
 
 def _write(path: str, data: bytes) -> None:

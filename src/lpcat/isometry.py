@@ -217,20 +217,10 @@ class _ImageData:
         else:
             raise TypeError("images are finite vectors or reps")
         self.index = index
-        self.slack = slack
         self.norm = norm_p(vec, p, tol + 4).pad(slack)
         self.moduli = {
             i: c.abs_enclosure(kq).pad(slack).clamp_nonneg() for i, c in vec.coords
         }
-
-    def modulus(self, i: int) -> Enclosure:
-        got = self.moduli.get(i)
-        if got is not None:
-            return got
-        return Enclosure(Fraction(0), self.slack)
-
-    def listed(self) -> set[int]:
-        return set(self.moduli)
 
 
 def classify(
@@ -266,8 +256,11 @@ def classify(
 
     for a in range(len(data)):
         for b in range(a + 1, len(data)):
-            for i in sorted(data[a].listed() | data[b].listed()):
-                ma, mb = data[a].modulus(i), data[b].modulus(i)
+            # An index one image leaves out has modulus at most its slack
+            # 2^-(tol+6) < 2^-tol there, so only indices both list can overlap.
+            ma_all, mb_all = data[a].moduli, data[b].moduli
+            for i in sorted(ma_all.keys() & mb_all.keys()):
+                ma, mb = ma_all[i], mb_all[i]
                 if ma.hi < band or mb.hi < band:
                     continue
                 record = {

@@ -38,6 +38,7 @@ testable.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 import warnings
@@ -106,20 +107,18 @@ class CeSet:
     """A set of positive naturals with a stage-by-stage enumeration and a
     decision procedure, instrumented so tests can prove which access mode
     an algorithm used.  The enumeration is injective and emits exactly one
-    element per stage; 0 is never a member."""
+    element per stage; 0 is never a member.  The JSON spec {label, kind,
+    elements?, delays?} that built the set is what ``spec_json()`` prints."""
 
     def __init__(
         self,
-        label: str,
-        kind: str,
+        spec: dict,
         member_fn: Callable[[int], bool],
         natural_order: Callable[[], Iterator[int]],
         exact_gamma: Optional[Fraction] = None,
-        delays: Optional[Sequence[tuple[int, int]]] = None,
-        spec_obj: Optional[dict] = None,
     ):
-        self.label = label
-        self.kind = kind
+        self._spec = spec
+        self.label = spec["label"]
         self._member = member_fn
         self._natural_order = natural_order
         self._exact_gamma = exact_gamma
@@ -128,12 +127,10 @@ class CeSet:
         self._order: list[int] = []
         self._left_sums: list[Fraction] = [Fraction(0)]
         self._gamma_sums: list[Fraction] = [Fraction(0)]
-        self._spec_obj = spec_obj or {"label": label, "kind": kind}
 
         self._pinned_by_stage: dict[int, int] = {}
         pinned_elements: set[int] = set()
-        for element, stage in delays or ():
-            element, stage = int(element), int(stage)
+        for element, stage in spec.get("delays", ()):
             if element < 1 or not member_fn(element):
                 raise ConfigError(f"delayed element {element} is not in the set")
             if stage < 0:
@@ -151,8 +148,7 @@ class CeSet:
     @classmethod
     def odds(cls, label: str = "odds") -> "CeSet":
         return cls(
-            label,
-            "odds",
+            {"label": label, "kind": "odds"},
             lambda n: n >= 1 and n % 2 == 1,
             lambda: itertools.count(1, 2),
             exact_gamma=Fraction(2, 3),
@@ -163,7 +159,7 @@ class CeSet:
         def order() -> Iterator[int]:
             return (n for n in itertools.count(2) if _is_prime(n))
 
-        return cls(label, "primes", _is_prime, order)
+        return cls({"label": label, "kind": "primes"}, _is_prime, order)
 
     @classmethod
     def explicit(cls, elements: Iterable[int], label: str = "explicit") -> "CeSet":
@@ -185,31 +181,25 @@ class CeSet:
             return itertools.chain(iter(s), itertools.count(top + 1))
 
         gamma = sum((pow2(-e) for e in s), Fraction(0)) + pow2(-top)
-        obj = {"label": label, "kind": "explicit", "elements": s}
         return cls(
-            label,
-            "explicit",
+            {"label": label, "kind": "explicit", "elements": s},
             lambda n: n in members or n > top,
             order,
             exact_gamma=gamma,
-            spec_obj=obj,
         )
 
     def with_delays(self, delays: Sequence[tuple[int, int]], label: str = "") -> "CeSet":
         """Same set, throttled enumeration: each (element, stage) pair pins
-        the element's first appearance to that stage."""
-        obj = dict(self._spec_obj)
-        obj["kind"] = "throttled"
-        obj["delays"] = [[int(e), int(s)] for e, s in delays]
-        return CeSet(
-            label or f"{self.label}~throttled",
-            "throttled",
-            self._member,
-            self._natural_order,
-            exact_gamma=self._exact_gamma,
-            delays=delays,
-            spec_obj=obj,
+        the element's first appearance to that stage.  An explicit set
+        with delays is of kind ``throttled``; other kinds keep theirs."""
+        spec = dict(
+            self._spec,
+            label=label or f"{self.label}~throttled",
+            delays=[[int(e), int(s)] for e, s in delays],
         )
+        if spec["kind"] == "explicit":
+            spec["kind"] = "throttled"
+        return CeSet(spec, self._member, self._natural_order, self._exact_gamma)
 
     # -- enumeration mode ------------------------------------------------------
 
@@ -302,7 +292,8 @@ class CeSet:
         return CeView(self, allow_enumerate=enumerate, allow_decide=decide)
 
     def spec_json(self) -> dict:
-        return dict(self._spec_obj)
+        # A copy down to the lists: the elements list also drives the order.
+        return copy.deepcopy(self._spec)
 
     def __repr__(self) -> str:
         return f"CeSet({self.label})"
@@ -350,6 +341,8 @@ _MAX_SPEC_ELEMENT = 4096
 def ce_set_from_spec(obj: dict) -> CeSet:
     """Build a set from its JSON spec: {label, kind, elements?, delays?}.
     Every listed or delayed element must lie in [1, 4096]."""
+    if not isinstance(obj, dict):
+        raise ConfigError("a c.e. set spec is a JSON object")
     kind = obj.get("kind")
     label = obj.get("label") or kind or "ce"
     try:
@@ -364,20 +357,13 @@ def ce_set_from_spec(obj: dict) -> CeSet:
         base = CeSet.odds(label)
     elif kind == "primes":
         base = CeSet.primes(label)
-    elif kind == "explicit":
+    elif kind in ("explicit", "throttled"):
         if not elements:
-            raise ConfigError("explicit sets need an elements list")
+            raise ConfigError(f"{kind} sets need an elements list")
         base = CeSet.explicit(elements, label)
-    elif kind == "throttled":
-        if not elements:
-            raise ConfigError("throttled sets need an elements list")
-        base = CeSet.explicit(elements, label)
-        return base.with_delays(delays, label)
     else:
         raise ConfigError(f"unknown c.e. set kind {kind!r}")
-    if delays:
-        return base.with_delays(delays, label)
-    return base
+    return base.with_delays(delays, label) if delays else base
 
 
 # ---------------------------------------------------------------------------
@@ -551,26 +537,41 @@ class TwistedGenSet(GeneratingSet):
         return d
 
 
+def _descriptor_field(obj: dict, name: str, parse: Callable):
+    """parse(obj[name]); a missing or malformed field is a ConfigError
+    that names it."""
+    if name not in obj:
+        raise ConfigError(f"descriptor needs a {name!r} field")
+    try:
+        return parse(obj[name])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed descriptor field {name!r}: {exc}") from exc
+
+
+def _zeta_of(pair) -> CRat:
+    re_s, im_s = pair
+    return CRat(Fraction(re_s), Fraction(im_s))
+
+
 def genset_from_descriptor(obj: dict) -> GeneratingSet:
     """Rebuild a generating set from its JSON descriptor (the inverse of
     ``descriptor()`` for sets whose construction parameters serialise:
-    rational exponents, exact scalars, spec-file set kinds)."""
-    p_field = obj.get("p")
-    if not isinstance(p_field, str):
+    rational exponents, exact scalars, spec-file set kinds).  A missing
+    or malformed field raises ConfigError naming it."""
+    if not isinstance(obj.get("p"), str):
         raise ConfigError("only rational-exponent descriptors can be rebuilt")
-    p = Exponent.from_rational(Fraction(p_field))
+    p = _descriptor_field(obj, "p", lambda s: Exponent.from_rational(Fraction(s)))
     kind = obj.get("kind")
     field_mode = obj.get("field", COMPLEX)
     label = obj.get("label", "")
     if kind == "standard":
         return StandardGenSet(p, field_mode, label or "E")
     if kind == "zeta":
-        re_s, im_s = obj["zeta"]
-        return ZetaGenSet(
-            CRat(Fraction(re_s), Fraction(im_s)), p, field_mode, label or "F_zeta"
-        )
+        zeta = _descriptor_field(obj, "zeta", _zeta_of)
+        return ZetaGenSet(zeta, p, field_mode, label or "F_zeta")
     if kind == "twisted":
-        return TwistedGenSet(ce_set_from_spec(obj["ce_set"]), p, field_mode, label)
+        ce = _descriptor_field(obj, "ce_set", ce_set_from_spec)
+        return TwistedGenSet(ce, p, field_mode, label)
     raise ConfigError(f"unknown generating-set kind {kind!r}")
 
 

@@ -109,6 +109,29 @@ class TestApproxE0:
         )
         assert F(rec["certified_error_bound"][1]) < pow2(-4)
 
+    @pytest.mark.parametrize("spec", [
+        {"label": "odds3", "kind": "odds", "delays": [[3, 5]]},
+        {"label": "p", "kind": "primes", "delays": [[5, 6], [2, 3]]},
+        "primes",
+        str(DATA / "ce_throttled.json"),
+    ])
+    def test_printed_ce_set_reloads(self, tmp_path, spec):
+        """The ce_set a report prints is a spec file that rebuilds the
+        set: a second run on it succeeds and prints the same spec."""
+        if isinstance(spec, dict):
+            (tmp_path / "in.json").write_text(json.dumps(spec))
+            spec = str(tmp_path / "in.json")
+        argv = ("approx-e0", "--p", "1", "--k", "2")
+        code, first, _ = run(tmp_path, *argv, "--ce-set", spec, out_name="a.json")
+        assert code == 0
+        (tmp_path / "again.json").write_text(json.dumps(first["ce_set"]))
+        code, second, _ = run(
+            tmp_path, *argv, "--ce-set", str(tmp_path / "again.json"), out_name="b.json"
+        )
+        assert code == 0
+        assert second["ce_set"] == first["ce_set"]
+        assert second["N1"] == first["N1"] and second["q1"] == first["q1"]
+
 
 class TestExtract:
     def test_round_trip(self, tmp_path):

@@ -17,6 +17,7 @@ from lpcat import (
     RationalBall,
     StandardGenSet,
     SupportsOverlap,
+    VectorRep,
     ZetaGenSet,
     ballmap_from_disjoint_family,
     basis,
@@ -241,6 +242,22 @@ class TestBallMapConstruction:
         with pytest.raises(SupportsOverlap):
             ballmap_from_disjoint_family(reps, gs)
 
+    def test_coordinate_overlap_of_non_exact_reps(self, p2):
+        """Reps with no exact vector over E are checked coordinate by
+        coordinate: two unit reps both certified away from 0 at an index
+        overlap, and a pair with disjoint supports passes."""
+        gs = StandardGenSet(p2)
+        overlapping = [
+            VectorRep(gs, lambda _k: [F(3, 5), F(4, 5)]),
+            VectorRep(gs, lambda _k: [F(4, 5), F(-3, 5)]),
+        ]
+        assert all(rep.exact_vector is None for rep in overlapping)
+        with pytest.raises(SupportsOverlap, match="overlap at index 0"):
+            ballmap_from_disjoint_family(overlapping, gs)
+        disjoint = [VectorRep(gs, lambda _k: [1]), VectorRep(gs, lambda _k: [0, 1])]
+        bmap = ballmap_from_disjoint_family(disjoint, gs)
+        assert bmap.apply(RationalBall((CRat.of(1),), F(1, 4), "E")) is not None
+
     def test_fuel_produces_no_output(self, p2):
         gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(4)]
@@ -348,6 +365,21 @@ class TestChecker:
             right = gsF.norm_enclosure(out.coeffs, 30)
             assert left.pad(pow2(-30)).intersects(right)
 
+    def test_identity_into_twisted_presentation_checks(self, p32):
+        """check_ballmap of the identity family from E to F measures every
+        sampled distance with TwistedGenSet.residual_norm, the expansion
+        route, and finds no violation."""
+        from lpcat import CeSet, TwistedGenSet
+        from lpcat.twisted import identity_family
+
+        gsF = TwistedGenSet(CeSet.odds(), p32)
+        bmap = ballmap_from_disjoint_family(identity_family(gsF, 4), gsF)
+        schedule = CheckSchedule.seeded("E", seed=3, n_balls=3, n_vectors=2)
+        report = check_ballmap(bmap, lambda v: v, schedule)
+        assert report.correctness_checked == 9
+        assert not report.correctness_violations and not report.correctness_undecided
+        assert report.convergence_achieved == 24 and report.passed
+
     def test_report_bytes_deterministic(self, p2):
         gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
@@ -376,6 +408,24 @@ class TestDescriptors:
             assert rebuilt.descriptor() == gs.descriptor()
             coeffs = [CRat.of(1), CRat.of(F(1, 2))]
             assert rebuilt.norm_query(coeffs, 25) == gs.norm_query(coeffs, 25)
+
+    @pytest.mark.parametrize(
+        "descriptor, field",
+        [
+            ({"kind": "zeta", "p": "2"}, "zeta"),
+            ({"kind": "twisted", "p": "2"}, "ce_set"),
+            ({"kind": "standard", "p": "x"}, "p"),
+            ({"kind": "zeta", "p": "2", "zeta": ["1", "1/0"]}, "zeta"),
+            ({"kind": "zeta", "p": "2", "zeta": ["1"]}, "zeta"),
+            ({"kind": "twisted", "p": "2", "ce_set": 5}, "ce_set"),
+            ({"kind": "twisted", "p": "2", "ce_set": {"kind": "unknown"}}, "ce_set"),
+        ],
+    )
+    def test_malformed_descriptor_names_its_field(self, descriptor, field):
+        from lpcat import genset_from_descriptor
+
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            genset_from_descriptor(descriptor)
 
     def test_ball_json_round_trip(self):
         ball = RationalBall((CRat(F(1, 2), F(-1, 3)),), F(1, 7), "E")

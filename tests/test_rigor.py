@@ -19,6 +19,7 @@ from lpcat import (
     ComputablePoint,
     ComputableReal,
     ConfigError,
+    CRat,
     Enclosure,
     Exponent,
     FiniteVector,
@@ -485,6 +486,19 @@ class TestPointPowers:
         l, h = rigor._pow_mantissas(num, num, den, Exponent.from_rational(1).half(), K)
         assert l <= m <= h
         assert (l == h) != over
+
+
+@pytest.mark.parametrize(
+    "z", [CRat(F(1), F(1)), CRat(F(1, 3), F(-2, 7)), CRat(F(-5, 2), F(1, 1000))]
+)
+@pytest.mark.parametrize("k", [0, 10, 60])
+def test_abs_enclosure_of_non_pythagorean_point(z, k):
+    """|z| irrational: a dyadic box of width below 2^-k whose squared ends
+    bracket |z|^2."""
+    assert z.abs_exact() is None
+    got = z.abs_enclosure(k)
+    assert got.width < pow2(-k)
+    assert 0 <= got.lo and got.lo ** 2 <= z.abs2() <= got.hi ** 2
 
 
 class TestMantissaPowers:

@@ -7,10 +7,12 @@ with that exact gamma, and membership bits are compared against the sets'
 decision procedures.
 """
 
+import json
 import random
 import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -36,6 +38,7 @@ from lpcat import (
     expanded_residual_norm,
     extract_scale,
     f0_norm_sandwich,
+    genset_from_descriptor,
     gamma_from_scale,
     membership_bits,
     norm_p,
@@ -51,6 +54,7 @@ from lpcat.rigor import ComputableReal, MemoTable, ceil_log2
 from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 GAMMA_ODDS = sum(F(1, 2 ** (2 * j + 1)) for j in range(60)) + F(2, 3) / 4 ** 60
 assert GAMMA_ODDS == F(2, 3)  # independent geometric-series check
@@ -125,6 +129,53 @@ class TestCeSets:
         ):
             with pytest.raises(ConfigError, match=f"set element {bad} is outside"):
                 ce_set_from_spec(spec)
+
+    @pytest.mark.parametrize("kind, delays", [
+        ("odds", None), ("odds", [(3, 5)]),
+        ("primes", None), ("primes", [(5, 6), (2, 3)]),
+        ("explicit", None), ("explicit", [(5, 7), (2, 3)]),
+    ])
+    def test_spec_round_trip(self, kind, delays):
+        """spec_json() is what built the set: the loader rebuilds it with
+        the same spec, label and enumeration, delays on any kind, and so
+        does a twisted presentation's descriptor."""
+        if kind == "explicit":
+            ce = CeSet.explicit([2, 5, 9], label="mine")
+        else:
+            ce = getattr(CeSet, kind)(label="mine")
+        if delays:
+            ce = ce.with_delays(delays, label="mine-late")
+        spec = ce.spec_json()
+        rebuilt = ce_set_from_spec(spec)
+        assert rebuilt.spec_json() == spec
+        assert rebuilt.label == ce.label == spec["label"]
+        assert rebuilt.prefix(20) == ce.prefix(20)
+        gs = TwistedGenSet(ce, Exponent.from_rational(F(3, 2)))
+        again = genset_from_descriptor(gs.descriptor())
+        assert again.descriptor() == gs.descriptor()
+        assert again.ce.spec_json() == spec and again.ce.prefix(20) == ce.prefix(20)
+
+    def test_throttled_is_explicit_with_delays(self):
+        """Delays keep an odds or primes set's kind; an explicit set with
+        delays is a throttled one, which needs its elements."""
+        assert throttled_set().spec_json() == json.loads(
+            (DATA / "ce_throttled.json").read_text()
+        )
+        assert CeSet.odds().with_delays([(3, 5)]).spec_json() == {
+            "label": "odds~throttled", "kind": "odds", "delays": [[3, 5]],
+        }
+        with pytest.raises(ConfigError, match="throttled sets need an elements list"):
+            ce_set_from_spec({"kind": "throttled", "delays": [[3, 5]]})
+
+    def test_printed_spec_is_a_copy(self):
+        """Editing a printed spec changes neither the set's enumeration nor
+        what it prints next."""
+        ce = throttled_set()
+        spec = ce.spec_json()
+        spec["elements"].append(99)
+        spec["delays"][0][1] = 1
+        assert ce.spec_json() == json.loads((DATA / "ce_throttled.json").read_text())
+        assert ce.prefix(8) == throttled_set().prefix(8)
 
     def test_access_views(self):
         ce = CeSet.odds()
