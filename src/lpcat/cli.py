@@ -23,6 +23,7 @@ from .rigor import (
     ComputableReal,
     ConfigError,
     Exponent,
+    MemoTable,
     OracleFailure,
 )
 from .lpspace import FiniteVector
@@ -429,8 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built on first use: building it costs about as much as a
+# small command, and parse_args leaves it unchanged.
+_PARSER = MemoTable()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.get("lpcat", build_parser).parse_args(argv)
     started = time.perf_counter()
     try:
         record, summary = args.fn(args)

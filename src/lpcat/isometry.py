@@ -23,7 +23,6 @@ from .rigor import (
     CRAT_ZERO,
     ComputablePoint,
     ConfigError,
-    Enclosure,
     Exponent,
     pow2,
     sqrt_real,
@@ -302,17 +301,14 @@ def rotation_images(p: Exponent) -> tuple[VectorRep, VectorRep]:
     return make(1, "rot(e0)"), make(-1, "rot(e1)")
 
 
-def _rotated_abs2_terms(v: FiniteVector) -> list[Enclosure]:
+def _rotated_abs2_terms(v: FiniteVector) -> list[Fraction]:
     """Exact squared moduli of the rotated image's coordinates: the 1/2
     from the rotation scalar squares away, so every term is rational."""
     v0, v1 = v.get(0), v.get(1)
-    terms = [
-        Enclosure.point((v0 + v1).abs2() / 2),
-        Enclosure.point((v0 - v1).abs2() / 2),
-    ]
+    terms = [(v0 + v1).abs2() / 2, (v0 - v1).abs2() / 2]
     for i, c in v.coords:
         if i >= 2:
-            terms.append(Enclosure.point(c.abs2()))
+            terms.append(c.abs2())
     return terms
 
 
@@ -360,11 +356,7 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     }
 
     if p.fast != 2:
-        witness = norm_of_abs2_terms(
-            [Enclosure.point(Fraction(1, 2)), Enclosure.point(Fraction(1, 2))],
-            p,
-            width_bits,
-        )
+        witness = norm_of_abs2_terms([Fraction(1, 2), Fraction(1, 2)], p, width_bits)
         excludes_one = witness.lo > 1 or witness.hi < 1
         report["p_witness"] = {
             "vector": basis(0).to_quintuples(),

@@ -20,6 +20,7 @@ from .rigor import (
     ceil_log2,
     norm_from_power_sum,
     strict_int,
+    _pow_route,
     _pow_slack,
 )
 
@@ -112,17 +113,49 @@ def disjoint(u: FiniteVector, v: FiniteVector) -> bool:
     return not (u.support() & v.support())
 
 
-def abs2_pow_sum(abs2_terms: Sequence[Enclosure], p: Exponent, k: int) -> Enclosure:
-    """Sum of m^(p/2) over enclosures m of squared moduli, with total slack
-    below 2^-k.  Shared by exact vectors and truncation-scale images."""
+def abs2_pow_sum(abs2_terms: Sequence[Fraction], p: Exponent, k: int) -> Enclosure:
+    """Sum of m^(p/2) over exact squared moduli m >= 0, with total slack
+    below 2^-k, as one Enclosure.
+
+    Each term is taken at 2^-T, T = per + 2, with per = k + ceil(log2(n + 1))
+    for n terms.  On the rational track each goes through the one point
+    router: a rational power adds to one Fraction, a floor-root mantissa s
+    to one integer (its upper end is s + 1), and a dyadic-route pair to a
+    lower and an upper Fraction; p = 2 is the sum of the terms.  The
+    oracle track takes one _pow_slack per term at per and adds its ends.
+    Either way the ends are the sums of the per-term ends.
+    """
     if not abs2_terms:
         return Enclosure.point(0)
     half = p.half()
+    e = half.fast
+    if e == 1:
+        return Enclosure.point(sum(abs2_terms))
     per = k + ceil_log2(Fraction(len(abs2_terms) + 1))
-    total = Enclosure.point(0)
+    lo = hi = Fraction(0)
+    if e is None:
+        for m2 in abs2_terms:
+            enc = _pow_slack(Enclosure.point(m2), half, per)
+            lo += enc.lo
+            hi += enc.hi
+        return Enclosure(lo, hi)
+    T = per + 2
+    exact = Fraction(0)
+    mantissas = count = 0
     for m2 in abs2_terms:
-        total = total + _pow_slack(m2.clamp_nonneg(), half, per)
-    return total
+        r = _pow_route(m2, e, T)
+        if type(r) is int:
+            mantissas += r
+            count += 1
+        elif r[0] == r[1]:
+            exact += r[0]
+        else:
+            lo += r[0]
+            hi += r[1]
+    if count:
+        lo += Fraction(mantissas, 1 << T)
+        hi += Fraction(mantissas + count, 1 << T)
+    return Enclosure(exact + lo, exact + hi)
 
 
 def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
@@ -131,13 +164,11 @@ def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
     Exact whenever every |a_n|^p and the final root are rational, e.g.
     p = 1 with real rational coordinates, or Pythagorean points.
     """
-    return norm_of_abs2_terms([Enclosure.point(c.abs2()) for _, c in v.coords], p, k)
+    return norm_of_abs2_terms([c.abs2() for _, c in v.coords], p, k)
 
 
-def norm_of_abs2_terms(
-    abs2_terms: Sequence[Enclosure], p: Exponent, k: int
-) -> Enclosure:
-    """Certified norm from per-coordinate squared-modulus enclosures."""
+def norm_of_abs2_terms(abs2_terms: Sequence[Fraction], p: Exponent, k: int) -> Enclosure:
+    """Certified norm from the exact squared moduli of the coordinates."""
     if not abs2_terms:
         return Enclosure.point(0)
     return norm_from_power_sum(lambda K: abs2_pow_sum(abs2_terms, p, K), p, k)

@@ -10,17 +10,19 @@ The whole library runs on three numeric currencies:
 
 Every operation is outward rounded: the result encloses the exact image of
 every point of its inputs.  There is no floating point anywhere.  A power
-t^(a/b) of a rational point is routed and decoded in one place,
-``_pow_point``, which returns both of its ends and takes one of two
-routes, chosen by cost.  The exact route is an exact integer power
+t^(a/b) of a rational point is routed in one place, ``_pow_route``,
+which takes one of two routes, chosen by cost; ``_pow_point`` decodes
+its answer to both ends.  The exact route is an exact integer power
 followed by an integer floor-root: nested integer square roots when b is
 a power of two, Newton iteration otherwise, and exact on perfect powers.
 It is taken when its largest operand, bounded by ``_exact_pow_bits`` at
 scale 2^-K, fits a fixed bit budget; the two ends then differ only by
-2^-K on the one floor-root.  The same floor-root, under the same budget,
-takes powers of integer ratios m / den straight to integer mantissas at
-scale 2^-K (``_pow_mantissas``), so a caller that sums such terms, the
-twisted norm, builds no Fraction per term.
+2^-K on the one floor-root, whose mantissa ``_pow_route`` hands back as
+an integer, so ``lpspace.abs2_pow_sum`` sums such terms as one integer.
+The same floor-root, under the same budget, takes powers of integer
+ratios m / den straight to integer mantissas at scale 2^-K
+(``_pow_mantissas``), so a caller that sums such terms, the twisted
+norm, builds no Fraction per term.
 Otherwise the dyadic route takes iterated directed square roots and
 directed binary powers on integer mantissas at one binary exponent 2^-P,
 each rounded product a multiply and a shift.  Either way every bound is
@@ -566,6 +568,7 @@ class Exponent:
         if not _checked:
             raise ConfigError("use Exponent.from_rational or Exponent.from_real")
         self._bracket = _real_bracket(real)
+        self._brackets = MemoTable()
         self._views = MemoTable()
 
     @classmethod
@@ -585,10 +588,13 @@ class Exponent:
 
     def bracket(self, k: int) -> tuple[Fraction, Fraction]:
         """Rationals lo <= value <= hi from the oracle at precision
-        at least max(k, 4); (fast, fast) on the rational track."""
+        at least max(k, 4); (fast, fast) on the rational track.  Each
+        precision's bracket is computed once, in ``_brackets``; a bracket
+        that raises OracleFailure is not stored, so it raises again."""
         if self.fast is not None:
             return (self.fast, self.fast)
-        return self._bracket(max(k, 4))
+        k = max(k, 4)
+        return self._brackets.get(k, lambda: self._bracket(k))
 
     def ub(self) -> Fraction:
         return self.bracket(4)[1]
@@ -602,11 +608,12 @@ class Exponent:
         return self._views.get("1/p", lambda: self._view("1/p", lambda lo, hi: (1 / hi, 1 / lo)))
 
     def _view(self, name: str, f: Callable[[Fraction, Fraction], tuple]) -> "Exponent":
-        """The exponent whose bracket is f(lo, hi) of this exponent's bracket
-        taken one bit finer; ``half`` and ``reciprocal`` build each view
-        once, in ``_views``.  Its fast value is f at the point fast, and its
-        oracle f at the point approx(k + 2): within 2^-k, since
-        |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for p >= 1."""
+        """The exponent whose bracket is f(lo, hi) of this exponent's
+        memoised bracket taken one bit finer; ``half`` and ``reciprocal``
+        build each view once, in ``_views``.  Its fast value is f at the
+        point fast, and its oracle f at the point approx(k + 2): within
+        2^-k, since |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for
+        p >= 1."""
 
         def point(q: Fraction) -> Fraction:
             return f(q, q)[0]
@@ -616,7 +623,7 @@ class Exponent:
             lambda k: point(self.real.approx(k + 2)), f"{name}[{self.real.label}]"
         )
         view = Exponent(real, fast, _checked=True)
-        view._bracket = lambda k: f(*self._bracket(k + 1))
+        view._bracket = lambda k: f(*self.bracket(k + 1))
         return view
 
     def __repr__(self) -> str:
@@ -685,7 +692,7 @@ def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
 # 2^-K and by (num, den, j, P) for square-root chains.  Both ends of an
 # exponent bracket, and each refinement of it, share the same chains.
 _DYADIC_POW_CACHE = MemoTable()
-# Largest operand, in bits, the exact power route may build (see _pow_point).
+# Largest operand, in bits, the exact power route may build (see _pow_route).
 # Rational-track powers stay far below it (about 11k bits at most in the
 # tests and benchmark workloads); the Newton roots past it run to millions
 # of bits.
@@ -712,28 +719,32 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     and rational e > 0 of arbitrary height.
 
     Writes e as an interval of dyadics m/2^j, takes j iterated directed
-    square roots of t, then powers back up with directed binary
-    exponentiation at P working bits.  Values are integer mantissas at
-    scale 2^P throughout; each endpoint becomes a Fraction once, at the
-    end.  Cost is O(j + log m) rounded multiplies, independent of e's
-    denominator.
+    square roots of u = max(t, 1/t), then powers back up with directed
+    binary exponentiation at P working bits; t < 1 reads the ends of u**e
+    swapped and inverted.  Everything up to the width test is integer
+    arithmetic on mantissas at scale 2^P, and the two Fraction ends are
+    built once, on success.  Cost is O(j + log m) rounded multiplies,
+    independent of e's denominator.
     """
     invert = t < 1
-    tt = 1 / t if invert else t
-    num, den = tt.numerator, tt.denominator
+    num, den = (t.denominator, t.numerator) if invert else (t.numerator, t.denominator)
+    a, b = e.numerator, e.denominator
     mag = num.bit_length() - den.bit_length() + 1
+    P0 = tb + 2 * mag - (-a * mag // b) + 16  # ceil(e * mag) guard bits
     for j in escalate(tb + 8, lambda _: max(16, tb // 2), 64, "dyadic power failed to converge"):
-        P = tb + j + 2 * mag + frac_ceil(e * mag) + 16
-        m_lo = frac_floor(e * (1 << j))
-        m_hi = frac_ceil(e * (1 << j))
+        P = P0 + j
         r_lo, r_hi = _DYADIC_POW_CACHE.get(
             (num, den, j, P), lambda: _root_chains(num, den, j, P)
         )
-        lo = Fraction(_ipow_dyadic(r_lo, m_lo, P, up=False), 1 << P)
-        hi = Fraction(_ipow_dyadic(r_hi, m_hi, P, up=True), 1 << P)
-        enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
-        if enc.width < pow2(-tb):
-            return enc
+        lo = _ipow_dyadic(r_lo, (a << j) // b, P, up=False)
+        hi = _ipow_dyadic(r_hi, -(-(a << j) // b), P, up=True)
+        # Width below 2^-tb: (hi - lo) / 2^P, or 2^P (hi - lo) / (lo hi)
+        # for the inverted ends 2^P / hi and 2^P / lo.
+        if invert:
+            if (hi - lo) << (P + tb) < lo * hi:
+                return Enclosure(Fraction(1 << P, hi), Fraction(1 << P, lo))
+        elif hi - lo < 1 << (P - tb):
+            return Enclosure(Fraction(lo, 1 << P), Fraction(hi, 1 << P))
 
 
 def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
@@ -763,19 +774,22 @@ def _floor_root(num: int, den: int, b: int) -> tuple[int, bool]:
     return r, not rem and r ** b == q
 
 
-def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
-    """Lower and upper bounds on t**e for rational t >= 0 and e > 0, at
-    most 2^-K apart and equal when the power is rational on the exact
-    route: the one router and decoder of a point power.
+def _pow_route(t: Fraction, e: Fraction, K: int) -> Union[int, tuple[Fraction, Fraction]]:
+    """t**e for rational t >= 0 and e > 0 at 2^-K, the one router of a point
+    power: either the exact route's floor-root mantissa s, an int with
+    s / 2^K < t**e < (s + 1) / 2^K, or a pair of rational ends at most 2^-K
+    apart, equal when the power is rational on the exact route.
+    ``_pow_point`` decodes it to two Fractions; a caller that sums many
+    powers at one K adds the mantissas as integers.
 
     The route is chosen by cost, not by the height of e = a/b.  The exact
-    route forms t**a and takes one integer floor-root s of it for both
-    ends, s / 2^K < t**e < (s + 1) / 2^K, and returns perfect powers
-    exactly.  It is taken whenever its largest operand (bounded by
-    _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the budget,
-    typically a base of thousands of bits under a bracket exponent such as
-    128/193, Newton's method would run on millions of bits and converge
-    only linearly; the integer-mantissa dyadic route is taken instead.
+    route forms t**a and takes one integer floor-root of it, and returns
+    perfect powers exactly.  It is taken whenever its largest operand
+    (bounded by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the
+    budget, typically a base of thousands of bits under a bracket exponent
+    such as 128/193, Newton's method would run on millions of bits and
+    converge only linearly; the integer-mantissa dyadic route is taken
+    instead.
     """
     if t in (0, 1) or e == 1:
         return t, t
@@ -795,8 +809,16 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
         if rd ** b == d:
             q = Fraction(rn, rd)
             return q, q
-    s = _floor_root(n << (b * K), d, b)[0]
-    return Fraction(s, 1 << K), Fraction(s + 1, 1 << K)
+    return _floor_root(n << (b * K), d, b)[0]
+
+
+def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper bounds on t**e, at most 2^-K apart: ``_pow_route``
+    with a floor-root mantissa s read as s / 2^K and (s + 1) / 2^K."""
+    r = _pow_route(t, e, K)
+    if type(r) is int:
+        return Fraction(r, 1 << K), Fraction(r + 1, 1 << K)
+    return r
 
 
 def _pow_box(x: Enclosure, e: Fraction, K: int) -> Enclosure:
@@ -998,6 +1020,11 @@ def norm_from_power_sum(
     When the sum cannot be bounded away from 0 but is certified below
     2^-(k+1)p the norm is returned as [0, 2^-(k+1)].  A bounded escalation
     loop covers the remaining cases.
+
+    A zero-width sum is S itself, so its root root_p(S, p, k + 2) is taken
+    at once, with no guard jump and no second ``sum_at``.  The jumped sum
+    is the same point S unless the larger K pushes a term past the exact
+    route's operand budget, so the answer is the one the loop gave.
     """
     p_ub = p.ub()
     step = max(8, k // 2)
@@ -1008,6 +1035,8 @@ def norm_from_power_sum(
         s = sum_at(K).clamp_nonneg()
         if s.hi == 0:
             return Enclosure.point(0)
+        if s.lo == s.hi:
+            return root_p(s, p, k + 2)
         if s.lo == 0:
             t0 = pow2(-(k + 1))
             kt = frac_ceil(Fraction(k + 2) * p_ub) + 4

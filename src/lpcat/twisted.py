@@ -336,15 +336,28 @@ class CeView:
 # rational passes Python's 4300-digit int-to-str limit, at 10^7 approx-e0
 # runs for minutes, and at 10^14 an explicit set cannot be built.
 _MAX_SPEC_ELEMENT = 4096
+_SPEC_KEYS = ("label", "kind", "elements", "delays")
+
+
+def _label_of(obj: dict, default: str) -> str:
+    """obj's label, a string, or default when it is missing or empty."""
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ConfigError(f"'label' must be a string, got {label!r}")
+    return label or default
 
 
 def ce_set_from_spec(obj: dict) -> CeSet:
     """Build a set from its JSON spec: {label, kind, elements?, delays?}.
-    Every listed or delayed element must lie in [1, 4096]."""
+    Every listed or delayed element must lie in [1, 4096]; any other key,
+    or a label that is not a string, is refused by name."""
     if not isinstance(obj, dict):
         raise ConfigError("a c.e. set spec is a JSON object")
+    for key in obj:
+        if key not in _SPEC_KEYS:
+            raise ConfigError(f"unknown c.e. set spec key {key!r}")
     kind = obj.get("kind")
-    label = obj.get("label") or kind or "ce"
+    label = _label_of(obj, kind or "ce")
     try:
         elements = [strict_int(e) for e in obj.get("elements") or ()]
         delays = [(strict_int(e), strict_int(s)) for e, s in obj.get("delays") or ()]
@@ -563,7 +576,7 @@ def genset_from_descriptor(obj: dict) -> GeneratingSet:
     p = _descriptor_field(obj, "p", lambda s: Exponent.from_rational(Fraction(s)))
     kind = obj.get("kind")
     field_mode = obj.get("field", COMPLEX)
-    label = obj.get("label", "")
+    label = _label_of(obj, "")
     if kind == "standard":
         return StandardGenSet(p, field_mode, label or "E")
     if kind == "zeta":

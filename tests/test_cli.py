@@ -335,6 +335,29 @@ def test_report_bytes_match_golden(tmp_path, argv, report_sha, csv_sha):
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
 
 
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    """main builds its parser on first use and keeps it: parsing leaves
+    it unchanged, so later calls, good or bad, read the same one."""
+    from lpcat import cli
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._PARSER.clear()
+    first = run(tmp_path, "norm", "--genset", "E", "--coeffs", "3,4", "--k", "10", out_name="a.json")
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main(["norm", "--genset", "X", "--coeffs", "1"])
+    again = run(tmp_path, "norm", "--genset", "E", "--coeffs", "3,4", "--k", "10", out_name="b.json")
+    assert built == [1]
+    assert first[0] == again[0] == 0
+    assert first[2].read_bytes() == again[2].read_bytes()
+
+
 MALFORMED = {
     "descriptor-zero-denominator": (
         ["classify", "--input", "{f}"], {"phi": [[0, 0]], "lambdas": [[1, 0, 0, 1]]},
@@ -435,6 +458,14 @@ MALFORMED = {
     "set-element-10-to-14": (
         ["approx-e0", "--k", "3", "--ce-set", "{f}"],
         {"kind": "explicit", "elements": [99999999999999]},
+    ),
+    # A spec holds label, kind, elements and delays only, and its label is
+    # a string: these loaded and printed the label back as 7.
+    "set-label-not-string": (
+        ["approx-e0", "--k", "3", "--ce-set", "{f}"], {"label": 7, "kind": "odds"},
+    ),
+    "set-unknown-key": (
+        ["approx-e0", "--k", "3", "--ce-set", "{f}"], {"kind": "odds", "bogus": 1},
     ),
 }
 

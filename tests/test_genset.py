@@ -419,6 +419,9 @@ class TestDescriptors:
             ({"kind": "zeta", "p": "2", "zeta": ["1"]}, "zeta"),
             ({"kind": "twisted", "p": "2", "ce_set": 5}, "ce_set"),
             ({"kind": "twisted", "p": "2", "ce_set": {"kind": "unknown"}}, "ce_set"),
+            ({"kind": "standard", "p": "2", "label": 5}, "label"),
+            ({"kind": "zeta", "p": "2", "zeta": ["1", "0"], "label": ["E"]}, "label"),
+            ({"kind": "twisted", "p": "2", "ce_set": {"kind": "odds", "label": 7}}, "ce_set"),
         ],
     )
     def test_malformed_descriptor_names_its_field(self, descriptor, field):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lpcat import (
     CRat,
@@ -12,9 +12,12 @@ from lpcat import (
     Exponent,
     FiniteVector,
     basis,
+    ceil_log2,
     disjoint,
     norm_p,
     pow2,
+    rigor,
+    sqrt_real,
 )
 from lpcat.lpspace import abs2_pow_sum
 
@@ -23,9 +26,9 @@ F = Fraction
 scalars = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
-def abs2_terms(v: FiniteVector) -> list[Enclosure]:
-    """The squared-modulus terms norm_p sums, one point per coordinate."""
-    return [Enclosure.point(c.abs2()) for _, c in v.coords]
+def abs2_terms(v: FiniteVector) -> list[Fraction]:
+    """The squared-modulus terms norm_p sums, one exact term per coordinate."""
+    return [c.abs2() for _, c in v.coords]
 
 
 def random_vector(rng: random.Random, width: int = 5) -> FiniteVector:
@@ -155,3 +158,129 @@ class TestNormAxioms:
             joint = abs2_pow_sum(abs2_terms(u + v), p, k)
             split = abs2_pow_sum(abs2_terms(u), p, k) + abs2_pow_sum(abs2_terms(v), p, k)
             assert joint.intersects(split.pad(2 * pow2(-k)))
+
+
+def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """_pow_point as it stood when every point power came back as two
+    Fractions, floor-root ends included."""
+    if t in (0, 1) or e == 1:
+        return t, t
+    n, d = t.numerator, t.denominator
+    a, b = e.numerator, e.denominator
+    scale = K if b > 1 else 0
+    if rigor._exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > rigor._EXACT_POW_BUDGET:
+        enc = rigor._pow_dyadic_enclosure(t, e, K)
+        return enc.lo, enc.hi
+    if b == 1:
+        q = t ** a
+        return q, q
+    n, d = n ** a, d ** a
+    rn = rigor.iroot(n, b)
+    if rn ** b == n:
+        rd = rigor.iroot(d, b)
+        if rd ** b == d:
+            q = F(rn, rd)
+            return q, q
+    s = rigor._floor_root(n << (b * K), d, b)[0]
+    return F(s, 1 << K), F(s + 1, 1 << K)
+
+
+def ref_abs2_pow_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
+    """abs2_pow_sum as a sum of one Enclosure per term: _pow_slack's
+    rational track (the point power at per + 2, or the term itself at
+    p = 2) and its oracle track."""
+    if not terms:
+        return Enclosure.point(0)
+    half = p.half()
+    per = k + ceil_log2(F(len(terms) + 1))
+    total = Enclosure.point(0)
+    for m2 in terms:
+        if half.fast is None:
+            term = rigor._pow_slack(Enclosure.point(m2), half, per)
+        elif half.fast == 1:
+            term = Enclosure.point(m2)
+        else:
+            term = Enclosure(*ref_pow_point(m2, half.fast, per + 2))
+        total = total + term
+    return total
+
+
+def squared_moduli():
+    """Exact squared moduli: of random complex points (floor-root terms,
+    and Pythagorean ones such as |3 + 4i|^2), twelfth powers (perfect
+    under every p/2 below), 0 and 1, and terms of about 34k bits a side,
+    whose operand passes _EXACT_POW_BUDGET under every p/2 but 1."""
+
+    def big(seed):
+        rng = random.Random(seed)
+        bits = 34_000
+        return F(rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1))
+
+    points = st.builds(lambda re, im: CRat(re, im).abs2(), scalars, scalars)
+    pythagorean = st.sampled_from([F(25), F(169, 25), F(25, 169), F(289, 64)])
+    perfect = st.builds(lambda s: s ** 12, st.fractions(F(1, 9), 9, max_denominator=9))
+    return st.one_of(
+        points, pythagorean, perfect, st.sampled_from([F(0), F(1)]),
+        st.builds(big, st.integers(0, 2**32)),
+    )
+
+
+SUM_EXPONENTS = {
+    "1": lambda: Exponent.from_rational(1),
+    "3/2": lambda: Exponent.from_rational(F(3, 2)),
+    "2": lambda: Exponent.from_rational(2),
+    "7/3": lambda: Exponent.from_rational(F(7, 3)),
+    "4": lambda: Exponent.from_rational(4),
+    "sqrt2": lambda: Exponent.from_real(sqrt_real(2)),
+}
+
+
+class TestPowerSumAccumulator:
+    """abs2_pow_sum keeps its sum in integers and one Fraction: it must
+    give the very ends of the per-term Enclosure sum it replaced."""
+
+    @pytest.mark.parametrize("p_name", sorted(SUM_EXPONENTS))
+    @settings(max_examples=40)
+    @given(st.lists(squared_moduli(), max_size=6), st.integers(0, 60))
+    def test_ends_equal_the_per_term_sum(self, p_name, terms, k):
+        p = SUM_EXPONENTS[p_name]()
+        got = abs2_pow_sum(terms, p, k)
+        want = ref_abs2_pow_sum(terms, p, k)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert got.width < pow2(-k)
+
+    def test_every_route_is_covered(self):
+        """The strategy above reaches each kind of term: a floor-root
+        mantissa, an exact power, and a dyadic-route pair past the
+        budget, here at p = 3/2 (p/2 = 3/4)."""
+        e, K = F(3, 4), 32
+        big = F((1 << 34_000) + 1, (1 << 33_999) + 3)
+        assert type(rigor._pow_route(F(2), e, K)) is int
+        assert rigor._pow_route(F(2) ** 12, e, K) == (F(2) ** 9, F(2) ** 9)
+        lo, hi = rigor._pow_route(big, e, K)
+        assert lo < hi
+        terms = [F(2), F(2) ** 12, big, F(25)]
+        p = Exponent.from_rational(F(3, 2))
+        assert abs2_pow_sum(terms, p, 30) == ref_abs2_pow_sum(terms, p, 30)
+
+
+def test_norm_p_enclosure_work(monkeypatch, p32):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    seeded m = 64, k = 30 norm at p = 3/2.  It made 185 while every term's
+    power was an Enclosure added to a running Enclosure sum."""
+    rng = random.Random(7)
+    vector = FiniteVector.from_items(
+        [(i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(64)]
+    )
+    norm_p(vector, p32, 30)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    norm_p(vector, p32, 30)
+    assert made <= 4 < 185

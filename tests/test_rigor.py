@@ -275,6 +275,83 @@ class TestEscalation:
         assert got == Enclosure(F(0), F(1, 2048))
 
 
+def ref_norm_from_power_sum(sum_at, p: Exponent, k: int) -> Enclosure:
+    """norm_from_power_sum as it stood before a point sum was read once:
+    a point sum goes through the guard jump, and its second sum_at, like
+    any other."""
+    p_ub = p.ub()
+    step = max(8, k // 2)
+    jump = 0
+    for K in rigor.escalate(k + 4, lambda _: step, 64, "norm extraction failed to converge"):
+        K += jump
+        s = sum_at(K).clamp_nonneg()
+        if s.hi == 0:
+            return Enclosure.point(0)
+        if s.lo == 0:
+            t0 = pow2(-(k + 1))
+            kt = rigor.frac_ceil(F(k + 2) * p_ub) + 4
+            _, e_hi = p.bracket(kt)
+            if s.hi <= rigor._pow_point(t0, e_hi, kt)[0]:
+                return Enclosure(F(0), t0)
+            continue
+        guard = 0
+        if s.lo < 1:
+            bits = ceil_log2(1 / s.lo)
+            guard = rigor.frac_ceil(F(bits) * (p_ub - 1) / p_ub) + 2
+        if guard and K < k + 2 + guard:
+            jump += k + 2 + guard - K
+            K = k + 2 + guard
+            s = sum_at(K).clamp_nonneg()
+            if s.lo <= 0:
+                continue
+        out = root_p(s, p, k + 2)
+        if out.width < pow2(-k):
+            return out
+
+
+NORM_EXPONENTS = {
+    "1": lambda: Exponent.from_rational(1),
+    "3/2": lambda: Exponent.from_rational(F(3, 2)),
+    "2": lambda: Exponent.from_rational(2),
+    "3": lambda: Exponent.from_rational(3),
+    "sqrt2": lambda: Exponent.from_real(sqrt_real(2)),
+}
+
+
+def point_sums():
+    """Exact power sums: 0, 1, small (a guard jump), large, and p-th
+    powers of simple rationals (an exact root at p = 1, 2, 3)."""
+    return st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.builds(lambda q, m: q * pow2(-m), st.fractions(F(1, 9), 9, max_denominator=9),
+                  st.integers(1, 120)),
+        st.fractions(F(1, 100), 10**6, max_denominator=10**6),
+        st.builds(lambda q: q ** 6, st.fractions(F(1, 9), 9, max_denominator=9)),
+    )
+
+
+class TestPointPowerSum:
+    """A zero-width power sum is the exact value, so norm_from_power_sum
+    reads it once and takes its root; the answer must be the one the
+    guard-jump loop gave."""
+
+    @pytest.mark.parametrize("p_name", sorted(NORM_EXPONENTS))
+    @settings(max_examples=30)
+    @given(point_sums(), st.integers(0, 60))
+    def test_one_read_and_the_same_root(self, p_name, S, k):
+        p = NORM_EXPONENTS[p_name]()
+        asked = []
+
+        def sum_at(K):
+            asked.append(K)
+            return Enclosure.point(S)
+
+        got = rigor.norm_from_power_sum(sum_at, p, k)
+        assert asked == [k + 4]
+        assert got == ref_norm_from_power_sum(lambda _K: Enclosure.point(S), p, k)
+        assert got.width < pow2(-k)
+
+
 class TestOracleTrackExponent:
     def make_oracle_p(self, value: Fraction) -> Exponent:
         return Exponent.from_real(ComputableReal(lambda k: value, "p-oracle"))
@@ -333,6 +410,93 @@ class TestOracleTrackExponent:
             assert pow_p(Enclosure.point(2), p, 30).width < pow2(-30)
 
 
+class TestBracketMemo:
+    """Exponent.bracket(k) is computed once per exponent and precision;
+    the p/2 and 1/p views read their parent's memoised brackets."""
+
+    def counted_exponent(self, value: Fraction, claimed_bits: int = 4096):
+        """An exponent on a decimal oracle that refuses precisions past
+        claimed_bits, as ``--p oracle:<value>:<bits>`` builds it, with a
+        log of the precisions its fn was asked for."""
+        asked = []
+
+        def fn(k):
+            asked.append(k)
+            if k > claimed_bits:
+                raise OracleFailure(f"oracle claims {claimed_bits} bits, asked for {k}")
+            return value
+
+        return Exponent.from_real(ComputableReal(fn, "counted")), asked
+
+    def test_fn_and_rounding_once_per_precision(self, monkeypatch):
+        p, asked = self.counted_exponent(F(7, 3))
+        rounded = []
+        round_dyadic = rigor._round_dyadic
+
+        def counted(x, P, up):
+            rounded.append(P)
+            return round_dyadic(x, P, up)
+
+        monkeypatch.setattr(rigor, "_round_dyadic", counted)
+        ks = [0, 4, 5, 9, 30, 9, 0, 61]
+        first = {k: p.bracket(k) for k in ks}
+        views = {k: (p.half().bracket(k), p.reciprocal().bracket(k)) for k in ks}
+        for _ in range(3):
+            for k in ks:
+                assert p.bracket(k) == first[k]
+                assert (p.half().bracket(k), p.reciprocal().bracket(k)) == views[k]
+            p.ub()
+        precisions = {max(k, 4) for k in ks} | {max(k, 4) + 1 for k in ks}
+        assert sorted(asked) == sorted(precisions | {12})
+        assert sorted(rounded) == sorted(2 * list(precisions))
+        for k, (lo, hi) in first.items():
+            assert (lo, hi) == rigor._real_bracket(p.real)(max(k, 4))
+            half, recip = views[k]
+            lo, hi = p.bracket(max(k, 4) + 1)
+            assert half == (lo / 2, hi / 2) and recip == (1 / hi, 1 / lo)
+
+    def test_failures_are_not_cached(self):
+        """A bracket that raises raises again, and asks its oracle again:
+        the decimal oracle past its claimed bits, and a bracket below 1."""
+        p, asked = self.counted_exponent(F(3, 2), claimed_bits=20)
+        for _ in range(2):
+            with pytest.raises(OracleFailure, match="claims 20 bits"):
+                p.bracket(21)
+            with pytest.raises(OracleFailure, match="claims 20 bits"):
+                p.half().bracket(20)
+        assert asked.count(21) == 4
+        assert p.bracket(20)[0] <= F(3, 2)
+
+        below = Exponent.from_real(ComputableReal.constant(F(9999, 10000)))
+        for _ in range(2):
+            for exp, k in ((below, 15), (below.half(), 14), (below.reciprocal(), 14)):
+                with pytest.raises(OracleFailure, match="certified below 1"):
+                    exp.bracket(k)
+        assert below.bracket(14)[1] == 1
+
+    def test_sqrt2_norm_rounding_work(self, monkeypatch):
+        """Work guard, free of timing noise: _round_dyadic calls in one
+        seeded m = 64, k = 30 norm at p = sqrt(2), with a fresh exponent
+        and an empty dyadic cache.  It made 336 while every term's
+        _pow_slack rounds rebuilt the brackets."""
+        rng = random.Random(7)
+        vector = FiniteVector.from_items(
+            [(i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(64)]
+        )
+        calls = 0
+        round_dyadic = rigor._round_dyadic
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return round_dyadic(*args, **kwargs)
+
+        monkeypatch.setattr(rigor, "_round_dyadic", counted)
+        rigor._DYADIC_POW_CACHE.clear()
+        norm_p(vector, Exponent.from_real(sqrt_real(2)), 30)
+        assert calls <= 40 < 336
+
+
 def ref_sqrt_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
     """The Fraction form of the dyadic kernel's square root, kept as the
     reference for the integer-mantissa kernel."""
@@ -375,6 +539,26 @@ def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         j += max(16, tb // 2)
 
 
+def parent_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
+    """The integer-mantissa kernel as it stood when each round built
+    Fraction ends from 1/t, e * mag and e * 2^j, and tested the width of
+    their Enclosure."""
+    invert = t < 1
+    tt = 1 / t if invert else t
+    num, den = tt.numerator, tt.denominator
+    mag = num.bit_length() - den.bit_length() + 1
+    for j in rigor.escalate(tb + 8, lambda _: max(16, tb // 2), 64, "dyadic power failed"):
+        P = tb + j + 2 * mag + rigor.frac_ceil(e * mag) + 16
+        m_lo = rigor.frac_floor(e * (1 << j))
+        m_hi = rigor.frac_ceil(e * (1 << j))
+        r_lo, r_hi = rigor._root_chains(num, den, j, P)
+        lo = F(rigor._ipow_dyadic(r_lo, m_lo, P, up=False), 1 << P)
+        hi = F(rigor._ipow_dyadic(r_hi, m_hi, P, up=True), 1 << P)
+        enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
+        if enc.width < pow2(-tb):
+            return enc
+
+
 def exact_bits(t: Fraction, e: Fraction, K: int) -> int:
     """The exact route's operand bound for the point power t**e."""
     return rigor._exact_pow_bits(t.numerator.bit_length(), t.denominator.bit_length(), e, K)
@@ -407,6 +591,24 @@ class TestDyadicPowerKernel:
         a, b = e.numerator, e.denominator
         if b <= 8:
             assert enc.lo ** b <= t ** a <= enc.hi ** b
+
+    @settings(max_examples=80)
+    @given(
+        positive_rationals_but_one(),
+        st.booleans(),
+        exponents_up_to_three() | st.integers(0, 20).flatmap(
+            lambda j: st.integers(1, 3 << j).map(lambda a: F(a, 1 << j))
+        ),
+        st.integers(0, 80),
+    )
+    def test_integer_width_test_matches_the_parent(self, t, below, e, tb):
+        """The width test on mantissas, the swapped t < 1 and the integer
+        e * mag and e * 2^j leave every end as it was, on both sides of 1
+        and for dyadic and non-dyadic e."""
+        t = min(t, 1 / t) if below else max(t, 1 / t)
+        enc = rigor._pow_dyadic_enclosure(t, e, tb)
+        ref = parent_pow_dyadic_enclosure(t, e, tb)
+        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
 
     def test_exact_route_at_the_budget(self):
         """Rational-track powers of large bases stay on the exact route: a

@@ -129,6 +129,17 @@ class TestCeSets:
         ):
             with pytest.raises(ConfigError, match=f"set element {bad} is outside"):
                 ce_set_from_spec(spec)
+        # A label is a string, and a spec has no other keys; the error
+        # names the field.
+        for spec, bad in (
+            ({"label": 7, "kind": "odds", "bogus": 1}, "'bogus'"),
+            ({"label": 7, "kind": "odds"}, "'label'"),
+            ({"label": ["x"], "kind": "explicit", "elements": [2]}, "'label'"),
+            ({"kind": "odds", "Label": "x"}, "'Label'"),
+        ):
+            with pytest.raises(ConfigError, match=bad):
+                ce_set_from_spec(spec)
+        assert ce_set_from_spec({"label": "", "kind": "odds"}).label == "odds"
 
     @pytest.mark.parametrize("kind, delays", [
         ("odds", None), ("odds", [(3, 5)]),
