@@ -62,6 +62,7 @@ from .rigor import (
     frac_floor,
     norm_from_power_sum,
     pow2,
+    pow_p,
     root_p,
     simplest_between,
     strict_int,
@@ -590,8 +591,9 @@ def genset_from_descriptor(obj: dict) -> GeneratingSet:
 
 def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:
     """Exact-rational certificate that the twisted generator has norm 1 at
-    p = 1: (1 - gamma) plus the mass below the cutoff plus the tail bound,
-    summed as enclosures, lands in [1 - 2^-b, 1 + 2^-b]."""
+    p = 1: the enclosure of 1 - gamma plus the enclosure of gamma, both
+    read from gamma at precision b - 1 (width 2^-b), lands in
+    [1 - 2^-b, 1 + 2^-b]."""
     gamma = ce.gamma_enclosure(b - 1)
     return (Enclosure.point(1) - gamma) + gamma
 
@@ -701,6 +703,36 @@ def _inv_root_one_minus_gamma(
                     return out
 
 
+def _tail_ceiling(p: Exponent, t: Fraction, K: int) -> Fraction:
+    """Upper end of a certified enclosure of t**p for 0 < t < 1: pow_p at
+    precision K, which adds its own guard bits for a base below 1.  As t**p
+    falls when p grows, the oracle track takes the power at a rational
+    exponent: the lower end of p's bracket at precision K // 2, or 1 if
+    that is lower, so it asks the oracle nothing finer than a root at K
+    already did."""
+    if p.fast is None:
+        p = Exponent.from_rational(max(Fraction(1), p.bracket(K // 2)[0]))
+    return pow_p(Enclosure.point(t), p, K).hi
+
+
+def _tail_cutoff(ce: CeSet, p: Exponent, k: int, threshold: Fraction) -> int:
+    """The least candidate in [3, 512) whose tail norm is certified at or
+    below threshold, tried in order at tail precisions k + 10, k + 26 and
+    k + 48; a candidate past 3 whose tail mass at k + 48 certifies that it
+    must fail is skipped (see approx_e0)."""
+    ceiling = None
+    for candidate in range(3, 512):
+        if candidate > 3:
+            if ceiling is None:
+                ceiling = _tail_ceiling(p, threshold, k + 48)
+            if ce.tail_mass(candidate - 2, k + 48).lo > ceiling:
+                continue
+        for kt in (k + 10, k + 26, k + 48):
+            if root_p(ce.tail_mass(candidate - 2, kt), p, kt).hi <= threshold:
+                return candidate
+    raise OracleFailure("no certified tail cutoff below 512")
+
+
 def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     """Decision-mode algorithm producing g = q1 [f_0 - sum 2^(-c/p) f_n]
     with certified |e_0 - g| < 2^-k.
@@ -709,24 +741,27 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     or below eps / (eps + M), eps = 2^-k * (1/2)^(1/p), where M is an
     integer certified above (1 - gamma)^(-1/p); q1 is the simplest
     rational certified within eps of (1 - gamma)^(-1/p).
+
+    The scan for N1 tries each candidate at up to three tail precisions
+    kt, and every failed kt costs a p-th root.  A candidate past 3 is
+    reached only after candidate 3 failed at kt = k + 48, so gamma at that
+    precision is already decided and the candidate's tail mass there costs
+    no decide call.  When that tail mass's lower end exceeds a certified
+    ceiling on (eps / (eps + M))^p, the true tail norm lies above the
+    threshold, so the candidate fails at every kt and is skipped with no
+    root taken.  At large p (p = 8, say) the gamma enclosure at k + 48 is
+    wider than the tail, and the check seldom certifies.
+
+    The scan stays linear.  A bisection would find the same N1, but it
+    reads stages past N1 - 2 and fewer gamma precisions, and the reports
+    print those access counters (``max_stage``, ``decide_calls``).
     """
     coarse = _inv_root_one_minus_gamma(ce, p, Fraction(1, 4))
     m_int = frac_floor(coarse.hi) + 1
 
     eps = root_p(Enclosure.point(Fraction(1, 2)), p, k + 6).scale(pow2(-k))
     rhs = Enclosure(eps.lo / (eps.lo + m_int), eps.hi / (eps.hi + m_int))
-
-    n1 = None
-    for candidate in range(3, 512):
-        for kt in (k + 10, k + 26, k + 48):
-            tail_norm = root_p(ce.tail_mass(candidate - 2, kt), p, kt)
-            if tail_norm.hi <= rhs.lo:
-                n1 = candidate
-                break
-        if n1 is not None:
-            break
-    if n1 is None:
-        raise OracleFailure("no certified tail cutoff below 512")
+    n1 = _tail_cutoff(ce, p, k, rhs.lo)
 
     scale = _inv_root_one_minus_gamma(ce, p, eps.lo)
     q1 = simplest_between(scale.hi - eps.lo, scale.lo + eps.lo)

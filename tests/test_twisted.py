@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lpcat import rigor
 from lpcat import (
@@ -49,8 +49,8 @@ from lpcat import (
     sqrt_real,
 )
 from lpcat import twisted
-from lpcat.cli import main
-from lpcat.rigor import ComputableReal, MemoTable, ceil_log2
+from lpcat.cli import main, parse_p
+from lpcat.rigor import ComputableReal, MemoTable, ceil_log2, root_p
 from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
@@ -702,6 +702,98 @@ class TestApproxE0:
             CRat.of(F(-3, 8)),
             CRat.of(F(-3, 32)),
         )
+
+
+def ref_tail_cutoff(ce: CeSet, p: Exponent, k: int, threshold: F) -> int:
+    """approx_e0's tail-cutoff scan with no candidate skipped: every
+    candidate from 3 on takes its p-th root at up to three precisions."""
+    n1 = None
+    for candidate in range(3, 512):
+        for kt in (k + 10, k + 26, k + 48):
+            tail_norm = root_p(ce.tail_mass(candidate - 2, kt), p, kt)
+            if tail_norm.hi <= threshold:
+                n1 = candidate
+                break
+        if n1 is not None:
+            break
+    if n1 is None:
+        raise OracleFailure("no certified tail cutoff below 512")
+    return n1
+
+
+CUTOFF_SETS = {
+    "odds": CeSet.odds,
+    "primes": CeSet.primes,
+    "throttled": lambda: ce_set_from_spec(json.loads((DATA / "ce_throttled.json").read_text())),
+}
+
+
+def e0_outcome(ce: CeSet, p_spec: str, k: int):
+    """What approx_e0 shows of one run: its fields, or its failure, and the
+    set's access counters."""
+    try:
+        out = approx_e0(ce, parse_p(p_spec), k)
+    except OracleFailure as exc:
+        return str(exc), ce.stats.as_dict()
+    fields = (out.n1, out.q1, out.coefficients, out.certified_error, out.exact_error)
+    return fields, ce.stats.as_dict()
+
+
+@pytest.mark.parametrize("set_name", sorted(CUTOFF_SETS))
+# oracle:1.5:40 fails at candidate 3 on every k here; oracle:1.5:100 reaches
+# the skip check on the oracle track.
+@pytest.mark.parametrize("p_spec", ["1", "3/2", "2", "3", "oracle:1.5:40", "oracle:1.5:100"])
+def test_tail_cutoff_matches_linear_scan(monkeypatch, set_name, p_spec):
+    """The skipping scan returns the linear scan's N1 and leaves the same
+    approximation and access counters, each side on a fresh set."""
+    make = CUTOFF_SETS[set_name]
+    for k in (2, 4, 8, 16, 20):
+        got = e0_outcome(make(), p_spec, k)
+        with monkeypatch.context() as m:
+            m.setattr(twisted, "_tail_cutoff", ref_tail_cutoff)
+            want = e0_outcome(make(), p_spec, k)
+        assert got == want, (set_name, p_spec, k)
+
+
+@pytest.mark.parametrize("set_name", sorted(CUTOFF_SETS))
+def test_approx_e0_tail_mass_work(monkeypatch, set_name):
+    """Work guard, free of timing noise: tail_mass calls per approx_e0,
+    the scan's and the certificate's.  They reached 2.9 N1 while every
+    candidate took its roots; a skipped candidate reads one."""
+    calls = 0
+    tail_mass = CeSet.tail_mass
+
+    def counted(self, s, k):
+        nonlocal calls
+        calls += 1
+        return tail_mass(self, s, k)
+
+    monkeypatch.setattr(CeSet, "tail_mass", counted)
+    for p in (F(1), F(3, 2), F(2)):
+        for k in (4, 8, 12, 16, 20):
+            calls = 0
+            out = approx_e0(CUTOFF_SETS[set_name](), Exponent.from_rational(p), k)
+            assert calls <= out.n1 + 6, (p, k, out.n1, calls)
+
+
+@settings(max_examples=40)
+@given(
+    st.sets(st.integers(1, 24), min_size=1, max_size=10).filter(lambda s: len(s) < max(s)),
+    st.lists(st.integers(0, 12), unique=True, max_size=3),
+    st.sampled_from([F(1), F(3, 2), F(2)]),
+    st.integers(1, 16),
+)
+def test_approx_e0_error_bound(elements, stages, p, k):
+    """On explicit and throttled sets the certified error is below 2^-k,
+    and at p = 1 it encloses the closed-form error: the expansion route
+    agrees with the exact gamma."""
+    ce = CeSet.explicit(elements)
+    if stages:
+        ce = ce.with_delays(list(zip(sorted(elements)[-len(stages):], stages)))
+    out = approx_e0(ce, Exponent.from_rational(p), k)
+    assert out.certified_error.hi < pow2(-k)
+    if p == 1:
+        assert out.certified_error.contains(out.exact_error)
 
 
 class TestScaleExtraction:
