@@ -25,6 +25,7 @@ from .rigor import (
     Exponent,
     MemoTable,
     OracleFailure,
+    strict_keys,
 )
 from .lpspace import FiniteVector
 from .genset import (
@@ -274,6 +275,7 @@ def cmd_classify(args) -> tuple[dict, str]:
             for n in range(descriptor.size)
         ]
     elif "images" in obj:
+        strict_keys(obj, ("images",), "images input")
         try:
             images = [FiniteVector.from_quintuples(rows) for rows in obj["images"]]
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -297,9 +299,7 @@ def _demo_zeta(args, p: Exponent) -> tuple[dict, list[list[str]]]:
         exact_rep(genset, [CRat.of(0)] * n + [CRat.of(1)], label=f"f{n}")
         for n in range(8)
     ]
-    bmap = ballmap_from_disjoint_family(
-        reps, genset, source=StandardGenSet(p), kind="mult-by-zeta"
-    )
+    bmap = ballmap_from_disjoint_family(reps, genset, kind="mult-by-zeta")
     schedule = CheckSchedule.seeded("E", seed=args.seed)
     report = check_ballmap(bmap, lambda v: v.scale(zeta), schedule)
     rows = [["check", "value"]]

@@ -119,13 +119,14 @@ class StandardGenSet(GeneratingSet):
         return norm_p(v - self.vector_of(coeffs), self.p, k)
 
 
-class ZetaGenSet(GeneratingSet):
+class ZetaGenSet(StandardGenSet):
     """The twisted-by-a-unimodular-scalar presentation f_n = zeta e_n.
 
     Its norm oracle coincides with the standard one because |zeta| = 1;
     that is exactly why it is an effective generating set no matter how
-    hard the scalar itself is to compute.  Desk instances carry an exact
-    Pythagorean scalar so reps and residuals stay certifiable.
+    hard the scalar itself is to compute, and why it inherits E's norm
+    and residual through its own ``vector_of``.  Desk instances carry an
+    exact Pythagorean scalar so reps and residuals stay certifiable.
     """
 
     kind = "zeta"
@@ -148,12 +149,6 @@ class ZetaGenSet(GeneratingSet):
         return FiniteVector.from_items(
             [(i, self.zeta * c) for i, c in enumerate(cs)]
         )
-
-    def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
-        return norm_p(self.vector_of(coeffs), self.p, k)
-
-    def residual_norm(self, v: FiniteVector, coeffs: Sequence, k: int) -> Enclosure:
-        return norm_p(v - self.vector_of(coeffs), self.p, k)
 
     def descriptor(self) -> dict:
         d = super().descriptor()
@@ -276,25 +271,25 @@ def ballmap_from_disjoint_family(
     reps: Sequence[VectorRep],
     target: GeneratingSet,
     *,
-    source: Optional[StandardGenSet] = None,
     fuel: Optional[Fuel] = None,
     kind: str = "disjoint-family",
 ) -> BallMap:
-    """Ball map of the isometry sending e_n to the n-th represented unit
-    vector, per the three-criteria recipe: approximate the image of the
-    center within the input radius r and answer with radius 2r.
+    """Ball map from the standard presentation E of the isometry sending
+    e_n to the n-th represented unit vector, per the three-criteria
+    recipe: approximate the image of the center within the input radius r
+    and answer with radius 2r.
 
     Preconditions are checked at truncation scale 2^-10: every rep must
-    pass the unit-norm certificate, and when exact expansions or
-    coordinate reps are available, pairwise support disjointness is
-    certified; otherwise disjointness is the caller's responsibility
-    (recorded in the map kind).
+    pass the unit-norm certificate, and pairwise support disjointness is
+    certified from exact expansions when every rep has one, and otherwise
+    coordinate by coordinate when the target is E or F_zeta, where
+    coordinate i of sum a_j zeta e_j has modulus |a_i|.  Over any other
+    target, disjointness is the caller's responsibility.
     """
     reps = list(reps)
     if not reps:
         raise ConfigError("empty family")
-    if source is None:
-        source = StandardGenSet(target.p, target.field_mode)
+    source = StandardGenSet(target.p, target.field_mode)
     fuel = fuel or Fuel()
     tk = 10
 
@@ -496,7 +491,7 @@ def check_ballmap(
     input ball around the vector must map to a ball certified inside the
     epsilon-neighborhood of its reference image.
     """
-    if not isinstance(bmap.source, StandardGenSet):
+    if bmap.source.kind != "standard":
         raise ConfigError("checking requires a coordinate source presentation")
     rng = random.Random(schedule.seed)
     report = BallMapReport(bmap.kind, schedule.as_json())

@@ -27,6 +27,7 @@ from .rigor import (
     pow2,
     sqrt_real,
     strict_int,
+    strict_keys,
 )
 from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
 from .genset import (
@@ -130,6 +131,7 @@ class IsometryDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryDescriptor":
+        strict_keys(obj, ("schema", "phi", "lambdas"), "descriptor")
         try:
             pairs = sorted((strict_int(a), strict_int(b)) for a, b in obj["phi"])
             lambdas = []
@@ -174,9 +176,7 @@ def descriptor_to_ballmap(d: IsometryDescriptor, p: Exponent) -> BallMap:
     disjoint-family construction over the standard presentation."""
     target = StandardGenSet(p)
     reps = [d.image_rep(n, target) for n in range(d.size)]
-    return ballmap_from_disjoint_family(
-        reps, target, source=StandardGenSet(p), kind=f"descriptor[{d.size}]"
-    )
+    return ballmap_from_disjoint_family(reps, target, kind=f"descriptor[{d.size}]")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ each rounded product a multiply and a shift.  Either way every bound is
 certified by integer operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
-oracle; the general track brackets the exponent by simple rationals and
-compares t^(a/b) against targets via t^a versus target^b.
+oracle; the general track brackets the exponent by dyadics at 2^-k
+(``_round_dyadic``) and reads the corner gaps of t^e_lo and t^e_hi,
+refining the bracket until they fall under the width asked for
+(``_pow_slack``).
 
 Precision bookkeeping convention: an operation asked for precision k
 returns an enclosure that exceeds the width of the exact image of its
@@ -93,6 +95,14 @@ def strict_int(value) -> int:
     return value
 
 
+def strict_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a JSON object holding any key outside keys, naming the first
+    such key as an unknown key of what."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key {key!r}")
+
+
 def frac_ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
@@ -149,9 +159,8 @@ def iroot(n: int, b: int) -> int:
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """Rational with the smallest denominator (then numerator) in [lo, hi].
 
-    Stern-Brocot descent; used to pick canonical representatives out of
-    certified intervals and to bracket oracle-track exponents by simple
-    rationals.
+    Stern-Brocot descent; used to pick a canonical representative out of
+    a certified interval, as approx_e0 picks its q1.
     """
     if hi < lo:
         raise ValueError("empty interval")
@@ -821,19 +830,6 @@ def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     return r
 
 
-def _pow_box(x: Enclosure, e: Fraction, K: int) -> Enclosure:
-    """Outward enclosure of {t**e : t in x} for x >= 0 and rational e > 0.
-
-    t**e is increasing in t, so the lower end of x.lo**e and the upper end
-    of x.hi**e bound it.  A point x reads both ends off its one _pow_point
-    result.
-    """
-    lo, hi = _pow_point(x.lo, e, K)
-    if x.hi != x.lo:
-        hi = _pow_point(x.hi, e, K)[1]
-    return Enclosure(lo, hi)
-
-
 def _exp_gap(
     x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -900,6 +896,9 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
     less than 2^-K.
 
     Rational track: direct directed rounding at K + 2 (guard g = 2).
+    t**e is increasing in t, so the lower end of x.lo**e and the upper end
+    of x.hi**e bound the image; a point x reads both ends off its one
+    _pow_point result.
     Oracle track: the exponent bracket is refined from precision
     max(6, K // 2) in steps of max(8, K // 2) until the corner gap
     _exp_gap reads at K + 3 falls under 2^-(K+2), which leaves each true
@@ -914,7 +913,10 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
     if exp.fast is not None:
         if exp.fast == 1:
             return x
-        return _pow_box(x, exp.fast, K + 2)
+        lo, hi = _pow_point(x.lo, exp.fast, K + 2)
+        if x.hi != x.lo:
+            hi = _pow_point(x.hi, exp.fast, K + 2)[1]
+        return Enclosure(lo, hi)
     ends = (x.lo,) if x.lo == x.hi else (x.lo, x.hi)
     terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
     threshold = pow2(-(K + 2))

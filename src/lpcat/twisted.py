@@ -66,6 +66,7 @@ from .rigor import (
     root_p,
     simplest_between,
     strict_int,
+    strict_keys,
     _pow_mantissas,
     _pow_slack,
 )
@@ -354,9 +355,7 @@ def ce_set_from_spec(obj: dict) -> CeSet:
     or a label that is not a string, is refused by name."""
     if not isinstance(obj, dict):
         raise ConfigError("a c.e. set spec is a JSON object")
-    for key in obj:
-        if key not in _SPEC_KEYS:
-            raise ConfigError(f"unknown c.e. set spec key {key!r}")
+    strict_keys(obj, _SPEC_KEYS, "c.e. set spec")
     kind = obj.get("kind")
     label = _label_of(obj, kind or "ce")
     try:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,6 +336,32 @@ def test_report_bytes_match_golden(tmp_path, argv, report_sha, csv_sha):
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``lpcat`` line in the README's Command line
+    block, split as a shell splits them, comments dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("lpcat ")
+    ]
+    if not commands:
+        raise ValueError("the README's Command line block holds no lpcat line")
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_line_runs(tmp_path, monkeypatch, argv):
+    """Every command the README shows exits 0, with its descriptor.json
+    read from tests/data and the files it writes put in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    descriptor = str(DATA / "descriptor_identity.json")
+    argv = [descriptor if arg == "descriptor.json" else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
 def test_parser_is_built_once(tmp_path, monkeypatch):
     """main builds its parser on first use and keeps it: parsing leaves
     it unchanged, so later calls, good or bad, read the same one."""
@@ -466,6 +493,40 @@ MALFORMED = {
     ),
     "set-unknown-key": (
         ["approx-e0", "--k", "3", "--ce-set", "{f}"], {"kind": "odds", "bogus": 1},
+    ),
+    # Descriptor and images files hold their own keys only: these loaded,
+    # and a file with both phi and images was read as a descriptor.
+    "descriptor-unknown-key": (
+        ["classify", "--input", "{f}"],
+        {"phi": [[0, 0]], "lambdas": [[1, 1, 0, 1]], "extra": 1},
+    ),
+    "oracle-unknown-key": (
+        ["extract", "--n-max", "2", "--oracle", "{f}"],
+        {"phi": [[0, 0]], "lambdas": [[1, 1, 0, 1]], "extra": 1},
+    ),
+    "images-unknown-key": (
+        ["classify", "--input", "{f}"], {"images": [[[0, 1, 1, 0, 1]]], "extra": 1},
+    ),
+    "input-phi-and-images": (
+        ["classify", "--input", "{f}"],
+        {"phi": [[0, 0]], "lambdas": [[1, 1, 0, 1]], "images": [[[0, 1, 1, 0, 1]]]},
+    ),
+    "descriptor-phi-gap": (
+        ["classify", "--input", "{f}"], {"phi": [[1, 0]], "lambdas": [[1, 1, 0, 1]]},
+    ),
+    "exponent-129-bit-numerator": (
+        ["norm", "--genset", "E", "--coeffs", "1", "--p",
+         "340282366920938463463374607431768211457/340282366920938463463374607431768211456"],
+        None,
+    ),
+    "coeffs-not-rational": (["norm", "--genset", "E", "--coeffs", "1,x"], None),
+    "input-not-object": (["classify", "--input", "{f}"], [1, 2]),
+    "oracle-never-maps-onto-0": (
+        ["extract", "--n-max", "2", "--oracle", "{f}"],
+        {"phi": [[0, 1]], "lambdas": [[1, 1, 0, 1]]},
+    ),
+    "input-neither-phi-nor-images": (
+        ["classify", "--input", "{f}"], {"lambdas": [[1, 1, 0, 1]]},
     ),
 }
 

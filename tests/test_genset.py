@@ -243,20 +243,21 @@ class TestBallMapConstruction:
             ballmap_from_disjoint_family(reps, gs)
 
     def test_coordinate_overlap_of_non_exact_reps(self, p2):
-        """Reps with no exact vector over E are checked coordinate by
-        coordinate: two unit reps both certified away from 0 at an index
-        overlap, and a pair with disjoint supports passes."""
-        gs = StandardGenSet(p2)
-        overlapping = [
-            VectorRep(gs, lambda _k: [F(3, 5), F(4, 5)]),
-            VectorRep(gs, lambda _k: [F(4, 5), F(-3, 5)]),
-        ]
-        assert all(rep.exact_vector is None for rep in overlapping)
-        with pytest.raises(SupportsOverlap, match="overlap at index 0"):
-            ballmap_from_disjoint_family(overlapping, gs)
-        disjoint = [VectorRep(gs, lambda _k: [1]), VectorRep(gs, lambda _k: [0, 1])]
-        bmap = ballmap_from_disjoint_family(disjoint, gs)
-        assert bmap.apply(RationalBall((CRat.of(1),), F(1, 4), "E")) is not None
+        """Reps with no exact vector over E or F_zeta are checked
+        coordinate by coordinate, as coordinate i of sum a_j zeta e_j has
+        modulus |a_i|: two unit reps both certified away from 0 at an
+        index overlap, and a pair with disjoint supports passes."""
+        for gs in (StandardGenSet(p2), ZetaGenSet(ZETA, p2)):
+            overlapping = [
+                VectorRep(gs, lambda _k: [F(3, 5), F(4, 5)]),
+                VectorRep(gs, lambda _k: [F(4, 5), F(-3, 5)]),
+            ]
+            assert all(rep.exact_vector is None for rep in overlapping)
+            with pytest.raises(SupportsOverlap, match="overlap at index 0"):
+                ballmap_from_disjoint_family(overlapping, gs)
+            disjoint = [VectorRep(gs, lambda _k: [1]), VectorRep(gs, lambda _k: [0, 1])]
+            bmap = ballmap_from_disjoint_family(disjoint, gs)
+            assert bmap.apply(RationalBall((CRat.of(1),), F(1, 4), "E")) is not None
 
     def test_fuel_produces_no_output(self, p2):
         gs = StandardGenSet(p2)
@@ -276,6 +277,19 @@ class TestBallMapConstruction:
 
 
 class TestChecker:
+    @pytest.mark.parametrize("source", ["zeta", "twisted"])
+    def test_non_coordinate_source_refused(self, p2, source):
+        """The convergence check reads a sample vector's E-coefficients,
+        which are no other presentation's coefficients, so a map from
+        F_zeta (an E subclass) or from F is refused before any check."""
+        from lpcat import CeSet, TwistedGenSet
+
+        gs = StandardGenSet(p2)
+        src = ZetaGenSet(ZETA, p2) if source == "zeta" else TwistedGenSet(CeSet.odds(), p2)
+        bmap = BallMap(src, gs, "from-" + source, lambda ball: ball)
+        with pytest.raises(ConfigError, match="coordinate source"):
+            check_ballmap(bmap, lambda v: v, CheckSchedule.seeded(src.label, seed=1))
+
     def test_identity_passes(self, p2):
         gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(6)]
