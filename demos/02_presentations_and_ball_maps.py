@@ -18,6 +18,7 @@ from lpcat import (
     CheckSchedule,
     CRat,
     Exponent,
+    RationalBall,
     StandardGenSet,
     ZetaGenSet,
     ballmap_from_disjoint_family,
@@ -56,11 +57,6 @@ print(f"convergence achieved on the epsilon grid: {report.convergence_achieved},
 print(f"operator criteria pass: {report.passed}")
 
 print()
-print("== The work-budget model of 'may not halt' ==")
-from lpcat import Fuel
-
-starved = ballmap_from_disjoint_family(family, Fz, fuel=Fuel(max_precision=2))
-from lpcat import RationalBall
-
-tiny = RationalBall((CRat.of(1),), pow2(-10), "E")
-print(f"tight input ball with a starved budget -> {starved.apply(tiny)}  (no output, explicitly)")
+print("== The work-bound model of 'may not halt' ==")
+tiny = RationalBall((CRat.of(1),), pow2(-100), "E")
+print(f"a ball of radius 2^-100 needs 101 bits, past the 96-bit bound -> {bmap.apply(tiny)}  (no output, explicitly)")

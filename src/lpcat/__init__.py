@@ -29,7 +29,6 @@ from .lpspace import FiniteVector, basis, disjoint, norm_of_abs2_terms, norm_p
 from .genset import (
     BallMap,
     CheckSchedule,
-    Fuel,
     GeneratingSet,
     NotUnitVector,
     RationalBall,

@@ -56,43 +56,40 @@ def natural(text: str) -> int:
     return value
 
 
-def rational(text: str) -> str:
-    """argparse type: a rational literal, kept as written."""
-    try:
-        Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    return text
-
-
-# Bounds on an exponent p, plain or oracle: 1 <= p <= _P_MAX, with at most
-# _P_BITS bits in its numerator and in its denominator.  Past them the
-# power kernels build integers of millions of digits or run for minutes:
-# unbounded, p = 1e400 overflows a shift, p = 10000 writes a q of more
-# than 4300 digits, p = 100000 runs past a minute, and so does an oracle
-# twisted norm at p = 1024.  A decimal exponent part eN of more than four
+# Every rational a flag spells (--p, --coeffs, --corrupt) has at most
+# _P_BITS bits in its numerator and in its denominator, and p lies in
+# [1, _P_MAX].  Unbounded, p = 1e400 overflows a shift, p = 10000 or a
+# coefficient of 1e5000 writes a q past the 4300-digit int-to-str limit,
+# and p = 100000, an oracle twisted norm at p = 1024 and a fault offset of
+# 1e5000 run past 20 s.  A decimal exponent part eN of more than four
 # digits is refused before Fraction() expands 10**N: with at most 4300
-# digits before it, such a value lies outside [1, _P_MAX].
+# digits before it, such a value is 0 or has more than _P_BITS bits.
 _P_MAX = 64
 _P_BITS = 128
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*$", re.IGNORECASE)
 
 
-def _exponent_value(text: str) -> Fraction:
-    """The rational an exponent spec or oracle value spells, within the
-    bounds above; anything else raises ConfigError."""
-    out_of_range = ConfigError(f"exponent {text!r} is out of range [1, {_P_MAX}]")
+def read_rational(text: str) -> Fraction:
+    """The rational a flag value spells, within the bounds above;
+    anything else raises ConfigError."""
     power = _DECIMAL_EXPONENT.search(text)
     if power and len(power.group(1).lstrip("0_")) > 4:
-        raise out_of_range
+        raise ConfigError(f"{text!r} has more than four digits in its decimal exponent")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse exponent {text!r}") from exc
-    if value < 1 or value > _P_MAX:
-        raise out_of_range
+        raise ConfigError(f"not a rational: {text!r}") from exc
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > _P_BITS:
-        raise ConfigError(f"exponent {text!r} has more than {_P_BITS} bits in a term")
+        raise ConfigError(f"{text!r} has more than {_P_BITS} bits in a term")
+    return value
+
+
+def _exponent_value(text: str) -> Fraction:
+    """The rational an exponent spec or oracle value spells, within
+    [1, _P_MAX]; anything else raises ConfigError."""
+    value = read_rational(text)
+    if value < 1 or value > _P_MAX:
+        raise ConfigError(f"exponent {text!r} is out of range [1, {_P_MAX}]")
     return value
 
 
@@ -127,15 +124,12 @@ def parse_p(text: str) -> Exponent:
 def parse_scalar(text: str) -> CRat:
     if ":" in text:
         re_s, im_s = text.split(":", 1)
-        return CRat(Fraction(re_s), Fraction(im_s))
-    return CRat(Fraction(text))
+        return CRat(read_rational(re_s), read_rational(im_s))
+    return CRat(read_rational(text))
 
 
 def parse_coeffs(text: str) -> list[CRat]:
-    try:
-        return [parse_scalar(part) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse coefficients {text!r}") from exc
+    return [parse_scalar(part) for part in text.split(",") if part.strip()]
 
 
 def _read_json(path: str) -> dict:
@@ -235,8 +229,8 @@ def _extraction_oracle(args, genset: tw.TwistedGenSet):
         lam = descriptor.lambdas[sources[0]]
         base = base.scaled(lam)
         label = f"descriptor:{sources[0]}"
-    if args.corrupt:
-        base = tw.rep_with_offset_fault(base, Fraction(args.corrupt))
+    if args.corrupt is not None:
+        base = tw.rep_with_offset_fault(base, read_rational(args.corrupt))
         label += f"+fault({args.corrupt})"
     return base, label
 
@@ -410,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--oracle", default="internal-e0", help="'internal-e0' or descriptor JSON path")
     sp.add_argument("--n-max", type=natural, default=20)
-    sp.add_argument("--corrupt", type=rational, default=None,
+    sp.add_argument("--corrupt", default=None,
                     help="inject a rational offset fault into the oracle")
 
     sp = command("classify", cmd_classify, "isometry trichotomy on basis images")

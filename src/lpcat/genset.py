@@ -6,10 +6,10 @@ A generating set is exposed purely as a norm oracle on finite rational
 coefficient lists: ``norm_query(coeffs, k)`` returns a rational q with
 q - 2^-k < |sum a_j f_j| < q + 2^-k.  Operators between presentations are
 ball maps: they either transform a rational ball into a rational ball or
-explicitly produce no output (the runnable stand-in for divergence, backed
-by a fuel budget).  ``check_ballmap`` verifies the three operator criteria
-(approximation, correctness, convergence) against an exact reference on a
-finite, recorded schedule.
+explicitly produce no output (the runnable stand-in for divergence, past
+two fixed work bounds).  ``check_ballmap`` verifies the three operator
+criteria (approximation, correctness, convergence) against an exact
+reference on a finite, recorded schedule.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .rigor import (
     CRat,
@@ -30,6 +30,7 @@ from .rigor import (
     PrecisionOracle,
     ceil_log2,
     pow2,
+    strict_keys,
 )
 from .lpspace import FiniteVector, basis, norm_p
 
@@ -182,13 +183,13 @@ class VectorRep(PrecisionOracle):
     def coefficients(self, k: int) -> tuple[CRat, ...]:
         return self._lookup(k)
 
-    def scaled(self, a, label: str = "") -> "VectorRep":
+    def scaled(self, a) -> "VectorRep":
         a = CRat.of(a)
         exact = self.exact_vector.scale(a) if self.exact_vector is not None else None
         return VectorRep(
             self.genset,
             lambda k: [a * c for c in self.coefficients(k)],
-            label or f"{a}*{self.label}",
+            f"{a}*{self.label}",
             exact_vector=exact,
         )
 
@@ -235,19 +236,21 @@ class RationalBall:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalBall":
-        coeffs = tuple(
-            CRat(Fraction(re), Fraction(im)) for re, im in obj["coeffs"]
-        )
+        """The ball ``as_json`` writes: its three keys, rationals as strings."""
+        strict_keys(obj, ("genset", "radius", "coeffs"), "rational ball")
+        pairs = [tuple(pair) for pair in obj["coeffs"]]
+        texts = [obj["radius"], *(s for pair in pairs for s in pair)]
+        if not all(isinstance(s, str) for s in texts):
+            raise ConfigError("a rational ball's radius and coefficients are strings")
+        coeffs = tuple(CRat(Fraction(re), Fraction(im)) for re, im in pairs)
         return cls(coeffs, Fraction(obj["radius"]), obj["genset"])
 
 
-@dataclass
-class Fuel:
-    """Work budget standing in for 'may not halt': a transform that would
-    exceed it produces no output instead of diverging."""
-
-    max_precision: int = 96
-    max_family: int = 4096
+# Work bounds standing in for 'may not halt': a ball that would need a
+# coefficient precision above _MAX_PRECISION bits, or more than
+# _MAX_FAMILY family members, gets no output instead of a divergent run.
+_MAX_PRECISION = 96
+_MAX_FAMILY = 4096
 
 
 @dataclass
@@ -271,7 +274,6 @@ def ballmap_from_disjoint_family(
     reps: Sequence[VectorRep],
     target: GeneratingSet,
     *,
-    fuel: Optional[Fuel] = None,
     kind: str = "disjoint-family",
 ) -> BallMap:
     """Ball map from the standard presentation E of the isometry sending
@@ -290,7 +292,6 @@ def ballmap_from_disjoint_family(
     if not reps:
         raise ConfigError("empty family")
     source = StandardGenSet(target.p, target.field_mode)
-    fuel = fuel or Fuel()
     tk = 10
 
     slack = pow2(-tk)
@@ -323,14 +324,14 @@ def ballmap_from_disjoint_family(
 
     def transform(ball: RationalBall) -> Optional[RationalBall]:
         alphas = ball.coeffs
-        if len(alphas) > len(reps) or len(alphas) > fuel.max_family:
+        if len(alphas) > len(reps) or len(alphas) > _MAX_FAMILY:
             return None
         r = ball.radius
         total = sum((a.abs_enclosure(4).hi for a in alphas), Fraction(0))
         if total == 0:
             return RationalBall((CRAT_ZERO,), 2 * r, target.label)
         k_q = max(1, ceil_log2(total / r) + 1)
-        if k_q > fuel.max_precision:
+        if k_q > _MAX_PRECISION:
             return None
         acc: dict[int, CRat] = {}
         for a, rep in zip(alphas, reps):
@@ -347,7 +348,7 @@ def ballmap_from_disjoint_family(
     return BallMap(source, target, kind, transform)
 
 
-def compose_ballmaps(first: BallMap, second: BallMap, kind: str = "") -> BallMap:
+def compose_ballmaps(first: BallMap, second: BallMap) -> BallMap:
     """Sequential composition; output radii compound as the maps do."""
     if first.target.label != second.source.label:
         raise ConfigError("ball maps do not compose: presentation mismatch")
@@ -358,7 +359,7 @@ def compose_ballmaps(first: BallMap, second: BallMap, kind: str = "") -> BallMap
             return None
         return second.apply(mid)
 
-    return BallMap(first.source, second.target, kind or f"{first.kind};{second.kind}", fn)
+    return BallMap(first.source, second.target, f"{first.kind};{second.kind}", fn)
 
 
 # ---------------------------------------------------------------------------
@@ -377,36 +378,28 @@ class CheckSchedule:
 
     balls: tuple[RationalBall, ...]
     sample_vectors: tuple[FiniteVector, ...]
-    epsilons: tuple[Fraction, ...]
-    points_per_ball: int = 3
-    residual_k: int = 20
     seed: int = 7
+    epsilons: ClassVar[tuple[Fraction, ...]] = tuple(pow2(-b) for b in range(1, 13))
+    points_per_ball: ClassVar[int] = 3
+    residual_k: ClassVar[int] = 20
 
     @classmethod
-    def seeded(
-        cls,
-        source_label: str,
-        *,
-        seed: int = 7,
-        n_balls: int = 4,
-        n_vectors: int = 3,
-    ) -> "CheckSchedule":
+    def seeded(cls, source_label: str, *, seed: int = 7) -> "CheckSchedule":
         rng = random.Random(seed)
 
         def rat() -> Fraction:
             return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
         balls = []
-        for _ in range(n_balls):
+        for _ in range(4):
             coeffs = tuple(CRat.of(rat()) for _ in range(rng.randint(1, 4)))
             radius = Fraction(1, rng.randint(2, 16))
             balls.append(RationalBall(coeffs, radius, source_label))
         vectors = []
-        for _ in range(n_vectors):
+        for _ in range(3):
             items = [(i, rat()) for i in range(rng.randint(1, 4))]
             vectors.append(FiniteVector.from_items(items))
-        eps = tuple(pow2(-b) for b in range(1, 13))
-        return cls(tuple(balls), tuple(vectors), eps, seed=seed)
+        return cls(tuple(balls), tuple(vectors), seed)
 
     def as_json(self) -> dict:
         return {

@@ -132,6 +132,8 @@ class IsometryDescriptor:
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryDescriptor":
         strict_keys(obj, ("schema", "phi", "lambdas"), "descriptor")
+        if obj.get("schema", "lpcat.descriptor/1") != "lpcat.descriptor/1":
+            raise ConfigError(f"descriptor 'schema' is {obj['schema']!r}, not 'lpcat.descriptor/1'")
         try:
             pairs = sorted((strict_int(a), strict_int(b)) for a, b in obj["phi"])
             lambdas = []

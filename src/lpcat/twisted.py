@@ -570,7 +570,10 @@ def genset_from_descriptor(obj: dict) -> GeneratingSet:
     """Rebuild a generating set from its JSON descriptor (the inverse of
     ``descriptor()`` for sets whose construction parameters serialise:
     rational exponents, exact scalars, spec-file set kinds).  A missing
-    or malformed field raises ConfigError naming it."""
+    or malformed field, or a ``schema`` other than the one ``descriptor()``
+    writes, raises ConfigError naming it."""
+    if obj.get("schema", "lpcat.genset/1") != "lpcat.genset/1":
+        raise ConfigError(f"descriptor 'schema' is {obj['schema']!r}, not 'lpcat.genset/1'")
     if not isinstance(obj.get("p"), str):
         raise ConfigError("only rational-exponent descriptors can be rebuilt")
     p = _descriptor_field(obj, "p", lambda s: Exponent.from_rational(Fraction(s)))

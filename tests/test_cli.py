@@ -167,6 +167,22 @@ class TestExtract:
         )
         assert code == 0 and rec["agreement_ok"] is True
 
+    def test_fault_offset_printed_as_written(self, tmp_path):
+        """The offset is read as the rational -1/8, and the report names
+        it as the flag spelled it."""
+        code, rec, _ = run(
+            tmp_path, "extract", "--p", "1", "--ce-set", "odds", "--n-max", "20",
+            "--corrupt=-0.125",
+        )
+        assert code == 0 and rec["agreement_ok"] is False
+        assert rec["fault_injection"] == "-0.125"
+        assert rec["oracle"] == "internal-e0+fault(-0.125)"
+
+    def test_no_bits(self, tmp_path):
+        code, rec, _ = run(tmp_path, "extract", "--n-max", "0")
+        assert code == 0
+        assert rec["bits"] == [] and rec["ground_truth_agreement"] == "0/0"
+
 
 class TestClassify:
     def test_identity_descriptor(self, tmp_path):
@@ -528,6 +544,19 @@ MALFORMED = {
     "input-neither-phi-nor-images": (
         ["classify", "--input", "{f}"], {"lambdas": [[1, 1, 0, 1]]},
     ),
+    # Coefficients and fault offsets take the bound --p has: these wrote a
+    # q past the 4300-digit int-to-str limit (1e5000), or ran past 60 s
+    # (1e10000000) and 20 s (a 1e5000 offset).
+    "coeffs-1e5000": (["norm", "--genset", "E", "--p", "1", "--coeffs", "1e5000"], None),
+    "coeffs-1e10000000": (
+        ["norm", "--genset", "E", "--p", "1", "--coeffs", "1e10000000"], None,
+    ),
+    "corrupt-1e5000": (["extract", "--n-max", "2", "--p", "3/2", "--corrupt", "1e5000"], None),
+    # A descriptor naming another schema loaded as a descriptor.
+    "descriptor-wrong-schema": (
+        ["classify", "--input", "{f}"],
+        {"schema": "lpcat.report/1", "phi": [[0, 0]], "lambdas": [[1, 1, 0, 1]]},
+    ),
 }
 
 
@@ -573,6 +602,29 @@ def test_exponent_spec_fuzz(value, bits):
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             argv = ["norm", "--genset", "E", "--coeffs", "1/2", "--k", "4", f"--p={spec}"]
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+
+
+def rational_values():
+    """Rational flag values: the exponent strings above, and complex pairs
+    of them."""
+    return exponent_values() | st.builds("{}:{}".format, exponent_values(), exponent_values())
+
+
+@settings(max_examples=80)
+@given(st.lists(rational_values(), min_size=1, max_size=3).map(",".join), exponent_values())
+def test_rational_flag_fuzz(coeffs, offset):
+    """Any --coeffs string and any --corrupt offset end with exit 0, 2 or
+    3 and no traceback; a small fuel keeps a scan that never clears its
+    thresholds short."""
+    for argv in (
+        ["norm", "--genset", "E", "--p", "3/2", "--k", "4", f"--coeffs={coeffs}"],
+        ["extract", "--n-max", "2", "--p", "3/2", "--fuel", "1000", f"--corrupt={offset}"],
+    ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr.getvalue()

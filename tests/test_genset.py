@@ -27,7 +27,8 @@ from lpcat import (
     norm_p,
     pow2,
 )
-from lpcat.genset import BallMap, Fuel
+import lpcat.genset as genset_module
+from lpcat.genset import BallMap
 
 F = Fraction
 ZETA = CRat(F(3, 5), F(4, 5))
@@ -259,14 +260,21 @@ class TestBallMapConstruction:
             bmap = ballmap_from_disjoint_family(disjoint, gs)
             assert bmap.apply(RationalBall((CRat.of(1),), F(1, 4), "E")) is not None
 
-    def test_fuel_produces_no_output(self, p2):
+    def test_fuel_produces_no_output(self, p2, monkeypatch):
+        """A ball past either work bound gets no output: one needing more
+        than 96 bits of coefficient precision (radius 2^-96 around e0 needs
+        k_q = 97), one with more coefficients than the family has members,
+        and one with more than _MAX_FAMILY coefficients."""
         gs = StandardGenSet(p2)
         reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(4)]
-        bmap = ballmap_from_disjoint_family(
-            reps, gs, fuel=Fuel(max_precision=2, max_family=4)
-        )
-        tiny = RationalBall((CRat.of(1),), F(1, 1024), "E")
-        assert bmap.apply(tiny) is None
+        bmap = ballmap_from_disjoint_family(reps, gs)
+        e0 = (CRat.of(1),)
+        assert bmap.apply(RationalBall(e0, pow2(-95), "E")) is not None
+        assert bmap.apply(RationalBall(e0, pow2(-96), "E")) is None
+        assert bmap.apply(RationalBall(e0 * 5, F(1, 4), "E")) is None
+        assert bmap.apply(RationalBall(e0 * 4, F(1, 4), "E")) is not None
+        monkeypatch.setattr(genset_module, "_MAX_FAMILY", 3)
+        assert bmap.apply(RationalBall(e0 * 4, F(1, 4), "E")) is None
 
     def test_wrong_source_label_rejected(self, p2):
         gs = StandardGenSet(p2)
@@ -325,12 +333,24 @@ class TestChecker:
 
         bmap = BallMap(gs, gs, "drop-0", drop)
         witness = RationalBall((CRat.of(1),), F(1, 4), "E")
-        schedule = CheckSchedule.seeded("E", seed=0, n_balls=0, n_vectors=0)
-        schedule = CheckSchedule(
-            (witness,), (), schedule.epsilons, 1, 20, 0
-        )
-        report = check_ballmap(bmap, lambda v: v, schedule)
+        report = check_ballmap(bmap, lambda v: v, CheckSchedule((witness,), (), 0))
         assert report.correctness_violations
+
+    def test_no_output_ball_and_failed_convergence(self, p2):
+        """A ball past the precision bound is recorded as no output, and a
+        sample vector wider than the family gets no output at any radius,
+        so each of the 12 grid epsilons is a convergence failure."""
+        gs = StandardGenSet(p2)
+        reps = [exact_rep(gs, [CRat.of(0)] * n + [CRat.of(1)]) for n in range(2)]
+        bmap = ballmap_from_disjoint_family(reps, gs)
+        tiny = RationalBall((CRat.of(1),), pow2(-100), "E")
+        wide = FiniteVector.from_items([(0, 1), (1, 1), (2, 1)])
+        report = check_ballmap(bmap, lambda v: v, CheckSchedule((tiny,), (wide,), 0))
+        assert report.no_output == [tiny.as_json()]
+        assert report.correctness_checked == 0
+        assert report.convergence_achieved == 0
+        assert len(report.convergence_failures) == 12
+        assert not report.passed
 
     def test_composition_matches_composed_family(self, p2):
         """Composing two family maps includes the composed family's map at
@@ -388,7 +408,8 @@ class TestChecker:
 
         gsF = TwistedGenSet(CeSet.odds(), p32)
         bmap = ballmap_from_disjoint_family(identity_family(gsF, 4), gsF)
-        schedule = CheckSchedule.seeded("E", seed=3, n_balls=3, n_vectors=2)
+        full = CheckSchedule.seeded("E", seed=3)
+        schedule = CheckSchedule(full.balls[:3], full.sample_vectors[:2], full.seed)
         report = check_ballmap(bmap, lambda v: v, schedule)
         assert report.correctness_checked == 9
         assert not report.correctness_violations and not report.correctness_undecided
@@ -436,6 +457,7 @@ class TestDescriptors:
             ({"kind": "standard", "p": "2", "label": 5}, "label"),
             ({"kind": "zeta", "p": "2", "zeta": ["1", "0"], "label": ["E"]}, "label"),
             ({"kind": "twisted", "p": "2", "ce_set": {"kind": "odds", "label": 7}}, "ce_set"),
+            ({"schema": "lpcat.report/1", "kind": "standard", "p": "2"}, "schema"),
         ],
     )
     def test_malformed_descriptor_names_its_field(self, descriptor, field):
@@ -447,3 +469,20 @@ class TestDescriptors:
     def test_ball_json_round_trip(self):
         ball = RationalBall((CRat(F(1, 2), F(-1, 3)),), F(1, 7), "E")
         assert RationalBall.from_json(ball.as_json()) == ball
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", "0"]], "extra": 1},
+             "unknown rational ball key 'extra'"),
+            ({"genset": "E", "radius": 0.1, "coeffs": [["1/2", "0"]]}, "are strings"),
+            ({"genset": "E", "radius": "1/7", "coeffs": [[0.5, "0"]]}, "are strings"),
+            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", True]]}, "are strings"),
+            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", 1]]}, "are strings"),
+        ],
+    )
+    def test_ball_json_refuses_non_strings_and_unknown_keys(self, obj, message):
+        """A float would bring binary rounding in (0.1 read as
+        3602879701896397/2^55), and a bool would read as 1."""
+        with pytest.raises(ConfigError, match=message):
+            RationalBall.from_json(obj)

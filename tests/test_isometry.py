@@ -117,6 +117,21 @@ class TestClassifier:
         assert verdict.verdict == "Violates"
         assert verdict.witnesses[0]["kind"] == "norm"
 
+    def test_straddling_norm_yields_unknown(self, p1):
+        """A norm of exactly 1 + 2^-tol is neither inside the band nor
+        certified outside it."""
+        image = FiniteVector.from_items([(0, F(257, 256))])
+        verdict = classify([image], p1, tol=8)
+        assert verdict.verdict == "Unknown"
+        assert verdict.witnesses[0]["kind"] == "norm"
+
+    def test_coordinate_below_band_is_skipped(self, p1):
+        """Two images sharing index 0, where one has modulus 2^-20 < 2^-8,
+        cannot overlap there."""
+        first = FiniteVector.from_items([(0, 1)])
+        second = FiniteVector.from_items([(0, pow2(-20)), (1, 1)])
+        assert classify([first, second], p1, tol=8).verdict == "Conforms"
+
     def test_straddling_coordinate_yields_unknown(self, p2):
         """A coordinate whose enclosure straddles the threshold must not be
         guessed either way."""

@@ -14,12 +14,21 @@ in ``NOT_CACHES``.
 Every precision-escalation loop runs on ``rigor.escalate``: outside it,
 no ``for _ in range(...)`` loop is followed by ``raise OracleFailure``
 or holds one in its ``else``, save the functions in ``OWN_LOOPS``.
+
+Every parameter with a default is set by some caller: a call in
+``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position.
+A default no caller overrides is a setting no workload runs; make it a
+constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
+``super().__init__(...)`` call the ``__init__`` that class resolves to.
+Exempt are names with a leading underscore and the parameters in
+``NO_CALLER``.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lpcat"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # Qualified function name -> parameters it may leave unread.
 ALLOWED = {
@@ -33,6 +42,16 @@ NOT_CACHES = {"CeSet._pinned_by_stage"}
 # loop itself.  The E_j kernel runs 108 times per twisted-norm benchmark
 # operation, and escalate there cost about 8 % of that workload's ops/s.
 OWN_LOOPS = {"escalate", "_epsilon_mantissas"}
+
+# Qualified function name -> {parameter: why it keeps a default no caller
+# sets}.
+NO_CALLER = {
+    "decide_membership": {
+        "fuel": "the fuel-exhaustion test on the primes passes fuel=20000 "
+        "(0.4 s), as the default 100000 stages take about 4.7 s there; "
+        "ROADMAP item 2 decides the fuels",
+    },
+}
 
 
 def _functions(tree: ast.Module):
@@ -190,3 +209,94 @@ def test_every_escalation_runs_on_escalate():
                 continue
             stray += [f"{path.name}:{line} {name}" for line in _hand_rolled_escalations(func)]
     assert not stray, "escalation loops that should use rigor.escalate:\n" + "\n".join(stray)
+
+
+
+def _classes(trees) -> dict:
+    """Class name -> (names of its bases, whether it defines __init__)."""
+    return {
+        node.name: (
+            [ast.unparse(b) for b in node.bases],
+            any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body),
+        )
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _init_of(name, classes):
+    """The qualified __init__ that constructing class name runs."""
+    while name in classes:
+        bases, has_init = classes[name]
+        if has_init:
+            return f"{name}.__init__"
+        name = next((b for b in bases if b in classes), None)
+    return None
+
+
+def _calls(tree, classes):
+    """(callee, call) for every call in tree: the qualified __init__ a
+    construction runs, or else the called name."""
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if ast.unparse(func) == "super().__init__":
+                    base = next((b for b in classes.get(cls, ((),))[0] if b in classes), None)
+                    name = _init_of(base, classes)
+                elif name in classes or name == "cls":
+                    name = _init_of(cls if name == "cls" else name, classes)
+                yield name, child
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    yield from walk(tree, None)
+
+
+def _defaulted(func, is_method):
+    """(parameter, index of the positional argument that sets it, or None
+    for a keyword-only one) for each parameter with a default."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(ast.unparse(d) == "staticmethod" for d in func.decorator_list)
+    offset = 1 if is_method and not static else 0
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - offset
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield a.arg, None
+
+
+def _sets(call, param, position) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or position < len(call.args))
+
+
+def test_every_default_is_set_by_a_caller():
+    src = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH.glob("*.py")]
+    classes = _classes(src.values())
+    calls = {}
+    for tree in [*src.values(), *bench]:
+        for name, call in _calls(tree, classes):
+            calls.setdefault(name, []).append(call)
+    unset, kept = [], set()
+    for path, tree in sorted(src.items()):
+        for name, func, is_method in _functions(tree):
+            key = name if func.name == "__init__" else func.name
+            for param, position in _defaulted(func, is_method):
+                if param.startswith("_") or any(
+                    _sets(c, param, position) for c in calls.get(key, ())
+                ):
+                    continue
+                if param in NO_CALLER.get(name, {}):
+                    kept.add((name, param))
+                else:
+                    unset.append(f"{path.name}:{func.lineno} {name}({param})")
+    assert not unset, "defaults no caller sets:\n" + "\n".join(unset)
+    listed = {(name, param) for name, params in NO_CALLER.items() for param in params}
+    assert kept == listed, f"NO_CALLER entries that a caller sets: {listed - kept}"
