@@ -57,7 +57,6 @@ from .twisted import (
     extract_scale,
     f0_norm_sandwich,
     gamma_from_scale,
-    genset_from_descriptor,
     identity_family,
     membership_bits,
     real_with_offset_fault,

@@ -132,11 +132,20 @@ def parse_coeffs(text: str) -> list[CRat]:
     return [parse_scalar(part) for part in text.split(",") if part.strip()]
 
 
+def _file_int(text: str) -> int:
+    """A JSON integer of an input file, within the flags' _P_BITS bound:
+    a 4000-digit lambda or a 2000-digit image entry made no report."""
+    value = int(text)
+    if value.bit_length() > _P_BITS:
+        raise ConfigError(f"an integer has more than {_P_BITS} bits")
+    return value
+
+
 def _read_json(path: str) -> dict:
-    """The JSON object stored at path; unreadable files, bad JSON and
-    other top-level values are invalid input."""
+    """The JSON object stored at path; unreadable files, bad JSON, integers
+    past _P_BITS bits and other top-level values are invalid input."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), parse_int=_file_int)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -441,6 +450,12 @@ def main(argv=None) -> int:
     except OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # only the int-to-str limit: a report too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"invalid input: a report integer needs more than {limit} digits", file=sys.stderr)
+        return 2
     print(f"{summary} ({time.perf_counter() - started:.3f}s)")
     if not args.out:
         print(data.decode())

@@ -30,7 +30,6 @@ from .rigor import (
     PrecisionOracle,
     ceil_log2,
     pow2,
-    strict_keys,
 )
 from .lpspace import FiniteVector, basis, norm_p
 
@@ -91,15 +90,6 @@ class GeneratingSet:
             raise ConfigError("complex coefficient in a real-field presentation")
         return cs
 
-    def descriptor(self) -> dict:
-        return {
-            "schema": "lpcat.genset/1",
-            "kind": self.kind,
-            "label": self.label,
-            "field": self.field_mode,
-            "p": self.p.as_json(),
-        }
-
 
 class StandardGenSet(GeneratingSet):
     """The standard presentation: f_n = e_n."""
@@ -132,17 +122,11 @@ class ZetaGenSet(StandardGenSet):
 
     kind = "zeta"
 
-    def __init__(
-        self,
-        zeta,
-        p: Exponent,
-        field_mode: str = COMPLEX,
-        label: str = "F_zeta",
-    ):
+    def __init__(self, zeta, p: Exponent, label: str = "F_zeta"):
         zeta = CRat.of(zeta)
         if zeta.abs2() != 1:
             raise ConfigError("zeta must be exactly unimodular")
-        super().__init__(p, field_mode, label)
+        super().__init__(p, COMPLEX, label)
         self.zeta = zeta
 
     def vector_of(self, coeffs: Sequence) -> FiniteVector:
@@ -150,11 +134,6 @@ class ZetaGenSet(StandardGenSet):
         return FiniteVector.from_items(
             [(i, self.zeta * c) for i, c in enumerate(cs)]
         )
-
-    def descriptor(self) -> dict:
-        d = super().descriptor()
-        d["zeta"] = self.zeta.as_json()
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +212,6 @@ class RationalBall:
             "radius": str(self.radius),
             "coeffs": [c.as_json() for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalBall":
-        """The ball ``as_json`` writes: its three keys, rationals as strings."""
-        strict_keys(obj, ("genset", "radius", "coeffs"), "rational ball")
-        pairs = [tuple(pair) for pair in obj["coeffs"]]
-        texts = [obj["radius"], *(s for pair in pairs for s in pair)]
-        if not all(isinstance(s, str) for s in texts):
-            raise ConfigError("a rational ball's radius and coefficients are strings")
-        coeffs = tuple(CRat(Fraction(re), Fraction(im)) for re, im in pairs)
-        return cls(coeffs, Fraction(obj["radius"]), obj["genset"])
 
 
 # Work bounds standing in for 'may not halt': a ball that would need a

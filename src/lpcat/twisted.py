@@ -74,9 +74,7 @@ from .lpspace import FiniteVector, basis
 from .genset import (
     COMPLEX,
     GeneratingSet,
-    StandardGenSet,
     VectorRep,
-    ZetaGenSet,
     exact_rep,
 )
 
@@ -504,14 +502,8 @@ class TwistedGenSet(GeneratingSet):
 
     kind = "twisted"
 
-    def __init__(
-        self,
-        ce: CeSet,
-        p: Exponent,
-        field_mode: str = COMPLEX,
-        label: str = "",
-    ):
-        super().__init__(p, field_mode, label or f"F[{ce.label}]")
+    def __init__(self, ce: CeSet, p: Exponent, field_mode: str = COMPLEX):
+        super().__init__(p, field_mode, f"F[{ce.label}]")
         self.ce = ce
         self._enum = ce.view(enumerate=True, decide=False)
         self._ucache = MemoTable()
@@ -543,52 +535,6 @@ class TwistedGenSet(GeneratingSet):
 
     def residual_norm(self, v: FiniteVector, coeffs: Sequence, k: int) -> Enclosure:
         return expanded_residual_norm(self.ce, self.p, coeffs, v, k)
-
-    def descriptor(self) -> dict:
-        d = super().descriptor()
-        d["ce_set"] = self.ce.spec_json()
-        return d
-
-
-def _descriptor_field(obj: dict, name: str, parse: Callable):
-    """parse(obj[name]); a missing or malformed field is a ConfigError
-    that names it."""
-    if name not in obj:
-        raise ConfigError(f"descriptor needs a {name!r} field")
-    try:
-        return parse(obj[name])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed descriptor field {name!r}: {exc}") from exc
-
-
-def _zeta_of(pair) -> CRat:
-    re_s, im_s = pair
-    return CRat(Fraction(re_s), Fraction(im_s))
-
-
-def genset_from_descriptor(obj: dict) -> GeneratingSet:
-    """Rebuild a generating set from its JSON descriptor (the inverse of
-    ``descriptor()`` for sets whose construction parameters serialise:
-    rational exponents, exact scalars, spec-file set kinds).  A missing
-    or malformed field, or a ``schema`` other than the one ``descriptor()``
-    writes, raises ConfigError naming it."""
-    if obj.get("schema", "lpcat.genset/1") != "lpcat.genset/1":
-        raise ConfigError(f"descriptor 'schema' is {obj['schema']!r}, not 'lpcat.genset/1'")
-    if not isinstance(obj.get("p"), str):
-        raise ConfigError("only rational-exponent descriptors can be rebuilt")
-    p = _descriptor_field(obj, "p", lambda s: Exponent.from_rational(Fraction(s)))
-    kind = obj.get("kind")
-    field_mode = obj.get("field", COMPLEX)
-    label = _label_of(obj, "")
-    if kind == "standard":
-        return StandardGenSet(p, field_mode, label or "E")
-    if kind == "zeta":
-        zeta = _descriptor_field(obj, "zeta", _zeta_of)
-        return ZetaGenSet(zeta, p, field_mode, label or "F_zeta")
-    if kind == "twisted":
-        ce = _descriptor_field(obj, "ce_set", ce_set_from_spec)
-        return TwistedGenSet(ce, p, field_mode, label)
-    raise ConfigError(f"unknown generating-set kind {kind!r}")
 
 
 def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:

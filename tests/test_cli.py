@@ -557,6 +557,29 @@ MALFORMED = {
         ["classify", "--input", "{f}"],
         {"schema": "lpcat.report/1", "phi": [[0, 0]], "lambdas": [[1, 1, 0, 1]]},
     ),
+    # File integers take the 128-bit bound of the flags: a 4000-digit
+    # lambda exited 1 formatting |lambda|^2 past the 4300-digit int-to-str
+    # limit, and a 2000-digit image entry ran past 25 s.
+    "descriptor-lambda-4000-digits": (
+        ["classify", "--input", "{f}"], {"phi": [[0, 0]], "lambdas": [[10**3999, 1, 0, 1]]},
+    ),
+    "oracle-lambda-4000-digits": (
+        ["extract", "--n-max", "2", "--oracle", "{f}"],
+        {"phi": [[0, 0]], "lambdas": [[10**3999, 1, 0, 1]]},
+    ),
+    "images-entry-2000-digits": (
+        ["classify", "--p", "3/2", "--input", "{f}"], {"images": [[[0, 1, 10**1999, 0, 1]]]},
+    ),
+    # Reports whose q passes the 4300-digit int-to-str limit exited 1: a
+    # large k, and p = 64 on 128-bit coefficients (p = 52 prints).
+    "report-past-digit-limit-k": (
+        ["norm", "--genset", "E", "--p", "2", "--coeffs", "1,1", "--k", "15000"], None,
+    ),
+    "report-past-digit-limit-p": (
+        ["norm", "--genset", "E", "--p", "64", "--k", "20",
+         f"--coeffs={2**128 - 1},{2**128 - 1}/{2**127 + 1}"],
+        None,
+    ),
 }
 
 
@@ -628,3 +651,67 @@ def test_rational_flag_fuzz(coeffs, offset):
             code = main(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr.getvalue()
+
+
+def json_values():
+    """JSON values of any shape: null, booleans, floats, strings, small,
+    negative and huge integers, and lists and objects of them."""
+    ints = st.integers(-5, 4100) | st.integers(-(2**200), 2**200)
+    scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+        max_leaves=12,
+    )
+
+
+small = st.integers(-1, 12)
+ce_specs = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["odds", "primes", "explicit", "throttled"])},
+    optional={
+        "label": st.text(max_size=4),
+        "elements": st.lists(small, min_size=1, max_size=4),
+        "delays": st.lists(st.lists(small, min_size=2, max_size=2), max_size=2),
+    },
+)
+unimodular_rows = st.sampled_from([[1, 1, 0, 1], [0, 1, -1, 1], [3, 5, 4, 5], [2, 1, 0, 1]])
+descriptors = st.lists(st.tuples(st.integers(0, 3), unimodular_rows), max_size=3).map(
+    lambda images: {
+        "phi": [[n, t] for n, (t, _) in enumerate(images)],
+        "lambdas": [row for _, row in images],
+    }
+)
+image_sets = st.fixed_dictionaries(
+    {"images": st.lists(st.lists(st.lists(small, min_size=5, max_size=5), max_size=3), max_size=3)}
+)
+# Each input file: well formed, well formed with one key set to any JSON
+# value (an unknown key among them), or any JSON value at all.
+FILES = {
+    "ce-set": (["approx-e0", "--k", "8", "--ce-set", "{f}"], ce_specs),
+    "classify": (["classify", "--tol", "8", "--input", "{f}"], descriptors | image_sets),
+    "extract": (["extract", "--n-max", "2", "--fuel", "1000", "--oracle", "{f}"], descriptors),
+}
+
+
+def file_contents(well_formed):
+    keys = st.sampled_from(["label", "kind", "elements", "delays", "phi", "lambdas", "images"])
+    mangled = st.builds(
+        lambda obj, key, value: {**obj, key: value},
+        well_formed, keys | st.text(max_size=3), json_values(),
+    )
+    return well_formed | mangled | json_values()
+
+
+@pytest.mark.parametrize("target", list(FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from(["1", "3/2", "2", "3"]))
+def test_input_file_fuzz(tmp_path_factory, target, data, p):
+    """Any spec, descriptor or images file, of the right shape or not,
+    ends with exit 0, 2 or 3 and no exception."""
+    argv, well_formed = FILES[target]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{target}.json"
+    path.write_text(json.dumps(data.draw(file_contents(well_formed))))
+    argv = [arg.replace("{f}", str(path)) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--p", p])
+    assert code in (0, 2, 3)

@@ -422,67 +422,3 @@ class TestChecker:
         a = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=5)).to_bytes()
         b = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=5)).to_bytes()
         assert a == b
-
-
-class TestDescriptors:
-    def test_genset_descriptor(self, p32):
-        d = StandardGenSet(p32).descriptor()
-        assert d["kind"] == "standard" and d["p"] == "3/2"
-        z = ZetaGenSet(ZETA, p32).descriptor()
-        assert z["zeta"] == ["3/5", "4/5"]
-
-    def test_genset_descriptor_round_trip(self, p32):
-        from lpcat import CeSet, genset_from_descriptor, TwistedGenSet
-
-        for gs in (
-            StandardGenSet(p32),
-            ZetaGenSet(ZETA, p32),
-            TwistedGenSet(CeSet.odds(), p32),
-        ):
-            rebuilt = genset_from_descriptor(gs.descriptor())
-            assert rebuilt.descriptor() == gs.descriptor()
-            coeffs = [CRat.of(1), CRat.of(F(1, 2))]
-            assert rebuilt.norm_query(coeffs, 25) == gs.norm_query(coeffs, 25)
-
-    @pytest.mark.parametrize(
-        "descriptor, field",
-        [
-            ({"kind": "zeta", "p": "2"}, "zeta"),
-            ({"kind": "twisted", "p": "2"}, "ce_set"),
-            ({"kind": "standard", "p": "x"}, "p"),
-            ({"kind": "zeta", "p": "2", "zeta": ["1", "1/0"]}, "zeta"),
-            ({"kind": "zeta", "p": "2", "zeta": ["1"]}, "zeta"),
-            ({"kind": "twisted", "p": "2", "ce_set": 5}, "ce_set"),
-            ({"kind": "twisted", "p": "2", "ce_set": {"kind": "unknown"}}, "ce_set"),
-            ({"kind": "standard", "p": "2", "label": 5}, "label"),
-            ({"kind": "zeta", "p": "2", "zeta": ["1", "0"], "label": ["E"]}, "label"),
-            ({"kind": "twisted", "p": "2", "ce_set": {"kind": "odds", "label": 7}}, "ce_set"),
-            ({"schema": "lpcat.report/1", "kind": "standard", "p": "2"}, "schema"),
-        ],
-    )
-    def test_malformed_descriptor_names_its_field(self, descriptor, field):
-        from lpcat import genset_from_descriptor
-
-        with pytest.raises(ConfigError, match=f"'{field}'"):
-            genset_from_descriptor(descriptor)
-
-    def test_ball_json_round_trip(self):
-        ball = RationalBall((CRat(F(1, 2), F(-1, 3)),), F(1, 7), "E")
-        assert RationalBall.from_json(ball.as_json()) == ball
-
-    @pytest.mark.parametrize(
-        "obj, message",
-        [
-            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", "0"]], "extra": 1},
-             "unknown rational ball key 'extra'"),
-            ({"genset": "E", "radius": 0.1, "coeffs": [["1/2", "0"]]}, "are strings"),
-            ({"genset": "E", "radius": "1/7", "coeffs": [[0.5, "0"]]}, "are strings"),
-            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", True]]}, "are strings"),
-            ({"genset": "E", "radius": "1/7", "coeffs": [["1/2", 1]]}, "are strings"),
-        ],
-    )
-    def test_ball_json_refuses_non_strings_and_unknown_keys(self, obj, message):
-        """A float would bring binary rounding in (0.1 read as
-        3602879701896397/2^55), and a bool would read as 1."""
-        with pytest.raises(ConfigError, match=message):
-            RationalBall.from_json(obj)

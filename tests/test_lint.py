@@ -22,6 +22,10 @@ constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
 ``super().__init__(...)`` call the ``__init__`` that class resolves to.
 Exempt are names with a leading underscore and the parameters in
 ``NO_CALLER``.
+
+Every import is used: each name an import binds is read somewhere in
+its module.  ``__init__.py`` is exempt, since its imports are the
+package's exports.
 """
 
 import ast
@@ -300,3 +304,32 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, "defaults no caller sets:\n" + "\n".join(unset)
     listed = {(name, param) for name, params in NO_CALLER.items() for param in params}
     assert kept == listed, f"NO_CALLER entries that a caller sets: {listed - kept}"
+
+
+def _unused_imports(tree: ast.Module):
+    """(name, line) of each name an import binds that the module never
+    reads; ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(name, line) for name, line in bound.items() if name not in read]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
+    assert not unused, "imports never used:\n" + "\n".join(unused)

@@ -38,7 +38,6 @@ from lpcat import (
     expanded_residual_norm,
     extract_scale,
     f0_norm_sandwich,
-    genset_from_descriptor,
     gamma_from_scale,
     membership_bits,
     norm_p,
@@ -148,8 +147,7 @@ class TestCeSets:
     ])
     def test_spec_round_trip(self, kind, delays):
         """spec_json() is what built the set: the loader rebuilds it with
-        the same spec, label and enumeration, delays on any kind, and so
-        does a twisted presentation's descriptor."""
+        the same spec, label and enumeration, delays on any kind."""
         if kind == "explicit":
             ce = CeSet.explicit([2, 5, 9], label="mine")
         else:
@@ -161,10 +159,6 @@ class TestCeSets:
         assert rebuilt.spec_json() == spec
         assert rebuilt.label == ce.label == spec["label"]
         assert rebuilt.prefix(20) == ce.prefix(20)
-        gs = TwistedGenSet(ce, Exponent.from_rational(F(3, 2)))
-        again = genset_from_descriptor(gs.descriptor())
-        assert again.descriptor() == gs.descriptor()
-        assert again.ce.spec_json() == spec and again.ce.prefix(20) == ce.prefix(20)
 
     def test_throttled_is_explicit_with_delays(self):
         """Delays keep an odds or primes set's kind; an explicit set with
