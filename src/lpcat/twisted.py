@@ -20,8 +20,11 @@ integer quadratic in the mantissa of 2^(-c/p), a p/2 power by the exact
 route's integer floor-root (rounded brackets on the oracle track), and
 directed shifts into two integer running sums, every step rounded
 outward, with one Enclosure per sum.  The independent expansion route
-(``expanded_residual_norm``) stays on exact Fractions and shares none of
-that kernel, so comparing the two checks it.
+(``expanded_residual_norm``) also sums on integers, by code of its own:
+each coordinate's quadratic in u from integer numerators, its p/2 power
+through rigor's point router, and the floor-root mantissas added in one
+integer.  It shares only rigor primitives and no function of this module
+with the telescoping sum, so comparing the two checks it.
 
 Conversely, anything that can point at a unit multiple of e_0 in
 F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -68,6 +72,7 @@ from .rigor import (
     strict_int,
     strict_keys,
     _pow_mantissas,
+    _pow_route,
     _pow_slack,
 )
 from .lpspace import FiniteVector, basis
@@ -254,10 +259,10 @@ class CeSet:
             return False
         return self._member(n)
 
-    def gamma_enclosure(self, k: int) -> Enclosure:
-        """Certified [q, q + 2^-(k+1)] around gamma, q the mass of the
-        members up to the tail cutoff B = k + 1.  Like the enumeration's
-        left sums, the decided prefix grows and each candidate is decided
+    def _decided_mass(self, k: int) -> Fraction:
+        """q, the mass of the members up to the tail cutoff B = k + 1, so
+        that gamma lies in [q, q + 2^-B].  Like the enumeration's left
+        sums, the decided prefix grows and each candidate is decided
         once."""
         if k < 0:
             raise ValueError("precision must be a natural number")
@@ -266,17 +271,35 @@ class CeSet:
             sums = self._gamma_sums
             for j in range(len(sums), b + 1):
                 sums.append(sums[-1] + pow2(-j) if self.decide(j) else sums[-1])
-            q = sums[b]
-        return Enclosure(q, q + pow2(-b))
+            return sums[b]
+
+    def gamma_enclosure(self, k: int) -> Enclosure:
+        """Certified [q, q + 2^-(k+1)] around gamma, q the decided mass
+        up to the tail cutoff B = k + 1."""
+        q = self._decided_mass(k)
+        return Enclosure(q, q + pow2(-(k + 1)))
 
     def tail_mass(self, s: int, k: int) -> Enclosure:
         """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
-        sum through stage s, capped by 2^-c_s when the enumeration is
-        sorted.  Needs both access modes."""
-        tail = (self.gamma_enclosure(k) - Enclosure.point(self.left_sum(s))).clamp_nonneg()
+        sum through stage s, clamped at 0 and capped by 2^-c_s when the
+        enumeration is sorted.  Needs both access modes.
+
+        Every end is dyadic, so the subtraction runs on integers at one
+        scale 2^-S, S the larger of B = k + 1 and the left sum's binary
+        exponent; the left sum's denominator is 2^max(c_0..c_s), so the cap
+        lies on that grid too.  Only the lower end can fall below 0: the
+        upper end is at least gamma minus the left sum."""
+        q = self._decided_mass(k)
+        left = self.left_sum(s)
+        scale = max(k + 1, left.denominator.bit_length() - 1)
+        lo = (q.numerator << (scale + 1 - q.denominator.bit_length())) - (
+            left.numerator << (scale + 1 - left.denominator.bit_length())
+        )
+        hi = lo + (1 << (scale - k - 1))
+        lo = max(lo, 0)
         if self.sorted_enumeration:
-            tail = Enclosure(tail.lo, min(tail.hi, pow2(-self.element_at(s))))
-        return tail
+            hi = min(hi, 1 << (scale - self.element_at(s)))
+        return Enclosure(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
 
     def gamma_real(self) -> ComputableReal:
         return ComputableReal(
@@ -551,6 +574,82 @@ def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
+def _integer_quad(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with a u^2 + b u + c = (A u^2 + B u + C) / D in
+    integers, D the least common denominator of a, b and c."""
+    D = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (
+        a.numerator * (D // a.denominator),
+        b.numerator * (D // b.denominator),
+        c.numerator * (D // c.denominator),
+        D,
+    )
+
+
+def _quad_ends(quad: tuple[int, int, int, int], u, scale: int) -> tuple[Fraction, Fraction]:
+    """The ends of ``_quad_in_u`` after clamp_nonneg, for
+    ``_integer_quad``'s (A, B, C, D) and u a ``_pow_route`` result at
+    2^-scale: a floor-root mantissa s stands for [s, s + 1] / 2^scale, and
+    a pair stands for its rational ends.  Both ends of u go over one
+    denominator v, and each end of the quadratic is one integer numerator
+    over D v^2, normalised once.  Only the lower end is floored at 0: the
+    quadratic is a squared modulus |a_0 u - d|^2, and the upper end bounds
+    it over u."""
+    if type(u) is int:
+        ul, uh, v = u, u + 1, 1 << scale
+    elif u[0] == u[1]:
+        ul = uh = u[0].numerator
+        v = u[0].denominator
+    else:
+        u_lo, u_hi = u
+        ul, uh = u_lo.numerator * u_hi.denominator, u_hi.numerator * u_lo.denominator
+        v = u_lo.denominator * u_hi.denominator
+    A, B, C, D = quad
+    cv = C * v
+    den = D * v * v
+    lin_lo, lin_hi = (ul, uh) if B >= 0 else (uh, ul)
+    lo = Fraction(max(A * ul * ul + (B * lin_lo + cv) * v, 0), den)
+    if ul == uh:
+        return lo, lo
+    return lo, Fraction(A * uh * uh + (B * lin_hi + cv) * v, den)
+
+
+def _power_sum_ends(
+    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
+) -> tuple[Fraction, Fraction]:
+    """The ends of the sum over bases [x_lo, x_hi], 0 <= x_lo <= x_hi, of
+    the enclosure ``_pow_slack`` gives of {t**exp : t in [x_lo, x_hi]} at
+    K, added exactly.
+
+    Rational track: each end goes through ``_pow_route`` at T = K + 2, as
+    in ``_pow_slack``, and a point base once.  Floor-root mantissas add to
+    one integer per end, the upper end taking s + 1, and rational ends add
+    as Fractions.  The oracle track takes one ``_pow_slack`` per term."""
+    lo = hi = Fraction(0)
+    e = exp.fast
+    if e is None:
+        for x_lo, x_hi in bases:
+            enc = _pow_slack(Enclosure(x_lo, x_hi), exp, K)
+            lo += enc.lo
+            hi += enc.hi
+        return lo, hi
+    T = K + 2
+    lo_m = hi_m = 0
+    for x_lo, x_hi in bases:
+        r = _pow_route(x_lo, e, T)
+        if type(r) is int:
+            lo_m += r
+        else:
+            lo += r[0]
+        if x_hi != x_lo:
+            r = _pow_route(x_hi, e, T)
+        if type(r) is int:
+            hi_m += r + 1
+        else:
+            hi += r[1]
+    return lo + Fraction(lo_m, 1 << T), hi + Fraction(hi_m, 1 << T)
+
+
 def expanded_residual_norm(
     ce: CeSet,
     p: Exponent,
@@ -565,6 +664,16 @@ def expanded_residual_norm(
     through a decision-mode gamma enclosure, and bounds the tail both by
     the gamma remainder and (for sorted enumerations) by the geometric
     estimate below the last expanded element.
+
+    Coordinate n of the residual has squared modulus |a_0 u_n - d_n|^2 =
+    |a_0|^2 u_n^2 + b_n u_n + |d_n|^2, with u_0 = (1 - gamma)^(1/p) and
+    d_0 = t_0, and u_n = 2^(-c_{n-1}/p) and d_n = t_n - a_n past 0.  The
+    d_n, b_n and |d_n|^2 do not depend on the precision and are computed
+    once.  On the rational track each u_n comes from ``_pow_route``, the
+    quadratic's ends from integer numerators, and their p/2 powers add
+    up on integers (``_power_sum_ends``), with one Enclosure per sum.  The
+    oracle track takes u_n by ``root_p`` and the quadratic by
+    ``_quad_in_u``.  The ends equal those of the per-term Enclosure sum.
     """
     cs = tuple(CRat.of(c) for c in coeffs)
     m = len(cs) - 1
@@ -574,35 +683,37 @@ def expanded_residual_norm(
     depth = max(m, supp_top, 2)
     c_prefix = ce.prefix(depth - 1)
     half = p.half()
+    guard = 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
+    diffs = [target.get(0)] + [
+        target.get(n) - (cs[n] if n <= m else CRAT_ZERO) for n in range(1, depth + 1)
+    ]
+    terms = [(-2 * (d.re * a0.re + d.im * a0.im), d.abs2()) for d in diffs]
+    rational = p.fast is not None
+    if rational:
+        quads = [_integer_quad(a0sq, b, c) for b, c in terms]
+        inverse = p.reciprocal().fast
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
-        kg = per + 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
+        kg = per + guard
         gamma = ce.gamma_enclosure(kg)
-        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = root_p(one_minus, p, per + 2)
-
-        t0 = target.get(0)
-        b0 = -2 * (t0.re * a0.re + t0.im * a0.im)
-        total = _pow_slack(
-            _quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per
-        )
-        for n in range(1, depth + 1):
-            diff = target.get(n) - (cs[n] if n <= m else CRAT_ZERO)
-            if a0.is_zero:
-                total = total + _pow_slack(
-                    Enclosure.point(diff.abs2()), half, per
-                )
-                continue
-            u = root_p(Enclosure.point(pow2(-c_prefix[n - 1])), p, per + 4)
-            bq = -2 * (diff.re * a0.re + diff.im * a0.im)
-            m2 = _quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
-            total = total + _pow_slack(m2, half, per)
-
-        if not a0.is_zero:
-            a0_pow = _pow_slack(Enclosure.point(a0sq), half, per)
-            total = total + a0_pow * ce.tail_mass(depth - 1, kg)
-        return total
+        w = root_p((Enclosure.point(1) - gamma).clamp_nonneg(), p, per + 2)
+        if a0.is_zero:
+            return Enclosure(*_power_sum_ends([(c, c) for _, c in terms], half, per))
+        if rational:
+            # 2^(-c/p) as root_p at per + 4 reads it: the point power at per + 6.
+            us = [(w.lo, w.hi)] + [_pow_route(pow2(-c), inverse, per + 6) for c in c_prefix]
+            bases = [_quad_ends(quad, u, per + 6) for quad, u in zip(quads, us)]
+        else:
+            us = [w] + [root_p(Enclosure.point(pow2(-c)), p, per + 4) for c in c_prefix]
+            bases = []
+            for (b, c), u in zip(terms, us):
+                x = _quad_in_u(a0sq, b, c, u).clamp_nonneg()
+                bases.append((x.lo, x.hi))
+        lo, hi = _power_sum_ends(bases, half, per)
+        a_lo, a_hi = _power_sum_ends([(a0sq, a0sq)], half, per)
+        tail = ce.tail_mass(depth - 1, kg)
+        return Enclosure(lo + a_lo * tail.lo, hi + a_hi * tail.hi)
 
     return norm_from_power_sum(sum_at, p, k)
 

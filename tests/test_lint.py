@@ -26,6 +26,14 @@ Exempt are names with a leading underscore and the parameters in
 Every import is used: each name an import binds is read somewhere in
 its module.  ``__init__.py`` is exempt, since its imports are the
 package's exports.
+
+The two twisted norm routes stay apart: no function of ``twisted.py`` is
+reached both from ``expanded_residual_norm`` and from
+``TwistedGenSet.norm_enclosure``, following every name that refers to a
+module-level function of ``twisted.py``, nested functions and lambdas
+included.  Names imported from ``rigor`` or ``lpspace``, and methods of
+the set both routes read, may be shared: comparing the two routes checks
+each only while their own code is separate.
 """
 
 import ast
@@ -333,3 +341,26 @@ def test_every_import_is_used():
         tree = ast.parse(path.read_text(), filename=str(path))
         unused += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
     assert not unused, "imports never used:\n" + "\n".join(unused)
+
+
+def _reached(start: ast.AST, functions: dict[str, ast.FunctionDef]) -> set[str]:
+    """Names in functions that start refers to, directly or through the
+    functions it reaches."""
+    reached: set[str] = set()
+    todo = [start]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
+                reached.add(node.id)
+                todo.append(functions[node.id])
+    return reached
+
+
+def test_the_two_twisted_norm_routes_share_no_function():
+    tree = ast.parse((SRC / "twisted.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods = {name: node for name, node, _ in _functions(tree)}
+    expansion = _reached(functions["expanded_residual_norm"], functions)
+    telescoping = _reached(methods["TwistedGenSet.norm_enclosure"], functions)
+    assert expansion and telescoping
+    assert not expansion & telescoping, f"shared by both norm routes: {expansion & telescoping}"

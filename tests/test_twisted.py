@@ -49,7 +49,7 @@ from lpcat import (
 )
 from lpcat import twisted
 from lpcat.cli import main, parse_p
-from lpcat.rigor import ComputableReal, MemoTable, ceil_log2, root_p
+from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_from_power_sum, root_p
 from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
 
 F = Fraction
@@ -210,6 +210,15 @@ class TestCeSets:
                     getattr(view, name)
 
 
+def ref_tail_mass(ce: CeSet, s: int, k: int) -> Enclosure:
+    """CeSet.tail_mass on Enclosures: gamma's enclosure minus the point left
+    sum, clamped at 0, capped by 2^-c_s on a sorted enumeration."""
+    tail = (ce.gamma_enclosure(k) - Enclosure.point(ce.left_sum(s))).clamp_nonneg()
+    if ce.sorted_enumeration:
+        tail = Enclosure(tail.lo, min(tail.hi, pow2(-ce.element_at(s))))
+    return tail
+
+
 class TestGammaReal:
     """gamma = sum_{c in C} 2^-c through the set's own faces: the
     enumeration stream left_sum and the decision-mode enclosures."""
@@ -319,11 +328,9 @@ class TestGammaReal:
             for k in (4, 20, 60):
                 tail = ce.tail_mass(s, k)
                 assert tail.contains(gamma - left)
-                ref = (ce.gamma_enclosure(k) - Enclosure.point(left)).clamp_nonneg()
                 if ce.sorted_enumeration:
-                    ref = Enclosure(ref.lo, min(ref.hi, pow2(-ce.element_at(s))))
                     assert tail.hi <= pow2(-ce.element_at(s))
-                assert tail == ref
+                assert tail == ref_tail_mass(ce, s, k)
 
 
 class TestEpsilonTerms:
@@ -788,6 +795,129 @@ def test_approx_e0_error_bound(elements, stages, p, k):
     assert out.certified_error.hi < pow2(-k)
     if p == 1:
         assert out.certified_error.contains(out.exact_error)
+
+
+def ref_expanded_residual_norm(
+    ce: CeSet, p: Exponent, coeffs, target: FiniteVector, k: int
+) -> Enclosure:
+    """The expansion route as one Enclosure per coordinate: each power sum
+    adds a _pow_slack enclosure of every coordinate's quadratic in u, and
+    the tail comes from ref_tail_mass."""
+    cs = tuple(CRat.of(c) for c in coeffs)
+    m = len(cs) - 1
+    a0 = cs[0] if cs else CRAT_ZERO
+    a0sq = a0.abs2()
+    supp_top = max(target.support(), default=0)
+    depth = max(m, supp_top, 2)
+    c_prefix = ce.prefix(depth - 1)
+    half = p.half()
+
+    def sum_at(K: int) -> Enclosure:
+        per = K + ceil_log2(F(depth + 3))
+        kg = per + 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
+        gamma = ce.gamma_enclosure(kg)
+        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
+        w = root_p(one_minus, p, per + 2)
+
+        t0 = target.get(0)
+        b0 = -2 * (t0.re * a0.re + t0.im * a0.im)
+        total = rigor._pow_slack(
+            _quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per
+        )
+        for n in range(1, depth + 1):
+            diff = target.get(n) - (cs[n] if n <= m else CRAT_ZERO)
+            if a0.is_zero:
+                total = total + rigor._pow_slack(
+                    Enclosure.point(diff.abs2()), half, per
+                )
+                continue
+            u = root_p(Enclosure.point(pow2(-c_prefix[n - 1])), p, per + 4)
+            bq = -2 * (diff.re * a0.re + diff.im * a0.im)
+            m2 = _quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
+            total = total + rigor._pow_slack(m2, half, per)
+
+        if not a0.is_zero:
+            a0_pow = rigor._pow_slack(Enclosure.point(a0sq), half, per)
+            total = total + a0_pow * ref_tail_mass(ce, depth - 1, kg)
+        return total
+
+    return norm_from_power_sum(sum_at, p, k)
+
+
+EXPANSION_PS = ["1", "3/2", "2", "3", "oracle:1.5:400"]
+support_past_coefficients = st.lists(st.tuples(st.integers(0, 12), complex_rationals), max_size=3)
+
+
+@given(
+    set_name=st.sampled_from(sorted(CUTOFF_SETS)),
+    p_spec=st.sampled_from(EXPANSION_PS),
+    coeffs=st.lists(complex_rationals, min_size=1, max_size=8),
+    a0_zero=st.booleans(),
+    target=support_past_coefficients,
+    k=st.integers(1, 40),
+)
+@example("odds", "3/2", [CRat(F(2, 3), F(-1, 5))], False, [(9, CRat(F(1, 2)))], 40)
+@example("throttled", "oracle:1.5:400", [CRat(1)], True, [(0, CRat(1)), (6, CRat(0, 1))], 12)
+def test_expanded_residual_norm_matches_fraction_route(
+    set_name, p_spec, coeffs, a0_zero, target, k
+):
+    """The integer sum gives the Fraction ends of the per-coordinate
+    Enclosure sum, and reads the set exactly as it did, on a fresh set per
+    side: complex coefficients, a_0 = 0, a single coefficient, and target
+    support past the coefficient list."""
+    if a0_zero:
+        coeffs = [CRAT_ZERO, *coeffs[1:]]
+    p = parse_p(p_spec)
+    v = FiniteVector.from_items(target)
+    got_set, want_set = CUTOFF_SETS[set_name](), CUTOFF_SETS[set_name]()
+    got = expanded_residual_norm(got_set, p, coeffs, v, k)
+    want = ref_expanded_residual_norm(want_set, p, coeffs, v, k)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got_set.stats.as_dict() == want_set.stats.as_dict()
+
+
+@given(
+    set_name=st.sampled_from(sorted(CUTOFF_SETS)),
+    calls=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 90)), min_size=1, max_size=6),
+)
+def test_tail_mass_matches_fraction_route(set_name, calls):
+    """Integer tail masses equal the Enclosure formula's, over a sequence
+    of calls that grows both prefixes, and leave the same counters."""
+    got_set, want_set = CUTOFF_SETS[set_name](), CUTOFF_SETS[set_name]()
+    for s, k in calls:
+        got, want = got_set.tail_mass(s, k), ref_tail_mass(want_set, s, k)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got_set.stats.as_dict() == want_set.stats.as_dict()
+
+
+@pytest.mark.parametrize(
+    "p, before", [(F(1), 174), (F(3, 2), 216), (F(2), 347), (F(3), 431)]
+)
+def test_expanded_residual_norm_enclosure_work(monkeypatch, p, before):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    expanded_residual_norm of [3/2, -1/2, ..., -1/(d+1)] against e_0 over
+    the odds at k = 20.  With one Enclosure per coordinate and sum, d = 40
+    built ``before``.  The integer sum builds a fixed number per sum, so
+    d = 40 builds no more than d = 10.  (At p = 3/2 the d = 10 norm reads
+    two sums, its guard jump, and d = 40 one.)"""
+    exponent = Exponent.from_rational(p)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    counts = {}
+    for d in (10, 40):
+        coeffs = [F(3, 2)] + [F(-1, n + 1) for n in range(1, d + 1)]
+        made = 0
+        expanded_residual_norm(CeSet.odds(), exponent, coeffs, basis(0), 20)
+        counts[d] = made
+    assert counts[40] <= counts[10]
+    assert counts[40] < before / 4
 
 
 class TestScaleExtraction:
