@@ -56,6 +56,20 @@ def natural(text: str) -> int:
     return value
 
 
+# The rotation demo takes about 75 us a sample on a 2-core Xeon, so the
+# bound keeps one demo within about 8 s; --samples 1000000000 would run
+# for about a day.
+_MAX_SAMPLES = 100_000
+
+
+def sample_count(text: str) -> int:
+    """argparse type: a natural number of at most _MAX_SAMPLES."""
+    value = natural(text)
+    if value > _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_SAMPLES} samples, got {value}")
+    return value
+
+
 # Every rational a flag spells (--p, --coeffs, --corrupt) has at most
 # _P_BITS bits in its numerator and in its denominator, and p lies in
 # [1, _P_MAX].  Unbounded, p = 1e400 overflows a shift, p = 10000 or a
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ce-set", "--seed", "--fuel",
     )
     sp.add_argument("--scenario", required=True, choices=["zeta", "rotation", "pour-el-richards"])
-    sp.add_argument("--samples", type=natural, default=100)
+    sp.add_argument("--samples", type=sample_count, default=100)
     sp.add_argument("--k", type=natural, default=8)
     sp.add_argument("--n-max", type=natural, default=12)
     sp.add_argument("--csv", default=None, help="write the sweep table here")

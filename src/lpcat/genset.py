@@ -15,6 +15,7 @@ reference on a finite, recorded schedule.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 from .rigor import (
     CRat,
+    CRAT_ONE,
     CRAT_ZERO,
     ConfigError,
     Counters,
@@ -31,7 +33,7 @@ from .rigor import (
     ceil_log2,
     pow2,
 )
-from .lpspace import FiniteVector, basis, norm_p
+from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
 
 REAL = "real"
 COMPLEX = "complex"
@@ -91,10 +93,20 @@ class GeneratingSet:
         return cs
 
 
+def _numerators(z: CRat) -> tuple[int, int, int]:
+    """(re, im, d) with z = (re + im i) / d, d the least common
+    denominator of z's two parts."""
+    re, im = z.re, z.im
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
 class StandardGenSet(GeneratingSet):
-    """The standard presentation: f_n = e_n."""
+    """The standard presentation: f_n = e_n, the zeta = 1 case of
+    ``ZetaGenSet``."""
 
     kind = "standard"
+    zeta: CRat = CRAT_ONE
 
     def __init__(self, p: Exponent, field_mode: str = COMPLEX, label: str = "E"):
         super().__init__(p, field_mode, label)
@@ -107,7 +119,26 @@ class StandardGenSet(GeneratingSet):
         return norm_p(self.vector_of(coeffs), self.p, k)
 
     def residual_norm(self, v: FiniteVector, coeffs: Sequence, k: int) -> Enclosure:
-        return norm_p(v - self.vector_of(coeffs), self.p, k)
+        """|v - sum a_j zeta e_j| on integers: coordinate j of the
+        combination is zeta a_j over one denominator, and each nonzero
+        difference gives one reduced term |v_j - zeta a_j|^2, the one
+        ``norm_p`` takes from the difference vector."""
+        zr, zi, zd = _numerators(self.zeta)
+        w = {}
+        for j, a in enumerate(_coerce_coeffs(coeffs)):
+            if a.is_zero:
+                continue
+            ar, ai, ad = _numerators(a)
+            w[j] = (zr * ar - zi * ai, zr * ai + zi * ar, zd * ad)
+        vs = dict(v.coords)
+        terms = []
+        for j in sorted(vs.keys() | w.keys()):
+            xr, xi, xd = _numerators(vs[j]) if j in vs else (0, 0, 1)
+            yr, yi, yd = w.get(j, (0, 0, 1))
+            re, im = xr * yd - yr * xd, xi * yd - yi * xd
+            if re or im:
+                terms.append(Fraction(re * re + im * im, (xd * yd) ** 2))
+        return norm_of_abs2_terms(terms, self.p, k)
 
 
 class ZetaGenSet(StandardGenSet):
@@ -116,8 +147,9 @@ class ZetaGenSet(StandardGenSet):
     Its norm oracle coincides with the standard one because |zeta| = 1;
     that is exactly why it is an effective generating set no matter how
     hard the scalar itself is to compute, and why it inherits E's norm
-    and residual through its own ``vector_of``.  Desk instances carry an
-    exact Pythagorean scalar so reps and residuals stay certifiable.
+    through its own ``vector_of`` and E's residual through ``zeta``.  Desk
+    instances carry an exact Pythagorean scalar so reps and residuals stay
+    certifiable.
     """
 
     kind = "zeta"
@@ -247,7 +279,9 @@ def ballmap_from_disjoint_family(
     """Ball map from the standard presentation E of the isometry sending
     e_n to the n-th represented unit vector, per the three-criteria
     recipe: approximate the image of the center within the input radius r
-    and answer with radius 2r.
+    and answer with radius 2r.  The image of the center adds the products
+    a_n c on integer numerators, one running denominator per output
+    index, and builds one reduced coefficient per index at the end.
 
     Preconditions are checked at truncation scale 2^-10: every rep must
     pass the unit-norm certificate, and pairwise support disjointness is
@@ -301,17 +335,26 @@ def ballmap_from_disjoint_family(
         k_q = max(1, ceil_log2(total / r) + 1)
         if k_q > _MAX_PRECISION:
             return None
-        acc: dict[int, CRat] = {}
+        # Output index -> (re, im, d): the sum of a * c so far is (re + im i) / d.
+        acc: dict[int, tuple[int, int, int]] = {}
         for a, rep in zip(alphas, reps):
             if a.is_zero:
                 continue
+            ar, ai, ad = _numerators(a)
             for i, c in enumerate(rep.coefficients(k_q)):
                 if c.is_zero:
                     continue
-                acc[i] = acc.get(i, CRAT_ZERO) + a * c
-        top = max(acc) if acc else 0
-        beta = tuple(acc.get(i, CRAT_ZERO) for i in range(top + 1))
-        return RationalBall(beta, 2 * r, target.label)
+                cr, ci, cd = _numerators(c)
+                re, im, d = ar * cr - ai * ci, ar * ci + ai * cr, ad * cd
+                got = acc.get(i)
+                if got is not None:
+                    gr, gi, gd = got
+                    re, im, d = gr * d + re * gd, gi * d + im * gd, gd * d
+                acc[i] = (re, im, d)
+        beta = [CRAT_ZERO] * (max(acc, default=0) + 1)
+        for i, (re, im, d) in acc.items():
+            beta[i] = CRat(Fraction(re, d), Fraction(im, d))
+        return RationalBall(tuple(beta), 2 * r, target.label)
 
     return BallMap(source, target, kind, transform)
 

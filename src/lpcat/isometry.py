@@ -13,6 +13,7 @@ demo certifies both halves of that contrast.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .rigor import (
     CRAT_ZERO,
     ComputablePoint,
     ConfigError,
+    Enclosure,
     Exponent,
     pow2,
     sqrt_real,
@@ -303,15 +305,30 @@ def rotation_images(p: Exponent) -> tuple[VectorRep, VectorRep]:
     return make(1, "rot(e0)"), make(-1, "rot(e1)")
 
 
-def _rotated_abs2_terms(v: FiniteVector) -> list[Fraction]:
-    """Exact squared moduli of the rotated image's coordinates: the 1/2
-    from the rotation scalar squares away, so every term is rational."""
-    v0, v1 = v.get(0), v.get(1)
-    terms = [(v0 + v1).abs2() / 2, (v0 - v1).abs2() / 2]
-    for i, c in v.coords:
-        if i >= 2:
-            terms.append(c.abs2())
-    return terms
+def _draw_sample(rng: random.Random) -> list[tuple[int, int]]:
+    """One rotation-demo sample: coordinate i is the rational a_i / b_i
+    of the i-th pair (a_i, b_i)."""
+    return [(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 5))]
+
+
+def _l2_norms(
+    sample: list[tuple[int, int]], p2: Exponent, width_bits: int
+) -> tuple[Enclosure, Enclosure]:
+    """l2 norm enclosures of the sample and of its rotated image, each
+    from one exact squared norm on integers.  Over the common denominator
+    L the sample is X / L, and the rotated image is ((X0 + X1) / sqrt 2,
+    (X0 - X1) / sqrt 2, X2, ...) / L: the 1/2 of the rotation scalar
+    squares away, so both sides are rational and computed apart."""
+    L = math.lcm(*(b for _, b in sample))
+    xs = [a * (L // b) for a, b in sample]
+    x0, x1 = (xs + [0])[:2]
+    tail = sum(x * x for x in xs[2:])
+    plain = Fraction(sum(x * x for x in xs), L * L)
+    rotated = Fraction((x0 + x1) ** 2 + (x0 - x1) ** 2 + 2 * tail, 2 * L * L)
+    return (
+        norm_of_abs2_terms([plain], p2, width_bits),
+        norm_of_abs2_terms([rotated], p2, width_bits),
+    )
 
 
 def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
@@ -321,7 +338,9 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     (certified enclosures of width 2^-30 are consistent), yet the
     classifier, at tolerance 2^-8, must reject its basis images on support
     grounds; and for the ambient p != 2 the same map fails norm
-    preservation on a certified witness vector.
+    preservation on a certified witness vector.  Each sample is drawn as
+    integer pairs and both of its norms come from integer numerators, with
+    one Fraction per side (``_l2_norms``).
     """
     width_bits = 30
     p2 = Exponent.from_rational(2)
@@ -329,13 +348,7 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     consistent = 0
     max_gap = Fraction(0)
     for _ in range(samples):
-        items = [
-            (i, Fraction(rng.randint(-8, 8), rng.randint(1, 8)))
-            for i in range(rng.randint(1, 5))
-        ]
-        v = FiniteVector.from_items(items)
-        left = norm_p(v, p2, width_bits)
-        right = norm_of_abs2_terms(_rotated_abs2_terms(v), p2, width_bits)
+        left, right = _l2_norms(_draw_sample(rng), p2, width_bits)
         if left.intersects(right):
             consistent += 1
             gap = max(abs(left.lo - right.lo), abs(left.hi - right.hi))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from lpcat import CeSet, Exponent
+from lpcat import CeSet, CRat, Exponent
 
 settings.register_profile("suite", max_examples=60, derandomize=True, deadline=None)
 settings.load_profile("suite")
@@ -37,3 +37,17 @@ def odds():
 @pytest.fixture
 def primes():
     return CeSet.primes()
+
+
+@pytest.fixture
+def crats_built(monkeypatch):
+    """A list that gains one entry per CRat constructed from here on."""
+    built = []
+    post_init = CRat.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(CRat, "__post_init__", counted)
+    return built

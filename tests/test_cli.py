@@ -601,6 +601,26 @@ def test_malformed_input_exits_2(tmp_path, argv, content):
     assert "Traceback" not in stderr.getvalue()
 
 
+def test_samples_above_bound_refused(monkeypatch):
+    """--samples takes at most cli._MAX_SAMPLES: one more is invalid input
+    naming the flag, refused before any demo runs, and the bound itself
+    parses."""
+    from lpcat import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("a refused --samples ran the demo")
+
+    monkeypatch.setattr(cli.iso, "rotation_demo", never)
+    for count in (cli._MAX_SAMPLES + 1, 10**9):
+        stderr = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(stderr):
+            main(["demo", "--scenario", "rotation", "--samples", str(count)])
+        assert exc.value.code == 2
+        assert "--samples" in stderr.getvalue()
+    argv = ["demo", "--scenario", "rotation", "--samples", str(cli._MAX_SAMPLES)]
+    assert cli.build_parser().parse_args(argv).samples == cli._MAX_SAMPLES
+
+
 def exponent_values():
     """Exponent strings: decimals and fractions in and out of [1, 64],
     integers of any size and sign, 1eN forms of any size, and junk."""

@@ -3,8 +3,10 @@ operator-criteria checker."""
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lpcat import (
     CRat,
@@ -13,7 +15,9 @@ from lpcat import (
     Enclosure,
     Exponent,
     FiniteVector,
+    GeneratingSet,
     NotUnitVector,
+    PYTHAGOREAN_UNIMODULARS,
     RationalBall,
     StandardGenSet,
     SupportsOverlap,
@@ -21,11 +25,15 @@ from lpcat import (
     ZetaGenSet,
     ballmap_from_disjoint_family,
     basis,
+    ceil_log2,
     check_ballmap,
     compose_ballmaps,
+    descriptor_to_ballmap,
     exact_rep,
     norm_p,
     pow2,
+    random_descriptor,
+    sqrt_real,
 )
 import lpcat.genset as genset_module
 from lpcat.genset import BallMap
@@ -422,3 +430,138 @@ class TestChecker:
         a = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=5)).to_bytes()
         b = check_ballmap(bmap, lambda v: v, CheckSchedule.seeded("E", seed=5)).to_bytes()
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the CRat code the integer loops replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_transform(ball: RationalBall, reps, target) -> Optional[RationalBall]:
+    """The ball-map transform of ballmap_from_disjoint_family, adding the
+    products a * c as CRat values, one CRat sum per term."""
+    alphas = ball.coeffs
+    if len(alphas) > len(reps) or len(alphas) > genset_module._MAX_FAMILY:
+        return None
+    r = ball.radius
+    total = sum((a.abs_enclosure(4).hi for a in alphas), F(0))
+    if total == 0:
+        return RationalBall((CRat.of(0),), 2 * r, target.label)
+    k_q = max(1, ceil_log2(total / r) + 1)
+    if k_q > genset_module._MAX_PRECISION:
+        return None
+    acc = {}
+    for a, rep in zip(alphas, reps):
+        if a.is_zero:
+            continue
+        for i, c in enumerate(rep.coefficients(k_q)):
+            if c.is_zero:
+                continue
+            acc[i] = acc.get(i, CRat.of(0)) + a * c
+    top = max(acc) if acc else 0
+    beta = tuple(acc.get(i, CRat.of(0)) for i in range(top + 1))
+    return RationalBall(beta, 2 * r, target.label)
+
+
+def ref_residual_norm(gs, v: FiniteVector, coeffs, k: int) -> Enclosure:
+    """E's and F_zeta's residual through the difference vector."""
+    return norm_p(v - gs.vector_of(coeffs), gs.p, k)
+
+
+class Unchecked(GeneratingSet):
+    """E's norm with no disjointness check, so a family may put several
+    members on one index and their products add up there."""
+
+    kind = "unchecked"
+
+    def norm_enclosure(self, coeffs, k):
+        return StandardGenSet(self.p).norm_enclosure(coeffs, k)
+
+
+EXPONENTS = {
+    "1": Exponent.from_rational(1),
+    "3/2": Exponent.from_rational(F(3, 2)),
+    "2": Exponent.from_rational(2),
+    "3": Exponent.from_rational(3),
+    "sqrt2": Exponent.from_real(sqrt_real(2)),
+}
+
+small = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+points = st.builds(CRat, small, small) | st.builds(CRat, small)
+
+
+def target_of(kind: str, p: Exponent, zeta: CRat):
+    if kind == "E":
+        return StandardGenSet(p)
+    if kind == "zeta":
+        return ZetaGenSet(zeta, p)
+    return Unchecked(p, label="U")
+
+
+class TestIntegerLoopsMatchCRatCopies:
+    """The transform and the E / F_zeta residual run on integer
+    numerators; each must give exactly what the CRat code gave."""
+
+    @given(
+        st.sampled_from(sorted(EXPONENTS)),
+        st.sampled_from(["E", "zeta", "unchecked"]),
+        st.sampled_from(PYTHAGOREAN_UNIMODULARS),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(PYTHAGOREAN_UNIMODULARS)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(points, min_size=1, max_size=6),
+        st.integers(0, 100),
+    )
+    def test_transform(self, p_name, kind, zeta, members, alphas, radius_bits):
+        """Families of unimodular multiples of basis vectors: disjoint
+        ones over E and F_zeta, and over Unchecked members that share an
+        index, where products add and may cancel to zero."""
+        target = target_of(kind, EXPONENTS[p_name], zeta)
+        if kind == "unchecked":
+            reps = [
+                VectorRep(target, lambda _k, t=t, lam=lam: [0] * t + [lam]) for t, lam in members
+            ]
+        else:
+            members = list(dict(members).items())
+            reps = [exact_rep(target, [0] * t + [lam]) for t, lam in members]
+        bmap = ballmap_from_disjoint_family(reps, target)
+        ball = RationalBall(tuple(alphas[: len(reps)]), pow2(-radius_bits), "E")
+        assert bmap.apply(ball) == ref_transform(ball, reps, target)
+
+    @given(
+        st.sampled_from(sorted(EXPONENTS)),
+        st.sampled_from(["E", "zeta"]),
+        st.sampled_from(PYTHAGOREAN_UNIMODULARS),
+        st.dictionaries(st.integers(0, 5), points, max_size=5),
+        st.lists(points, max_size=6),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+        st.integers(0, 24),
+    )
+    def test_residual_norm(self, p_name, kind, zeta, coords, coeffs, cancel, k):
+        """Random complex vectors and coefficients; where ``cancel`` says
+        so, coefficient i is set to cancel coordinate i, which removes a
+        term from the sum."""
+        gs = target_of(kind, EXPONENTS[p_name], zeta)
+        v = FiniteVector.from_items(coords.items())
+        coeffs = list(coeffs)
+        for i in range(len(coeffs)):
+            if cancel[i]:
+                coeffs[i] = v.get(i) * CRat(gs.zeta.re, -gs.zeta.im)
+        got = gs.residual_norm(v, coeffs, k)
+        want = ref_residual_norm(gs, v, coeffs, k)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_check_ballmap_crat_work(p32, crats_built):
+    """Work guard, free of timing noise: CRat values built by one seeded
+    check_ballmap of a descriptor map.  The CRat transform and residual
+    built 521 here; the integer loops build 170."""
+    d = random_descriptor(random.Random(123), 8)
+    bmap = descriptor_to_ballmap(d, p32)
+    schedule = CheckSchedule.seeded("E", seed=31)
+    crats_built.clear()
+    report = check_ballmap(bmap, d.apply, schedule)
+    assert report.passed
+    assert len(crats_built) <= 170

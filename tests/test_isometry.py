@@ -25,6 +25,7 @@ from lpcat import (
     rotation_images,
 )
 from lpcat.genset import RationalBall, StandardGenSet, exact_rep
+from lpcat.isometry import _draw_sample, _l2_norms
 from lpcat.rigor import ComputablePoint, sqrt_real
 
 F = Fraction
@@ -186,9 +187,33 @@ class TestRotationDemo:
         assert hi < 1  # 2^(1/3 - 1/2) < 1
 
     def test_unit_image_norm_contains_one_at_p2(self, p2):
-        from lpcat.isometry import _rotated_abs2_terms
-        from lpcat import norm_of_abs2_terms
+        _, rotated = _l2_norms([(1, 1)], p2, 30)
+        assert rotated.contains(1)
 
-        terms = _rotated_abs2_terms(basis(0))
-        enc = norm_of_abs2_terms(terms, p2, 30)
-        assert enc.contains(1)
+    def test_sample_norms_are_norm_p(self, p2):
+        """Each sample draws the RNG as the Fraction loop did, and both of
+        its integer norm enclosures are norm_p of the sampled vector, end
+        for end, zero vectors and one-coordinate samples included."""
+        ours, theirs = random.Random(29), random.Random(29)
+        for _ in range(300):
+            sample = _draw_sample(ours)
+            items = [
+                (i, F(theirs.randint(-8, 8), theirs.randint(1, 8)))
+                for i in range(theirs.randint(1, 5))
+            ]
+            assert items == [(i, F(a, b)) for i, (a, b) in enumerate(sample)]
+            want = norm_p(FiniteVector.from_items(items), p2, 30)
+            for enc in _l2_norms(sample, p2, 30):
+                assert (enc.lo, enc.hi) == (want.lo, want.hi)
+
+    def test_sample_loop_builds_no_crat(self, p2, crats_built):
+        """Work guard, free of timing noise: the CRat values one
+        rotation_demo builds do not grow with the sample count.  The CRat
+        sample loop built 54 at 10 samples and 503 at 100; the integer
+        loop builds 4 at both."""
+        counts = []
+        for samples in (10, 100):
+            crats_built.clear()
+            rotation_demo(p2, samples=samples, seed=11)
+            counts.append(len(crats_built))
+        assert counts[0] == counts[1]

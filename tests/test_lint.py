@@ -23,6 +23,12 @@ constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
 Exempt are names with a leading underscore and the parameters in
 ``NO_CALLER``.
 
+Every public name has a caller: each name ``lpcat.__init__`` exports is
+read (as a name or an attribute) somewhere in ``src/lpcat``, ``perfbench/``
+or ``demos/``.  A name only tests read is surface the system does not
+use; give it a caller or delete it.  Exempt are the names in
+``UNCALLED_EXPORTS``, each with its reason.
+
 Every import is used: each name an import binds is read somewhere in
 its module.  ``__init__.py`` is exempt, since its imports are the
 package's exports.
@@ -41,6 +47,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lpcat"
 PERFBENCH = SRC.parent.parent / "perfbench"
+DEMOS = SRC.parent.parent / "demos"
 
 # Qualified function name -> parameters it may leave unread.
 ALLOWED = {
@@ -63,6 +70,21 @@ NO_CALLER = {
         "(0.4 s), as the default 100000 stages take about 4.7 s there; "
         "ROADMAP item 2 decides the fuels",
     },
+}
+
+# Exported name -> why it stays exported though only tests read it.
+UNCALLED_EXPORTS = {
+    "compose_ballmaps": "the ball-map model's composition; ROADMAP item 10 "
+    "composes the identity map E -> F through it",
+    "disjoint": "the vector layer's exact support test, read by the "
+    "lpspace tests of the norm axioms on disjoint pairs",
+    "epsilon_j": "one telescoping correction term at a point, as the "
+    "twisted tests check it; ROADMAP item 11 would move them onto "
+    "_epsilon_mantissas",
+    "identity_family": "the image family of the identity from E onto F; "
+    "ROADMAP item 10 gives it a caller",
+    "real_with_offset_fault": "the gamma-oracle fault the decide_membership "
+    "tests inject; it stays or goes with decide_membership (ROADMAP item 11)",
 }
 
 
@@ -312,6 +334,31 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, "defaults no caller sets:\n" + "\n".join(unset)
     listed = {(name, param) for name, params in NO_CALLER.items() for param in params}
     assert kept == listed, f"NO_CALLER entries that a caller sets: {listed - kept}"
+
+
+def test_every_public_name_has_a_caller():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    callers = [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), *DEMOS.glob("*.py")]
+    for path in callers:
+        if path == SRC / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    uncalled = exported - read
+    stray = sorted(uncalled - UNCALLED_EXPORTS.keys())
+    assert not stray, "exported names only tests read:\n" + "\n".join(stray)
+    kept, listed = uncalled & UNCALLED_EXPORTS.keys(), set(UNCALLED_EXPORTS)
+    assert kept == listed, f"UNCALLED_EXPORTS entries that have a caller: {listed - kept}"
 
 
 def _unused_imports(tree: ast.Module):
