@@ -25,7 +25,7 @@ from .rigor import (
     simplest_between,
     sqrt_real,
 )
-from .lpspace import FiniteVector, basis, disjoint, norm_of_abs2_terms, norm_p
+from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
 from .genset import (
     BallMap,
     CheckSchedule,
@@ -52,7 +52,6 @@ from .twisted import (
     ce_set_from_spec,
     decide_membership,
     e0_rep,
-    epsilon_j,
     expanded_residual_norm,
     extract_scale,
     f0_norm_sandwich,

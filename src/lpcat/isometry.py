@@ -55,8 +55,7 @@ class IsometryDescriptor:
     phi must be injective on its range; exact scalars must be exactly
     unimodular (Pythagorean points, units), oracle scalars are certified
     at a fixed check precision.  Surjectivity itself is not decidable from
-    a finite range; ``permutes_range`` reports the checkable proxy, phi
-    mapping its domain onto itself.
+    a finite range.
     """
 
     phi: tuple[int, ...]
@@ -83,9 +82,6 @@ class IsometryDescriptor:
     @property
     def size(self) -> int:
         return len(self.phi)
-
-    def permutes_range(self) -> bool:
-        return set(self.phi) == set(range(self.size))
 
     def apply(self, v: FiniteVector) -> FiniteVector:
         """Exact image of a finite vector; requires exact scalars and phi

@@ -17,11 +17,9 @@ from .rigor import (
     CRAT_ZERO,
     Enclosure,
     Exponent,
-    ceil_log2,
     norm_from_power_sum,
     strict_int,
-    _pow_route,
-    _pow_slack,
+    _pow_sum,
 )
 
 
@@ -108,54 +106,13 @@ def basis(n: int) -> FiniteVector:
     return FiniteVector(((n, CRat.of(1)),))
 
 
-def disjoint(u: FiniteVector, v: FiniteVector) -> bool:
-    """True iff the supports have empty intersection (exact)."""
-    return not (u.support() & v.support())
-
-
 def abs2_pow_sum(abs2_terms: Sequence[Fraction], p: Exponent, k: int) -> Enclosure:
     """Sum of m^(p/2) over exact squared moduli m >= 0, with total slack
-    below 2^-k, as one Enclosure.
-
-    Each term is taken at 2^-T, T = per + 2, with per = k + ceil(log2(n + 1))
-    for n terms.  On the rational track each goes through the one point
-    router: a rational power adds to one Fraction, a floor-root mantissa s
-    to one integer (its upper end is s + 1), and a dyadic-route pair to a
-    lower and an upper Fraction; p = 2 is the sum of the terms.  The
-    oracle track takes one _pow_slack per term at per and adds its ends.
-    Either way the ends are the sums of the per-term ends.
+    below 2^-k, as one Enclosure: ``_pow_sum`` over the point bases m at
+    per = k + ceil(log2(n + 1)) for n terms, which is k + n.bit_length().
     """
-    if not abs2_terms:
-        return Enclosure.point(0)
-    half = p.half()
-    e = half.fast
-    if e == 1:
-        return Enclosure.point(sum(abs2_terms))
-    per = k + ceil_log2(Fraction(len(abs2_terms) + 1))
-    lo = hi = Fraction(0)
-    if e is None:
-        for m2 in abs2_terms:
-            enc = _pow_slack(Enclosure.point(m2), half, per)
-            lo += enc.lo
-            hi += enc.hi
-        return Enclosure(lo, hi)
-    T = per + 2
-    exact = Fraction(0)
-    mantissas = count = 0
-    for m2 in abs2_terms:
-        r = _pow_route(m2, e, T)
-        if type(r) is int:
-            mantissas += r
-            count += 1
-        elif r[0] == r[1]:
-            exact += r[0]
-        else:
-            lo += r[0]
-            hi += r[1]
-    if count:
-        lo += Fraction(mantissas, 1 << T)
-        hi += Fraction(mantissas + count, 1 << T)
-    return Enclosure(exact + lo, exact + hi)
+    per = k + len(abs2_terms).bit_length()
+    return Enclosure(*_pow_sum([(m2, m2) for m2 in abs2_terms], p.half(), per))
 
 
 def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:

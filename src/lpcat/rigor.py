@@ -18,7 +18,9 @@ a power of two, Newton iteration otherwise, and exact on perfect powers.
 It is taken when its largest operand, bounded by ``_exact_pow_bits`` at
 scale 2^-K, fits a fixed bit budget; the two ends then differ only by
 2^-K on the one floor-root, whose mantissa ``_pow_route`` hands back as
-an integer, so ``lpspace.abs2_pow_sum`` sums such terms as one integer.
+an integer, so ``_pow_sum``, the one power-sum loop (behind
+``lpspace.abs2_pow_sum`` and the twisted expansion route), sums such
+terms as one integer.
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K
 (``_pow_mantissas``), so a caller that sums such terms, the twisted
@@ -49,7 +51,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -927,6 +929,67 @@ def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
             gap, lo, hi = _exp_gap(x, e_lo, e_hi, K + 3)
             if gap < threshold:
                 return Enclosure(lo, hi)
+
+
+def _pow_sum(
+    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
+) -> tuple[Fraction, Fraction]:
+    """The ends of the sum, over bases [x_lo, x_hi] with 0 <= x_lo <= x_hi,
+    of the enclosure _pow_slack gives of {t**exp : t in [x_lo, x_hi]} at K,
+    added exactly: the one power-sum loop.
+
+    Rational track: the exponent 1 adds the bases as they are.  Otherwise
+    each end goes through _pow_route at T = K + 2, as in _pow_slack, and a
+    point base (x_hi is x_lo) once.  Floor-root mantissas add to one
+    integer per end, the upper end taking s + 1, and become a Fraction
+    only when there are some; the exact power of a point base is added
+    once, to both ends.  The oracle track takes one _pow_slack per base.
+    """
+    e = exp.fast
+    lo = hi = both = _ZERO
+    if e is None:
+        for x_lo, x_hi in bases:
+            enc = _pow_slack(Enclosure(x_lo, x_hi), exp, K)
+            lo += enc.lo
+            hi += enc.hi
+        return lo, hi
+    if e == 1:
+        for x_lo, x_hi in bases:
+            if x_hi is x_lo:
+                both += x_lo
+            else:
+                lo += x_lo
+                hi += x_hi
+    else:
+        T = K + 2
+        lo_m = hi_m = 0
+        for x_lo, x_hi in bases:
+            r = _pow_route(x_lo, e, T)
+            if x_hi is not x_lo:
+                if type(r) is int:
+                    lo_m += r
+                else:
+                    lo += r[0]
+                r = _pow_route(x_hi, e, T)
+                if type(r) is int:
+                    hi_m += r + 1
+                else:
+                    hi += r[1]
+            elif type(r) is int:
+                lo_m += r
+                hi_m += r + 1
+            elif r[0] == r[1]:
+                both += r[0]
+            else:
+                lo += r[0]
+                hi += r[1]
+        if lo_m:
+            lo += Fraction(lo_m, 1 << T)
+        if hi_m:
+            hi += Fraction(hi_m, 1 << T)
+    # A zero end is not added: the one-term sums at p = 2 of rotation_demo
+    # then cost one Fraction addition each.
+    return (both + lo if lo else both), (both + hi if hi else both)
 
 
 def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:

@@ -20,11 +20,12 @@ integer quadratic in the mantissa of 2^(-c/p), a p/2 power by the exact
 route's integer floor-root (rounded brackets on the oracle track), and
 directed shifts into two integer running sums, every step rounded
 outward, with one Enclosure per sum.  The independent expansion route
-(``expanded_residual_norm``) also sums on integers, by code of its own:
-each coordinate's quadratic in u from integer numerators, its p/2 power
-through rigor's point router, and the floor-root mantissas added in one
-integer.  It shares only rigor primitives and no function of this module
-with the telescoping sum, so comparing the two checks it.
+(``expanded_residual_norm``) also sums on integers: each coordinate's
+quadratic in u from integer numerators, by code of its own, and the p/2
+powers added by rigor's one power-sum loop, ``_pow_sum``, the floor-root
+mantissas in one integer.  It shares only rigor primitives and no
+function of this module with the telescoping sum, so comparing the two
+checks it.
 
 Conversely, anything that can point at a unit multiple of e_0 in
 F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
@@ -74,6 +75,7 @@ from .rigor import (
     _pow_mantissas,
     _pow_route,
     _pow_slack,
+    _pow_sum,
 )
 from .lpspace import FiniteVector, basis
 from .genset import (
@@ -405,22 +407,6 @@ def ce_set_from_spec(obj: dict) -> CeSet:
 # ---------------------------------------------------------------------------
 
 
-def _quad_in_u(a: Fraction, b: Fraction, c: Fraction, u: Enclosure) -> Enclosure:
-    """a*u^2 + b*u + c over a nonnegative enclosure u, for a >= 0.
-
-    The same endpoints as the interval expression
-    (u*u).scale(a) + u.scale(b) + point(c), computed directly: with
-    u >= 0 and a >= 0 the square term rises with u, and the linear term
-    takes the end of u that the sign of b picks.
-    """
-    ul, uh = u.lo, u.hi
-    if ul < 0 or a < 0:
-        raise ValueError(f"quadratic in u needs u >= 0 and a >= 0, got u = {u}, a = {a}")
-    if b >= 0:
-        return Enclosure((a * ul + b) * ul + c, (a * uh + b) * uh + c)
-    return Enclosure(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
-
-
 # The telescoping kernel: an integer m stands for m / 2^s at a scale s
 # fixed by the precision, and every step rounds outward.
 
@@ -501,18 +487,6 @@ def _epsilon_mantissas(
     raise OracleFailure("epsilon term failed to converge")
 
 
-def epsilon_j(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
-    """The j-th correction term of the telescoping norm identity."""
-    if c < 1:
-        raise ConfigError("enumerated elements are >= 1")
-    alpha0 = CRat.of(alpha0)
-    quad = _quad_coefficients(alpha0, CRat.of(alphaj))
-    a = alpha0.abs2()
-    a_pow = _pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), k + 3)
-    lo, hi = _epsilon_mantissas(quad, a, a_pow, c, p, k, MemoTable())
-    return Enclosure(Fraction(lo, 1 << (k + 5)), Fraction(hi, 1 << (k + 5)))
-
-
 class TwistedGenSet(GeneratingSet):
     """The presentation F of lp twisted by a c.e. set.
 
@@ -587,14 +561,15 @@ def _integer_quad(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int,
 
 
 def _quad_ends(quad: tuple[int, int, int, int], u, scale: int) -> tuple[Fraction, Fraction]:
-    """The ends of ``_quad_in_u`` after clamp_nonneg, for
-    ``_integer_quad``'s (A, B, C, D) and u a ``_pow_route`` result at
-    2^-scale: a floor-root mantissa s stands for [s, s + 1] / 2^scale, and
-    a pair stands for its rational ends.  Both ends of u go over one
-    denominator v, and each end of the quadratic is one integer numerator
-    over D v^2, normalised once.  Only the lower end is floored at 0: the
-    quadratic is a squared modulus |a_0 u - d|^2, and the upper end bounds
-    it over u."""
+    """The ends of (A u^2 + B u + C) / D over u >= 0, for
+    ``_integer_quad``'s (A, B, C, D) with A >= 0 and u either a pair of
+    rational ends or a ``_pow_route`` floor-root mantissa s at 2^-scale,
+    which stands for [s, s + 1] / 2^scale.  The square term rises with u,
+    and the linear term takes the end of u that the sign of B picks.  Both
+    ends of u go over one denominator v, and each end of the quadratic is
+    one integer numerator over D v^2, normalised once.  Only the lower end
+    is floored at 0: the quadratic is a squared modulus |a_0 u - d|^2, and
+    the upper end bounds it over u."""
     if type(u) is int:
         ul, uh, v = u, u + 1, 1 << scale
     elif u[0] == u[1]:
@@ -612,42 +587,6 @@ def _quad_ends(quad: tuple[int, int, int, int], u, scale: int) -> tuple[Fraction
     if ul == uh:
         return lo, lo
     return lo, Fraction(A * uh * uh + (B * lin_hi + cv) * v, den)
-
-
-def _power_sum_ends(
-    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
-) -> tuple[Fraction, Fraction]:
-    """The ends of the sum over bases [x_lo, x_hi], 0 <= x_lo <= x_hi, of
-    the enclosure ``_pow_slack`` gives of {t**exp : t in [x_lo, x_hi]} at
-    K, added exactly.
-
-    Rational track: each end goes through ``_pow_route`` at T = K + 2, as
-    in ``_pow_slack``, and a point base once.  Floor-root mantissas add to
-    one integer per end, the upper end taking s + 1, and rational ends add
-    as Fractions.  The oracle track takes one ``_pow_slack`` per term."""
-    lo = hi = Fraction(0)
-    e = exp.fast
-    if e is None:
-        for x_lo, x_hi in bases:
-            enc = _pow_slack(Enclosure(x_lo, x_hi), exp, K)
-            lo += enc.lo
-            hi += enc.hi
-        return lo, hi
-    T = K + 2
-    lo_m = hi_m = 0
-    for x_lo, x_hi in bases:
-        r = _pow_route(x_lo, e, T)
-        if type(r) is int:
-            lo_m += r
-        else:
-            lo += r[0]
-        if x_hi != x_lo:
-            r = _pow_route(x_hi, e, T)
-        if type(r) is int:
-            hi_m += r + 1
-        else:
-            hi += r[1]
-    return lo + Fraction(lo_m, 1 << T), hi + Fraction(hi_m, 1 << T)
 
 
 def expanded_residual_norm(
@@ -669,11 +608,12 @@ def expanded_residual_norm(
     |a_0|^2 u_n^2 + b_n u_n + |d_n|^2, with u_0 = (1 - gamma)^(1/p) and
     d_0 = t_0, and u_n = 2^(-c_{n-1}/p) and d_n = t_n - a_n past 0.  The
     d_n, b_n and |d_n|^2 do not depend on the precision and are computed
-    once.  On the rational track each u_n comes from ``_pow_route``, the
-    quadratic's ends from integer numerators, and their p/2 powers add
-    up on integers (``_power_sum_ends``), with one Enclosure per sum.  The
-    oracle track takes u_n by ``root_p`` and the quadratic by
-    ``_quad_in_u``.  The ends equal those of the per-term Enclosure sum.
+    once, with the quadratic's integer coefficients.  Each u_n is a pair
+    of ends or, on the rational track, a floor-root mantissa straight from
+    ``_pow_route``; the quadratic's ends come from integer numerators
+    (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
+    with one Enclosure per sum.  The ends equal those of the per-term
+    Enclosure sum.
     """
     cs = tuple(CRat.of(c) for c in coeffs)
     m = len(cs) - 1
@@ -688,10 +628,8 @@ def expanded_residual_norm(
         target.get(n) - (cs[n] if n <= m else CRAT_ZERO) for n in range(1, depth + 1)
     ]
     terms = [(-2 * (d.re * a0.re + d.im * a0.im), d.abs2()) for d in diffs]
-    rational = p.fast is not None
-    if rational:
-        quads = [_integer_quad(a0sq, b, c) for b, c in terms]
-        inverse = p.reciprocal().fast
+    quads = [_integer_quad(a0sq, b, c) for b, c in terms]
+    inverse = p.reciprocal().fast
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
@@ -699,19 +637,17 @@ def expanded_residual_norm(
         gamma = ce.gamma_enclosure(kg)
         w = root_p((Enclosure.point(1) - gamma).clamp_nonneg(), p, per + 2)
         if a0.is_zero:
-            return Enclosure(*_power_sum_ends([(c, c) for _, c in terms], half, per))
-        if rational:
-            # 2^(-c/p) as root_p at per + 4 reads it: the point power at per + 6.
-            us = [(w.lo, w.hi)] + [_pow_route(pow2(-c), inverse, per + 6) for c in c_prefix]
-            bases = [_quad_ends(quad, u, per + 6) for quad, u in zip(quads, us)]
+            return Enclosure(*_pow_sum([(c, c) for _, c in terms], half, per))
+        # 2^(-c/p) as root_p at per + 4 reads it: on the rational track the
+        # point power at per + 6.
+        if inverse is not None:
+            us = [_pow_route(pow2(-c), inverse, per + 6) for c in c_prefix]
         else:
-            us = [w] + [root_p(Enclosure.point(pow2(-c)), p, per + 4) for c in c_prefix]
-            bases = []
-            for (b, c), u in zip(terms, us):
-                x = _quad_in_u(a0sq, b, c, u).clamp_nonneg()
-                bases.append((x.lo, x.hi))
-        lo, hi = _power_sum_ends(bases, half, per)
-        a_lo, a_hi = _power_sum_ends([(a0sq, a0sq)], half, per)
+            roots = (root_p(Enclosure.point(pow2(-c)), p, per + 4) for c in c_prefix)
+            us = [(u.lo, u.hi) for u in roots]
+        bases = [_quad_ends(quad, u, per + 6) for quad, u in zip(quads, [(w.lo, w.hi), *us])]
+        lo, hi = _pow_sum(bases, half, per)
+        a_lo, a_hi = _pow_sum([(a0sq, a0sq)], half, per)
         tail = ce.tail_mass(depth - 1, kg)
         return Enclosure(lo + a_lo * tail.lo, hi + a_hi * tail.hi)
 

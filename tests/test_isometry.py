@@ -82,11 +82,6 @@ class TestDescriptors:
         )
         assert IsometryDescriptor.from_json(d.as_json()) == d
 
-    def test_permutation_proxy(self):
-        assert IsometryDescriptor.identity(4).permutes_range()
-        shift = IsometryDescriptor((1, 2, 3), tuple(CRat.of(1) for _ in range(3)))
-        assert not shift.permutes_range()
-
 
 class TestClassifier:
     def test_basis_images_conform(self, p32):

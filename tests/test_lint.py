@@ -15,6 +15,10 @@ Every precision-escalation loop runs on ``rigor.escalate``: outside it,
 no ``for _ in range(...)`` loop is followed by ``raise OracleFailure``
 or holds one in its ``else``, save the functions in ``OWN_LOOPS``.
 
+Every power sum runs on ``rigor._pow_sum``: outside ``rigor.py``, no
+``for`` or ``while`` loop both calls ``_pow_route``, ``_pow_slack`` or
+``_pow_point`` and adds to an accumulator with ``+=``.
+
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position.
 A default no caller overrides is a setting no workload runs; make it a
@@ -76,11 +80,6 @@ NO_CALLER = {
 UNCALLED_EXPORTS = {
     "compose_ballmaps": "the ball-map model's composition; ROADMAP item 10 "
     "composes the identity map E -> F through it",
-    "disjoint": "the vector layer's exact support test, read by the "
-    "lpspace tests of the norm axioms on disjoint pairs",
-    "epsilon_j": "one telescoping correction term at a point, as the "
-    "twisted tests check it; ROADMAP item 11 would move them onto "
-    "_epsilon_mantissas",
     "identity_family": "the image family of the identity from E onto F; "
     "ROADMAP item 10 gives it a caller",
     "real_with_offset_fault": "the gamma-oracle fault the decide_membership "
@@ -243,6 +242,37 @@ def test_every_escalation_runs_on_escalate():
                 continue
             stray += [f"{path.name}:{line} {name}" for line in _hand_rolled_escalations(func)]
     assert not stray, "escalation loops that should use rigor.escalate:\n" + "\n".join(stray)
+
+
+# The point powers a power-sum loop would add up.
+POINT_POWERS = {"_pow_route", "_pow_slack", "_pow_point"}
+
+
+def _power_sum_loops(tree: ast.Module):
+    """Lines of the loops in tree that call one of POINT_POWERS and hold an
+    ``x += ...`` anywhere in their body."""
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        nodes = [n for stmt in loop.body for n in ast.walk(stmt)]
+        calls = {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in nodes
+            if isinstance(n, ast.Call)
+        }
+        adds = any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add) for n in nodes)
+        if calls & POINT_POWERS and adds:
+            yield loop.lineno
+
+
+def test_every_power_sum_runs_on_pow_sum():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rigor.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}" for line in _power_sum_loops(tree)]
+    assert not stray, "power-sum loops that should use rigor._pow_sum:\n" + "\n".join(stray)
 
 
 

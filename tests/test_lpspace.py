@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lpcat import (
     CRat,
@@ -13,13 +13,13 @@ from lpcat import (
     FiniteVector,
     basis,
     ceil_log2,
-    disjoint,
     norm_p,
     pow2,
     rigor,
     sqrt_real,
 )
 from lpcat.lpspace import abs2_pow_sum
+from test_rigor import ref_pow_slack
 
 F = Fraction
 
@@ -58,11 +58,6 @@ class TestVectorAlgebra:
     def test_zero_pruning(self):
         v = FiniteVector.from_items([(0, F(1)), (0, F(-1)), (2, F(5))])
         assert v.support() == frozenset({2})
-
-    def test_disjointness(self):
-        assert disjoint(basis(0), basis(1))
-        assert not disjoint(basis(0) + basis(2), basis(2))
-        assert disjoint(random_vector(random.Random(0)), FiniteVector.zero())
 
     def test_json_round_trip(self):
         v = FiniteVector.from_items([(1, CRat(F(1, 3), F(-2, 7))), (4, F(5))])
@@ -153,7 +148,7 @@ class TestNormAxioms:
             v = FiniteVector.from_items(
                 [(i + 5, F(rng.randint(-5, 5), rng.randint(1, 5))) for i in range(3)]
             )
-            assert disjoint(u, v)
+            assert not (u.support() & v.support())
             k = 30
             joint = abs2_pow_sum(abs2_terms(u + v), p, k)
             split = abs2_pow_sum(abs2_terms(u), p, k) + abs2_pow_sum(abs2_terms(v), p, k)
@@ -262,6 +257,61 @@ class TestPowerSumAccumulator:
         terms = [F(2), F(2) ** 12, big, F(25)]
         p = Exponent.from_rational(F(3, 2))
         assert abs2_pow_sum(terms, p, 30) == ref_abs2_pow_sum(terms, p, 30)
+
+
+def interval_bases():
+    """Bases [x_lo, x_hi] for rigor._pow_sum: points (the same object at
+    both ends) and ordered pairs of squared_moduli, so 0 and 1, exact
+    twelfth powers, and bases past _EXACT_POW_BUDGET, at either end."""
+    terms = squared_moduli()
+    points = terms.map(lambda t: (t, t))
+    pairs = st.builds(lambda a, b: (min(a, b), max(a, b)), terms, terms)
+    return points | pairs
+
+
+# The exponents _pow_sum takes are p/2 views: 1/2, 3/4, 1, 7/6, 3/2, sqrt(2)/2.
+KERNEL_EXPONENTS = {
+    "1/2": lambda: Exponent.from_rational(1).half(),
+    "3/4": lambda: Exponent.from_rational(F(3, 2)).half(),
+    "1": lambda: Exponent.from_rational(2).half(),
+    "7/6": lambda: Exponent.from_rational(F(7, 3)).half(),
+    "3/2": lambda: Exponent.from_rational(3).half(),
+    "sqrt2/2": lambda: Exponent.from_real(sqrt_real(2)).half(),
+}
+
+
+def ref_pow_sum(bases, exp: Exponent, K: int) -> Enclosure:
+    """_pow_sum as a sum of one Enclosure per base: on the rational track
+    the lower end of x_lo**e and the upper end of x_hi**e by ref_pow_point
+    at K + 2, on the oracle track ref_pow_slack."""
+    total = Enclosure.point(0)
+    for x_lo, x_hi in bases:
+        if exp.fast is None:
+            term = ref_pow_slack(Enclosure(x_lo, x_hi), exp, K)
+        else:
+            lo = ref_pow_point(x_lo, exp.fast, K + 2)[0]
+            term = Enclosure(lo, ref_pow_point(x_hi, exp.fast, K + 2)[1])
+        total = total + term
+    return total
+
+
+# Bases whose two ends are equal but distinct objects: they take the
+# two-end path, which must give the sums of the point path.
+TWINS = [(t, F(t.numerator, t.denominator)) for t in (F(2), F(2) ** 12, F(0), F(1), F(25, 169))]
+
+
+class TestPowerSumKernel:
+    """rigor._pow_sum on interval bases gives the very ends of the sum of
+    one Enclosure per base."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_EXPONENTS))
+    @settings(max_examples=30)
+    @given(st.lists(interval_bases(), max_size=5), st.integers(0, 60))
+    @example(TWINS, 30)
+    def test_ends_equal_the_per_base_sum(self, name, bases, K):
+        exp = KERNEL_EXPONENTS[name]()
+        want = ref_pow_sum(bases, exp, K)
+        assert rigor._pow_sum(bases, exp, K) == (want.lo, want.hi)
 
 
 def test_norm_p_enclosure_work(monkeypatch, p32):

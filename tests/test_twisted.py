@@ -34,7 +34,6 @@ from lpcat import (
     ce_set_from_spec,
     decide_membership,
     e0_rep,
-    epsilon_j,
     expanded_residual_norm,
     extract_scale,
     f0_norm_sandwich,
@@ -50,7 +49,13 @@ from lpcat import (
 from lpcat import twisted
 from lpcat.cli import main, parse_p
 from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_from_power_sum, root_p
-from lpcat.twisted import _decide_bits, _epsilon_mantissas, _quad_coefficients, _quad_in_u
+from lpcat.twisted import (
+    _decide_bits,
+    _epsilon_mantissas,
+    _integer_quad,
+    _quad_coefficients,
+    _quad_ends,
+)
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -333,9 +338,20 @@ class TestGammaReal:
                 assert tail == ref_tail_mass(ce, s, k)
 
 
+def epsilon_term(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
+    """The j-th correction term of the telescoping norm identity at 2^-k,
+    from _epsilon_mantissas as TwistedGenSet.norm_enclosure calls it."""
+    alpha0, alphaj = CRat.of(alpha0), CRat.of(alphaj)
+    a = alpha0.abs2()
+    a_pow = rigor._pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), k + 3)
+    quad = _quad_coefficients(alpha0, alphaj)
+    lo, hi = _epsilon_mantissas(quad, a, a_pow, c, p, k, MemoTable())
+    return Enclosure(F(lo, 1 << (k + 5)), F(hi, 1 << (k + 5)))
+
+
 class TestEpsilonTerms:
     def test_alpha0_zero_reduces_to_modulus_power(self, p32):
-        enc = epsilon_j(0, F(3, 4), c=2, p=p32, k=20)
+        enc = epsilon_term(0, F(3, 4), c=2, p=p32, k=20)
         # independent value: (9/16)^(3/4) bracketed by halving on t^4 = (9/16)^3
         y = F(9, 16) ** 3
         lo, hi = F(0), F(1)
@@ -348,35 +364,48 @@ class TestEpsilonTerms:
         assert enc.intersects(Enclosure(lo, hi))
 
     def test_alphaj_zero_cancels(self, p32):
-        enc = epsilon_j(F(2, 3), 0, c=1, p=p32, k=30)
+        enc = epsilon_term(F(2, 3), 0, c=1, p=p32, k=30)
         assert enc.contains(0)
         assert enc.width < pow2(-30)
 
     def test_exact_rational_instance(self, p1):
-        assert epsilon_j(1, 1, c=1, p=p1, k=10) == Enclosure.point(1)
+        assert epsilon_term(1, 1, c=1, p=p1, k=10) == Enclosure.point(1)
 
-    def test_requires_positive_element(self, p1):
-        with pytest.raises(ConfigError):
-            epsilon_j(1, 1, c=0, p=p1, k=5)
+
+def ref_quad_in_u(a: F, b: F, c: F, u: Enclosure) -> Enclosure:
+    """a*u^2 + b*u + c over a nonnegative enclosure u, for a >= 0: the
+    endpoints of the interval expression (u*u).scale(a) + u.scale(b) +
+    point(c), computed directly.  The square term rises with u, and the
+    linear term takes the end of u that the sign of b picks."""
+    ul, uh = u.lo, u.hi
+    if b >= 0:
+        return Enclosure((a * ul + b) * ul + c, (a * uh + b) * uh + c)
+    return Enclosure(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
 
 
 nonneg_dyadics = st.builds(
     lambda m, e: F(m, 1 << e), st.integers(0, 1 << 80), st.integers(0, 90)
 )
 rationals = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+complex_points = st.builds(CRat, rationals, rationals)
 
 
 class TestQuadraticInU:
-    @given(nonneg_dyadics, nonneg_dyadics, rationals.map(abs), rationals, rationals)
-    def test_endpoints_equal_the_interval_formula(self, ul, width, a, b, c):
-        u = Enclosure(ul, ul + width)
-        ref = (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
-        got = _quad_in_u(a, b, c, u)
-        assert (got.lo, got.hi) == (ref.lo, ref.hi)
-
-    def test_negative_u_raises(self):
-        with pytest.raises(ValueError):
-            _quad_in_u(F(1), F(-1), F(0), Enclosure(F(-1, 8), F(1, 2)))
+    @given(nonneg_dyadics, nonneg_dyadics, complex_points, complex_points)
+    def test_endpoints_equal_the_interval_formula(self, ul, width, a0, d):
+        """The squared modulus |a0 u - d|^2 = a u^2 + b u + c, with
+        (a, b, c) = (|a0|^2, -2 Re(d conj a0), |d|^2): _quad_ends on its
+        integer coefficients gives the ends of the clamped reference, and
+        the reference those of the interval expression.  The unclamped
+        upper end is sound only for a squared modulus."""
+        a, b, c = a0.abs2(), -2 * (d.re * a0.re + d.im * a0.im), d.abs2()
+        uh = ul + width
+        u = Enclosure(ul, uh)
+        ref = ref_quad_in_u(a, b, c, u)
+        interval = (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
+        assert (ref.lo, ref.hi) == (interval.lo, interval.hi)
+        clamped = ref.clamp_nonneg()
+        assert _quad_ends(_integer_quad(a, b, c), (ul, uh), 0) == (clamped.lo, clamped.hi)
 
 
 def reference_epsilon(alpha0, a, alphaj, c, p, K, u_at, first_try=0):
@@ -390,7 +419,7 @@ def reference_epsilon(alpha0, a, alphaj, c, p, K, u_at, first_try=0):
     kt = K + 3 + 8 * first_try
     for _ in range(40):
         u = u_at(ku)
-        m2 = _quad_in_u(a, b, cq, u).clamp_nonneg()
+        m2 = ref_quad_in_u(a, b, cq, u).clamp_nonneg()
         term1 = rigor._pow_slack(m2, half, kt)
         a_pow = rigor._pow_slack(Enclosure.point(a), half, kt)
         out = term1 - a_pow.scale(pow2(-c))
@@ -822,7 +851,7 @@ def ref_expanded_residual_norm(
         t0 = target.get(0)
         b0 = -2 * (t0.re * a0.re + t0.im * a0.im)
         total = rigor._pow_slack(
-            _quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per
+            ref_quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per
         )
         for n in range(1, depth + 1):
             diff = target.get(n) - (cs[n] if n <= m else CRAT_ZERO)
@@ -833,7 +862,7 @@ def ref_expanded_residual_norm(
                 continue
             u = root_p(Enclosure.point(pow2(-c_prefix[n - 1])), p, per + 4)
             bq = -2 * (diff.re * a0.re + diff.im * a0.im)
-            m2 = _quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
+            m2 = ref_quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
             total = total + rigor._pow_slack(m2, half, per)
 
         if not a0.is_zero:
@@ -918,6 +947,34 @@ def test_expanded_residual_norm_enclosure_work(monkeypatch, p, before):
         counts[d] = made
     assert counts[40] <= counts[10]
     assert counts[40] < before / 4
+
+
+def test_oracle_expanded_residual_norm_enclosure_work(monkeypatch):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    warm expanded_residual_norm on the oracle track, p = oracle:1.5:400,
+    of 16 seeded complex coefficients against e_0 over the odds at k = 30.
+    It built 87 while each coordinate's quadratic in u was an Enclosure
+    of its own; from the pair of u's ends, on integers, it builds 71."""
+    p = parse_p("oracle:1.5:400")
+    ce = CeSet.odds()
+    rng = random.Random(7)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    coeffs = [CRat(rat(), rat()) for _ in range(16)]
+    expanded_residual_norm(ce, p, coeffs, basis(0), 30)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    expanded_residual_norm(ce, p, coeffs, basis(0), 30)
+    assert made <= 71 < 87
 
 
 class TestScaleExtraction:
