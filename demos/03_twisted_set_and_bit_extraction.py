@@ -22,7 +22,6 @@ from lpcat import (
     Exponent,
     TwistedGenSet,
     approx_e0,
-    decide_membership,
     e0_rep,
     extract_scale,
     f0_norm_sandwich,
@@ -62,17 +61,15 @@ oracle = e0_rep(genset)
 print(f"scale extraction: (1 - gamma)^(-1) = {float(extract_scale(oracle, 20)):.8f}  (exact value 3)")
 gamma = gamma_from_scale(scale_real(oracle), p)
 print(f"recovered gamma at k=20: {float(gamma.approx(20)):.8f}  (exact value 2/3)")
-view = ce.view(enumerate=True, decide=False)
-sample = {n: decide_membership(gamma, view, n) for n in (0, 1, 2, 7, 8, 15)}
+bits = membership_bits(oracle, 20)
+sample = {n: member for n, member in bits if n in (1, 2, 7, 8, 15)}
 print(f"membership bits through enumeration only: {sample}")
-
-bits = membership_bits(oracle, p, ce, 20)
 agree = sum(1 for n, got in bits if got == ce.decide(n))
 print(f"n = 1..20 agreement with ground truth: {agree}/20")
 
 print()
 print("== A corrupted oracle cannot hide ==")
 bad = rep_with_offset_fault(oracle, F(-1, 8))
-bad_bits = membership_bits(bad, p, ce, 20)
+bad_bits = membership_bits(bad, 20)
 bad_agree = sum(1 for n, got in bad_bits if got == ce.decide(n))
 print(f"oracle off by 1/8 -> agreement {bad_agree}/20: flagged")

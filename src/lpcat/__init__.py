@@ -50,7 +50,6 @@ from .twisted import (
     TwistedGenSet,
     approx_e0,
     ce_set_from_spec,
-    decide_membership,
     e0_rep,
     expanded_residual_norm,
     extract_scale,
@@ -58,7 +57,6 @@ from .twisted import (
     gamma_from_scale,
     identity_family,
     membership_bits,
-    real_with_offset_fault,
     rep_with_offset_fault,
     scale_real,
 )

@@ -264,9 +264,7 @@ def cmd_extract(args) -> tuple[dict, str]:
     genset = tw.TwistedGenSet(ce, p)
     oracle, oracle_label = _extraction_oracle(args, genset)
     query_log: list = []
-    bits = tw.membership_bits(
-        oracle, p, ce, args.n_max, fuel=args.fuel, query_log=query_log
-    )
+    bits = tw.membership_bits(oracle, args.n_max, fuel=args.fuel, query_log=query_log)
     agree = _agreement(bits, ce)
     record = {
         "p": p.as_json(),
@@ -360,7 +358,7 @@ def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
         for s in sweep
     ]
     oracle = tw.e0_rep(genset)
-    bits = tw.membership_bits(oracle, p, ce, args.n_max, fuel=args.fuel)
+    bits = tw.membership_bits(oracle, args.n_max, fuel=args.fuel)
     agree = _agreement(bits, ce)
     record = {
         "scenario": "pour-el-richards",

@@ -144,11 +144,6 @@ class IsometryDescriptor:
             raise ConfigError("phi pairs must cover 0..N-1")
         return cls(tuple(b for _, b in pairs), tuple(lambdas))
 
-    @classmethod
-    def identity(cls, size: int) -> "IsometryDescriptor":
-        one = CRat.of(1)
-        return cls(tuple(range(size)), tuple(one for _ in range(size)))
-
 
 PYTHAGOREAN_UNIMODULARS: tuple[CRat, ...] = (
     CRat.of(1),

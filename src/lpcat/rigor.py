@@ -248,9 +248,6 @@ class Enclosure:
     def contains(self, value: RatLike) -> bool:
         return self.lo <= value <= self.hi
 
-    def encloses(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -501,6 +498,9 @@ class PrecisionOracle:
         self.stats.record("count", max_k=k)
         return self._cache.get(k, lambda: self._coerce(self._fn(k)))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.label})"
+
 
 class ComputableReal(PrecisionOracle):
     """A real known through an approximation algorithm: ``approx(k)``
@@ -527,15 +527,15 @@ class ComputableReal(PrecisionOracle):
         q = cls._coerce(q)
         return cls(lambda _k: q, label or f"const({q})")
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label})"
 
-
-class ComputablePoint(ComputableReal):
+class ComputablePoint(PrecisionOracle):
     """Complex analogue of ComputableReal: approx(k) returns a rational
     point within 2^-k of the represented complex scalar."""
 
     _coerce = staticmethod(CRat.of)
+
+    def approx(self, k: int) -> CRat:
+        return self._lookup(k)
 
 
 # ---------------------------------------------------------------------------

@@ -303,11 +303,6 @@ class CeSet:
             hi = min(hi, 1 << (scale - self.element_at(s)))
         return Enclosure(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
 
-    def gamma_real(self) -> ComputableReal:
-        return ComputableReal(
-            lambda k: self.gamma_enclosure(k).lo, f"gamma[{self.label}]"
-        )
-
     def exact_gamma(self) -> Optional[Fraction]:
         return self._exact_gamma
 
@@ -336,7 +331,6 @@ class CeView:
         "left_sum": "enumeration",
         "decide": "decision",
         "gamma_enclosure": "decision",
-        "gamma_real": "decision",
     }
 
     def __init__(self, base: CeSet, *, allow_enumerate: bool, allow_decide: bool):
@@ -926,27 +920,8 @@ def _decide_bits(
     )
 
 
-def decide_membership(
-    gamma: ComputableReal,
-    enum: CeSet | CeView,
-    n: int,
-    *,
-    fuel: int = 100000,
-) -> bool:
-    """Membership of n in C from a gamma oracle plus enumeration access:
-    the N = n case of the one-query scan of ``membership_bits``, with gamma
-    read to within 2^-(n+3)."""
-    if n < 0:
-        raise ValueError("membership queries take natural numbers")
-    if n == 0:
-        return False
-    return _decide_bits(gamma, enum, n, fuel)[-1]
-
-
 def membership_bits(
     oracle: VectorRep,
-    p: Exponent,
-    ce: CeSet,
     n_max: int,
     *,
     fuel: int = 100000,
@@ -954,6 +929,8 @@ def membership_bits(
 ) -> list[tuple[int, bool]]:
     """The full reverse pipeline: scale extraction, gamma recovery, then
     membership of 1, ..., n_max, using only enumeration access to the set.
+    The oracle computes a unit multiple of e_0 over a ``TwistedGenSet``,
+    which fixes p and the set.
 
     The oracle is queried twice: once at precision 8 for the degenerate
     scale check, and once at the top, where one approximation of gamma to
@@ -961,8 +938,8 @@ def membership_bits(
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
-        gamma = gamma_from_scale(scale_real(oracle, query_log), p)
-    enum_view = ce.view(enumerate=True, decide=False)
+        gamma = gamma_from_scale(scale_real(oracle, query_log), oracle.genset.p)
+    enum_view = oracle.genset.ce.view(enumerate=True, decide=False)
     bits = _decide_bits(gamma, enum_view, n_max, fuel)
     return list(enumerate(bits, start=1))
 
@@ -985,9 +962,3 @@ def rep_with_offset_fault(rep: VectorRep, offset) -> VectorRep:
         return cs
 
     return VectorRep(rep.genset, fn, label=f"{rep.label}+fault")
-
-
-def real_with_offset_fault(real: ComputableReal, offset) -> ComputableReal:
-    """A corrupted copy of a real oracle, off by a fixed rational."""
-    offset = Fraction(offset)
-    return ComputableReal(lambda k: real.approx(k) + offset, f"{real.label}+fault")

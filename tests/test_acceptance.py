@@ -176,12 +176,12 @@ def build_criterion_4() -> dict:
     for name, make in sets.items():
         ce = make()
         genset = TwistedGenSet(ce, p)
-        bits = membership_bits(e0_rep(genset), p, ce, 20)
+        bits = membership_bits(e0_rep(genset), 20)
         agree = sum(1 for n, got in bits if got == ce.decide(n))
         agreements[name] = agree
     ce = CeSet.odds()
     corrupted = rep_with_offset_fault(e0_rep(TwistedGenSet(ce, p)), F(-1, 8))
-    bad_bits = membership_bits(corrupted, p, ce, 20)
+    bad_bits = membership_bits(corrupted, 20)
     bad_agree = sum(1 for n, got in bad_bits if got == ce.decide(n))
     return {
         "criterion": 4,

@@ -33,7 +33,7 @@ F = Fraction
 
 class TestDescriptors:
     def test_identity_descriptor_is_identity_map(self, p32):
-        d = IsometryDescriptor.identity(6)
+        d = IsometryDescriptor(tuple(range(6)), tuple(CRat.of(1) for _ in range(6)))
         bmap = descriptor_to_ballmap(d, p32)
         ball = RationalBall((CRat.of(2), CRat.of(-1)), F(1, 8), "E")
         out = bmap.apply(ball)
@@ -71,6 +71,8 @@ class TestDescriptors:
     def test_oracle_scalar(self, p2):
         u = sqrt_real(F(1, 2))
         lam = ComputablePoint(lambda k: CRat(u.approx(k + 1), u.approx(k + 1)), "e^{i pi/4}")
+        # A point oracle has no real enclosure or rational constant.
+        assert not hasattr(lam, "enclosure") and not hasattr(lam, "constant")
         d = IsometryDescriptor((0,), (lam,))
         bmap = descriptor_to_ballmap(d, p2)
         out = bmap.apply(RationalBall((CRat.of(1),), F(1, 16), "E"))

@@ -27,11 +27,14 @@ constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
 Exempt are names with a leading underscore and the parameters in
 ``NO_CALLER``.
 
-Every public name has a caller: each name ``lpcat.__init__`` exports is
-read (as a name or an attribute) somewhere in ``src/lpcat``, ``perfbench/``
-or ``demos/``.  A name only tests read is surface the system does not
-use; give it a caller or delete it.  Exempt are the names in
-``UNCALLED_EXPORTS``, each with its reason.
+Every public name has a caller: each name ``lpcat.__init__`` exports,
+and each public method or property of a class defined in ``src/lpcat``,
+is read (as a name or an attribute) somewhere in ``src/lpcat``,
+``perfbench/`` or ``demos/``.  A name only tests read is surface the
+system does not use; give it a caller or delete it.  Exempt are dunders,
+methods that override one of a base class in ``src/lpcat`` (the caller
+reads the base's name), and the names in ``UNCALLED_EXPORTS``, each with
+its reason.
 
 Every import is used: each name an import binds is read somewhere in
 its module.  ``__init__.py`` is exempt, since its imports are the
@@ -68,13 +71,7 @@ OWN_LOOPS = {"escalate", "_epsilon_mantissas"}
 
 # Qualified function name -> {parameter: why it keeps a default no caller
 # sets}.
-NO_CALLER = {
-    "decide_membership": {
-        "fuel": "the fuel-exhaustion test on the primes passes fuel=20000 "
-        "(0.4 s), as the default 100000 stages take about 4.7 s there; "
-        "ROADMAP item 2 decides the fuels",
-    },
-}
+NO_CALLER: dict[str, dict[str, str]] = {}
 
 # Exported name -> why it stays exported though only tests read it.
 UNCALLED_EXPORTS = {
@@ -82,8 +79,6 @@ UNCALLED_EXPORTS = {
     "composes the identity map E -> F through it",
     "identity_family": "the image family of the identity from E onto F; "
     "ROADMAP item 10 gives it a caller",
-    "real_with_offset_fault": "the gamma-oracle fault the decide_membership "
-    "tests inject; it stays or goes with decide_membership (ROADMAP item 11)",
 }
 
 
@@ -277,11 +272,11 @@ def test_every_power_sum_runs_on_pow_sum():
 
 
 def _classes(trees) -> dict:
-    """Class name -> (names of its bases, whether it defines __init__)."""
+    """Class name -> (names of its bases, names of the methods it defines)."""
     return {
         node.name: (
             [ast.unparse(b) for b in node.bases],
-            any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body),
+            {f.name for f in node.body if isinstance(f, ast.FunctionDef)},
         )
         for tree in trees
         for node in ast.walk(tree)
@@ -292,8 +287,8 @@ def _classes(trees) -> dict:
 def _init_of(name, classes):
     """The qualified __init__ that constructing class name runs."""
     while name in classes:
-        bases, has_init = classes[name]
-        if has_init:
+        bases, methods = classes[name]
+        if "__init__" in methods:
             return f"{name}.__init__"
         name = next((b for b in bases if b in classes), None)
     return None
@@ -366,6 +361,20 @@ def test_every_default_is_set_by_a_caller():
     assert kept == listed, f"NO_CALLER entries that a caller sets: {listed - kept}"
 
 
+def _public_methods(classes):
+    """(class, name) of each public method or property in classes that
+    overrides no method of a base class among them."""
+
+    def overrides(cls, name):
+        bases = [b for b in classes[cls][0] if b in classes]
+        return any(name in classes[b][1] or overrides(b, name) for b in bases)
+
+    for cls, (_, methods) in classes.items():
+        for name in methods:
+            if not name.startswith("_") and not overrides(cls, name):
+                yield cls, name
+
+
 def test_every_public_name_has_a_caller():
     init = ast.parse((SRC / "__init__.py").read_text())
     exported = {
@@ -389,6 +398,10 @@ def test_every_public_name_has_a_caller():
     assert not stray, "exported names only tests read:\n" + "\n".join(stray)
     kept, listed = uncalled & UNCALLED_EXPORTS.keys(), set(UNCALLED_EXPORTS)
     assert kept == listed, f"UNCALLED_EXPORTS entries that have a caller: {listed - kept}"
+    src = [ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")]
+    methods = sorted(_public_methods(_classes(src)))
+    stray = [f"{cls}.{name}" for cls, name in methods if name not in read]
+    assert not stray, "public methods only tests read:\n" + "\n".join(stray)
 
 
 def _unused_imports(tree: ast.Module):
