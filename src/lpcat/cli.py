@@ -167,10 +167,15 @@ def _read_json(path: str) -> dict:
     return obj
 
 
+def _ce_spec(spec: str) -> dict:
+    """The JSON spec a builtin set name (odds, primes) or a spec file's
+    path stands for."""
+    return {"kind": spec} if spec in ("odds", "primes") else _read_json(spec)
+
+
 def load_ce(spec: str) -> tw.CeSet:
     """A builtin set name (odds, primes) or the path of a spec file."""
-    obj = {"kind": spec} if spec in ("odds", "primes") else _read_json(spec)
-    return tw.ce_set_from_spec(obj)
+    return tw.ce_set_from_spec(_ce_spec(spec))
 
 
 def _write(path: str, data: bytes) -> None:
@@ -343,11 +348,13 @@ def _demo_rotation(args, p: Exponent) -> tuple[dict, list[list[str]]]:
 
 
 def _demo_pour_el_richards(args, p: Exponent) -> tuple[dict, list[list[str]]]:
-    ce = load_ce(args.ce_set)
+    # The spec is read once; each sweep entry counts its own fresh set.
+    spec = _ce_spec(args.ce_set)
+    ce = tw.ce_set_from_spec(spec)
     genset = tw.TwistedGenSet(ce, p)
     sweep = []
     for k in range(1, args.k + 1):
-        fresh = load_ce(args.ce_set)
+        fresh = tw.ce_set_from_spec(spec)
         entry = tw.approx_e0(fresh, p, k).as_json()
         del entry["coefficients"]
         sweep.append({**entry, "decide_calls": fresh.stats.decide_calls})

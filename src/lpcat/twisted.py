@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -132,8 +131,10 @@ class CeSet:
         self.stats = Counters(max_stage=-1, decide_calls=0)
         self._lock = threading.RLock()
         self._order: list[int] = []
-        self._left_sums: list[Fraction] = [Fraction(0)]
-        self._gamma_sums: list[Fraction] = [Fraction(0)]
+        # gamma's prefix sums as integers: (L, E) with left sum L / 2^E, E
+        # the largest element so far, and N_b with decided mass N_b / 2^b.
+        self._left_sums: list[tuple[int, int]] = [(0, 0)]
+        self._gamma_sums: list[int] = [0]
 
         self._pinned_by_stage: dict[int, int] = {}
         pinned_elements: set[int] = set()
@@ -240,15 +241,22 @@ class CeSet:
 
     def left_sum(self, s: int) -> Fraction:
         """gamma_s = sum over the first s+1 enumerated elements of 2^-c.
-        The exact sums are built only as far as asked: on a sparse set
-        their denominators grow with the largest element (about 1.3M bits
-        after 100,000 primes), which a scan of ``element_at`` never pays."""
+        The sums are built only as far as asked: on a sparse set their
+        numerators grow with the largest element (about 1.3M bits after
+        100,000 primes), which a scan of ``element_at`` never pays."""
+        L, E = self._left_sum_ends(s)
+        return Fraction(L, 1 << E)
+
+    def _left_sum_ends(self, s: int) -> tuple[int, int]:
+        """(L, E) with gamma_s = L / 2^E, E = max(c_0, ..., c_s): adding
+        2^-c shifts the numerator only when c passes E."""
         with self._lock:
             self._extend_order(s)
             self.stats.record(max_stage=s)
             sums = self._left_sums
             for c in self._order[len(sums) - 1 : s + 1]:
-                sums.append(sums[-1] + pow2(-c))
+                L, E = sums[-1]
+                sums.append((L + (1 << (E - c)), E) if c < E else ((L << (c - E)) + 1, c))
             return sums[s + 1]
 
     # -- decision mode ---------------------------------------------------------
@@ -261,47 +269,48 @@ class CeSet:
             return False
         return self._member(n)
 
-    def _decided_mass(self, k: int) -> Fraction:
-        """q, the mass of the members up to the tail cutoff B = k + 1, so
-        that gamma lies in [q, q + 2^-B].  Like the enumeration's left
-        sums, the decided prefix grows and each candidate is decided
-        once."""
+    def _decided_mass(self, k: int) -> int:
+        """N with q = N / 2^B the mass of the members up to the tail cutoff
+        B = k + 1, so that gamma lies in [q, q + 2^-B]: N_B = 2 N_(B-1) +
+        decide(B).  Like the enumeration's left sums, the decided prefix
+        grows and each candidate is decided once."""
         if k < 0:
             raise ValueError("precision must be a natural number")
         b = k + 1
         with self._lock:
             sums = self._gamma_sums
             for j in range(len(sums), b + 1):
-                sums.append(sums[-1] + pow2(-j) if self.decide(j) else sums[-1])
+                sums.append(2 * sums[-1] + self.decide(j))
             return sums[b]
 
     def gamma_enclosure(self, k: int) -> Enclosure:
         """Certified [q, q + 2^-(k+1)] around gamma, q the decided mass
         up to the tail cutoff B = k + 1."""
-        q = self._decided_mass(k)
-        return Enclosure(q, q + pow2(-(k + 1)))
+        n = self._decided_mass(k)
+        return Enclosure(Fraction(n, 2 << k), Fraction(n + 1, 2 << k))
 
     def tail_mass(self, s: int, k: int) -> Enclosure:
         """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
         sum through stage s, clamped at 0 and capped by 2^-c_s when the
-        enumeration is sorted.  Needs both access modes.
+        enumeration is sorted.  Needs both access modes."""
+        lo, hi, scale = self._tail_ends(s, k)
+        return Enclosure(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
 
-        Every end is dyadic, so the subtraction runs on integers at one
-        scale 2^-S, S the larger of B = k + 1 and the left sum's binary
-        exponent; the left sum's denominator is 2^max(c_0..c_s), so the cap
-        lies on that grid too.  Only the lower end can fall below 0: the
-        upper end is at least gamma minus the left sum."""
-        q = self._decided_mass(k)
-        left = self.left_sum(s)
-        scale = max(k + 1, left.denominator.bit_length() - 1)
-        lo = (q.numerator << (scale + 1 - q.denominator.bit_length())) - (
-            left.numerator << (scale + 1 - left.denominator.bit_length())
-        )
-        hi = lo + (1 << (scale - k - 1))
+    def _tail_ends(self, s: int, k: int) -> tuple[int, int, int]:
+        """(lo, hi, S): ``tail_mass(s, k)`` as integer ends at scale 2^-S, S
+        the larger of B = k + 1 and the left sum's exponent E; the cap
+        2^-c_s lies on that grid too, as c_s <= E.  Only the lower end can fall
+        below 0: the upper end is at least gamma minus the left sum."""
+        b = k + 1
+        n = self._decided_mass(k)
+        L, E = self._left_sum_ends(s)
+        scale = max(b, E)
+        lo = (n << (scale - b)) - (L << (scale - E))
+        hi = lo + (1 << (scale - b))
         lo = max(lo, 0)
         if self.sorted_enumeration:
             hi = min(hi, 1 << (scale - self.element_at(s)))
-        return Enclosure(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
+        return lo, hi, scale
 
     def exact_gamma(self) -> Optional[Fraction]:
         return self._exact_gamma
@@ -542,21 +551,37 @@ def f0_norm_sandwich(ce: CeSet, b: int) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _integer_quad(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """(A, B, C, D) with a u^2 + b u + c = (A u^2 + B u + C) / D in
-    integers, D the least common denominator of a, b and c."""
-    D = math.lcm(a.denominator, b.denominator, c.denominator)
-    return (
-        a.numerator * (D // a.denominator),
-        b.numerator * (D // b.denominator),
-        c.numerator * (D // c.denominator),
-        D,
-    )
+def _residual_quads(
+    a0: CRat, cs: Sequence[CRat], target: FiniteVector, depth: int
+) -> list[tuple[int, int, int, int]]:
+    """(A, B, C, D) for coordinates n = 0..depth of the residual, with
+    |a_0 u - d_n|^2 = (A u^2 + B u + C) / D, d_0 = t_0 and d_n = t_n - a_n
+    past 0 (a_n = 0 past the list), so A / D = |a_0|^2, B / D =
+    -2 Re(d_n conj a_0) and C / D = |d_n|^2.  Each scalar is (x + iy) / d
+    over the product d of its two denominators, d_n over the product of
+    t_n's and a_n's, and D is the square of the product of all three: no
+    gcd and no Fraction."""
+    d0 = a0.re.denominator * a0.im.denominator
+    x0 = a0.re.numerator * a0.im.denominator
+    y0 = a0.im.numerator * a0.re.denominator
+    a = x0 * x0 + y0 * y0
+    quads = []
+    for n in range(depth + 1):
+        t = target.get(n)
+        an = cs[n] if 0 < n < len(cs) else CRAT_ZERO
+        dt = t.re.denominator * t.im.denominator
+        da = an.re.denominator * an.im.denominator
+        x = t.re.numerator * t.im.denominator * da - an.re.numerator * an.im.denominator * dt
+        y = t.im.numerator * t.re.denominator * da - an.im.numerator * an.re.denominator * dt
+        dd = dt * da
+        B = -2 * (x * x0 + y * y0) * d0 * dd
+        quads.append((a * dd * dd, B, (x * x + y * y) * d0 * d0, (d0 * dd) ** 2))
+    return quads
 
 
 def _quad_ends(quad: tuple[int, int, int, int], u, scale: int) -> tuple[Fraction, Fraction]:
     """The ends of (A u^2 + B u + C) / D over u >= 0, for
-    ``_integer_quad``'s (A, B, C, D) with A >= 0 and u either a pair of
+    ``_residual_quads``' (A, B, C, D) with A >= 0 and u either a pair of
     rational ends or a ``_pow_route`` floor-root mantissa s at 2^-scale,
     which stands for [s, s + 1] / 2^scale.  The square term rises with u,
     and the linear term takes the end of u that the sign of B picks.  Both
@@ -601,8 +626,9 @@ def expanded_residual_norm(
     Coordinate n of the residual has squared modulus |a_0 u_n - d_n|^2 =
     |a_0|^2 u_n^2 + b_n u_n + |d_n|^2, with u_0 = (1 - gamma)^(1/p) and
     d_0 = t_0, and u_n = 2^(-c_{n-1}/p) and d_n = t_n - a_n past 0.  The
-    d_n, b_n and |d_n|^2 do not depend on the precision and are computed
-    once, with the quadratic's integer coefficients.  Each u_n is a pair
+    quadratics do not depend on the precision: their integer coefficients
+    are computed once, from the scalars' numerators and denominators
+    (``_residual_quads``).  Each u_n is a pair
     of ends or, on the rational track, a floor-root mantissa straight from
     ``_pow_route``; the quadratic's ends come from integer numerators
     (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
@@ -618,11 +644,7 @@ def expanded_residual_norm(
     c_prefix = ce.prefix(depth - 1)
     half = p.half()
     guard = 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
-    diffs = [target.get(0)] + [
-        target.get(n) - (cs[n] if n <= m else CRAT_ZERO) for n in range(1, depth + 1)
-    ]
-    terms = [(-2 * (d.re * a0.re + d.im * a0.im), d.abs2()) for d in diffs]
-    quads = [_integer_quad(a0sq, b, c) for b, c in terms]
+    quads = _residual_quads(a0, cs, target, depth)
     inverse = p.reciprocal().fast
 
     def sum_at(K: int) -> Enclosure:
@@ -631,7 +653,8 @@ def expanded_residual_norm(
         gamma = ce.gamma_enclosure(kg)
         w = root_p((Enclosure.point(1) - gamma).clamp_nonneg(), p, per + 2)
         if a0.is_zero:
-            return Enclosure(*_pow_sum([(c, c) for _, c in terms], half, per))
+            squares = (Fraction(C, D) for _, _, C, D in quads)
+            return Enclosure(*_pow_sum([(c, c) for c in squares], half, per))
         # 2^(-c/p) as root_p at per + 4 reads it: on the rational track the
         # point power at per + 6.
         if inverse is not None:
@@ -714,7 +737,8 @@ def _tail_cutoff(ce: CeSet, p: Exponent, k: int, threshold: Fraction) -> int:
         if candidate > 3:
             if ceiling is None:
                 ceiling = _tail_ceiling(p, threshold, k + 48)
-            if ce.tail_mass(candidate - 2, k + 48).lo > ceiling:
+            lo, _, scale = ce._tail_ends(candidate - 2, k + 48)
+            if lo * ceiling.denominator > ceiling.numerator << scale:
                 continue
         for kt in (k + 10, k + 26, k + 48):
             if root_p(ce.tail_mass(candidate - 2, kt), p, kt).hi <= threshold:
@@ -759,12 +783,25 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     pre_mass = ce.left_sum(n1 - 2)
     start = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
     failure = "coefficient rationalisation failed to certify"
+    # Each coefficient is -q1 times the middle of root_p(2^-c, p, kr).  On
+    # the rational track with 1/p != 1 that root is _pow_route at kr + 2,
+    # and a floor-root mantissa s puts the middle at (2s + 1) / 2^(kr+3).
+    inverse = p.reciprocal().fast
+    routed = inverse is not None and inverse != 1
     for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
         for c in prefix:
-            u = root_p(Enclosure.point(pow2(-c)), p, kr)
-            value = u.lo if u.width == 0 else u.midpoint
-            coeffs.append(CRat.of(-q1 * value))
+            if routed:
+                u = _pow_route(pow2(-c), inverse, kr + 2)
+                if type(u) is int:
+                    num = -q1.numerator * (2 * u + 1)
+                    coeffs.append(CRat(Fraction(num, q1.denominator << (kr + 3))))
+                    continue
+                lo, hi = u
+            else:
+                u = root_p(Enclosure.point(pow2(-c)), p, kr)
+                lo, hi = u.lo, u.hi
+            coeffs.append(CRat.of(-q1 * (lo if lo == hi else (lo + hi) / 2)))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
         if certified.hi < pow2(-k):
             break

@@ -311,6 +311,26 @@ GOLDEN = {
         "4da5d83cab77ef32acbd2f124c1da3864eaa62a7b274cad7b801f147fdc64c33",
         "3b03ff3aa959be6558c1ed1a6dc74f0ed5f8442c8660bcff4b5c2b4fec109164",
     ),
+    # approx_e0's coefficient loop at 1/p != 1, and the throttled set, whose
+    # unsorted enumeration leaves tail masses uncapped.
+    "approx-e0-primes": (
+        ["approx-e0", "--p", "3/2", "--ce-set", "primes", "--k", "20"],
+        "20e95bc00a960ede17ddef8502894cfed9983d4cb8cba3cd911a4b4ea03b2567", None,
+    ),
+    "approx-e0-throttled": (
+        ["approx-e0", "--p", "2", "--ce-set", str(DATA / "ce_throttled.json"), "--k", "12"],
+        "b145e877dbb2505ca35f0bb3c16f15a3a595687a614913fae12ca6a5efa9d069", None,
+    ),
+    "extract-primes": (
+        ["extract", "--p", "2", "--ce-set", "primes", "--n-max", "20"],
+        "35146e9e681371d58db4f1f3049a82cfb9c7204d9b11ef5672c6696052545ebe", None,
+    ),
+    "demo-pour-el-richards-throttled": (
+        ["demo", "--scenario", "pour-el-richards", "--p", "3/2", "--ce-set",
+         str(DATA / "ce_throttled.json")],
+        "77b03146cf2a51e98e4f1c55b69212e9d6355776728538bcfd73f750ab23be66",
+        "e7c922db8db13f24ac0c249d2fe8554382396f6396abb1c4e54c853d0aeb21e5",
+    ),
     # Oracle-track exponents: the bracket views p/2 and 1/p of every layer.
     "oracle-norm-twisted": (
         ["norm", "--genset", "F", "--p", "oracle:1.5:40", "--ce-set", "odds",

@@ -7,7 +7,9 @@ with that exact gamma, and membership bits are compared against the sets'
 decision procedures.
 """
 
+import hashlib
 import json
+import math
 import random
 import threading
 import warnings
@@ -50,9 +52,9 @@ from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_fr
 from lpcat.twisted import (
     _decide_bits,
     _epsilon_mantissas,
-    _integer_quad,
     _quad_coefficients,
     _quad_ends,
+    _residual_quads,
 )
 
 F = Fraction
@@ -340,6 +342,33 @@ class TestGammaReal:
                     assert tail.hi <= pow2(-ce.element_at(s))
                 assert tail == ref_tail_mass(ce, s, k)
 
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from(["odds", "primes", "explicit", "throttled"]),
+        st.lists(st.tuples(st.integers(0, 200), st.integers(0, 300)), min_size=1, max_size=6),
+    )
+    @example("primes", [(200, 300), (0, 0), (57, 3)])
+    @example("throttled", [(1, 2), (9, 40), (4, 300), (0, 1)])
+    def test_prefix_sums_match_fraction_sums(self, kind, queries):
+        """left_sum, gamma_enclosure and tail_mass, read from the integer
+        prefix stores in any query order, equal Fraction sums taken afresh
+        from the elements and decisions of a second copy of the set."""
+        make = {"odds": CeSet.odds, "primes": CeSet.primes, "explicit": explicit_set,
+                "throttled": throttled_set}[kind]
+        ce, ref = make(), make()
+        for s, k in queries:
+            elements = ref.prefix(s)
+            left = sum((F(1, 1 << c) for c in elements), F(0))
+            b = k + 1
+            q = sum((F(1, 1 << j) for j in range(1, b + 1) if ref.decide(j)), F(0))
+            assert ce.left_sum(s) == left
+            assert ce.gamma_enclosure(k) == Enclosure(q, q + F(1, 1 << b))
+            hi = q + F(1, 1 << b) - left
+            if ce.sorted_enumeration:
+                hi = min(hi, F(1, 1 << elements[-1]))
+            tail = ce.tail_mass(s, k)
+            assert (tail.lo, tail.hi) == (max(q - left, F(0)), hi)
+
 
 def epsilon_term(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     """The j-th correction term of the telescoping norm identity at 2^-k,
@@ -408,7 +437,47 @@ class TestQuadraticInU:
         interval = (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
         assert (ref.lo, ref.hi) == (interval.lo, interval.hi)
         clamped = ref.clamp_nonneg()
-        assert _quad_ends(_integer_quad(a, b, c), (ul, uh), 0) == (clamped.lo, clamped.hi)
+        quad = _residual_quads(a0, (a0,), FiniteVector.from_items([(0, d)]), 0)[0]
+        assert _quad_ends(quad, (ul, uh), 0) == (clamped.lo, clamped.hi)
+
+
+def ref_integer_quad(a: F, b: F, c: F) -> tuple[int, int, int, int]:
+    """(A, B, C, D) with a u^2 + b u + c = (A u^2 + B u + C) / D in
+    integers, D the least common denominator of a, b and c: the expansion
+    route's set-up while it formed a, b and c as Fractions."""
+    D = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (
+        a.numerator * (D // a.denominator),
+        b.numerator * (D // b.denominator),
+        c.numerator * (D // c.denominator),
+        D,
+    )
+
+
+class TestResidualQuads:
+    @given(
+        coeffs=st.lists(complex_points, min_size=1, max_size=6),
+        a0_zero=st.booleans(),
+        target=st.lists(st.tuples(st.integers(0, 10), complex_points), max_size=4),
+    )
+    @example([CRat(F(2, 3), F(-1, 5)), CRat(F(1, 7))], False, [(9, CRat(F(1, 2), 3))])
+    def test_ratios_equal_the_fraction_set_up(self, coeffs, a0_zero, target):
+        """Each coordinate's A/D, B/D and C/D from integer numerators equal
+        those of the lcm form of (|a0|^2, -2 Re(d conj a0), |d|^2), for
+        complex scalars, a_0 = 0, and target support past the list."""
+        if a0_zero:
+            coeffs = [CRAT_ZERO, *coeffs[1:]]
+        v = FiniteVector.from_items(target)
+        a0 = coeffs[0]
+        depth = max(len(coeffs) - 1, max(v.support(), default=0), 2)
+        quads = _residual_quads(a0, coeffs, v, depth)
+        assert len(quads) == depth + 1
+        for n, (A, B, C, D) in enumerate(quads):
+            d = v.get(n) - (coeffs[n] if 0 < n < len(coeffs) else CRAT_ZERO)
+            RA, RB, RC, RD = ref_integer_quad(
+                a0.abs2(), -2 * (d.re * a0.re + d.im * a0.im), d.abs2()
+            )
+            assert (F(A, D), F(B, D), F(C, D)) == (F(RA, RD), F(RB, RD), F(RC, RD))
 
 
 def reference_epsilon(alpha0, a, alphaj, c, p, K, u_at, first_try=0):
@@ -978,6 +1047,63 @@ def test_oracle_expanded_residual_norm_enclosure_work(monkeypatch):
     monkeypatch.setattr(Enclosure, "__post_init__", counted)
     expanded_residual_norm(ce, p, coeffs, basis(0), 30)
     assert made <= 71 < 87
+
+
+# SHA-256 over the ends of 48 seeded expanded_residual_norm calls and the
+# sets' access counters, taken while the route's set-up formed each
+# coordinate's quadratic from Fractions and gamma's prefix sums were
+# Fractions.
+EXPANSION_DIGEST = "b70ef6fbe027ad9cd32cc4bbc4717d598746adccfd2f9e518a773df38861b995"
+
+
+def test_expanded_residual_norm_digest():
+    """Complex coefficients and nonzero targets, a_0 = 0 in a quarter of
+    the calls, six exponents on both tracks, and three sets whose prefixes
+    grow across the calls: every end and counter is unchanged."""
+    exponents = [parse_p(spec) for spec in ("1", "3/2", "2", "7/3", "oracle:1.5:400")]
+    exponents.append(Exponent.from_real(sqrt_real(2)))
+    sets = [CUTOFF_SETS[name]() for name in sorted(CUTOFF_SETS)]
+    rng = random.Random(2288)
+
+    def rat():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    digest = hashlib.sha256()
+    for i in range(48):
+        coeffs = [CRat(rat(), rat()) for _ in range(rng.randint(1, 12))]
+        if i % 8 < 2:
+            coeffs[0] = CRAT_ZERO
+        items = [(rng.randint(0, 14), CRat(rat(), rat())) for _ in range(rng.randint(1, 3))]
+        k = rng.randint(4, 40)
+        enc = expanded_residual_norm(
+            sets[i % 3], exponents[i % 6], coeffs, FiniteVector.from_items(items), k
+        )
+        digest.update(f"{enc.lo} {enc.hi}\n".encode())
+    for ce in sets:
+        digest.update(f"{ce.label} {ce.stats.as_dict()}\n".encode())
+    assert digest.hexdigest() == EXPANSION_DIGEST
+
+
+@pytest.mark.parametrize("p, before", [(F(1), 52), (F(3, 2), 88), (F(2), 109)])
+def test_approx_e0_enclosure_work(monkeypatch, p, before):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    approx_e0 over a fresh odds set at k = 20, after a warm-up call on
+    another.  It built ``before`` while the tail-cutoff scan built a tail
+    mass per skipped candidate, the coefficient loop a root per element
+    and gamma's prefix sums were Fractions."""
+    exponent = Exponent.from_rational(p)
+    approx_e0(CeSet.odds(), exponent, 20)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    approx_e0(CeSet.odds(), exponent, 20)
+    assert made <= 50 < before
 
 
 class TestScaleExtraction:
