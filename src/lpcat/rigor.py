@@ -25,10 +25,13 @@ The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K
 (``_pow_mantissas``), so a caller that sums such terms, the twisted
 norm, builds no Fraction per term.
-Otherwise the dyadic route takes iterated directed square roots and
-directed binary powers on integer mantissas at one binary exponent 2^-P,
-each rounded product a multiply and a shift.  Either way every bound is
-certified by integer operations alone.
+Otherwise the dyadic route computes t^e = exp(e ln t) in fixed point:
+ln t by square roots and an atanh series after splitting off the power
+of two, exp by a Taylor series after argument reduction and halving, each
+value an integer mantissa with a radius counted in ulps.  Its working
+precision is sized from K and the size of t^e, ln t is shared by every
+exponent of one base, and its ends lie on the grid 2^-(K+2).  Either way
+every bound is certified by integer operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by dyadics at 2^-k
@@ -661,47 +664,19 @@ def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
     return Fraction(n, 1 << P)
 
 
-# The dyadic kernel works on integer mantissas: m stands for m / 2^P at a
-# working precision P shared by every value of one enclosure, so a rounded
-# multiply is one integer product and one shift, with no gcd.
+# The dyadic route computes t**e = exp(e ln t) in fixed point.  An integer
+# M at scale 2^W with a radius R, counted in ulps of 2^-W, stands for every
+# real x with |2^W x - M| <= R.  Each step carries its own R, bounded by
+# integer arithmetic alone (midpoint-radius arithmetic, as in Arb), so the
+# ends read off the last M and R are certified at any working precision;
+# the precision only decides whether they are narrow enough.
 
-
-def _sqrt_dyadic(n: int, up: bool) -> int:
-    """Floor, or ceiling when up, of the square root of n >= 0.  For
-    n = m << P it is the directed square root of m / 2^P at scale 2^P."""
-    r = isqrt(n)
-    if up and r * r != n:
-        r += 1
-    return r
-
-
-def _ipow_dyadic(m: int, n: int, P: int, up: bool) -> int:
-    """Directed (m / 2^P)**n as a mantissa at scale 2^P, by binary
-    exponentiation with per-step rounding; sound for a lower (down) resp.
-    upper (up) bound on the base.  A rounded product is one integer
-    product and one shift: floor is ``x >> P``, ceiling ``-(-x >> P)``."""
-    result = 1 << P
-    if up:
-        while n:
-            if n & 1:
-                result = -((-result * m) >> P)
-            n >>= 1
-            if n:
-                m = -((-m * m) >> P)
-        return result
-    while n:
-        if n & 1:
-            result = (result * m) >> P
-        n >>= 1
-        if n:
-            m = (m * m) >> P
-    return result
-
-
-# Dyadic-route results, keyed by integers only, so a lookup hashes no
-# Fraction: by (n, d, a, b, K) for the enclosure of (n/d)**(a/b) at
-# 2^-K and by (num, den, j, P) for square-root chains.  Both ends of an
-# exponent bracket, and each refinement of it, share the same chains.
+# Dyadic-route values, keyed by integers only, so a lookup hashes no
+# Fraction: the enclosure of (n/d)**(a/b) at 2^-K by (n, d, a, b, K),
+# ln(u / 2^f) for u = num/den in [2^f, 2^(f+1)) at scale 2^W by
+# (num, den, W), and ln 2 at scale 2^W by (W,).  Both ends of an exponent
+# bracket, and each refinement of it, share the one logarithm of their
+# base.
 _DYADIC_POW_CACHE = MemoTable()
 # Largest operand, in bits, the exact power route may build (see _pow_route).
 # Rational-track powers stay far below it (about 11k bits at most in the
@@ -710,52 +685,174 @@ _DYADIC_POW_CACHE = MemoTable()
 _EXACT_POW_BUDGET = 1 << 16
 
 
-def _root_chains(num: int, den: int, j: int, P: int) -> tuple[int, int]:
-    """Mantissas at scale 2^P of lower and upper bounds on (num/den)^(2^-j),
-    for num/den > 1, by j directed square roots."""
-    # The first root is taken straight from tt * 4^P, rounded down
-    # resp. up, so the upper chain starts above sqrt(tt) even when the
-    # floor of tt * 4^P happens to be a perfect square.
-    n_lo, rem = divmod(num << (2 * P), den)
-    r_lo = _sqrt_dyadic(n_lo, up=False)
-    r_hi = _sqrt_dyadic(n_lo + (rem != 0), up=True)
-    for _ in range(j - 1):
-        r_lo = _sqrt_dyadic(r_lo << P, up=False)
-        r_hi = _sqrt_dyadic(r_hi << P, up=True)
-    return r_lo, r_hi
+def _shift_down(m: int, r: int, k: int) -> tuple[int, int]:
+    """A value within r of m at scale 2^W, as a value within the returned
+    radius of the returned mantissa at scale 2^(W-k), k >= 0: the floor
+    of m / 2^k is low by less than 1, and r / 2^k is below (r >> k) + 1."""
+    return m >> k, (r >> k) + 2
+
+
+def _atanh_recip(n: int, W: int) -> tuple[int, int]:
+    """(s, i) with 0 <= 2^W atanh(1/n) - s < i + 2, for an integer n >= 2,
+    from the i nonzero terms of the series of n^-(2j+1) / (2j+1).
+
+    Nested floor divisions by positive integers floor once, so each term
+    is floor(2^W / (n^(2j+1) (2j+1))), low by less than 1.  The loop ends
+    at the first j with 2^W < n^(2j+1), and the terms from there on sum to
+    less than n^2 / (n^2 - 1) <= 4/3."""
+    s = i = 0
+    p = (1 << W) // n
+    n2 = n * n
+    while p:
+        s += p // (2 * i + 1)
+        p //= n2
+        i += 1
+    return s, i
+
+
+def _ln2(W: int) -> tuple[int, int]:
+    """(M, R) with |2^W ln 2 - M| <= R <= 3, from
+    ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749).
+
+    The sum is taken at a scale Wq, a multiple of 64 that passes W by more
+    bits than the sum's radius has, so nearby precisions share one cached
+    value."""
+    Wq = (W + W.bit_length() + 71) >> 6 << 6
+
+    def compute() -> tuple[int, int]:
+        (a, i), (b, j), (c, k) = (_atanh_recip(n, Wq) for n in (26, 4801, 8749))
+        return 18 * a - 2 * b + 8 * c, 18 * (i + 2) + 2 * (j + 2) + 8 * (k + 2)
+
+    return _shift_down(*_DYADIC_POW_CACHE.get((Wq,), compute), Wq - W)
+
+
+def _ln_fixed(num: int, den: int, f: int, W: int) -> tuple[int, int]:
+    """(M, R) with |2^W ln v - M| <= R for v = num / (den 2^f) in [1, 2).
+
+    ln v = 2^(r+1) atanh(x) with x = (w - 1) / (w + 1) and w = v^(2^-r).
+    The r >= 2 square roots leave w below 2^(1/4), so x < 0.087 and each
+    series term gains more than 2r + 4 bits.  It all runs at Wl = W + r + 14
+    bits, which covers the factor 2^(r+1) and the term count.  The base
+    enters once, in the division that rounds v to Wl bits, so the cost is
+    set by W, not by the base's bit length.
+
+    Radii, in ulps of 2^-Wl: 2^Wl v lies in [w, w + 1) for the first w,
+    and a floored square root takes [w, w + D) into [w', w' + 1 + D/2)
+    when w >= 2^Wl, so 2^Wl v^(2^-r) stays within [w, w + 2).  x rises
+    with w at slope at most 1/2, so the floored x, lifted by one, is
+    within 1.  Then x^2 is within 1.18,
+    each power of x within 1.2 and each term within 2.2, and the terms past
+    the last sum to at most 1.21: the series is within 2.2 i + 1.21 <=
+    (5i + 3) / 2 for i terms."""
+    r = isqrt(W >> 2) + 2
+    Wl = W + r + 14
+    one = 1 << Wl
+    sh = Wl - f
+    w = (num << sh) // den if sh >= 0 else num // (den << -sh)
+    for _ in range(r):
+        w = isqrt(w << Wl)
+    x = ((w - one) << Wl) // (w + one) + 1
+    x2 = (x * x) >> Wl
+    s = i = 0
+    p = x
+    while p:
+        s += p // (2 * i + 1)
+        p = (p * x2) >> Wl
+        i += 1
+    return _shift_down(s << (r + 1), (5 * i + 3) << r, r + 14)
+
+
+def _exp_fixed(z: int, rz: int, W: int, ln2: tuple[int, int]) -> tuple[int, int, int]:
+    """(n, M, R) with |2^(W-n) exp(x) - M| <= R for every real x with
+    |2^W x - z| <= rz, given ln 2 at 2^-W as a mantissa and radius:
+    exp(x) = 2^n exp(h) with h = x - n ln 2.
+
+    n is floor(z / ln 2) read from the mantissas, so h lies within
+    rz + |n| R(ln 2) ulps of [0, ln 2).  h is halved s times, its Taylor
+    series summed until a term rounds to 0, and the sum squared s times.
+    Radii, in ulps of 2^-W: the halved h is a point within rh of the true
+    one; each Taylor term at that point is within 1.54 and the tail past
+    the last term within 2.37, so the sum is within 2i for an i-step loop,
+    and the true argument moves it by at most 1.5 rh more.  Squaring a
+    value within R of M >= 0 lands within (2M + R) R / 2^W + 2 of the
+    floored square."""
+    l2, r2 = ln2
+    n = z // l2
+    s = isqrt(W >> 1) + 1
+    h, rh = _shift_down(z - n * l2, rz + abs(n) * r2, s)
+    one = 1 << W
+    total = term = one
+    i = 1
+    while term:
+        term = (term * h >> W) // i
+        total += term
+        i += 1
+    rad = 2 * (i + rh)
+    for _ in range(s):
+        rad = ((2 * total + rad) * rad >> W) + 2
+        total = total * total >> W
+    return n, total, rad
 
 
 def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     """Certified enclosure of t**e of width below 2^-tb, for t > 0, t != 1
-    and rational e > 0 of arbitrary height.
+    and rational e > 0 of arbitrary height, with ends on the grid
+    2^-(tb+2).
 
-    Writes e as an interval of dyadics m/2^j, takes j iterated directed
-    square roots of u = max(t, 1/t), then powers back up with directed
-    binary exponentiation at P working bits; t < 1 reads the ends of u**e
-    swapped and inverted.  Everything up to the width test is integer
-    arithmetic on mantissas at scale 2^P, and the two Fraction ends are
-    built once, on success.  Cost is O(j + log m) rounded multiplies,
-    independent of e's denominator.
+    t**e = exp(+-e ln u) for u = max(t, 1/t), negative for t < 1, and
+    ln u = f ln 2 + ln v with 2^f <= u < 2^(f+1).  ln v comes from
+    _ln_fixed once per base and precision: it is cached, so both ends of an
+    exponent bracket and every refinement of it share it.  ln 2 is read
+    once, at the precision f ln 2 needs, and serves the range reduction of
+    _exp_fixed too.  e ln u is one integer product and division.
+
+    The precision W is sized from tb and from mag, an upper bound on
+    log2 t**e: e (f + 1) rounded up for t > 1, -e f rounded down for t < 1.
+    It is never sized from the base's bit length.  W passes tb + 2 + mag by
+    guard bits for the radius, so the ends, rounded outward to the grid,
+    are at most 3 units apart; a round that misses doubles the guard, on
+    escalate.  A power certified below 2^-(tb+2) is [0, 2^-(tb+2)], with
+    no series.
     """
-    invert = t < 1
-    num, den = (t.denominator, t.numerator) if invert else (t.numerator, t.denominator)
+    num, den = t.numerator, t.denominator
+    invert = num < den
+    if invert:
+        num, den = den, num
     a, b = e.numerator, e.denominator
-    mag = num.bit_length() - den.bit_length() + 1
-    P0 = tb + 2 * mag - (-a * mag // b) + 16  # ceil(e * mag) guard bits
-    for j in escalate(tb + 8, lambda _: max(16, tb // 2), 64, "dyadic power failed to converge"):
-        P = P0 + j
-        r_lo, r_hi = _DYADIC_POW_CACHE.get(
-            (num, den, j, P), lambda: _root_chains(num, den, j, P)
-        )
-        lo = _ipow_dyadic(r_lo, (a << j) // b, P, up=False)
-        hi = _ipow_dyadic(r_hi, -(-(a << j) // b), P, up=True)
-        # Width below 2^-tb: (hi - lo) / 2^P, or 2^P (hi - lo) / (lo hi)
-        # for the inverted ends 2^P / hi and 2^P / lo.
-        if invert:
-            if (hi - lo) << (P + tb) < lo * hi:
-                return Enclosure(Fraction(1 << P, hi), Fraction(1 << P, lo))
-        elif hi - lo < 1 << (P - tb):
-            return Enclosure(Fraction(lo, 1 << P), Fraction(hi, 1 << P))
+    f = _log2_floor(num, den)
+    G = tb + 2
+    if invert:
+        if a * f >= b * G:  # t**e <= 2^-(e f) <= 2^-G
+            return Enclosure(_ZERO, pow2(-G))
+        mag = -(a * f // b)
+    else:
+        mag = -(-a * (f + 1) // b)
+    # ln u is taken c bits finer than y = e ln u, with e < 2^(c-2), so e
+    # times its radius shrinks to a quarter; f ln 2 is taken d bits finer
+    # than ln u, with f < 2^(d-2).  Rounding its precision up to a multiple
+    # of 32 lets the exponents of one bracket, which differ in their last
+    # bits, share the cached ln v.
+    c = (a // b).bit_length() + 2
+    d = f.bit_length() + 2
+    bits = G + abs(mag)
+    start = isqrt(bits >> 1) + 2 * bits.bit_length() + 8
+    for guard in escalate(start, lambda g: g, 8, "dyadic power failed to converge"):
+        W = G + mag + guard
+        Wl = (W + c + 31) >> 5 << 5
+        v, rv = _DYADIC_POW_CACHE.get((num, den, Wl), lambda: _ln_fixed(num, den, f, Wl))
+        l2, r2 = _ln2(Wl + d)
+        m, rl = _shift_down(f * l2, f * r2, d)
+        y, ry = _shift_down(a * (m + v), a * (rl + rv), Wl - W)
+        y, ry = y // b, ry // b + 2
+        n, M, R = _exp_fixed(-y if invert else y, ry, W, _shift_down(l2, r2, Wl + d - W))
+        lo, hi = M - R, M + R
+        sh = W - G - n
+        if sh >= 0:
+            lo, hi = lo >> sh, -(-hi >> sh)
+        else:
+            lo, hi = lo << -sh, hi << -sh
+        if hi - lo <= 3:
+            return Enclosure(Fraction(max(lo, 0), 1 << G), Fraction(hi, 1 << G))
 
 
 def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
@@ -799,8 +896,9 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> Union[int, tuple[Fraction, F
     (bounded by _exact_pow_bits) fits in _EXACT_POW_BUDGET bits.  Past the
     budget, typically a base of thousands of bits under a bracket exponent
     such as 128/193, Newton's method would run on millions of bits and
-    converge only linearly; the integer-mantissa dyadic route is taken
-    instead.
+    converge only linearly; the dyadic route is taken instead: exp(e ln t)
+    in fixed point, with a certified radius, at a precision sized from K
+    and log2 t**e, its ends on the grid 2^-(K+2).
     """
     if t in (0, 1) or e == 1:
         return t, t
@@ -1047,10 +1145,9 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
 
     A root is the power x^(1/p) and takes the route _pow_point picks: an
     integer floor-root after exact integer powering, or past the operand
-    budget directed dyadic square roots and powers on integer mantissas.
-    Either way both endpoints carry integer-arithmetic certificates; on
-    the exact route rational roots (perfect powers) are detected and
-    returned exactly.
+    budget the dyadic route's fixed-point exp((1/p) ln t).  Either way both
+    endpoints carry integer-arithmetic certificates; on the exact route
+    rational roots (perfect powers) are detected and returned exactly.
     """
     return _pow_slack(x, p.reciprocal(), k)
 

@@ -335,21 +335,21 @@ GOLDEN = {
     "oracle-norm-twisted": (
         ["norm", "--genset", "F", "--p", "oracle:1.5:40", "--ce-set", "odds",
          "--coeffs", "1,1", "--k", "10"],
-        "c08c024bf17167d15cd1219f8b29507949df46b89ee79069b128fa2a4dd405e5", None,
+        "d29f47d120d1ad31824c5744198a0e9d9c37b07f8834299d081f86cc0acf6dd9", None,
     ),
     "oracle-norm-standard": (
         ["norm", "--genset", "E", "--p", "oracle:1.5:400", "--coeffs", "1,1/3,2",
          "--k", "30"],
-        "fcf4f66af751a97e636d9037d1319cd4d1e6773f9483296f3da3a14be2e6fe77", None,
+        "80a8e0235fe03c3272555e8acb7e178a7276079102b7307093677f3763c97d88", None,
     ),
     "oracle-norm-twisted-complex": (
         ["norm", "--genset", "F", "--p", "oracle:1.5:400", "--ce-set", "primes",
          "--coeffs", "1,1/3:1/5,2", "--k", "20"],
-        "f0fa0546100bb9d2246d375a697a580ca9c0dbd9bf91439cb5fe472ec1da9353", None,
+        "118095764ad9ee236c345662804b04d48c5e0525cb56f9f0683bc5fe14f3a2cc", None,
     ),
     "oracle-approx-e0": (
         ["approx-e0", "--p", "oracle:1.5:400", "--ce-set", "odds", "--k", "3"],
-        "4fbae82353e600d0aa33afedaf8c0becd397efc9046b6d4e00d395d85144d9fc", None,
+        "913d014bd3f96b39e991c4cc31149c722262032ee29915ec6ec4780a0c6f538d", None,
     ),
     "oracle-extract": (
         ["extract", "--p", "oracle:1.5:400", "--ce-set", "odds", "--n-max", "4"],
@@ -357,7 +357,7 @@ GOLDEN = {
     ),
     "oracle-demo-rotation": (
         ["demo", "--scenario", "rotation", "--p", "oracle:1.5:400", "--samples", "5"],
-        "65cecfaa552a5f40e1cbaaa421b5a4858bfe5d7bd3f5a8f5b3daf8ea6d3a8c6d", None,
+        "4c8f9c7d7443d9d11cf94983126b426a482282124e8c786eda5bac0bc5798488", None,
     ),
 }
 
@@ -590,15 +590,9 @@ MALFORMED = {
     "images-entry-2000-digits": (
         ["classify", "--p", "3/2", "--input", "{f}"], {"images": [[[0, 1, 10**1999, 0, 1]]]},
     ),
-    # Reports whose q passes the 4300-digit int-to-str limit exited 1: a
-    # large k, and p = 64 on 128-bit coefficients (p = 52 prints).
+    # A report whose q passes the 4300-digit int-to-str limit exited 1.
     "report-past-digit-limit-k": (
         ["norm", "--genset", "E", "--p", "2", "--coeffs", "1,1", "--k", "15000"], None,
-    ),
-    "report-past-digit-limit-p": (
-        ["norm", "--genset", "E", "--p", "64", "--k", "20",
-         f"--coeffs={2**128 - 1},{2**128 - 1}/{2**127 + 1}"],
-        None,
     ),
 }
 
@@ -619,6 +613,23 @@ def test_malformed_input_exits_2(tmp_path, argv, content):
         code = exc.code
     assert code == 2
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("p", ["52", "64"])
+def test_dyadic_ends_print_a_short_q(tmp_path, p):
+    """The 1/p root of the exact power sum of 128-bit coefficients takes
+    the dyadic route.  Its ends lie on the 2^-(tb+2) grid, so the 20-bit
+    norm prints a q of a few dozen digits.  At p = 64 the route's ends once
+    carried about 16,000 bits, and the report exited 2, past the
+    int-to-str limit; at p = 52 it printed a 4,151-digit numerator."""
+    n, m = 2**128 - 1, 2**127 + 1
+    code, rec, _ = run(tmp_path, "norm", "--genset", "E", "--p", p, "--k", "20",
+                       f"--coeffs={n},{n}/{m}")
+    assert code == 0
+    q = Fraction(rec["q"])
+    assert len(rec["q"]) < 80 and q.denominator <= 2**24
+    # The norm lies in (n, n (1 + 2^-p)): the second term is n / m < 2^-p n.
+    assert n - pow2(-20) < q < n * (1 + pow2(-int(p))) + pow2(-20)
 
 
 def test_samples_above_bound_refused(monkeypatch):

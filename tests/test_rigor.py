@@ -7,8 +7,10 @@ endpoints; the library path under test goes through integer
 floor-roots instead.
 """
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -540,24 +542,84 @@ def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         j += max(16, tb // 2)
 
 
-def parent_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
-    """The integer-mantissa kernel as it stood when each round built
-    Fraction ends from 1/t, e * mag and e * 2^j, and tested the width of
-    their Enclosure."""
+def chain_and_ladder_steps(t: Fraction, e: Fraction, tb: int) -> int:
+    """The loop steps the square-root-chain kernel took for t**e over all
+    of its rounds: j directed square roots for each of the two chains and
+    one ladder step per bit of each end's exponent, from j = tb + 8 up by
+    max(16, tb // 2) until its width test passed.  A reference copy of that
+    kernel on integer mantissas, kept to size the log/exp kernel's work."""
     invert = t < 1
-    tt = 1 / t if invert else t
-    num, den = tt.numerator, tt.denominator
+    num, den = (t.denominator, t.numerator) if invert else (t.numerator, t.denominator)
+    a, b = e.numerator, e.denominator
     mag = num.bit_length() - den.bit_length() + 1
+    P0 = tb + 2 * mag - (-a * mag // b) + 16
+
+    def sqrt_up(n: int) -> int:
+        r = math.isqrt(n)
+        return r + (r * r != n)
+
+    def ladder(m: int, n: int, P: int, up: bool) -> int:
+        result = 1 << P
+        while n:
+            if n & 1:
+                result = -((-result * m) >> P) if up else (result * m) >> P
+            n >>= 1
+            if n:
+                m = -((-m * m) >> P) if up else (m * m) >> P
+        return result
+
+    steps = 0
     for j in rigor.escalate(tb + 8, lambda _: max(16, tb // 2), 64, "dyadic power failed"):
-        P = tb + j + 2 * mag + rigor.frac_ceil(e * mag) + 16
-        m_lo = rigor.frac_floor(e * (1 << j))
-        m_hi = rigor.frac_ceil(e * (1 << j))
-        r_lo, r_hi = rigor._root_chains(num, den, j, P)
-        lo = F(rigor._ipow_dyadic(r_lo, m_lo, P, up=False), 1 << P)
-        hi = F(rigor._ipow_dyadic(r_hi, m_hi, P, up=True), 1 << P)
-        enc = Enclosure(1 / hi, 1 / lo) if invert else Enclosure(lo, hi)
-        if enc.width < pow2(-tb):
-            return enc
+        P = P0 + j
+        n_lo, rem = divmod(num << (2 * P), den)
+        r_lo, r_hi = math.isqrt(n_lo), sqrt_up(n_lo + (rem != 0))
+        for _ in range(j - 1):
+            r_lo, r_hi = math.isqrt(r_lo << P), sqrt_up(r_hi << P)
+        m_lo, m_hi = (a << j) // b, -(-(a << j) // b)
+        steps += 2 * j + m_lo.bit_length() + m_hi.bit_length()
+        lo, hi = ladder(r_lo, m_lo, P, up=False), ladder(r_hi, m_hi, P, up=True)
+        if (hi - lo) << (P + tb) < lo * hi if invert else hi - lo < 1 << (P - tb):
+            return steps
+
+
+def kernel_work(t: Fraction, e: Fraction, tb: int) -> tuple[Enclosure, int, int]:
+    """(enclosure, steps, rounds) of the dyadic kernel on t**e at tb: the
+    iterations of its big-integer loops (series terms, square roots,
+    squarings), counted as line events on their loop headers, and its
+    escalation rounds, one _exp_fixed call each.  Deterministic: no
+    timing."""
+    names = ("_atanh_recip", "_ln2", "_ln_fixed", "_exp_fixed")
+    with open(rigor.__file__) as fh:
+        tree = ast.parse(fh.read())
+    headers = {
+        loop.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+        for loop in ast.walk(node)
+        if isinstance(loop, (ast.For, ast.While))
+    }
+    steps = rounds = 0
+
+    def in_kernel(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno in headers:
+            steps += 1
+        return in_kernel
+
+    def on_call(frame, event, arg):
+        nonlocal rounds
+        code = frame.f_code
+        if code.co_filename == rigor.__file__ and code.co_name in names:
+            rounds += code.co_name == "_exp_fixed"
+            return in_kernel
+        return None
+
+    sys.settrace(on_call)
+    try:
+        enc = rigor._pow_dyadic_enclosure(t, e, tb)
+    finally:
+        sys.settrace(None)
+    return enc, steps, rounds
 
 
 def exact_bits(t: Fraction, e: Fraction, K: int) -> int:
@@ -577,21 +639,31 @@ def exponents_up_to_three():
     )
 
 
+def check_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> None:
+    """The dyadic kernel's enclosure of t**e at tb passes the checks any
+    correct kernel passes: it meets the square-root-chain kernel's, is
+    narrower than 2^-tb, has its ends on the 2^-(tb+2) grid and, for b <= 8,
+    brackets t**e exactly: lo^b <= t^a <= hi^b."""
+    enc = rigor._pow_dyadic_enclosure(t, e, tb)
+    assert enc.intersects(ref_pow_dyadic_enclosure(t, e, tb))
+    assert enc.width < pow2(-tb)
+    assert all((end * (1 << (tb + 2))).denominator == 1 for end in (enc.lo, enc.hi))
+    a, b = e.numerator, e.denominator
+    if b <= 8:
+        assert enc.lo ** b <= t ** a <= enc.hi ** b
+
+
 class TestDyadicPowerKernel:
     """The dyadic route of _pow_point, the one router of a point power,
-    runs on integer mantissas; it must give the very endpoints of the
-    Fraction kernel it replaced."""
+    computes t**e = exp(e ln t) in fixed point with a certified radius.
+    Its ends differ from those of the square-root-chain kernel it
+    replaced, so each enclosure is checked to meet that kernel's, to be
+    narrower than 2^-tb and to bracket t**e exactly where that is cheap."""
 
     @settings(max_examples=40)
     @given(positive_rationals_but_one(), exponents_up_to_three(), st.integers(1, 80))
     def test_matches_fraction_kernel(self, t, e, tb):
-        enc = rigor._pow_dyadic_enclosure(t, e, tb)
-        ref = ref_pow_dyadic_enclosure(t, e, tb)
-        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
-        assert enc.width < pow2(-tb)
-        a, b = e.numerator, e.denominator
-        if b <= 8:
-            assert enc.lo ** b <= t ** a <= enc.hi ** b
+        check_dyadic_enclosure(t, e, tb)
 
     @settings(max_examples=80)
     @given(
@@ -602,14 +674,125 @@ class TestDyadicPowerKernel:
         ),
         st.integers(0, 80),
     )
-    def test_integer_width_test_matches_the_parent(self, t, below, e, tb):
-        """The width test on mantissas, the swapped t < 1 and the integer
-        e * mag and e * 2^j leave every end as it was, on both sides of 1
-        and for dyadic and non-dyadic e."""
+    def test_meets_the_reference_on_both_sides_of_one(self, t, below, e, tb):
+        """The same checks on both sides of 1, for dyadic and non-dyadic
+        e, and at tb = 0."""
         t = min(t, 1 / t) if below else max(t, 1 / t)
+        check_dyadic_enclosure(t, e, tb)
+
+    @pytest.mark.parametrize("shift", [64, 640])
+    def test_work_is_sized_from_the_power(self, shift):
+        """Work guard, free of timing noise.  A base 2^shift above 1, under
+        an exponent of 400-bit height near 1/2, from an empty cache: at
+        tb = 10 the square-root chains took 3 rounds for shift = 64 and 20
+        for shift = 640.  Now both take one round, and at tb = 60 and 2000
+        the kernel's loop steps are at most a third of the chains' and
+        ladders' over all of their rounds."""
+        rng = random.Random(shift)
+        t = F(rng.getrandbits(shift + 60) | 1 << (shift + 59), rng.getrandbits(60) | 1 << 59)
+        e = F(2**399 + 1, 2**400 + 3)
+        for tb in (10, 60, 2000):
+            rigor._DYADIC_POW_CACHE.clear()
+            enc, steps, rounds = kernel_work(t, e, tb)
+            assert enc.width < pow2(-tb) and rounds == 1
+            if tb > 10:
+                assert 0 < 3 * steps <= chain_and_ladder_steps(t, e, tb)
+
+    def test_ln_once_per_base_and_precision(self, monkeypatch):
+        """Every _pow_slack round reads both corner powers of each end, and
+        they share the cached ln of their base: one _ln_fixed call per
+        base over all the rounds and bracket ends of a call, on seeded
+        bases of 100 to 3000 bits under oracle exponents and their views."""
+        calls = []
+        ln_fixed = rigor._ln_fixed
+
+        def counted(num, den, f, W):
+            calls.append((num, den))
+            return ln_fixed(num, den, f, W)
+
+        monkeypatch.setattr(rigor, "_ln_fixed", counted)
+        rng = random.Random(3)
+        reals = [sqrt_real(2), sqrt_real(3), ComputableReal.constant(F(3, 2))]
+        for _ in range(60):
+            bits = rng.choice([100, 1000, 3000])
+            t = F(rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1))
+            p = Exponent.from_real(rng.choice(reals))
+            exp = rng.choice([p, p.half(), p.reciprocal()])
+            rigor._DYADIC_POW_CACHE.clear()
+            calls.clear()
+            rigor._pow_slack(Enclosure.point(t), exp, rng.choice([10, 30, 60, 200]))
+            assert len(calls) == len(set(calls)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.integers(0, 2**32), st.integers(8, 2000))
+    def test_radii_bound_the_error(self, num_bits, den_bits, seed, W):
+        """Each fixed-point helper's radius bounds its own error: mpmath.iv
+        at W + 64 bits puts 2^W ln 2, 2^W ln v and 2^(W-n) exp(x) inside
+        [M - R, M + R].  The kernel's ends are on a grid far coarser than
+        these radii, so only this test sees a radius that is too small."""
+        pytest.importorskip("mpmath")
+        from mpmath import iv
+        from mpmath.libmp import to_rational
+
+        iv.prec = W + 64
+        rng = random.Random(seed)
+        num, den = rng.getrandbits(num_bits) | 1 << (num_bits - 1), rng.getrandbits(den_bits) | 1
+
+        def holds(m, r, value):
+            lo, hi = (F(*to_rational(end)) for end in value._mpi_)
+            return m - r <= lo and hi <= m + r
+
+        scale = iv.mpf(2) ** W
+        l2 = rigor._ln2(W)
+        assert holds(*l2, scale * iv.log(2))
+        if num < den:
+            num, den = den, num
+        f = rigor._log2_floor(num, den)
+        v = iv.mpf(num) / (iv.mpf(den) * iv.mpf(2) ** f)
+        assert holds(*rigor._ln_fixed(num, den, f, W), scale * iv.log(v))
+        z = rng.randrange(-(W + 8) << W, (W + 8) << W)
+        n, m, r = rigor._exp_fixed(z, 0, W, l2)
+        assert holds(m, r, iv.mpf(2) ** (W - n) * iv.exp(iv.mpf(z) / scale))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 2000),
+        st.integers(1, 2000),
+        st.integers(0, 2**32),
+        st.sampled_from(["1/p", "p/2", "p"]),
+        st.sampled_from([F(1), F(3, 2), F(2), F(7, 3), F(64), "sqrt2"]),
+        st.sampled_from([1, 10, 60, 200, 2000]),
+    )
+    def test_matches_mpmath(self, num_bits, den_bits, seed, view, p, tb):
+        """Differential against mpmath.iv at p <= 64 and tb <= 2000, bases
+        of up to 2000 bits on both sides of 1, and exponents from bracket
+        views of p: the dyadic enclosure meets mpmath's interval of t**e,
+        evaluated with outward rounding at enough bits that its width is
+        far below 2^-tb.  p = sqrt2 reads its exponent from the bracket of
+        sqrt_real(2), 60 bits fine."""
+        pytest.importorskip("mpmath")
+        from mpmath import iv
+        from mpmath.libmp import to_rational
+
+        rng = random.Random(seed)
+        t = F(rng.getrandbits(num_bits) | 1 << (num_bits - 1),
+              rng.getrandbits(den_bits) | 1 << (den_bits - 1))
+        if t == 1:
+            return
+        if p == "sqrt2":
+            exp = Exponent.from_real(sqrt_real(2))
+        else:
+            exp = Exponent.from_real(ComputableReal.constant(p))
+        exp = {"1/p": exp.reciprocal, "p/2": exp.half, "p": lambda: exp}[view]()
+        e = exp.bracket(60)[rng.getrandbits(1)]
         enc = rigor._pow_dyadic_enclosure(t, e, tb)
-        ref = parent_pow_dyadic_enclosure(t, e, tb)
-        assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
+        assert enc.width < pow2(-tb)
+        log2_size = abs(e * (num_bits - den_bits + 1))
+        iv.prec = tb + int(log2_size) + 64
+        power = (iv.mpf(t.numerator) / t.denominator) ** (iv.mpf(e.numerator) / e.denominator)
+        lo, hi = (F(*to_rational(end)) for end in power._mpi_)
+        assert hi - lo < pow2(-(tb + 8))
+        assert enc.intersects(Enclosure(lo, hi)), (enc, lo, hi)
 
     def test_exact_route_at_the_budget(self):
         """Rational-track powers of large bases stay on the exact route: a

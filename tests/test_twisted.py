@@ -1052,8 +1052,9 @@ def test_oracle_expanded_residual_norm_enclosure_work(monkeypatch):
 # SHA-256 over the ends of 48 seeded expanded_residual_norm calls and the
 # sets' access counters, taken while the route's set-up formed each
 # coordinate's quadratic from Fractions and gamma's prefix sums were
-# Fractions.
-EXPANSION_DIGEST = "b70ef6fbe027ad9cd32cc4bbc4717d598746adccfd2f9e518a773df38861b995"
+# Fractions, and re-taken when the dyadic power route, which the two
+# oracle-track exponents reach, moved from square-root chains to log/exp.
+EXPANSION_DIGEST = "b7643ddd8adcbb2b3a7776737e2ca2ae2c6adabdcbbd8469d81d00f1e7a01a00"
 
 
 def test_expanded_residual_norm_digest():
