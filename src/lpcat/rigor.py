@@ -11,16 +11,17 @@ The whole library runs on three numeric currencies:
 Every operation is outward rounded: the result encloses the exact image of
 every point of its inputs.  There is no floating point anywhere.  A power
 t^(a/b) of a rational point is routed in one place, ``_pow_route``,
-which takes one of two routes, chosen by cost; ``_pow_point`` decodes
-its answer to both ends.  The exact route is an exact integer power
-followed by an integer floor-root: nested integer square roots when b is
-a power of two, Newton iteration otherwise, and exact on perfect powers.
-It is taken when its largest operand, bounded by ``_exact_pow_bits`` at
-scale 2^-K, fits a fixed bit budget; the two ends then differ only by
-2^-K on the one floor-root, whose mantissa ``_pow_route`` hands back as
-an integer, so ``_pow_sum``, the one power-sum loop (behind
-``lpspace.abs2_pow_sum`` and the twisted expansion route), sums such
-terms as one integer.
+which takes one of two routes, chosen by cost, and returns one form
+either way: integer ends over one denominator, (lo, hi, den), equal ends
+for an exact power.  ``_pow_point`` reads them as two Fractions.  The
+exact route is an exact integer power followed by an integer floor-root:
+nested integer square roots when b is a power of two, Newton iteration
+otherwise, and exact on perfect powers.  It is taken when its largest
+operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
+budget; the two ends then differ only by 2^-K on the one floor-root s,
+(s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
+``lpspace.abs2_pow_sum`` and the twisted expansion route), sums the
+numerators of each denominator as one integer.
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K
 (``_pow_mantissas``), so a caller that sums such terms, the twisted
@@ -30,8 +31,9 @@ ln t by square roots and an atanh series after splitting off the power
 of two, exp by a Taylor series after argument reduction and halving, each
 value an integer mantissa with a radius counted in ulps.  Its working
 precision is sized from K and the size of t^e, ln t is shared by every
-exponent of one base, and its ends lie on the grid 2^-(K+2).  Either way
-every bound is certified by integer operations alone.
+exponent of one base, and its ends lie on the grid 2^-(K+2), the
+denominator it returns.  Either way every bound is certified by integer
+operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by dyadics at 2^-k
@@ -672,11 +674,11 @@ def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
 # the precision only decides whether they are narrow enough.
 
 # Dyadic-route values, keyed by integers only, so a lookup hashes no
-# Fraction: the enclosure of (n/d)**(a/b) at 2^-K by (n, d, a, b, K),
-# ln(u / 2^f) for u = num/den in [2^f, 2^(f+1)) at scale 2^W by
-# (num, den, W), and ln 2 at scale 2^W by (W,).  Both ends of an exponent
-# bracket, and each refinement of it, share the one logarithm of their
-# base.
+# Fraction: the integer ends (lo, hi, 2^(K+2)) of (n/d)**(a/b) at 2^-K by
+# (n, d, a, b, K), ln(u / 2^f) for u = num/den in [2^f, 2^(f+1)) at scale
+# 2^W by (num, den, W), and ln 2 at scale 2^W by (W,).  Both ends of an
+# exponent bracket, and each refinement of it, share the one logarithm of
+# their base.
 _DYADIC_POW_CACHE = MemoTable()
 # Largest operand, in bits, the exact power route may build (see _pow_route).
 # Rational-track powers stay far below it (about 11k bits at most in the
@@ -794,10 +796,11 @@ def _exp_fixed(z: int, rz: int, W: int, ln2: tuple[int, int]) -> tuple[int, int,
     return n, total, rad
 
 
-def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
-    """Certified enclosure of t**e of width below 2^-tb, for t > 0, t != 1
-    and rational e > 0 of arbitrary height, with ends on the grid
-    2^-(tb+2).
+def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> tuple[int, int, int]:
+    """Certified enclosure (lo, hi, 2^(tb+2)) of t**e, lo / 2^(tb+2) <=
+    t**e <= hi / 2^(tb+2) with hi - lo <= 3, for t > 0, t != 1 and
+    rational e > 0 of arbitrary height: its ends on the grid 2^-(tb+2),
+    as integers over that one denominator.
 
     t**e = exp(+-e ln u) for u = max(t, 1/t), negative for t < 1, and
     ln u = f ln 2 + ln v with 2^f <= u < 2^(f+1).  ln v comes from
@@ -811,8 +814,8 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     It is never sized from the base's bit length.  W passes tb + 2 + mag by
     guard bits for the radius, so the ends, rounded outward to the grid,
     are at most 3 units apart; a round that misses doubles the guard, on
-    escalate.  A power certified below 2^-(tb+2) is [0, 2^-(tb+2)], with
-    no series.
+    escalate.  A power certified below 2^-(tb+2) is (0, 1, 2^(tb+2)),
+    with no series.
     """
     num, den = t.numerator, t.denominator
     invert = num < den
@@ -823,7 +826,7 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     G = tb + 2
     if invert:
         if a * f >= b * G:  # t**e <= 2^-(e f) <= 2^-G
-            return Enclosure(_ZERO, pow2(-G))
+            return 0, 1, 1 << G
         mag = -(a * f // b)
     else:
         mag = -(-a * (f + 1) // b)
@@ -852,7 +855,7 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         else:
             lo, hi = lo << -sh, hi << -sh
         if hi - lo <= 3:
-            return Enclosure(Fraction(max(lo, 0), 1 << G), Fraction(hi, 1 << G))
+            return max(lo, 0), hi, 1 << G
 
 
 def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
@@ -882,13 +885,15 @@ def _floor_root(num: int, den: int, b: int) -> tuple[int, bool]:
     return r, not rem and r ** b == q
 
 
-def _pow_route(t: Fraction, e: Fraction, K: int) -> Union[int, tuple[Fraction, Fraction]]:
+def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
     """t**e for rational t >= 0 and e > 0 at 2^-K, the one router of a point
-    power: either the exact route's floor-root mantissa s, an int with
-    s / 2^K < t**e < (s + 1) / 2^K, or a pair of rational ends at most 2^-K
-    apart, equal when the power is rational on the exact route.
-    ``_pow_point`` decodes it to two Fractions; a caller that sums many
-    powers at one K adds the mantissas as integers.
+    power, in the one form every reader takes: integers (lo, hi, den) with
+    lo / den <= t**e <= hi / den and (hi - lo) / den <= 2^-K, lo == hi
+    exactly when the power is rational on the exact route.  The exact
+    route gives a rational power over its own denominator and a floor-root
+    s as (s, s + 1, 2^K); the dyadic route gives its grid ends over
+    2^(K+2).  ``_pow_point`` reads it as two Fractions; a caller that sums
+    many powers adds the numerators of each denominator as integers.
 
     The route is chosen by cost, not by the height of e = a/b.  The exact
     route forms t**a and takes one integer floor-root of it, and returns
@@ -900,34 +905,31 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> Union[int, tuple[Fraction, F
     in fixed point, with a certified radius, at a precision sized from K
     and log2 t**e, its ends on the grid 2^-(K+2).
     """
-    if t in (0, 1) or e == 1:
-        return t, t
     n, d = t.numerator, t.denominator
+    if n == d or not n or e == 1:
+        return n, n, d
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0  # an integer power is built unshifted
     if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
-        enc = _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(t, e, K))
-        return enc.lo, enc.hi
-    if b == 1:
-        q = t ** a
-        return q, q
+        return _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(t, e, K))
     n, d = n ** a, d ** a
+    if b == 1:
+        return n, n, d
     rn = iroot(n, b)
     if rn ** b == n:
         rd = iroot(d, b)
         if rd ** b == d:
-            q = Fraction(rn, rd)
-            return q, q
-    return _floor_root(n << (b * K), d, b)[0]
+            return rn, rn, rd
+    s = _floor_root(n << (b * K), d, b)[0]
+    return s, s + 1, 1 << K
 
 
 def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
-    """Lower and upper bounds on t**e, at most 2^-K apart: ``_pow_route``
-    with a floor-root mantissa s read as s / 2^K and (s + 1) / 2^K."""
-    r = _pow_route(t, e, K)
-    if type(r) is int:
-        return Fraction(r, 1 << K), Fraction(r + 1, 1 << K)
-    return r
+    """Lower and upper bounds on t**e, at most 2^-K apart: ``_pow_route``'s
+    ends as Fractions, one object twice when the power is exact."""
+    lo, hi, den = _pow_route(t, e, K)
+    q = Fraction(lo, den)
+    return (q, q) if lo == hi else (q, Fraction(hi, den))
 
 
 def _exp_gap(
@@ -1038,10 +1040,10 @@ def _pow_sum(
 
     Rational track: the exponent 1 adds the bases as they are.  Otherwise
     each end goes through _pow_route at T = K + 2, as in _pow_slack, and a
-    point base (x_hi is x_lo) once.  Floor-root mantissas add to one
-    integer per end, the upper end taking s + 1, and become a Fraction
-    only when there are some; the exact power of a point base is added
-    once, to both ends.  The oracle track takes one _pow_slack per base.
+    point base (x_hi is x_lo) once.  Each end sums the integer numerators
+    of _pow_route's (lo, hi, den) per denominator, so the floor-roots all
+    add up over the one 2^T, and takes one Fraction per denominator.  The
+    oracle track takes one _pow_slack per base.
     """
     e = exp.fast
     lo = hi = both = _ZERO
@@ -1051,40 +1053,24 @@ def _pow_sum(
             lo += enc.lo
             hi += enc.hi
         return lo, hi
-    if e == 1:
-        for x_lo, x_hi in bases:
-            if x_hi is x_lo:
-                both += x_lo
-            else:
-                lo += x_lo
-                hi += x_hi
-    else:
+    if e != 1:
         T = K + 2
-        lo_m = hi_m = 0
+        lows: dict[int, int] = {}
+        highs: dict[int, int] = {}
         for x_lo, x_hi in bases:
-            r = _pow_route(x_lo, e, T)
+            n_lo, n_hi, den = _pow_route(x_lo, e, T)
+            lows[den] = lows.get(den, 0) + n_lo
             if x_hi is not x_lo:
-                if type(r) is int:
-                    lo_m += r
-                else:
-                    lo += r[0]
-                r = _pow_route(x_hi, e, T)
-                if type(r) is int:
-                    hi_m += r + 1
-                else:
-                    hi += r[1]
-            elif type(r) is int:
-                lo_m += r
-                hi_m += r + 1
-            elif r[0] == r[1]:
-                both += r[0]
-            else:
-                lo += r[0]
-                hi += r[1]
-        if lo_m:
-            lo += Fraction(lo_m, 1 << T)
-        if hi_m:
-            hi += Fraction(hi_m, 1 << T)
+                _, n_hi, den = _pow_route(x_hi, e, T)
+            highs[den] = highs.get(den, 0) + n_hi
+        lo = sum(map(Fraction, lows.values(), lows), _ZERO)
+        return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)
+    for x_lo, x_hi in bases:
+        if x_hi is x_lo:
+            both += x_lo
+        else:
+            lo += x_lo
+            hi += x_hi
     # A zero end is not added: the one-term sums at p = 2 of rotation_demo
     # then cost one Fraction addition each.
     return (both + lo if lo else both), (both + hi if hi else both)
@@ -1181,7 +1167,11 @@ def norm_from_power_sum(
     g = ceil(L * (ub(p) - 1) / ub(p)) + 2 extra bits, L = ceil(log2(1/S_lo)).
     When the sum cannot be bounded away from 0 but is certified below
     2^-(k+1)p the norm is returned as [0, 2^-(k+1)].  A bounded escalation
-    loop covers the remaining cases.
+    loop covers the remaining cases.  Its first three rounds step by
+    max(8, k // 2); from then on each step is the whole distance from the
+    start, so K doubles past k + 4 and a sum far below 2^-K, whose lower
+    end stays 0 until K nears log2(1/S), is reached in logarithmically
+    many rounds.
 
     A zero-width sum is S itself, so its root root_p(S, p, k + 2) is taken
     at once, with no guard jump and no second ``sum_at``.  The jumped sum
@@ -1192,7 +1182,8 @@ def norm_from_power_sum(
     step = max(8, k // 2)
     # A guard jump moves K past the schedule; later rounds keep the offset.
     jump = 0
-    for K in escalate(k + 4, lambda _: step, 64, "norm extraction failed to converge"):
+    failure = "norm extraction failed to converge"
+    for K in escalate(k + 4, lambda K: max(step, K - k - 4), 64, failure):
         K += jump
         s = sum_at(K).clamp_nonneg()
         if s.hi == 0:

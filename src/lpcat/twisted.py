@@ -21,11 +21,12 @@ route's integer floor-root (rounded brackets on the oracle track), and
 directed shifts into two integer running sums, every step rounded
 outward, with one Enclosure per sum.  The independent expansion route
 (``expanded_residual_norm``) also sums on integers: each coordinate's
-quadratic in u from integer numerators, by code of its own, and the p/2
-powers added by rigor's one power-sum loop, ``_pow_sum``, the floor-root
-mantissas in one integer.  It shares only rigor primitives and no
-function of this module with the telescoping sum, so comparing the two
-checks it.
+quadratic in u from integer numerators, by code of its own, u and every
+p/2 power in the one form of a routed power, integer ends over one
+denominator, and the powers added by rigor's one power-sum loop,
+``_pow_sum``, each denominator's numerators as one integer.  It shares
+only rigor primitives and no function of this module with the
+telescoping sum, so comparing the two checks it.
 
 Conversely, anything that can point at a unit multiple of e_0 in
 F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
@@ -132,9 +133,10 @@ class CeSet:
         self._lock = threading.RLock()
         self._order: list[int] = []
         # gamma's prefix sums as integers: (L, E) with left sum L / 2^E, E
-        # the largest element so far, and N_b with decided mass N_b / 2^b.
+        # the largest element so far, and the decided prefix (N_B, B), with
+        # decided mass N_b / 2^b for N_b = N_B >> (B - b) at every b <= B.
         self._left_sums: list[tuple[int, int]] = [(0, 0)]
-        self._gamma_sums: list[int] = [0]
+        self._gamma_prefix = (0, 0)
 
         self._pinned_by_stage: dict[int, int] = {}
         pinned_elements: set[int] = set()
@@ -270,18 +272,23 @@ class CeSet:
         return self._member(n)
 
     def _decided_mass(self, k: int) -> int:
-        """N with q = N / 2^B the mass of the members up to the tail cutoff
-        B = k + 1, so that gamma lies in [q, q + 2^-B]: N_B = 2 N_(B-1) +
-        decide(B).  Like the enumeration's left sums, the decided prefix
-        grows and each candidate is decided once."""
+        """N_b with q = N_b / 2^b the mass of the members up to the tail
+        cutoff b = k + 1, so that gamma lies in [q, q + 2^-b]: N_b = 2 N_(b-1)
+        + decide(b).  Bit j of N_B is decide(B - j), so one integer of B
+        bits holds every shorter prefix: N_b = N_B >> (B - b).  Like the
+        enumeration's left sums, the decided prefix grows and each
+        candidate is decided once."""
         if k < 0:
             raise ValueError("precision must be a natural number")
         b = k + 1
         with self._lock:
-            sums = self._gamma_sums
-            for j in range(len(sums), b + 1):
-                sums.append(2 * sums[-1] + self.decide(j))
-            return sums[b]
+            n, top = self._gamma_prefix
+            if b <= top:
+                return n >> (top - b)
+            for j in range(top + 1, b + 1):
+                n = 2 * n + self.decide(j)
+            self._gamma_prefix = (n, b)
+            return n
 
     def gamma_enclosure(self, k: int) -> Enclosure:
         """Certified [q, q + 2^-(k+1)] around gamma, q the decided mass
@@ -293,14 +300,15 @@ class CeSet:
         """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
         sum through stage s, clamped at 0 and capped by 2^-c_s when the
         enumeration is sorted.  Needs both access modes."""
-        lo, hi, scale = self._tail_ends(s, k)
-        return Enclosure(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
+        lo, hi, den = self._tail_ends(s, k)
+        return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
     def _tail_ends(self, s: int, k: int) -> tuple[int, int, int]:
-        """(lo, hi, S): ``tail_mass(s, k)`` as integer ends at scale 2^-S, S
-        the larger of B = k + 1 and the left sum's exponent E; the cap
-        2^-c_s lies on that grid too, as c_s <= E.  Only the lower end can fall
-        below 0: the upper end is at least gamma minus the left sum."""
+        """(lo, hi, 2^S): ``tail_mass(s, k)`` as integer ends over one
+        denominator, the form of a routed power, S the larger of B = k + 1
+        and the left sum's exponent E; the cap 2^-c_s lies on that grid
+        too, as c_s <= E.  Only the lower end can fall below 0: the upper
+        end is at least gamma minus the left sum."""
         b = k + 1
         n = self._decided_mass(k)
         L, E = self._left_sum_ends(s)
@@ -310,7 +318,7 @@ class CeSet:
         lo = max(lo, 0)
         if self.sorted_enumeration:
             hi = min(hi, 1 << (scale - self.element_at(s)))
-        return lo, hi, scale
+        return lo, hi, 1 << scale
 
     def exact_gamma(self) -> Optional[Fraction]:
         return self._exact_gamma
@@ -579,25 +587,28 @@ def _residual_quads(
     return quads
 
 
-def _quad_ends(quad: tuple[int, int, int, int], u, scale: int) -> tuple[Fraction, Fraction]:
-    """The ends of (A u^2 + B u + C) / D over u >= 0, for
-    ``_residual_quads``' (A, B, C, D) with A >= 0 and u either a pair of
-    rational ends or a ``_pow_route`` floor-root mantissa s at 2^-scale,
-    which stands for [s, s + 1] / 2^scale.  The square term rises with u,
-    and the linear term takes the end of u that the sign of B picks.  Both
-    ends of u go over one denominator v, and each end of the quadratic is
-    one integer numerator over D v^2, normalised once.  Only the lower end
-    is floored at 0: the quadratic is a squared modulus |a_0 u - d|^2, and
-    the upper end bounds it over u."""
-    if type(u) is int:
-        ul, uh, v = u, u + 1, 1 << scale
-    elif u[0] == u[1]:
-        ul = uh = u[0].numerator
-        v = u[0].denominator
-    else:
-        u_lo, u_hi = u
-        ul, uh = u_lo.numerator * u_hi.denominator, u_hi.numerator * u_lo.denominator
-        v = u_lo.denominator * u_hi.denominator
+def _integer_ends(enc: Enclosure) -> tuple[int, int, int]:
+    """enc as integer ends over one denominator, the form ``_pow_route``
+    returns."""
+    lo, hi = enc.lo, enc.hi
+    return (
+        lo.numerator * hi.denominator,
+        hi.numerator * lo.denominator,
+        lo.denominator * hi.denominator,
+    )
+
+
+def _quad_ends(
+    quad: tuple[int, int, int, int], u: tuple[int, int, int]
+) -> tuple[Fraction, Fraction]:
+    """The ends of (A u^2 + B u + C) / D over u >= 0 in [ul, uh] / v, for
+    ``_residual_quads``' (A, B, C, D) with A >= 0 and u = (ul, uh, v) in
+    the form ``_pow_route`` returns.  The square term rises with u, and the
+    linear term takes the end of u that the sign of B picks, so each end of
+    the quadratic is one integer numerator over D v^2, normalised once.
+    Only the lower end is floored at 0: the quadratic is a squared modulus
+    |a_0 u - d|^2, and the upper end bounds it over u."""
+    ul, uh, v = u
     A, B, C, D = quad
     cv = C * v
     den = D * v * v
@@ -628,9 +639,10 @@ def expanded_residual_norm(
     d_0 = t_0, and u_n = 2^(-c_{n-1}/p) and d_n = t_n - a_n past 0.  The
     quadratics do not depend on the precision: their integer coefficients
     are computed once, from the scalars' numerators and denominators
-    (``_residual_quads``).  Each u_n is a pair
-    of ends or, on the rational track, a floor-root mantissa straight from
-    ``_pow_route``; the quadratic's ends come from integer numerators
+    (``_residual_quads``).  Each u_n comes as integer ends over one
+    denominator: on the rational track straight from ``_pow_route``, on the
+    oracle track, and for u_0 on both, from a ``root_p`` enclosure
+    (``_integer_ends``).  The quadratic's ends come from integer numerators
     (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
     with one Enclosure per sum.  The ends equal those of the per-term
     Enclosure sum.
@@ -660,9 +672,8 @@ def expanded_residual_norm(
         if inverse is not None:
             us = [_pow_route(pow2(-c), inverse, per + 6) for c in c_prefix]
         else:
-            roots = (root_p(Enclosure.point(pow2(-c)), p, per + 4) for c in c_prefix)
-            us = [(u.lo, u.hi) for u in roots]
-        bases = [_quad_ends(quad, u, per + 6) for quad, u in zip(quads, [(w.lo, w.hi), *us])]
+            us = [_integer_ends(root_p(Enclosure.point(pow2(-c)), p, per + 4)) for c in c_prefix]
+        bases = [_quad_ends(quad, u) for quad, u in zip(quads, [_integer_ends(w), *us])]
         lo, hi = _pow_sum(bases, half, per)
         a_lo, a_hi = _pow_sum([(a0sq, a0sq)], half, per)
         tail = ce.tail_mass(depth - 1, kg)
@@ -737,8 +748,8 @@ def _tail_cutoff(ce: CeSet, p: Exponent, k: int, threshold: Fraction) -> int:
         if candidate > 3:
             if ceiling is None:
                 ceiling = _tail_ceiling(p, threshold, k + 48)
-            lo, _, scale = ce._tail_ends(candidate - 2, k + 48)
-            if lo * ceiling.denominator > ceiling.numerator << scale:
+            lo, _, den = ce._tail_ends(candidate - 2, k + 48)
+            if lo * ceiling.denominator > ceiling.numerator * den:
                 continue
         for kt in (k + 10, k + 26, k + 48):
             if root_p(ce.tail_mass(candidate - 2, kt), p, kt).hi <= threshold:
@@ -783,25 +794,19 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     pre_mass = ce.left_sum(n1 - 2)
     start = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
     failure = "coefficient rationalisation failed to certify"
-    # Each coefficient is -q1 times the middle of root_p(2^-c, p, kr).  On
-    # the rational track with 1/p != 1 that root is _pow_route at kr + 2,
-    # and a floor-root mantissa s puts the middle at (2s + 1) / 2^(kr+3).
+    # Each coefficient is -q1 times the middle (lo + hi) / (2 den) of
+    # root_p(2^-c, p, kr) as integer ends; on the rational track that root
+    # is _pow_route at kr + 2, which passes 2^-c through at 1/p = 1.
     inverse = p.reciprocal().fast
-    routed = inverse is not None and inverse != 1
     for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
         for c in prefix:
-            if routed:
-                u = _pow_route(pow2(-c), inverse, kr + 2)
-                if type(u) is int:
-                    num = -q1.numerator * (2 * u + 1)
-                    coeffs.append(CRat(Fraction(num, q1.denominator << (kr + 3))))
-                    continue
-                lo, hi = u
+            if inverse is not None:
+                lo, hi, den = _pow_route(pow2(-c), inverse, kr + 2)
             else:
-                u = root_p(Enclosure.point(pow2(-c)), p, kr)
-                lo, hi = u.lo, u.hi
-            coeffs.append(CRat.of(-q1 * (lo if lo == hi else (lo + hi) / 2)))
+                lo, hi, den = _integer_ends(root_p(Enclosure.point(pow2(-c)), p, kr))
+            num = -q1.numerator * (lo + hi)
+            coeffs.append(CRat(Fraction(num, q1.denominator * 2 * den)))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
         if certified.hi < pow2(-k):
             break

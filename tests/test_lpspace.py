@@ -1,5 +1,6 @@
 """Vector layer: exact sparse arithmetic, certified norms, norm axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -164,8 +165,9 @@ def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0
     if rigor._exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > rigor._EXACT_POW_BUDGET:
-        enc = rigor._pow_dyadic_enclosure(t, e, K)
-        return enc.lo, enc.hi
+        lo, hi, den = rigor._pow_dyadic_enclosure(t, e, K)
+        assert den == 1 << (K + 2)
+        return F(lo, den), F(hi, den)
     if b == 1:
         q = t ** a
         return q, q
@@ -245,16 +247,27 @@ class TestPowerSumAccumulator:
         assert got.width < pow2(-k)
 
     def test_every_route_is_covered(self):
-        """The strategy above reaches each kind of term: a floor-root
-        mantissa, an exact power, and a dyadic-route pair past the
-        budget, here at p = 3/2 (p/2 = 3/4)."""
+        """The strategy above reaches each kind of term, and _pow_route
+        gives each as its one form (lo, hi, den): a floor-root, an exact
+        power, and a dyadic-route pair past the budget, here at p = 3/2
+        (p/2 = 3/4); and the pass-throughs at t = 0, t = 1 and e = 1, an
+        integer exponent, and a power below the dyadic grid."""
         e, K = F(3, 4), 32
         big = F((1 << 34_000) + 1, (1 << 33_999) + 3)
-        assert type(rigor._pow_route(F(2), e, K)) is int
-        assert rigor._pow_route(F(2) ** 12, e, K) == (F(2) ** 9, F(2) ** 9)
-        lo, hi = rigor._pow_route(big, e, K)
-        assert lo < hi
-        terms = [F(2), F(2) ** 12, big, F(25)]
+        tiny = F(3, (1 << 34_000) + 1)
+        assert rigor._pow_route(F(0), e, K) == (0, 0, 1)
+        assert rigor._pow_route(F(1), e, K) == (1, 1, 1)
+        assert rigor._pow_route(F(5, 7), F(1), K) == (5, 5, 7)
+        assert rigor._pow_route(F(2, 3), F(3), K) == (8, 8, 27)
+        assert rigor._pow_route(F(2) ** 12, e, K) == (2 ** 9, 2 ** 9, 1)
+        assert rigor._pow_route(F(16, 81), e, K) == (8, 8, 27)
+        s = math.isqrt(math.isqrt(2 ** 3 << (4 * K)))
+        assert rigor._pow_route(F(2), e, K) == (s, s + 1, 1 << K)
+        lo, hi, den = rigor._pow_route(big, e, K)
+        assert den == 1 << (K + 2) and 0 < lo < hi <= lo + 3
+        assert lo ** 4 <= big ** 3 * den ** 4 <= hi ** 4
+        assert rigor._pow_route(tiny, e, K) == (0, 1, 1 << (K + 2))
+        terms = [F(2), F(2) ** 12, big, F(25), tiny]
         p = Exponent.from_rational(F(3, 2))
         assert abs2_pow_sum(terms, p, 30) == ref_abs2_pow_sum(terms, p, 30)
 

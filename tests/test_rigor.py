@@ -542,6 +542,14 @@ def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
         j += max(16, tb // 2)
 
 
+def dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
+    """The dyadic kernel's integer ends (lo, hi, den) of t**e at tb as an
+    Enclosure, checked to be integers over the grid denominator 2^(tb+2)."""
+    lo, hi, den = rigor._pow_dyadic_enclosure(t, e, tb)
+    assert type(lo) is int and type(hi) is int and den == 1 << (tb + 2)
+    return Enclosure(F(lo, den), F(hi, den))
+
+
 def chain_and_ladder_steps(t: Fraction, e: Fraction, tb: int) -> int:
     """The loop steps the square-root-chain kernel took for t**e over all
     of its rounds: j directed square roots for each of the two chains and
@@ -616,7 +624,7 @@ def kernel_work(t: Fraction, e: Fraction, tb: int) -> tuple[Enclosure, int, int]
 
     sys.settrace(on_call)
     try:
-        enc = rigor._pow_dyadic_enclosure(t, e, tb)
+        enc = dyadic_enclosure(t, e, tb)
     finally:
         sys.settrace(None)
     return enc, steps, rounds
@@ -644,10 +652,9 @@ def check_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> None:
     correct kernel passes: it meets the square-root-chain kernel's, is
     narrower than 2^-tb, has its ends on the 2^-(tb+2) grid and, for b <= 8,
     brackets t**e exactly: lo^b <= t^a <= hi^b."""
-    enc = rigor._pow_dyadic_enclosure(t, e, tb)
+    enc = dyadic_enclosure(t, e, tb)
     assert enc.intersects(ref_pow_dyadic_enclosure(t, e, tb))
     assert enc.width < pow2(-tb)
-    assert all((end * (1 << (tb + 2))).denominator == 1 for end in (enc.lo, enc.hi))
     a, b = e.numerator, e.denominator
     if b <= 8:
         assert enc.lo ** b <= t ** a <= enc.hi ** b
@@ -785,7 +792,7 @@ class TestDyadicPowerKernel:
             exp = Exponent.from_real(ComputableReal.constant(p))
         exp = {"1/p": exp.reciprocal, "p/2": exp.half, "p": lambda: exp}[view]()
         e = exp.bracket(60)[rng.getrandbits(1)]
-        enc = rigor._pow_dyadic_enclosure(t, e, tb)
+        enc = dyadic_enclosure(t, e, tb)
         assert enc.width < pow2(-tb)
         log2_size = abs(e * (num_bits - den_bits + 1))
         iv.prec = tb + int(log2_size) + 64

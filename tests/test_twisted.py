@@ -12,6 +12,7 @@ import json
 import math
 import random
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +53,7 @@ from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_fr
 from lpcat.twisted import (
     _decide_bits,
     _epsilon_mantissas,
+    _integer_ends,
     _quad_coefficients,
     _quad_ends,
     _residual_quads,
@@ -280,6 +282,22 @@ class TestGammaReal:
         ce.gamma_enclosure(9)
         assert ce.stats.decide_calls == 40
 
+    def test_decided_prefix_memory_is_linear(self):
+        """Memory guard: gamma at precision 20000 on a fresh set retains
+        about 20000 bits, one integer for the whole decided prefix.  A list
+        of every prefix sum N_b retained 26.2 MiB there."""
+        ce = CeSet.odds()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enc = ce.gamma_enclosure(20000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert enc.contains(GAMMA_ODDS)
+        assert ce.stats.decide_calls == 20001
+        assert retained < 1 << 20
+
     @given(
         st.sampled_from(["odds", "primes", "explicit"]),
         st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=8),
@@ -438,7 +456,12 @@ class TestQuadraticInU:
         assert (ref.lo, ref.hi) == (interval.lo, interval.hi)
         clamped = ref.clamp_nonneg()
         quad = _residual_quads(a0, (a0,), FiniteVector.from_items([(0, d)]), 0)[0]
-        assert _quad_ends(quad, (ul, uh), 0) == (clamped.lo, clamped.hi)
+        want = (clamped.lo, clamped.hi)
+        assert _quad_ends(quad, _integer_ends(u)) == want
+        # The same ends from u over the unreduced denominator 2^90, as the
+        # dyadic route gives its grid ends.
+        grid = 1 << 90
+        assert _quad_ends(quad, (int(ul * grid), int(uh * grid), grid)) == want
 
 
 def ref_integer_quad(a: F, b: F, c: F) -> tuple[int, int, int, int]:
@@ -876,6 +899,29 @@ def test_approx_e0_tail_mass_work(monkeypatch, set_name):
             calls = 0
             out = approx_e0(CUTOFF_SETS[set_name](), Exponent.from_rational(p), k)
             assert calls <= out.n1 + 6, (p, k, out.n1, calls)
+
+
+def test_large_p_certificate_rounds(monkeypatch):
+    """Work guard, free of timing noise: the power sums approx_e0's
+    certificate takes at p = 39, k = 4 on the odds.  The residual's power
+    sum is tiny, and its lower end stays 0 until K nears 200; a schedule
+    stepping by 8 took 25 sums, one that doubles past the third round
+    takes 7."""
+    calls = 0
+    norm_from_power_sum = twisted.norm_from_power_sum
+
+    def counted(sum_at, p, k):
+        def counted_sum(K):
+            nonlocal calls
+            calls += 1
+            return sum_at(K)
+
+        return norm_from_power_sum(counted_sum, p, k)
+
+    monkeypatch.setattr(twisted, "norm_from_power_sum", counted)
+    out = approx_e0(CeSet.odds(), Exponent.from_rational(39), 4)
+    assert out.certified_error.hi < pow2(-4)
+    assert calls <= 8
 
 
 @settings(max_examples=40)
