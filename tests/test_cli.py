@@ -359,6 +359,29 @@ GOLDEN = {
         ["demo", "--scenario", "rotation", "--p", "oracle:1.5:400", "--samples", "5"],
         "4c8f9c7d7443d9d11cf94983126b426a482282124e8c786eda5bac0bc5798488", None,
     ),
+    # Wide oracle exponents, whose corner powers take the dyadic route, and
+    # the oracle track at k = 4000.
+    "oracle-approx-e0-p8": (
+        ["approx-e0", "--ce-set", "odds", "--p", "oracle:8:4096", "--k", "10"],
+        "766c4f1c1b62a2814ff10aabf748356a1ed54e4b51ec4b226532d51a1f823319", None,
+    ),
+    "oracle-approx-e0-p64": (
+        ["approx-e0", "--ce-set", "odds", "--p", "oracle:64:100000", "--k", "4"],
+        "bbe7e8571f69ca8f447e92fcfef9ef65e7386645adb3db2d952978d96327e5d1", None,
+    ),
+    "oracle-extract-p16": (
+        ["extract", "--ce-set", "odds", "--p", "oracle:16:100000", "--n-max", "4"],
+        "52a0a32016d836a45a482ba36f5d209d90fbc6a2978044284c745a293d1d3cd2", None,
+    ),
+    "oracle-norm-sqrt2-large-k": (
+        ["norm", "--genset", "F", "--ce-set", "primes", "--p",
+         "oracle:1.41421356237309504880:100000", "--coeffs", "1,1", "--k", "4000"],
+        "1536b405e5e0951559f277d9fc078d50f501e4a8d7494552735114df4031bf68", None,
+    ),
+    "oracle-demo-rotation-sqrt2": (
+        ["demo", "--scenario", "rotation", "--p", "oracle:1.41421356237309504880:400"],
+        "c6a4d6eadc5bddec3249ccfcf876898b068a836ff3964f1bf2b6b8f7279f94fc", None,
+    ),
 }
 
 
