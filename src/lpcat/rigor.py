@@ -13,15 +13,15 @@ every point of its inputs.  There is no floating point anywhere.  A power
 t^(a/b) of a rational point is routed in one place, ``_pow_route``,
 which takes one of two routes, chosen by cost, and returns one form
 either way: integer ends over one denominator, (lo, hi, den), equal ends
-for an exact power.  ``_pow_point`` reads them as two Fractions.  The
-exact route is an exact integer power followed by an integer floor-root:
-nested integer square roots when b is a power of two, Newton iteration
-otherwise, and exact on perfect powers.  It is taken when its largest
-operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
-budget; the two ends then differ only by 2^-K on the one floor-root s,
-(s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
-``lpspace.abs2_pow_sum`` and the twisted expansion route), sums the
-numerators of each denominator as one integer.
+for an exact power.  The exact route is an exact integer power followed
+by an integer floor-root: nested integer square roots when b is a power
+of two, Newton iteration otherwise, and exact on perfect powers.  It is
+taken when its largest operand, bounded by ``_exact_pow_bits`` at scale
+2^-K, fits a fixed bit budget; the two ends then differ only by 2^-K on
+the one floor-root s, (s, s + 1, 2^K), so ``_pow_sum``, the one
+power-sum loop (behind ``lpspace.abs2_pow_sum`` and the twisted
+expansion route), sums the numerators of each denominator as one
+integer.
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K
 (``_pow_mantissas``), so a caller that sums such terms, the twisted
@@ -38,8 +38,9 @@ Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by dyadics at 2^-k
 (``_round_dyadic``) and reads the corner gaps of t^e_lo and t^e_hi,
-refining the bracket until they fall under the width asked for
-(``_pow_slack``).
+refining the bracket until they fall under the width asked for.  The
+power of an interval, ``_pow_slack``, answers in the routed form on both
+tracks, which ``pow_p`` and ``root_p`` read (``Enclosure.from_ends``).
 
 Precision bookkeeping convention: an operation asked for precision k
 returns an enclosure that exceeds the width of the exact image of its
@@ -240,6 +241,13 @@ class Enclosure:
         center, radius = Fraction(center), Fraction(radius)
         return Enclosure(center - radius, center + radius)
 
+    @staticmethod
+    def from_ends(lo: int, hi: int, den: int) -> "Enclosure":
+        """[lo / den, hi / den], the integer form every power kernel
+        returns; equal ends give one Fraction twice."""
+        q = Fraction(lo, den)
+        return Enclosure(q, q if lo == hi else Fraction(hi, den))
+
     # -- geometry ----------------------------------------------------------
 
     @property
@@ -389,7 +397,7 @@ class CRat:
         exact = self.abs_exact()
         if exact is not None:
             return Enclosure.point(exact)
-        return Enclosure(*_pow_point(self.abs2(), _HALF, k + 2))
+        return Enclosure.from_ends(*_pow_route(self.abs2(), _HALF, k + 2))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -892,8 +900,9 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
     exactly when the power is rational on the exact route.  The exact
     route gives a rational power over its own denominator and a floor-root
     s as (s, s + 1, 2^K); the dyadic route gives its grid ends over
-    2^(K+2).  ``_pow_point`` reads it as two Fractions; a caller that sums
-    many powers adds the numerators of each denominator as integers.
+    2^(K+2).  ``_pow_slack`` returns the same form for an interval; a
+    caller that sums many powers adds the numerators of each denominator
+    as integers.
 
     The route is chosen by cost, not by the height of e = a/b.  The exact
     route forms t**a and takes one integer floor-root of it, and returns
@@ -924,37 +933,38 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
     return s, s + 1, 1 << K
 
 
-def _pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
-    """Lower and upper bounds on t**e, at most 2^-K apart: ``_pow_route``'s
-    ends as Fractions, one object twice when the power is exact."""
-    lo, hi, den = _pow_route(t, e, K)
-    q = Fraction(lo, den)
-    return (q, q) if lo == hi else (q, Fraction(hi, den))
-
-
 def _exp_gap(
-    x: Enclosure, e_lo: Fraction, e_hi: Fraction, K: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(gap, lo, hi) from the corner powers of x under the exponent
-    bracket [e_lo, e_hi]: t**e_lo and t**e_hi by _pow_point at 2^-K, once
-    for each endpoint t of x.
+    x_lo: Fraction, x_hi: Fraction, e_lo: Fraction, e_hi: Fraction, K: int
+) -> Optional[tuple[int, int, int]]:
+    """The corner box (lo, hi, den) of [x_lo, x_hi] under the exponent
+    bracket [e_lo, e_hi], or None when a corner gap reads 2^(1-K) or more:
+    t**e_lo and t**e_hi by _pow_route at 2^-K, for each end t.
 
-    gap is the largest |hi(t**e_hi) - lo(t**e_lo)| over the endpoints,
-    where lo and hi are the ends _pow_point returns, each within 2^-K of
-    the power, and g = |t**e_hi - t**e_lo| is the true corner gap.  For
-    t > 1 the difference lies in [g, g + 2^(1-K)], an upper bound on g.
-    For t < 1 it lies in [-g, -g + 2^(1-K)], so its absolute value is not
-    an upper bound on g; a gap below 2^(1-K) still gives g < 2^(2-K).
-    Endpoints 0 and 1 add nothing.
+    The gap read at t, |hi(t**e_hi) - lo(t**e_lo)|, is one integer
+    comparison of routed ends, each within 2^-K of its power; g =
+    |t**e_hi - t**e_lo| is the true corner gap.  For t > 1 the difference
+    lies in [g, g + 2^(1-K)], an upper bound on g.  For t < 1 it lies in
+    [-g, -g + 2^(1-K)], so its absolute value is not an upper bound on g;
+    a gap below 2^(1-K) still gives g < 2^(2-K).  Ends 0 and 1 read 0.
 
-    [lo, hi] is the corner box of those same powers: t**e is increasing
-    in t and monotone in e, rising for t > 1 and falling for t < 1, so the
-    box encloses {t**e : t in x, e in [e_lo, e_hi]}.
+    The box is made of those same powers: t**e is increasing in t and
+    monotone in e, rising for t > 1 and falling for t < 1, so the lower end
+    at x_lo and the upper end at x_hi, each at the exponent its side of 1
+    picks, enclose {t**e : t in [x_lo, x_hi], e in [e_lo, e_hi]}.
     """
-    at_lo = (_pow_point(x.lo, e_lo, K), _pow_point(x.lo, e_hi, K))
-    at_hi = at_lo if x.hi == x.lo else (_pow_point(x.hi, e_lo, K), _pow_point(x.hi, e_hi, K))
-    gap = max(abs(at_lo[1][1] - at_lo[0][0]), abs(at_hi[1][1] - at_hi[0][0]))
-    return gap, at_lo[x.lo < 1][0], at_hi[x.hi > 1][1]
+
+    def corners(t: Fraction) -> Optional[tuple]:
+        low, high = _pow_route(t, e_lo, K), _pow_route(t, e_hi, K)
+        gap = abs(high[1] * low[2] - low[0] * high[2]) << (K - 1)
+        return (low, high) if gap < low[2] * high[2] else None
+
+    at_lo = corners(x_lo)
+    at_hi = at_lo if x_hi == x_lo else corners(x_hi)
+    if at_lo is None or at_hi is None:
+        return None
+    lo, _, d = at_lo[x_lo < 1]
+    _, hi, den = at_hi[x_hi > 1]
+    return (lo, hi, den) if d == den else (lo * den, hi * d, d * den)
 
 
 def _gap_terms(t: Fraction) -> tuple[bool, int, int]:
@@ -993,42 +1003,44 @@ def _gap_must_fail(
     return False
 
 
-def _pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
-    """Enclosure of {t**exp : t in x} exceeding the exact image width by
-    less than 2^-K.
+def _pow_slack(
+    x_lo: Fraction, x_hi: Fraction, exp: Exponent, K: int
+) -> tuple[int, int, int]:
+    """An enclosure of {t**exp : t in [x_lo, x_hi]} exceeding the exact
+    image width by less than 2^-K, on both tracks in _pow_route's form:
+    integers (lo, hi, den) with ends lo / den and hi / den.
 
     Rational track: direct directed rounding at K + 2 (guard g = 2).
-    t**e is increasing in t, so the lower end of x.lo**e and the upper end
-    of x.hi**e bound the image; a point x reads both ends off its one
-    _pow_point result.
+    t**e is increasing in t, so the lower end of x_lo**e and the upper end
+    of x_hi**e bound the image, put over one denominator; when x_hi is
+    x_lo, both come from its one _pow_route result.
     Oracle track: the exponent bracket is refined from precision
-    max(6, K // 2) in steps of max(8, K // 2) until the corner gap
-    _exp_gap reads at K + 3 falls under 2^-(K+2), which leaves each true
+    max(6, K // 2) in steps of max(8, K // 2) until the corner gaps
+    _exp_gap reads at K + 3 fall under 2^-(K+2), which leaves each true
     corner gap below 2^-(K+1).  A round whose bracket _gap_must_fail
     certifies a true gap of at least 2^-(K+1) cannot pass, so its corner
     powers are never computed; every round that runs, and the bracket
     taken, are those of the unskipped loop.  The passing round's box is
-    built from the corner powers its gap was read from.
+    built from the corner powers its gaps were read from.
     """
-    if x.lo < 0:
-        raise NegativeBase(f"negative base enclosure {x}")
-    if exp.fast is not None:
-        if exp.fast == 1:
-            return x
-        lo, hi = _pow_point(x.lo, exp.fast, K + 2)
-        if x.hi != x.lo:
-            hi = _pow_point(x.hi, exp.fast, K + 2)[1]
-        return Enclosure(lo, hi)
-    ends = (x.lo,) if x.lo == x.hi else (x.lo, x.hi)
+    if x_lo.numerator < 0:
+        raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
+    e = exp.fast
+    if e is not None:
+        lo, hi, den = _pow_route(x_lo, e, K + 2)
+        if x_hi is x_lo:
+            return lo, hi, den
+        _, hi, d = _pow_route(x_hi, e, K + 2)
+        return (lo, hi, den) if d == den else (lo * d, hi * den, den * d)
+    ends = (x_lo,) if x_lo == x_hi else (x_lo, x_hi)
     terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
-    threshold = pow2(-(K + 2))
     step = max(8, K // 2)
     for kp in escalate(max(6, K // 2), lambda _: step, 64, "exponent bracket failed to converge"):
         e_lo, e_hi = exp.bracket(kp)
         if not _gap_must_fail(terms, e_lo, e_hi, K):
-            gap, lo, hi = _exp_gap(x, e_lo, e_hi, K + 3)
-            if gap < threshold:
-                return Enclosure(lo, hi)
+            box = _exp_gap(x_lo, x_hi, e_lo, e_hi, K + 3)
+            if box is not None:
+                return box
 
 
 def _pow_sum(
@@ -1038,42 +1050,39 @@ def _pow_sum(
     of the enclosure _pow_slack gives of {t**exp : t in [x_lo, x_hi]} at K,
     added exactly: the one power-sum loop.
 
-    Rational track: the exponent 1 adds the bases as they are.  Otherwise
-    each end goes through _pow_route at T = K + 2, as in _pow_slack, and a
-    point base (x_hi is x_lo) once.  Each end sums the integer numerators
-    of _pow_route's (lo, hi, den) per denominator, so the floor-roots all
-    add up over the one 2^T, and takes one Fraction per denominator.  The
-    oracle track takes one _pow_slack per base.
+    Each end sums integer numerators per denominator, so the floor-roots
+    all add up over the one 2^(K+2), and takes one Fraction per
+    denominator.  The oracle track adds _pow_slack's (lo, hi, den); the
+    rational track routes each end as _pow_slack does, a point base (x_hi
+    is x_lo) once, but keeps each end's own denominator, as exact ends can
+    have unrelated ones.  The exponent 1 adds the bases as they are.
     """
     e = exp.fast
-    lo = hi = both = _ZERO
-    if e is None:
+    if e == 1:
+        lo = hi = both = _ZERO
         for x_lo, x_hi in bases:
-            enc = _pow_slack(Enclosure(x_lo, x_hi), exp, K)
-            lo += enc.lo
-            hi += enc.hi
-        return lo, hi
-    if e != 1:
-        T = K + 2
-        lows: dict[int, int] = {}
-        highs: dict[int, int] = {}
-        for x_lo, x_hi in bases:
-            n_lo, n_hi, den = _pow_route(x_lo, e, T)
+            if x_hi is x_lo:
+                both += x_lo
+            else:
+                lo += x_lo
+                hi += x_hi
+        # A zero end is not added: the one-term sums at p = 2 of
+        # rotation_demo then cost one Fraction addition each.
+        return (both + lo if lo else both), (both + hi if hi else both)
+    lows: dict[int, int] = {}
+    highs: dict[int, int] = {}
+    for x_lo, x_hi in bases:
+        if e is None:
+            n_lo, n_hi, den = _pow_slack(x_lo, x_hi, exp, K)
+            lows[den] = lows.get(den, 0) + n_lo
+        else:
+            n_lo, n_hi, den = _pow_route(x_lo, e, K + 2)
             lows[den] = lows.get(den, 0) + n_lo
             if x_hi is not x_lo:
-                _, n_hi, den = _pow_route(x_hi, e, T)
-            highs[den] = highs.get(den, 0) + n_hi
-        lo = sum(map(Fraction, lows.values(), lows), _ZERO)
-        return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)
-    for x_lo, x_hi in bases:
-        if x_hi is x_lo:
-            both += x_lo
-        else:
-            lo += x_lo
-            hi += x_hi
-    # A zero end is not added: the one-term sums at p = 2 of rotation_demo
-    # then cost one Fraction addition each.
-    return (both + lo if lo else both), (both + hi if hi else both)
+                _, n_hi, den = _pow_route(x_hi, e, K + 2)
+        highs[den] = highs.get(den, 0) + n_hi
+    lo = sum(map(Fraction, lows.values(), lows), _ZERO)
+    return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)
 
 
 def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:
@@ -1086,7 +1095,8 @@ def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[i
     denominator, so no Fraction is built; the upper end steps up one unit
     unless the root is exact.  The oracle track, and a rational exponent
     whose operand would pass the budget, take _pow_slack, whose ends lie
-    within 2^-(K+1) of the image, and round them outward to the grid.
+    within 2^-(K+1) of the image, and round its integer ends outward to
+    the grid.
     """
     T = K + 2
     e = exp.fast
@@ -1103,8 +1113,8 @@ def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[i
                 r_hi, exact = end(hi)
                 return r, r_hi if exact else r_hi + 1
             return r, r if exact else r + 1
-    enc = _pow_slack(Enclosure(Fraction(lo, den), Fraction(hi, den)), exp, K)
-    return frac_floor(enc.lo * (1 << T)), frac_ceil(enc.hi * (1 << T))
+    l, h, d = _pow_slack(Fraction(lo, den), Fraction(hi, den), exp, K)
+    return (l << T) // d, -((-h << T) // d)
 
 
 def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
@@ -1122,20 +1132,20 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
         over = p.ub() - 1
         if over > 0:
             extra = frac_ceil(over * ceil_log2(1 / x.lo))
-    return _pow_slack(x, p, k + extra)
+    return Enclosure.from_ends(*_pow_slack(x.lo, x.hi, p, k + extra))
 
 
 def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     """Certified enclosure of {t**(1/p) : t in x} for a nonnegative
     enclosure, exceeding the exact image width by less than 2^-k.
 
-    A root is the power x^(1/p) and takes the route _pow_point picks: an
-    integer floor-root after exact integer powering, or past the operand
+    A root is the power x^(1/p), each end or corner routed by _pow_route:
+    an integer floor-root after exact integer powering, or past the operand
     budget the dyadic route's fixed-point exp((1/p) ln t).  Either way both
     endpoints carry integer-arithmetic certificates; on the exact route
     rational roots (perfect powers) are detected and returned exactly.
     """
-    return _pow_slack(x, p.reciprocal(), k)
+    return Enclosure.from_ends(*_pow_slack(x.lo, x.hi, p.reciprocal(), k))
 
 
 def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
@@ -1145,8 +1155,8 @@ def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
         raise NegativeBase("sqrt of a negative rational")
 
     def fn(k: int) -> Fraction:
-        lo, hi = _pow_point(q, _HALF, k + 2)
-        return (lo + hi) / 2
+        lo, hi, den = _pow_route(q, _HALF, k + 2)
+        return Fraction(lo + hi, 2 * den)
 
     return ComputableReal(fn, label or f"sqrt({q})")
 
@@ -1194,8 +1204,8 @@ def norm_from_power_sum(
             t0 = pow2(-(k + 1))
             kt = frac_ceil(Fraction(k + 2) * p_ub) + 4
             _, e_hi = p.bracket(kt)
-            threshold = _pow_point(t0, e_hi, kt)[0]
-            if s.hi <= threshold:
+            lo, _, den = _pow_route(t0, e_hi, kt)
+            if s.hi * den <= lo:
                 return Enclosure(_ZERO, t0)
             continue
         guard = 0

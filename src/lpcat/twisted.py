@@ -17,16 +17,17 @@ of a combination a_0 f_0 + ... + a_M f_M expands telescopically as
 which consults only the first M enumerated elements and never the set's
 decision procedure.  The sum runs on integer mantissas: each E_j is one
 integer quadratic in the mantissa of 2^(-c/p), a p/2 power by the exact
-route's integer floor-root (rounded brackets on the oracle track), and
-directed shifts into two integer running sums, every step rounded
-outward, with one Enclosure per sum.  The independent expansion route
-(``expanded_residual_norm``) also sums on integers: each coordinate's
-quadratic in u from integer numerators, by code of its own, u and every
-p/2 power in the one form of a routed power, integer ends over one
-denominator, and the powers added by rigor's one power-sum loop,
-``_pow_sum``, each denominator's numerators as one integer.  It shares
-only rigor primitives and no function of this module with the
-telescoping sum, so comparing the two checks it.
+route's integer floor-root (the oracle track's corner box, rounded
+outward to the grid), and directed shifts into two integer running sums,
+every step rounded outward, with one Enclosure per sum.  The independent
+expansion route (``expanded_residual_norm``) also sums on integers: each
+coordinate's quadratic in u from integer numerators, by code of its own,
+u and every p/2 power in the one form rigor's powers return on both
+exponent tracks, integer ends over one denominator, and the powers added
+by rigor's one power-sum loop, ``_pow_sum``, each denominator's
+numerators as one integer.  It shares only rigor primitives and no
+function of this module with the telescoping sum, so comparing the two
+checks it.
 
 Conversely, anything that can point at a unit multiple of e_0 in
 F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
@@ -73,7 +74,6 @@ from .rigor import (
     strict_int,
     strict_keys,
     _pow_mantissas,
-    _pow_route,
     _pow_slack,
     _pow_sum,
 )
@@ -132,10 +132,11 @@ class CeSet:
         self.stats = Counters(max_stage=-1, decide_calls=0)
         self._lock = threading.RLock()
         self._order: list[int] = []
-        # gamma's prefix sums as integers: (L, E) with left sum L / 2^E, E
-        # the largest element so far, and the decided prefix (N_B, B), with
-        # decided mass N_b / 2^b for N_b = N_B >> (B - b) at every b <= B.
-        self._left_sums: list[tuple[int, int]] = [(0, 0)]
+        # gamma's prefix sums as integers: the last left sum read, (s, L, E)
+        # with L / 2^E through stage s, E the largest element so far, and
+        # the decided prefix (N_B, B), with decided mass N_b / 2^b for
+        # N_b = N_B >> (B - b) at every b <= B.
+        self._left_at = (-1, 0, 0)
         self._gamma_prefix = (0, 0)
 
         self._pinned_by_stage: dict[int, int] = {}
@@ -251,15 +252,20 @@ class CeSet:
 
     def _left_sum_ends(self, s: int) -> tuple[int, int]:
         """(L, E) with gamma_s = L / 2^E, E = max(c_0, ..., c_s): adding
-        2^-c shifts the numerator only when c passes E."""
+        2^-c shifts the numerator only when c passes E.  Only the last sum
+        read is kept, so memory stays linear: a later stage carries it on,
+        and an earlier one, as when a scan of cutoffs starts again, is
+        summed anew from stage 0."""
         with self._lock:
             self._extend_order(s)
             self.stats.record(max_stage=s)
-            sums = self._left_sums
-            for c in self._order[len(sums) - 1 : s + 1]:
-                L, E = sums[-1]
-                sums.append((L + (1 << (E - c)), E) if c < E else ((L << (c - E)) + 1, c))
-            return sums[s + 1]
+            last, L, E = self._left_at
+            if s < last:
+                last, L, E = -1, 0, 0
+            for c in self._order[last + 1 : s + 1]:
+                L, E = (L + (1 << (E - c)), E) if c < E else ((L << (c - E)) + 1, c)
+            self._left_at = (s, L, E)
+            return L, E
 
     # -- decision mode ---------------------------------------------------------
 
@@ -300,8 +306,7 @@ class CeSet:
         """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
         sum through stage s, clamped at 0 and capped by 2^-c_s when the
         enumeration is sorted.  Needs both access modes."""
-        lo, hi, den = self._tail_ends(s, k)
-        return Enclosure(Fraction(lo, den), Fraction(hi, den))
+        return Enclosure.from_ends(*self._tail_ends(s, k))
 
     def _tail_ends(self, s: int, k: int) -> tuple[int, int, int]:
         """(lo, hi, 2^S): ``tail_mass(s, k)`` as integer ends over one
@@ -587,23 +592,12 @@ def _residual_quads(
     return quads
 
 
-def _integer_ends(enc: Enclosure) -> tuple[int, int, int]:
-    """enc as integer ends over one denominator, the form ``_pow_route``
-    returns."""
-    lo, hi = enc.lo, enc.hi
-    return (
-        lo.numerator * hi.denominator,
-        hi.numerator * lo.denominator,
-        lo.denominator * hi.denominator,
-    )
-
-
 def _quad_ends(
     quad: tuple[int, int, int, int], u: tuple[int, int, int]
 ) -> tuple[Fraction, Fraction]:
     """The ends of (A u^2 + B u + C) / D over u >= 0 in [ul, uh] / v, for
     ``_residual_quads``' (A, B, C, D) with A >= 0 and u = (ul, uh, v) in
-    the form ``_pow_route`` returns.  The square term rises with u, and the
+    the form ``_pow_slack`` returns.  The square term rises with u, and the
     linear term takes the end of u that the sign of B picks, so each end of
     the quadratic is one integer numerator over D v^2, normalised once.
     Only the lower end is floored at 0: the quadratic is a squared modulus
@@ -639,10 +633,10 @@ def expanded_residual_norm(
     d_0 = t_0, and u_n = 2^(-c_{n-1}/p) and d_n = t_n - a_n past 0.  The
     quadratics do not depend on the precision: their integer coefficients
     are computed once, from the scalars' numerators and denominators
-    (``_residual_quads``).  Each u_n comes as integer ends over one
-    denominator: on the rational track straight from ``_pow_route``, on the
-    oracle track, and for u_0 on both, from a ``root_p`` enclosure
-    (``_integer_ends``).  The quadratic's ends come from integer numerators
+    (``_residual_quads``).  Each u_n is the 1/p power of a point, and u_0
+    of the interval 1 - gamma, as ``root_p`` takes them, read as integer
+    ends over one denominator straight from ``rigor._pow_slack`` on both
+    exponent tracks.  The quadratic's ends come from integer numerators
     (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
     with one Enclosure per sum.  The ends equal those of the per-term
     Enclosure sum.
@@ -657,23 +651,20 @@ def expanded_residual_norm(
     half = p.half()
     guard = 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
     quads = _residual_quads(a0, cs, target, depth)
-    inverse = p.reciprocal().fast
+    inverse = p.reciprocal()
+    points = [pow2(-c) for c in c_prefix]
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
         kg = per + guard
         gamma = ce.gamma_enclosure(kg)
-        w = root_p((Enclosure.point(1) - gamma).clamp_nonneg(), p, per + 2)
+        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
+        w = _pow_slack(one_minus.lo, one_minus.hi, inverse, per + 2)
         if a0.is_zero:
             squares = (Fraction(C, D) for _, _, C, D in quads)
             return Enclosure(*_pow_sum([(c, c) for c in squares], half, per))
-        # 2^(-c/p) as root_p at per + 4 reads it: on the rational track the
-        # point power at per + 6.
-        if inverse is not None:
-            us = [_pow_route(pow2(-c), inverse, per + 6) for c in c_prefix]
-        else:
-            us = [_integer_ends(root_p(Enclosure.point(pow2(-c)), p, per + 4)) for c in c_prefix]
-        bases = [_quad_ends(quad, u) for quad, u in zip(quads, [_integer_ends(w), *us])]
+        us = [_pow_slack(u, u, inverse, per + 4) for u in points]
+        bases = [_quad_ends(quad, u) for quad, u in zip(quads, [w, *us])]
         lo, hi = _pow_sum(bases, half, per)
         a_lo, a_hi = _pow_sum([(a0sq, a0sq)], half, per)
         tail = ce.tail_mass(depth - 1, kg)
@@ -795,16 +786,13 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     start = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
     failure = "coefficient rationalisation failed to certify"
     # Each coefficient is -q1 times the middle (lo + hi) / (2 den) of
-    # root_p(2^-c, p, kr) as integer ends; on the rational track that root
-    # is _pow_route at kr + 2, which passes 2^-c through at 1/p = 1.
-    inverse = p.reciprocal().fast
+    # 2^(-c/p) as root_p(2^-c, p, kr) encloses it, read as integer ends.
+    inverse = p.reciprocal()
     for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
         for c in prefix:
-            if inverse is not None:
-                lo, hi, den = _pow_route(pow2(-c), inverse, kr + 2)
-            else:
-                lo, hi, den = _integer_ends(root_p(Enclosure.point(pow2(-c)), p, kr))
+            u = pow2(-c)
+            lo, hi, den = _pow_slack(u, u, inverse, kr)
             num = -q1.numerator * (lo + hi)
             coeffs.append(CRat(Fraction(num, q1.denominator * 2 * den)))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
@@ -907,11 +895,10 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
         for kk in escalate(k + guard, lambda _: step, 64, "gamma-from-scale failed to converge"):
             se = s.enclosure(kk)
             if se.lo > 0:
-                sp = _pow_slack(se, p, kk)
-                if sp.lo > 0:
-                    out = Enclosure.point(1) - sp.recip()
-                    if out.width < pow2(-k):
-                        return out.midpoint
+                # s^p in [lo, hi] / den, so gamma in [1 - den / lo, 1 - den / hi].
+                lo, hi, den = _pow_slack(se.lo, se.hi, p, kk)
+                if lo > 0 and den * (hi - lo) << k < lo * hi:
+                    return 1 - Fraction(den * (lo + hi), 2 * lo * hi)
 
     return ComputableReal(fn, f"gamma-from-{s.label}")
 

@@ -4,7 +4,9 @@
 rounded binary floating point at a working precision well past the
 requested one.  Every certified enclosure must intersect its interval,
 on both exponent tracks, and meet the 2^-k width contract on point
-inputs.  Endpoints are compared as exact rationals.
+inputs.  At the irrational p = sqrt(2), known only through its oracle,
+each end of a power or root of an interval is checked on its own.
+Endpoints are compared as exact rationals.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from lpcat import (  # noqa: E402
     pow2,
     pow_p,
     root_p,
+    sqrt_real,
 )
 
 F = Fraction
@@ -94,3 +97,46 @@ def test_norm_p_matches_mpmath(coords, p, k):
     for _, c in v.coords:
         power_sum += _iv(c.abs2()) ** (_iv(q) / 2)
     _check(ours, power_sum ** (1 / _iv(q)), k)
+
+
+SQRT2 = Exponent.from_real(sqrt_real(2))
+
+# Points and intervals of positive rationals, below 1, above 1 and across it.
+bases = positive.map(lambda t: (t, t)) | st.builds(
+    lambda a, b: (min(a, b), max(a, b)), positive, positive
+)
+
+
+def _check_image(ours: Enclosure, lo, hi, k: int) -> None:
+    """ours encloses the image [t_lo^e, t_hi^e] whose ends mpmath encloses
+    in lo and hi, and is wider than that image by less than 2^-k."""
+    lo, hi = _exact(lo), _exact(hi)
+    assert ours.lo <= lo.hi and hi.lo <= ours.hi, (ours, lo, hi)
+    assert ours.width < hi.hi - lo.lo + pow2(-k)
+
+
+@given(x=bases, k=precision)
+def test_sqrt2_pow_and_root_match_mpmath(x, k):
+    """pow_p and root_p at p = sqrt(2) on the oracle track."""
+    iv.prec = 4 * k + 64
+    q = iv.sqrt(iv.mpf(2))
+    t_lo, t_hi = x
+    enc = Enclosure(t_lo, t_hi)
+    _check_image(pow_p(enc, SQRT2, k), _iv(t_lo) ** q, _iv(t_hi) ** q, k)
+    _check_image(root_p(enc, SQRT2, k), _iv(t_lo) ** (1 / q), _iv(t_hi) ** (1 / q), k)
+
+
+@given(coords=st.lists(st.tuples(signed, signed), min_size=1, max_size=6), k=precision)
+def test_sqrt2_norm_p_matches_mpmath(coords, k):
+    """norm_p at p = sqrt(2) on the oracle track."""
+    v = FiniteVector.from_items((n, CRat(re, im)) for n, (re, im) in enumerate(coords))
+    ours = norm_p(v, SQRT2, k)
+    if v.is_zero:
+        assert ours == Enclosure.point(0)
+        return
+    iv.prec = 4 * k + 64
+    q = iv.sqrt(iv.mpf(2))
+    power_sum = iv.mpf(0)
+    for _, c in v.coords:
+        power_sum += _iv(c.abs2()) ** (q / 2)
+    _check(ours, power_sum ** (1 / q), k)

@@ -16,8 +16,13 @@ no ``for _ in range(...)`` loop is followed by ``raise OracleFailure``
 or holds one in its ``else``, save the functions in ``OWN_LOOPS``.
 
 Every power sum runs on ``rigor._pow_sum``: outside ``rigor.py``, no
-``for`` or ``while`` loop both calls ``_pow_route``, ``_pow_slack`` or
-``_pow_point`` and adds to an accumulator with ``+=``.
+``for`` or ``while`` loop both calls ``_pow_route`` or ``_pow_slack`` and
+adds to an accumulator with ``+=``.
+
+The point-power router ``_pow_route`` belongs to ``rigor``: no other
+module imports it or reads it as an attribute, so a caller reads one power form on both exponent
+tracks, ``_pow_slack``'s, and never forks on the track to reach the
+router.
 
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position.
@@ -240,7 +245,7 @@ def test_every_escalation_runs_on_escalate():
 
 
 # The point powers a power-sum loop would add up.
-POINT_POWERS = {"_pow_route", "_pow_slack", "_pow_point"}
+POINT_POWERS = {"_pow_route", "_pow_slack"}
 
 
 def _power_sum_loops(tree: ast.Module):
@@ -269,6 +274,21 @@ def test_every_power_sum_runs_on_pow_sum():
         stray += [f"{path.name}:{line}" for line in _power_sum_loops(tree)]
     assert not stray, "power-sum loops that should use rigor._pow_sum:\n" + "\n".join(stray)
 
+
+def test_only_rigor_imports_pow_route():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rigor.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_pow_route"
+            or isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.split(".")[-1] == "_pow_route" for alias in node.names)
+        ]
+    assert not stray, "reads of rigor._pow_route outside rigor:\n" + "\n".join(stray)
 
 
 def _classes(trees) -> dict:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lpcat import (
+    CeSet,
     CRat,
     Enclosure,
     Exponent,
@@ -18,6 +19,7 @@ from lpcat import (
     pow2,
     rigor,
     sqrt_real,
+    TwistedGenSet,
 )
 from lpcat.lpspace import abs2_pow_sum
 from test_rigor import ref_pow_slack
@@ -185,7 +187,7 @@ def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]
 def ref_abs2_pow_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
     """abs2_pow_sum as a sum of one Enclosure per term: _pow_slack's
     rational track (the point power at per + 2, or the term itself at
-    p = 2) and its oracle track."""
+    p = 2) and its oracle track, ref_pow_slack."""
     if not terms:
         return Enclosure.point(0)
     half = p.half()
@@ -193,7 +195,7 @@ def ref_abs2_pow_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
     total = Enclosure.point(0)
     for m2 in terms:
         if half.fast is None:
-            term = rigor._pow_slack(Enclosure.point(m2), half, per)
+            term = ref_pow_slack(Enclosure.point(m2), half, per)
         elif half.fast == 1:
             term = Enclosure.point(m2)
         else:
@@ -347,3 +349,40 @@ def test_norm_p_enclosure_work(monkeypatch, p32):
     monkeypatch.setattr(Enclosure, "__post_init__", counted)
     norm_p(vector, p32, 30)
     assert made <= 4 < 185
+
+
+def test_sqrt2_norm_enclosure_work(monkeypatch):
+    """Work guard, free of timing noise: Enclosure constructions in one
+    warm, seeded m = 64, k = 30 norm at p = sqrt(2), by norm_p on a real
+    vector and by the telescoping norm of the odds' twisted presentation
+    on complex coefficients.  They built 124 and 130 while every oracle-
+    track power was an Enclosure of Fraction corner powers; on the integer
+    form of _pow_slack each builds as few as at p = 3/2."""
+    rng = random.Random(7)
+    vector = FiniteVector.from_items(
+        [(i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(64)]
+    )
+    p = Exponent.from_real(sqrt_real(2))
+    presentation = TwistedGenSet(CeSet.odds(), p)
+    rng = random.Random(7)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    coeffs = [CRat(rat(), rat()) for _ in range(64)]
+    norm_p(vector, p, 30)
+    presentation.norm_enclosure(coeffs, 30)
+    made = 0
+    post_init = Enclosure.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    norm_p(vector, p, 30)
+    assert made <= 4 < 124
+    made = 0
+    presentation.norm_enclosure(coeffs, 30)
+    assert made <= 4 < 130

@@ -294,7 +294,7 @@ def ref_norm_from_power_sum(sum_at, p: Exponent, k: int) -> Enclosure:
             t0 = pow2(-(k + 1))
             kt = rigor.frac_ceil(F(k + 2) * p_ub) + 4
             _, e_hi = p.bracket(kt)
-            if s.hi <= rigor._pow_point(t0, e_hi, kt)[0]:
+            if s.hi <= point_ends(t0, e_hi, kt)[0]:
                 return Enclosure(F(0), t0)
             continue
         guard = 0
@@ -630,6 +630,12 @@ def kernel_work(t: Fraction, e: Fraction, tb: int) -> tuple[Enclosure, int, int]
     return enc, steps, rounds
 
 
+def point_ends(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """_pow_route's integer ends of t**e at 2^-K as two Fractions."""
+    lo, hi, den = rigor._pow_route(t, e, K)
+    return F(lo, den), F(hi, den)
+
+
 def exact_bits(t: Fraction, e: Fraction, K: int) -> int:
     """The exact route's operand bound for the point power t**e."""
     return rigor._exact_pow_bits(t.numerator.bit_length(), t.denominator.bit_length(), e, K)
@@ -661,7 +667,7 @@ def check_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> None:
 
 
 class TestDyadicPowerKernel:
-    """The dyadic route of _pow_point, the one router of a point power,
+    """The dyadic route of _pow_route, the one router of a point power,
     computes t**e = exp(e ln t) in fixed point with a certified radius.
     Its ends differ from those of the square-root-chain kernel it
     replaced, so each enclosure is checked to meet that kernel's, to be
@@ -727,7 +733,7 @@ class TestDyadicPowerKernel:
             exp = rng.choice([p, p.half(), p.reciprocal()])
             rigor._DYADIC_POW_CACHE.clear()
             calls.clear()
-            rigor._pow_slack(Enclosure.point(t), exp, rng.choice([10, 30, 60, 200]))
+            rigor._pow_slack(t, t, exp, rng.choice([10, 30, 60, 200]))
             assert len(calls) == len(set(calls)) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -808,7 +814,7 @@ class TestDyadicPowerKernel:
         s = F(rng.getrandbits(1000) | 1 << 999, rng.getrandbits(1000) | 1 << 999)
         assert min(s.numerator.bit_length(), s.denominator.bit_length()) > 990
         for up in (False, True):
-            assert rigor._pow_point(s ** 2, F(3, 2), 120)[up] == s ** 3
+            assert point_ends(s ** 2, F(3, 2), 120)[up] == s ** 3
         got = pow_p(Enclosure.point(s ** 2), Exponent.from_rational(F(3, 2)), 120)
         assert got == Enclosure.point(s ** 3)
 
@@ -819,7 +825,7 @@ class TestDyadicPowerKernel:
         t = F(rng.getrandbits(1500) | 1 << 1499, rng.getrandbits(1500) | 1 << 1499)
         e = F(128, 193)
         assert exact_bits(t, e, 15) > rigor._EXACT_POW_BUDGET
-        lo, hi = rigor._pow_point(t, e, 15)
+        lo, hi = point_ends(t, e, 15)
         assert hi - lo < pow2(-15)
         assert lo ** 193 <= t ** 128 <= hi ** 193
 
@@ -848,12 +854,12 @@ def point_box(t: F, e: F, K: int) -> Enclosure:
     directed rounding runs at K.  from_rational takes e >= 1, so a
     smaller e is the 1/p view of 1/e."""
     exp = Exponent.from_rational(e) if e >= 1 else Exponent.from_rational(1 / e).reciprocal()
-    return rigor._pow_slack(Enclosure.point(t), exp, K - 2)
+    return Enclosure.from_ends(*rigor._pow_slack(t, t, exp, K - 2))
 
 
 class TestPointPowers:
     """A rational-track point box reads both of its ends off one
-    _pow_point result; it must give the very endpoints of that directed
+    _pow_route result; it must give the very endpoints of that directed
     pair."""
 
     @settings(max_examples=60)
@@ -861,7 +867,7 @@ class TestPointPowers:
     def test_point_box_equals_two_directed_ends(self, case):
         t, e, K = case
         got = point_box(t, e, K)
-        assert got == Enclosure(*rigor._pow_point(t, e, K))
+        assert got == Enclosure(*point_ends(t, e, K))
 
     @pytest.mark.parametrize("half_bits, over", [(16_000, False), (16_500, True)])
     def test_both_sides_of_the_budget(self, half_bits, over):
@@ -877,7 +883,7 @@ class TestPointPowers:
         for t in (s * s, F(s.numerator ** 2 + 1, s.denominator ** 2)):
             assert (exact_bits(t, e, K) > rigor._EXACT_POW_BUDGET) == over
             got = point_box(t, e, K)
-            assert got == Enclosure(*rigor._pow_point(t, e, K))
+            assert got == Enclosure(*point_ends(t, e, K))
             assert got.lo ** 2 <= t <= got.hi ** 2
             assert got.width <= pow2(-K)
         assert (point_box(s * s, e, K) == Enclosure.point(s)) != over
@@ -975,10 +981,15 @@ class TestMantissaPowers:
 
 
 def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
-    """The oracle-track loop of _pow_slack with no round skipped, on its
-    own counter: every round reads both corner powers at each endpoint,
-    and the passing round's box takes, at each end of x, the corner
-    power at the exponent that end's side of 1 picks."""
+    """_pow_slack as an Enclosure, from _pow_route's ends as Fractions.  On
+    the rational track, the lower end of x.lo**e and the upper end of
+    x.hi**e at K + 2.  On the oracle track, the loop with no round
+    skipped, on its own counter: every round reads both corner powers at
+    each endpoint, and the passing round's box takes, at each end of x,
+    the corner power at the exponent that end's side of 1 picks."""
+    if exp.fast is not None:
+        lo = point_ends(x.lo, exp.fast, K + 2)[0]
+        return Enclosure(lo, point_ends(x.hi, exp.fast, K + 2)[1])
     kp = max(6, K // 2)
     for _ in range(64):
         e_lo, e_hi = exp.bracket(kp)
@@ -986,11 +997,11 @@ def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:
         for t in (x.lo,) if x.lo == x.hi else (x.lo, x.hi):
             if t in (0, 1):
                 continue
-            at_hi = rigor._pow_point(t, e_hi, K + 3)[1]
-            gap = max(gap, abs(at_hi - rigor._pow_point(t, e_lo, K + 3)[0]))
+            at_hi = point_ends(t, e_hi, K + 3)[1]
+            gap = max(gap, abs(at_hi - point_ends(t, e_lo, K + 3)[0]))
         if gap < pow2(-(K + 2)):
-            lo = rigor._pow_point(x.lo, e_hi if x.lo < 1 else e_lo, K + 3)[0]
-            hi = rigor._pow_point(x.hi, e_hi if x.hi > 1 else e_lo, K + 3)[1]
+            lo = point_ends(x.lo, e_hi if x.lo < 1 else e_lo, K + 3)[0]
+            hi = point_ends(x.hi, e_hi if x.hi > 1 else e_lo, K + 3)[1]
             return Enclosure(lo, hi)
         kp += max(8, K // 2)
     raise OracleFailure("exponent bracket failed to converge")
@@ -1058,7 +1069,7 @@ class TestOracleTrackPowers:
             bound on it from corner powers 20 bits finer than the loop's."""
             e_lo, e_hi = exp.bracket(kp)
             for t in ends:
-                (lo_a, hi_a), (lo_b, hi_b) = (rigor._pow_point(t, e, K + 23) for e in (e_lo, e_hi))
+                (lo_a, hi_a), (lo_b, hi_b) = (point_ends(t, e, K + 23) for e in (e_lo, e_hi))
                 if max(hi_b - lo_a, hi_a - lo_b) >= bound:
                     return True
             return False
@@ -1076,18 +1087,18 @@ class TestOracleTrackPowers:
         # at K + 3 of at least 2^-(K+2), so it could not have passed.
         for kp in range(kp0, kp0 + 64 * step, step):
             e_lo, e_hi = exp.bracket(kp)
-            gap = rigor._exp_gap(x, e_lo, e_hi, K + 3)[0]
+            box = rigor._exp_gap(x.lo, x.hi, e_lo, e_hi, K + 3)
             if rigor._gap_must_fail(terms, e_lo, e_hi, K):
-                assert gap >= threshold
-            if gap < threshold:
+                assert box is None
+            if box is not None:
                 break
         try:
             want = ref_pow_slack(x, exp, K)
         except OracleFailure:
             with pytest.raises(OracleFailure):
-                rigor._pow_slack(x, exp, K)
+                rigor._pow_slack(x.lo, x.hi, exp, K)
             return
-        assert rigor._pow_slack(x, exp, K) == want
+        assert Enclosure.from_ends(*rigor._pow_slack(x.lo, x.hi, exp, K)) == want
 
     def test_sqrt2_norm_work(self, monkeypatch):
         """Work guard, free of timing noise: _exp_gap rounds in one seeded

@@ -53,11 +53,11 @@ from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_fr
 from lpcat.twisted import (
     _decide_bits,
     _epsilon_mantissas,
-    _integer_ends,
     _quad_coefficients,
     _quad_ends,
     _residual_quads,
 )
+from test_rigor import ref_pow_slack
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -298,6 +298,27 @@ class TestGammaReal:
         assert ce.stats.decide_calls == 20001
         assert retained < 1 << 20
 
+    def test_left_sum_memory_is_linear(self):
+        """Memory guard: a left sum through stage 2s, on a fresh set,
+        retains at most 2.5 times what one through stage s retains, as
+        only the last sum read is kept.  A list of every stage's (L, E)
+        retained 3.79 MiB at s = 5000 and 13.9 MiB at s = 10000, a ratio
+        of about 3.7."""
+
+        def retained(s: int) -> int:
+            ce = CeSet.odds()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                total = ce.left_sum(s)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert total == F(2, 3) * (1 - F(1, 4 ** (s + 1)))
+            return held
+
+        assert retained(10000) <= 2.5 * retained(5000)
+
     @given(
         st.sampled_from(["odds", "primes", "explicit"]),
         st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=8),
@@ -457,7 +478,9 @@ class TestQuadraticInU:
         clamped = ref.clamp_nonneg()
         quad = _residual_quads(a0, (a0,), FiniteVector.from_items([(0, d)]), 0)[0]
         want = (clamped.lo, clamped.hi)
-        assert _quad_ends(quad, _integer_ends(u)) == want
+        ends = (ul.numerator * uh.denominator, uh.numerator * ul.denominator,
+                ul.denominator * uh.denominator)
+        assert _quad_ends(quad, ends) == want
         # The same ends from u over the unreduced denominator 2^90, as the
         # dyadic route gives its grid ends.
         grid = 1 << 90
@@ -515,8 +538,8 @@ def reference_epsilon(alpha0, a, alphaj, c, p, K, u_at, first_try=0):
     for _ in range(40):
         u = u_at(ku)
         m2 = ref_quad_in_u(a, b, cq, u).clamp_nonneg()
-        term1 = rigor._pow_slack(m2, half, kt)
-        a_pow = rigor._pow_slack(Enclosure.point(a), half, kt)
+        term1 = ref_pow_slack(m2, half, kt)
+        a_pow = ref_pow_slack(Enclosure.point(a), half, kt)
         out = term1 - a_pow.scale(pow2(-c))
         if out.width < pow2(-K):
             return out
@@ -948,7 +971,7 @@ def ref_expanded_residual_norm(
     ce: CeSet, p: Exponent, coeffs, target: FiniteVector, k: int
 ) -> Enclosure:
     """The expansion route as one Enclosure per coordinate: each power sum
-    adds a _pow_slack enclosure of every coordinate's quadratic in u, and
+    adds a ref_pow_slack enclosure of every coordinate's quadratic in u, and
     the tail comes from ref_tail_mass."""
     cs = tuple(CRat.of(c) for c in coeffs)
     m = len(cs) - 1
@@ -968,23 +991,19 @@ def ref_expanded_residual_norm(
 
         t0 = target.get(0)
         b0 = -2 * (t0.re * a0.re + t0.im * a0.im)
-        total = rigor._pow_slack(
-            ref_quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per
-        )
+        total = ref_pow_slack(ref_quad_in_u(a0sq, b0, t0.abs2(), w).clamp_nonneg(), half, per)
         for n in range(1, depth + 1):
             diff = target.get(n) - (cs[n] if n <= m else CRAT_ZERO)
             if a0.is_zero:
-                total = total + rigor._pow_slack(
-                    Enclosure.point(diff.abs2()), half, per
-                )
+                total = total + ref_pow_slack(Enclosure.point(diff.abs2()), half, per)
                 continue
             u = root_p(Enclosure.point(pow2(-c_prefix[n - 1])), p, per + 4)
             bq = -2 * (diff.re * a0.re + diff.im * a0.im)
             m2 = ref_quad_in_u(a0sq, bq, diff.abs2(), u).clamp_nonneg()
-            total = total + rigor._pow_slack(m2, half, per)
+            total = total + ref_pow_slack(m2, half, per)
 
         if not a0.is_zero:
-            a0_pow = rigor._pow_slack(Enclosure.point(a0sq), half, per)
+            a0_pow = ref_pow_slack(Enclosure.point(a0sq), half, per)
             total = total + a0_pow * ref_tail_mass(ce, depth - 1, kg)
         return total
 
