@@ -31,7 +31,7 @@ p = Exponent.from_rational(2)
 zeta = CRat(F(3, 5), F(4, 5))  # exact Pythagorean unimodular
 
 E = StandardGenSet(p)
-Fz = ZetaGenSet(zeta, p, label="F_zeta")
+Fz = ZetaGenSet(zeta, p)
 
 print("== Two presentations, one norm oracle ==")
 for coeffs in ([1], [3, 4], [CRat(F(1, 2), F(1, 3))]):

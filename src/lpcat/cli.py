@@ -27,7 +27,7 @@ from .rigor import (
     OracleFailure,
     strict_keys,
 )
-from .lpspace import FiniteVector
+from .lpspace import FiniteVector, basis
 from .genset import (
     CheckSchedule,
     StandardGenSet,
@@ -290,10 +290,7 @@ def cmd_classify(args) -> tuple[dict, str]:
     obj = _read_json(args.input)
     if "phi" in obj:
         descriptor = iso.IsometryDescriptor.from_json(obj)
-        images = [
-            descriptor.apply(FiniteVector.from_quintuples([[n, 1, 1, 0, 1]]))
-            for n in range(descriptor.size)
-        ]
+        images = [descriptor.apply(basis(n)) for n in range(descriptor.size)]
     elif "images" in obj:
         strict_keys(obj, ("images",), "images input")
         try:
@@ -313,7 +310,7 @@ def cmd_classify(args) -> tuple[dict, str]:
 
 def _demo_zeta(args, p: Exponent) -> tuple[dict, list[list[str]]]:
     zeta = CRat(Fraction(3, 5), Fraction(4, 5))
-    genset = ZetaGenSet(zeta, p, label="F_zeta")
+    genset = ZetaGenSet(zeta, p)
     rep = exact_rep(genset, [CRat.of(1)], label="zeta*e0")
     reps = [
         exact_rep(genset, [CRat.of(0)] * n + [CRat.of(1)], label=f"f{n}")

@@ -154,11 +154,11 @@ class ZetaGenSet(StandardGenSet):
 
     kind = "zeta"
 
-    def __init__(self, zeta, p: Exponent, label: str = "F_zeta"):
+    def __init__(self, zeta, p: Exponent):
         zeta = CRat.of(zeta)
         if zeta.abs2() != 1:
             raise ConfigError("zeta must be exactly unimodular")
-        super().__init__(p, COMPLEX, label)
+        super().__init__(p, COMPLEX, "F_zeta")
         self.zeta = zeta
 
     def vector_of(self, coeffs: Sequence) -> FiniteVector:

@@ -1170,7 +1170,11 @@ def norm_from_power_sum(
     sum_at: Callable[[int], Enclosure], p: Exponent, k: int
 ) -> Enclosure:
     """Certified S^(1/p) where ``sum_at(K)`` encloses the exact power sum
-    S >= 0 with slack below 2^-K.
+    S >= 0.  Any enclosure is sound: every return is certified from
+    s ⊇ S alone, and one whose root is not narrower than 2^-k is not
+    returned.  The slack should fall below 2^-K for large enough K; a
+    wider sum, such as the twisted E_j kernel's on a near-cancelling term,
+    is the loop's to retry at a higher K.
 
     Guards: the root's derivative on [S_lo, ..] is at most
     S_lo^(1/p - 1) / p, so for S_lo < 1 the sum is recomputed with

@@ -330,8 +330,9 @@ class CeSet:
 
     # -- views -------------------------------------------------------------------
 
-    def view(self, *, enumerate: bool = True, decide: bool = False) -> "CeView":
-        return CeView(self, allow_enumerate=enumerate, allow_decide=decide)
+    def view(self) -> "CeView":
+        """The enumeration-only view of this set."""
+        return CeView(self)
 
     def spec_json(self) -> dict:
         # A copy down to the lists: the elements list also drives the order.
@@ -342,29 +343,20 @@ class CeSet:
 
 
 class CeView:
-    """Access-disciplined facade over a CeSet: operations hold the view
-    matching their declared access modes, and any out-of-contract call
-    raises instead of silently consulting the set."""
+    """Enumeration-only facade over a CeSet: operations declared to run on
+    enumeration access hold the view, and a decision-mode call raises
+    instead of silently consulting the set."""
 
-    # The access mode each forwarded method needs, checked before the call.
-    _MODES = {
-        "element_at": "enumeration",
-        "prefix": "enumeration",
-        "left_sum": "enumeration",
-        "decide": "decision",
-        "gamma_enclosure": "decision",
-    }
+    _ENUMERATION = ("element_at", "prefix", "left_sum", "label", "sorted_enumeration", "stats")
+    _DECISION = ("decide", "gamma_enclosure")
 
-    def __init__(self, base: CeSet, *, allow_enumerate: bool, allow_decide: bool):
+    def __init__(self, base: CeSet):
         self._base = base
-        self._allowed = {"enumeration": allow_enumerate, "decision": allow_decide}
 
     def __getattr__(self, name: str):
-        mode = self._MODES.get(name)
-        if mode is not None:
-            if not self._allowed[mode]:
-                raise AccessViolation(f"{mode} access not declared")
-        elif name not in ("label", "sorted_enumeration", "stats"):
+        if name in self._DECISION:
+            raise AccessViolation("decision access not declared")
+        if name not in self._ENUMERATION:
             raise AttributeError(f"'CeView' object has no attribute {name!r}")
         return getattr(self._base, name)
 
@@ -450,7 +442,6 @@ def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, 
 
 def _epsilon_mantissas(
     quad: tuple[int, int, int, int, int],
-    a: Fraction,
     a_pow: tuple[int, int],
     c: int,
     p: Exponent,
@@ -458,49 +449,37 @@ def _epsilon_mantissas(
     ucache: MemoTable,
 ) -> tuple[int, int]:
     """Mantissas at scale 2^-(K+5) of a certified E_j = |a0 u + aj|^p -
-    |a0|^p 2^-c, u = 2^(-c/p), of width below 2^-K; ``quad`` is
-    _quad_coefficients(a0, aj), a = |a0|^2, and ``a_pow`` is |a0|^p =
-    a^(p/2) as mantissas at scale 2^-(K+5), shared by every term of a sum.
+    |a0|^p 2^-c, u = 2^(-c/p); ``quad`` is _quad_coefficients(a0, aj), and
+    ``a_pow`` is |a0|^p as mantissas at scale 2^-(K+5), shared by every
+    term of a sum.
 
     u comes as mantissas U at scale 2^-Q; the quadratic is then one
     integer polynomial A U^2 + B 2^Q U + C 4^Q over D 4^Q, floored for the
     low end and ceiled for the high end at scale 2^-2Q.  Its p/2 power
-    comes from _pow_mantissas at scale 2^-(kt+2), as does |a0|^p on a
-    retry, and the subtraction of |a0|^p 2^-c lands on the sum's scale
-    with one directed shift per end.  u's precision ku is a multiple of
-    the retry step 8, so the ``ucache`` key (c, ku) does not follow the
+    comes from _pow_mantissas at scale 2^-(K+5), and the subtraction of
+    |a0|^p 2^-c lands on the sum's scale with one directed shift per end.
+
+    One try: the term is certified at any width, and is narrower than
+    2^-K unless the quadratic nears 0, where its p/2 power is steep.  A
+    wider term widens the sum, and ``norm_from_power_sum`` retries the
+    whole sum at a higher K.  u's precision ku is rounded up to a
+    multiple of 8, so the ``ucache`` key (c, ku) does not follow the
     coefficients' sizes.
     """
     A, B, C, D, guard = quad
-    half = p.half()
-    W = K + 5
     ku = -(-(K + guard) // 8) * 8
-    kt = K + 3
+    Q = ku + 2
+    ul, uh = ucache.get((c, ku), lambda: _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku))
+    BQ, CQ = B << Q, C << (2 * Q)
+    if B >= 0:
+        lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
+    else:
+        lo, hi = A * ul * ul + BQ * uh, A * uh * uh + BQ * ul
+    m_lo = max((lo + CQ) // D, 0)
+    m_hi = max(-((-hi - CQ) // D), 0)
+    t_lo, t_hi = _pow_mantissas(m_lo, m_hi, 1 << (2 * Q), p.half(), K + 3)
     ap_lo, ap_hi = a_pow
-    # The one retry loop not on rigor.escalate: this kernel runs 108 times
-    # per twisted-norm benchmark operation, and driving it by escalate, as
-    # a generator or as a callback, cost about 8 % of that workload's
-    # ops/s (medians 1034 against 952-954 over six 5 s pairs each).
-    for _ in range(40):
-        Q = ku + 2
-        ul, uh = ucache.get((c, ku), lambda: _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku))
-        BQ, CQ = B << Q, C << (2 * Q)
-        if B >= 0:
-            lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
-        else:
-            lo, hi = A * ul * ul + BQ * uh, A * uh * uh + BQ * ul
-        m_lo = max((lo + CQ) // D, 0)
-        m_hi = max(-((-hi - CQ) // D), 0)
-        t_lo, t_hi = _pow_mantissas(m_lo, m_hi, 1 << (2 * Q), half, kt)
-        drop = kt + 2 + c - W
-        lo = ((t_lo << c) - ap_hi) >> drop
-        hi = -((ap_lo - (t_hi << c)) >> drop)
-        if hi - lo < 1 << (W - K):
-            return lo, hi
-        ku += 8
-        kt += 8
-        ap_lo, ap_hi = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, kt)
-    raise OracleFailure("epsilon term failed to converge")
+    return ((t_lo << c) - ap_hi) >> c, -((ap_lo - (t_hi << c)) >> c)
 
 
 class TwistedGenSet(GeneratingSet):
@@ -518,7 +497,7 @@ class TwistedGenSet(GeneratingSet):
     def __init__(self, ce: CeSet, p: Exponent, field_mode: str = COMPLEX):
         super().__init__(p, field_mode, f"F[{ce.label}]")
         self.ce = ce
-        self._enum = ce.view(enumerate=True, decide=False)
+        self._enum = ce.view()
         self._ucache = MemoTable()
 
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
@@ -538,7 +517,7 @@ class TwistedGenSet(GeneratingSet):
             a_pow = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, per + 3)
             lo, hi = a_pow
             for quad, c in terms:
-                e_lo, e_hi = _epsilon_mantissas(quad, a, a_pow, c, self.p, per, self._ucache)
+                e_lo, e_hi = _epsilon_mantissas(quad, a_pow, c, self.p, per, self._ucache)
                 lo += e_lo
                 hi += e_hi
             scale = 1 << (per + 5)
@@ -658,11 +637,11 @@ def expanded_residual_norm(
         per = K + ceil_log2(Fraction(depth + 3))
         kg = per + guard
         gamma = ce.gamma_enclosure(kg)
-        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = _pow_slack(one_minus.lo, one_minus.hi, inverse, per + 2)
         if a0.is_zero:
             squares = (Fraction(C, D) for _, _, C, D in quads)
             return Enclosure(*_pow_sum([(c, c) for c in squares], half, per))
+        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
+        w = _pow_slack(one_minus.lo, one_minus.hi, inverse, per + 2)
         us = [_pow_slack(u, u, inverse, per + 4) for u in points]
         bases = [_quad_ends(quad, u) for quad, u in zip(quads, [w, *us])]
         lo, hi = _pow_sum(bases, half, per)
@@ -775,8 +754,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     m_int = frac_floor(coarse.hi) + 1
 
     eps = root_p(Enclosure.point(Fraction(1, 2)), p, k + 6).scale(pow2(-k))
-    rhs = Enclosure(eps.lo / (eps.lo + m_int), eps.hi / (eps.hi + m_int))
-    n1 = _tail_cutoff(ce, p, k, rhs.lo)
+    n1 = _tail_cutoff(ce, p, k, eps.lo / (eps.lo + m_int))
 
     scale = _inv_root_one_minus_gamma(ce, p, eps.lo)
     q1 = simplest_between(scale.hi - eps.lo, scale.lo + eps.lo)
@@ -968,7 +946,7 @@ def membership_bits(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScaleWarning)
         gamma = gamma_from_scale(scale_real(oracle, query_log), oracle.genset.p)
-    enum_view = oracle.genset.ce.view(enumerate=True, decide=False)
+    enum_view = oracle.genset.ce.view()
     bits = _decide_bits(gamma, enum_view, n_max, fuel)
     return list(enumerate(bits, start=1))
 

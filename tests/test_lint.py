@@ -13,7 +13,9 @@ in ``NOT_CACHES``.
 
 Every precision-escalation loop runs on ``rigor.escalate``: outside it,
 no ``for _ in range(...)`` loop is followed by ``raise OracleFailure``
-or holds one in its ``else``, save the functions in ``OWN_LOOPS``.
+or holds one in its ``else``.  ``OWN_LOOPS`` names the one exception,
+``escalate`` itself; a kernel that needs more precision returns a wider
+certified enclosure, and the escalating caller retries.
 
 Every power sum runs on ``rigor._pow_sum``: outside ``rigor.py``, no
 ``for`` or ``while`` loop both calls ``_pow_route`` or ``_pow_slack`` and
@@ -25,7 +27,8 @@ tracks, ``_pow_slack``'s, and never forks on the track to reach the
 router.
 
 Every parameter with a default is set by some caller: a call in
-``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position.
+``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
+and not as the literal the default already is.
 A default no caller overrides is a setting no workload runs; make it a
 constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
 ``super().__init__(...)`` call the ``__init__`` that class resolves to.
@@ -69,10 +72,9 @@ ALLOWED = {
 # Dicts kept on an object that are not memo tables: a delay schedule.
 NOT_CACHES = {"CeSet._pinned_by_stage"}
 
-# Functions that may keep a hand-rolled escalation loop.  escalate is the
-# loop itself.  The E_j kernel runs 108 times per twisted-norm benchmark
-# operation, and escalate there cost about 8 % of that workload's ops/s.
-OWN_LOOPS = {"escalate", "_epsilon_mantissas"}
+# Functions that may keep a hand-rolled escalation loop: escalate, the
+# loop itself.
+OWN_LOOPS = {"escalate"}
 
 # Qualified function name -> {parameter: why it keeps a default no caller
 # sets}.
@@ -336,23 +338,35 @@ def _calls(tree, classes):
 
 def _defaulted(func, is_method):
     """(parameter, index of the positional argument that sets it, or None
-    for a keyword-only one) for each parameter with a default."""
+    for a keyword-only one, default) for each parameter with a default."""
     args = func.args
     positional = [*args.posonlyargs, *args.args]
     static = any(ast.unparse(d) == "staticmethod" for d in func.decorator_list)
     offset = 1 if is_method and not static else 0
-    for i in range(len(positional) - len(args.defaults), len(positional)):
-        yield positional[i].arg, i - offset
+    first = len(positional) - len(args.defaults)
+    for i, default in enumerate(args.defaults, first):
+        yield positional[i].arg, i - offset, default
     for a, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield a.arg, None
+            yield a.arg, None, default
 
 
-def _sets(call, param, position) -> bool:
-    if any(kw.arg in (param, None) for kw in call.keywords):
+def _is_default(arg, default) -> bool:
+    """Whether arg is the literal the default is: passing it sets nothing."""
+    if not (isinstance(arg, ast.Constant) and isinstance(default, ast.Constant)):
+        return False
+    return type(arg.value) is type(default.value) and arg.value == default.value
+
+
+def _sets(call, param, position, default) -> bool:
+    for kw in call.keywords:
+        if kw.arg is None or (kw.arg == param and not _is_default(kw.value, default)):
+            return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    starred = any(isinstance(a, ast.Starred) for a in call.args)
-    return position is not None and (starred or position < len(call.args))
+    return position < len(call.args) and not _is_default(call.args[position], default)
 
 
 def test_every_default_is_set_by_a_caller():
@@ -367,9 +381,9 @@ def test_every_default_is_set_by_a_caller():
     for path, tree in sorted(src.items()):
         for name, func, is_method in _functions(tree):
             key = name if func.name == "__init__" else func.name
-            for param, position in _defaulted(func, is_method):
+            for param, position, default in _defaulted(func, is_method):
                 if param.startswith("_") or any(
-                    _sets(c, param, position) for c in calls.get(key, ())
+                    _sets(c, param, position, default) for c in calls.get(key, ())
                 ):
                     continue
                 if param in NO_CALLER.get(name, {}):
