@@ -382,6 +382,13 @@ GOLDEN = {
         ["demo", "--scenario", "rotation", "--p", "oracle:1.41421356237309504880:400"],
         "c6a4d6eadc5bddec3249ccfcf876898b068a836ff3964f1bf2b6b8f7279f94fc", None,
     ),
+    # A large guard jump: the certificate's power sum jumps from K = 37 to
+    # 761, far past the norm loop's step of 11, and later rounds count
+    # from there.
+    "approx-e0-p32": (
+        ["approx-e0", "--ce-set", "odds", "--p", "32", "--k", "20"],
+        "2ee7d5f8652dacd468e6787a54fbb9c3ee7cb97a44701c1ff2e727b073ab22ef", None,
+    ),
 }
 
 
