@@ -49,6 +49,8 @@ below 2^-k.  Each operation documents the guard bits it adds on top of k;
 a bounded escalation loop, ``escalate``, backs the guard up when the
 initial estimate is too optimistic: it yields the working precisions of
 the retries, up to a cap, and raises OracleFailure when they run out.
+Each round makes one attempt at the precision it yields; a round that
+finds it needs a higher one ends, and the loop's step yields that next.
 """
 
 from __future__ import annotations
@@ -1176,29 +1178,29 @@ def norm_from_power_sum(
     wider sum, such as the twisted E_j kernel's on a near-cancelling term,
     is the loop's to retry at a higher K.
 
-    Guards: the root's derivative on [S_lo, ..] is at most
-    S_lo^(1/p - 1) / p, so for S_lo < 1 the sum is recomputed with
-    g = ceil(L * (ub(p) - 1) / ub(p)) + 2 extra bits, L = ceil(log2(1/S_lo)).
-    When the sum cannot be bounded away from 0 but is certified below
-    2^-(k+1)p the norm is returned as [0, 2^-(k+1)].  A bounded escalation
-    loop covers the remaining cases.  Its first three rounds step by
-    max(8, k // 2); from then on each step is the whole distance from the
-    start, so K doubles past k + 4 and a sum far below 2^-K, whose lower
-    end stays 0 until K nears log2(1/S), is reached in logarithmically
-    many rounds.
+    The loop runs on ``escalate``, and each round reads one sum, at the K
+    it yields.  Guards: the root's derivative on [S_lo, ..] is at most
+    S_lo^(1/p - 1) / p, so for 0 < S_lo < 1 the root needs a sum taken at
+    K >= need = k + 4 + ceil(L * (ub(p) - 1) / ub(p)), L = ceil(log2(1/S_lo)).
+    A round below need ends there, and the next round runs at need: the
+    guard jump.  When the sum cannot be bounded away from 0 but is
+    certified below 2^-(k+1)p the norm is returned as [0, 2^-(k+1)].  Any
+    other round steps by max(8, k // 2), or by the distance of its K from
+    k + 4 once that is larger, so K doubles past k + 4 and a sum far below
+    2^-K, whose lower end stays 0 until K nears log2(1/S), is reached in
+    logarithmically many rounds.  At most 64 sums are read.
 
     A zero-width sum is S itself, so its root root_p(S, p, k + 2) is taken
-    at once, with no guard jump and no second ``sum_at``.  The jumped sum
-    is the same point S unless the larger K pushes a term past the exact
-    route's operand budget, so the answer is the one the loop gave.
+    at once, with no guard jump.  A jumped sum would be the same point S
+    unless the larger K pushed a term past the exact route's operand
+    budget, so the answer is the one the guard jump would give.
     """
     p_ub = p.ub()
     step = max(8, k // 2)
-    # A guard jump moves K past the schedule; later rounds keep the offset.
-    jump = 0
+    # The K the last guard asked for; escalate yields it next if K was below.
+    need = 0
     failure = "norm extraction failed to converge"
-    for K in escalate(k + 4, lambda K: max(step, K - k - 4), 64, failure):
-        K += jump
+    for K in escalate(k + 4, lambda K: need - K if need > K else max(step, K - k - 4), 64, failure):
         s = sum_at(K).clamp_nonneg()
         if s.hi == 0:
             return Enclosure.point(0)
@@ -1212,15 +1214,9 @@ def norm_from_power_sum(
             if s.hi * den <= lo:
                 return Enclosure(_ZERO, t0)
             continue
-        guard = 0
         if s.lo < 1:
-            bits = ceil_log2(1 / s.lo)
-            guard = frac_ceil(Fraction(bits) * (p_ub - 1) / p_ub) + 2
-        if guard and K < k + 2 + guard:
-            jump += k + 2 + guard - K
-            K = k + 2 + guard
-            s = sum_at(K).clamp_nonneg()
-            if s.lo <= 0:
+            need = k + 4 + frac_ceil(Fraction(ceil_log2(1 / s.lo)) * (p_ub - 1) / p_ub)
+            if K < need:
                 continue
         out = root_p(s, p, k + 2)
         if out.width < pow2(-k):

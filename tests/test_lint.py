@@ -17,6 +17,11 @@ or holds one in its ``else``.  ``OWN_LOOPS`` names the one exception,
 ``escalate`` itself; a kernel that needs more precision returns a wider
 certified enclosure, and the escalating caller retries.
 
+A round of an escalation loop runs at the precision ``escalate`` yields:
+no ``for`` loop over ``escalate(...)`` rebinds its target in its body,
+by ``=``, ``+=``, ``:=`` or a nested ``for``.  A round that needs a
+higher precision ends, and the loop's step yields that precision next.
+
 Every power sum runs on ``rigor._pow_sum``: outside ``rigor.py``, no
 ``for`` or ``while`` loop both calls ``_pow_route`` or ``_pow_slack`` and
 adds to an accumulator with ``+=``.
@@ -244,6 +249,42 @@ def test_every_escalation_runs_on_escalate():
                 continue
             stray += [f"{path.name}:{line} {name}" for line in _hand_rolled_escalations(func)]
     assert not stray, "escalation loops that should use rigor.escalate:\n" + "\n".join(stray)
+
+
+def _rebound_targets(func):
+    """Lines in func where the body of a ``for`` loop over ``escalate(...)``
+    rebinds one of the loop's target names."""
+    for loop in _own_nodes(func):
+        if not (
+            isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Call)
+            and ast.unparse(loop.iter.func).split(".")[-1] == "escalate"
+        ):
+            continue
+        names = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+        for stmt in loop.body:
+            for node in _own_nodes(stmt):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(
+                    isinstance(n, ast.Name) and n.id in names
+                    for target in targets
+                    for n in ast.walk(target)
+                ):
+                    yield node.lineno
+
+
+def test_every_round_runs_at_the_yielded_precision():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func, _ in _functions(tree):
+            stray += [f"{path.name}:{line} {name}" for line in _rebound_targets(func)]
+    assert not stray, "escalation rounds that leave the yielded precision:\n" + "\n".join(stray)
 
 
 # The point powers a power-sum loop would add up.

@@ -260,11 +260,13 @@ class TestEscalation:
         gen.close()
 
     def test_norm_from_power_sum_schedule(self):
-        """A guard jump whose sum at the jumped precision still touches 0
-        retries one step past the jump.  S = 2^-40 at p = 3/2 and k = 10
-        needs a guard of 16 bits, so K jumps from 14 to 28; the sum there
-        reaches 0, so the next round is at 28 + 8 = 36, where the sum is
-        certified small enough for [0, 2^-11]."""
+        """A guard jump ends its round, and the next round reads one sum at
+        the jumped precision.  S = 2^-40 at p = 3/2 and k = 10 needs a
+        guard of 16 bits, so K jumps from 14 to 28.  The sum there reaches
+        0, which sends it to the tiny-sum test like any other round, and it
+        is certified small enough for [0, 2^-11].  (When the jump read a
+        second sum inside its round, a jumped sum at 0 skipped that test
+        and the loop read a third sum, at 36, for the same answer.)"""
         S = pow2(-40)
         asked = []
 
@@ -274,18 +276,37 @@ class TestEscalation:
             return Enclosure(S if K == 14 else max(F(0), S - slack), S + slack)
 
         got = rigor.norm_from_power_sum(sum_at, Exponent.from_rational(F(3, 2)), 10)
-        assert asked == [14, 28, 36]
+        assert asked == [14, 28]
         assert got == Enclosure(F(0), F(1, 2048))
+
+    def test_steps_count_from_the_jumped_precision(self):
+        """A jumped sum too wide for the root steps on from the K it was
+        read at: 28 + max(8, 28 - 14) = 42, where the sum is narrow enough.
+        S = 2^-40 at p = 3/2 and k = 10 jumps from 14 to 28 as above."""
+        S = pow2(-40)
+        asked = []
+
+        def sum_at(K):
+            asked.append(K)
+            return Enclosure(S, S + pow2(-14 if K == 28 else -(K + 1)))
+
+        p = Exponent.from_rational(F(3, 2))
+        got = rigor.norm_from_power_sum(sum_at, p, 10)
+        assert asked == [14, 28, 42]
+        assert got.width < pow2(-10)
+        assert got.contains(bisect_root(S * S, 3, 30).lo)
 
 
 def ref_norm_from_power_sum(sum_at, p: Exponent, k: int) -> Enclosure:
-    """norm_from_power_sum as it stood before a point sum was read once:
-    a point sum goes through the guard jump, and its second sum_at, like
-    any other."""
+    """norm_from_power_sum as it stood when a guard jump read a second sum
+    inside its round and carried the jump into every later round's K,
+    without its point-sum branch: a point sum goes through the guard jump
+    like any other."""
     p_ub = p.ub()
     step = max(8, k // 2)
     jump = 0
-    for K in rigor.escalate(k + 4, lambda _: step, 64, "norm extraction failed to converge"):
+    failure = "norm extraction failed to converge"
+    for K in rigor.escalate(k + 4, lambda K: max(step, K - k - 4), 64, failure):
         K += jump
         s = sum_at(K).clamp_nonneg()
         if s.hi == 0:
@@ -353,6 +374,34 @@ class TestPointPowerSum:
         assert asked == [k + 4]
         assert got == ref_norm_from_power_sum(lambda _K: Enclosure.point(S), p, k)
         assert got.width < pow2(-k)
+
+
+class TestGuardJump:
+    """Each round reads one sum: a guard jump ends its round, and the next
+    round runs at the jumped precision.  On sums whose slack 2^-(K+w)
+    shrinks with K, a jumped sum's lower end never falls back, so the
+    answer is the one the loop that read a second sum inside the round
+    gave, from no more sums."""
+
+    @pytest.mark.parametrize("p_name", sorted(NORM_EXPONENTS))
+    @settings(max_examples=100)
+    @given(st.fractions(F(0), F(9), max_denominator=9), st.integers(0, 300),
+           st.sampled_from([1, 2, 3]), st.integers(0, 80))
+    def test_matches_the_second_sum_loop(self, p_name, q, m, w, k):
+        p = NORM_EXPONENTS[p_name]()
+        S = q * pow2(-m)
+
+        def counted(asked):
+            def sum_at(K):
+                asked.append(K)
+                slack = pow2(-(K + w))
+                return Enclosure(max(F(0), S - slack), S + slack)
+            return sum_at
+
+        asked, ref_asked = [], []
+        got = rigor.norm_from_power_sum(counted(asked), p, k)
+        assert got == ref_norm_from_power_sum(counted(ref_asked), p, k)
+        assert len(asked) <= len(ref_asked)
 
 
 class TestOracleTrackExponent:
