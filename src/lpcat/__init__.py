@@ -8,7 +8,6 @@ isometry classifier with its p = 2 boundary.
 
 from .rigor import (
     CRat,
-    ComputablePoint,
     ComputableReal,
     ConfigError,
     Counters,

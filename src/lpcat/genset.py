@@ -329,7 +329,8 @@ def ballmap_from_disjoint_family(
         if len(alphas) > len(reps) or len(alphas) > _MAX_FAMILY:
             return None
         r = ball.radius
-        total = sum((a.abs_enclosure(4).hi for a in alphas), Fraction(0))
+        # |re| + |im| >= |a|, so total bounds sum |a| with no root taken.
+        total = sum((abs(a.re) + abs(a.im) for a in alphas), Fraction(0))
         if total == 0:
             return RationalBall((CRAT_ZERO,), 2 * r, target.label)
         k_q = max(1, ceil_log2(total / r) + 1)

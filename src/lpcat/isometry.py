@@ -22,7 +22,6 @@ from typing import Sequence, Union
 from .rigor import (
     CRat,
     CRAT_ZERO,
-    ComputablePoint,
     ConfigError,
     Enclosure,
     Exponent,
@@ -45,21 +44,20 @@ class NotUnimodular(ConfigError):
     """A descriptor scalar failed the modulus-one certificate."""
 
 
-Scalar = Union[CRat, ComputablePoint]
-
-
 @dataclass(frozen=True)
 class IsometryDescriptor:
     """Finite-range descriptor of T(e_n) = lambda_n e_{phi(n)}.
 
-    phi must be injective on its range; exact scalars must be exactly
-    unimodular (Pythagorean points, units), oracle scalars are certified
-    at a fixed check precision.  Surjectivity itself is not decidable from
-    a finite range.
+    phi must be injective on its range, and every scalar is an exact
+    rational point of modulus exactly one (a Pythagorean point or a unit),
+    so a descriptor certifies an isometry on its range; a scalar known
+    only to a precision could pass any finite check and still miss the
+    unit circle.  Surjectivity itself is not decidable from a finite
+    range.
     """
 
     phi: tuple[int, ...]
-    lambdas: tuple[Scalar, ...]
+    lambdas: tuple[CRat, ...]
 
     def __post_init__(self):
         if len(self.phi) != len(self.lambdas):
@@ -69,58 +67,34 @@ class IsometryDescriptor:
         if any(t < 0 for t in self.phi):
             raise ConfigError("phi maps into the naturals")
         for lam in self.lambdas:
-            if isinstance(lam, CRat):
-                if lam.abs2() != 1:
-                    raise NotUnimodular(f"scalar {lam} has |.|^2 = {lam.abs2()}")
-            elif isinstance(lam, ComputablePoint):
-                q = lam.approx(12)
-                if abs(q.abs2() - 1) > pow2(-9):
-                    raise NotUnimodular("oracle scalar not certified unimodular")
-            else:
-                raise TypeError("scalars are rational points or point oracles")
+            if not isinstance(lam, CRat):
+                raise TypeError(f"descriptor scalars are CRat points, not {type(lam).__name__}")
+            if lam.abs2() != 1:
+                raise NotUnimodular(f"scalar {lam} has |.|^2 = {lam.abs2()}")
 
     @property
     def size(self) -> int:
         return len(self.phi)
 
     def apply(self, v: FiniteVector) -> FiniteVector:
-        """Exact image of a finite vector; requires exact scalars and phi
-        defined on the vector's support."""
+        """Exact image of a finite vector; requires phi defined on the
+        vector's support."""
         items = []
         for i, c in v.coords:
             if i >= self.size:
                 raise ConfigError(f"descriptor does not cover index {i}")
-            lam = self.lambdas[i]
-            if not isinstance(lam, CRat):
-                raise ConfigError("exact application needs exact scalars")
-            items.append((self.phi[i], lam * c))
+            items.append((self.phi[i], self.lambdas[i] * c))
         return FiniteVector.from_items(items)
 
     def image_rep(self, n: int, genset: StandardGenSet) -> VectorRep:
-        lam = self.lambdas[n]
-        target_index = self.phi[n]
-        if isinstance(lam, CRat):
-            coeffs = [CRAT_ZERO] * target_index + [lam]
-            return exact_rep(genset, coeffs, label=f"T(e{n})")
-
-        def fn(k: int):
-            return [CRAT_ZERO] * target_index + [lam.approx(k)]
-
-        return VectorRep(genset, fn, label=f"T(e{n})")
+        coeffs = [CRAT_ZERO] * self.phi[n] + [self.lambdas[n]]
+        return exact_rep(genset, coeffs, label=f"T(e{n})")
 
     def as_json(self) -> dict:
-        lambdas = []
-        for lam in self.lambdas:
-            if not isinstance(lam, CRat):
-                raise ConfigError("only exact descriptors serialise")
-            lambdas.append(
-                [
-                    lam.re.numerator,
-                    lam.re.denominator,
-                    lam.im.numerator,
-                    lam.im.denominator,
-                ]
-            )
+        lambdas = [
+            [lam.re.numerator, lam.re.denominator, lam.im.numerator, lam.im.denominator]
+            for lam in self.lambdas
+        ]
         return {
             "schema": "lpcat.descriptor/1",
             "phi": [[n, t] for n, t in enumerate(self.phi)],

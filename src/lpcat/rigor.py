@@ -538,19 +538,9 @@ class ComputableReal(PrecisionOracle):
         return Enclosure.from_center(self.approx(k), pow2(-k))
 
     @classmethod
-    def constant(cls, q, label: str = "") -> "ComputableReal":
+    def constant(cls, q) -> "ComputableReal":
         q = cls._coerce(q)
-        return cls(lambda _k: q, label or f"const({q})")
-
-
-class ComputablePoint(PrecisionOracle):
-    """Complex analogue of ComputableReal: approx(k) returns a rational
-    point within 2^-k of the represented complex scalar."""
-
-    _coerce = staticmethod(CRat.of)
-
-    def approx(self, k: int) -> CRat:
-        return self._lookup(k)
+        return cls(lambda _k: q, f"const({q})")
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +567,8 @@ def _real_bracket(real: ComputableReal) -> Callable[[int], tuple[Fraction, Fract
 
 
 class Exponent:
-    """The norm exponent p >= 1, carried on two tracks at once: an exact
-    rational when one is known, and always a precision oracle.
+    """The norm exponent p >= 1: an exact rational when one is known,
+    and otherwise a precision oracle read through dyadic brackets.
 
     The rational fast path makes the frequent cases (p = 1, 3/2, 2, 3)
     exact wherever the arithmetic permits; the oracle track keeps every
@@ -588,12 +578,12 @@ class Exponent:
     own (values below 1 occur only there), each built once.
     """
 
-    def __init__(self, real: ComputableReal, fast: Optional[Fraction], _checked: bool = False):
-        self.real = real
-        self.fast = fast
+    def __init__(self, fast: Optional[Fraction], bracket, label: str, _checked: bool = False):
         if not _checked:
             raise ConfigError("use Exponent.from_rational or Exponent.from_real")
-        self._bracket = _real_bracket(real)
+        self.fast = fast
+        self.label = label
+        self._bracket = bracket
         self._brackets = MemoTable()
         self._views = MemoTable()
 
@@ -602,13 +592,13 @@ class Exponent:
         q = Fraction(q)
         if q < 1:
             raise ConfigError(f"exponent {q} < 1 is out of range")
-        return cls(ComputableReal.constant(q, f"p={q}"), q, _checked=True)
+        return cls(q, None, f"p={q}", _checked=True)
 
     @classmethod
     def from_real(cls, real: ComputableReal) -> "Exponent":
         if not real.approx(12) > 1 - pow2(-12):
             raise ConfigError("exponent oracle is not certified >= 1")
-        return cls(real, None, _checked=True)
+        return cls(None, _real_bracket(real), real.label, _checked=True)
 
     # -- views used by the power machinery ---------------------------------
 
@@ -635,32 +625,23 @@ class Exponent:
 
     def _view(self, name: str, f: Callable[[Fraction, Fraction], tuple]) -> "Exponent":
         """The exponent whose bracket is f(lo, hi) of this exponent's
-        memoised bracket taken one bit finer; ``half`` and ``reciprocal``
-        build each view once, in ``_views``.  Its fast value is f at the
-        point fast, and its oracle f at the point approx(k + 2): within
-        2^-k, since |1/q - 1/p| <= |q - p| / (pq) and pq > 1/2 for
-        p >= 1."""
-
-        def point(q: Fraction) -> Fraction:
-            return f(q, q)[0]
-
-        fast = None if self.fast is None else point(self.fast)
-        real = ComputableReal(
-            lambda k: point(self.real.approx(k + 2)), f"{name}[{self.real.label}]"
+        memoised bracket taken one bit finer, and whose fast value is f
+        at the point fast; ``half`` and ``reciprocal`` build each view
+        once, in ``_views``."""
+        fast = None if self.fast is None else f(self.fast, self.fast)[0]
+        return Exponent(
+            fast, lambda k: f(*self.bracket(k + 1)), f"{name}[{self.label}]", _checked=True
         )
-        view = Exponent(real, fast, _checked=True)
-        view._bracket = lambda k: f(*self.bracket(k + 1))
-        return view
 
     def __repr__(self) -> str:
         if self.fast is not None:
             return f"Exponent({self.fast})"
-        return f"Exponent(~{self.real.label})"
+        return f"Exponent(~{self.label})"
 
     def as_json(self):
         if self.fast is not None:
             return str(self.fast)
-        return {"oracle": self.real.label}
+        return {"oracle": self.label}
 
 
 # ---------------------------------------------------------------------------

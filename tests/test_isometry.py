@@ -26,7 +26,7 @@ from lpcat import (
 )
 from lpcat.genset import RationalBall, StandardGenSet, exact_rep
 from lpcat.isometry import _draw_sample, _l2_norms
-from lpcat.rigor import ComputablePoint, sqrt_real
+from lpcat.rigor import sqrt_real
 
 F = Fraction
 
@@ -68,15 +68,12 @@ class TestDescriptors:
         with pytest.raises(ConfigError):
             IsometryDescriptor((0, 0), (CRat.of(1), CRat.of(1)))
 
-    def test_oracle_scalar(self, p2):
-        u = sqrt_real(F(1, 2))
-        lam = ComputablePoint(lambda k: CRat(u.approx(k + 1), u.approx(k + 1)), "e^{i pi/4}")
-        # A point oracle has no real enclosure or rational constant.
-        assert not hasattr(lam, "enclosure") and not hasattr(lam, "constant")
-        d = IsometryDescriptor((0,), (lam,))
-        bmap = descriptor_to_ballmap(d, p2)
-        out = bmap.apply(RationalBall((CRat.of(1),), F(1, 16), "E"))
-        assert out is not None and out.radius == F(1, 8)
+    def test_rejects_inexact_scalars(self):
+        """A scalar known only to a precision is refused by type, before
+        any modulus check: no finite query certifies |lambda| = 1."""
+        for lam in (sqrt_real(F(1, 2)), F(1), 1):
+            with pytest.raises(TypeError):
+                IsometryDescriptor((0,), (lam,))
 
     def test_json_round_trip(self):
         d = IsometryDescriptor(

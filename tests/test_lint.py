@@ -43,8 +43,12 @@ Exempt are names with a leading underscore and the parameters in
 Every public name has a caller: each name ``lpcat.__init__`` exports,
 and each public method or property of a class defined in ``src/lpcat``,
 is read (as a name or an attribute) somewhere in ``src/lpcat``,
-``perfbench/`` or ``demos/``.  A name only tests read is surface the
-system does not use; give it a caller or delete it.  Exempt are dunders,
+``perfbench/`` or ``demos/``.  A type check is not a caller: a read
+inside the second argument of ``isinstance`` or ``issubclass``, inside
+a type annotation, or inside a ``Union[...]`` or ``Optional[...]``
+subscript does not count, since a class only those name is one the
+system never builds.  A name only tests read is surface the system
+does not use; give it a caller or delete it.  Exempt are dunders,
 methods that override one of a base class in ``src/lpcat`` (the caller
 reads the base's name), and the names in ``UNCALLED_EXPORTS``, each with
 its reason.
@@ -450,6 +454,28 @@ def _public_methods(classes):
                 yield cls, name
 
 
+def _type_reads(tree: ast.AST) -> set[int]:
+    """ids of the nodes that only name a type: inside the second argument
+    of isinstance or issubclass, an annotation, or a Union or Optional
+    subscript."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) == 2:
+            if isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass"):
+                roots.append(node.args[1])
+        elif isinstance(node, ast.Subscript):
+            name = node.value
+            if getattr(name, "id", getattr(name, "attr", None)) in ("Union", "Optional"):
+                roots.append(node)
+        elif isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(n) for root in roots if root is not None for n in ast.walk(root)}
+
+
 def test_every_public_name_has_a_caller():
     init = ast.parse((SRC / "__init__.py").read_text())
     exported = {
@@ -463,7 +489,11 @@ def test_every_public_name_has_a_caller():
     for path in callers:
         if path == SRC / "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        types_only = _type_reads(tree)
+        for node in ast.walk(tree):
+            if id(node) in types_only:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from lpcat import rigor
 from lpcat import (
-    ComputablePoint,
     ComputableReal,
     ConfigError,
     CRat,
@@ -424,7 +423,7 @@ class TestOracleTrackExponent:
 
     def test_half_and_reciprocal_views(self):
         """p/2 and 1/p are Exponents built once per exponent; on both
-        tracks their brackets and oracles hold the true value."""
+        tracks their brackets hold the true value."""
         inexact = Exponent.from_real(ComputableReal(lambda k: F(7, 3) - pow2(-k - 1), "p"))
         for p in (Exponent.from_rational(F(7, 3)), inexact):
             assert p.half() is p.half() and p.reciprocal() is p.reciprocal()
@@ -433,7 +432,31 @@ class TestOracleTrackExponent:
                 for k in (0, 4, 20, 60):
                     lo, hi = view.bracket(k)
                     assert lo <= value <= hi
-                    assert abs(view.real.approx(k) - value) < pow2(-k)
+
+    def test_views_build_no_oracle(self, monkeypatch):
+        """Work guard: an exponent holds no precision oracle of its own.
+        A rational exponent and its views, and the views of an oracle
+        exponent, construct no PrecisionOracle.  An Exponent that wrapped
+        a ComputableReal of its own built four for the rational exponent
+        and one per oracle view here, and nothing queried them."""
+        built = []
+        init = rigor.PrecisionOracle.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        sqrt2 = Exponent.from_real(sqrt_real(2))
+        monkeypatch.setattr(rigor.PrecisionOracle, "__init__", counted)
+        p = Exponent.from_rational(F(3, 2))
+        views = [p.half(), p.reciprocal(), p.half().reciprocal()]
+        assert [v.fast for v in views] == [F(3, 4), F(2, 3), F(4, 3)]
+        assert built == []
+        for view in (sqrt2.half(), sqrt2.reciprocal(), sqrt2.half().reciprocal()):
+            lo, hi = view.bracket(20)
+            assert lo < hi
+        assert built == []
+        assert repr(sqrt2.half()) == "Exponent(~p/2[sqrt(2)])"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -467,7 +490,7 @@ class TestBracketMemo:
     def counted_exponent(self, value: Fraction, claimed_bits: int = 4096):
         """An exponent on a decimal oracle that refuses precisions past
         claimed_bits, as ``--p oracle:<value>:<bits>`` builds it, with a
-        log of the precisions its fn was asked for."""
+        log of the precisions its fn was asked for, and the oracle."""
         asked = []
 
         def fn(k):
@@ -476,10 +499,11 @@ class TestBracketMemo:
                 raise OracleFailure(f"oracle claims {claimed_bits} bits, asked for {k}")
             return value
 
-        return Exponent.from_real(ComputableReal(fn, "counted")), asked
+        real = ComputableReal(fn, "counted")
+        return Exponent.from_real(real), asked, real
 
     def test_fn_and_rounding_once_per_precision(self, monkeypatch):
-        p, asked = self.counted_exponent(F(7, 3))
+        p, asked, real = self.counted_exponent(F(7, 3))
         rounded = []
         round_dyadic = rigor._round_dyadic
 
@@ -500,7 +524,7 @@ class TestBracketMemo:
         assert sorted(asked) == sorted(precisions | {12})
         assert sorted(rounded) == sorted(2 * list(precisions))
         for k, (lo, hi) in first.items():
-            assert (lo, hi) == rigor._real_bracket(p.real)(max(k, 4))
+            assert (lo, hi) == rigor._real_bracket(real)(max(k, 4))
             half, recip = views[k]
             lo, hi = p.bracket(max(k, 4) + 1)
             assert half == (lo / 2, hi / 2) and recip == (1 / hi, 1 / lo)
@@ -508,7 +532,7 @@ class TestBracketMemo:
     def test_failures_are_not_cached(self):
         """A bracket that raises raises again, and asks its oracle again:
         the decimal oracle past its claimed bits, and a bracket below 1."""
-        p, asked = self.counted_exponent(F(3, 2), claimed_bits=20)
+        p, asked, _ = self.counted_exponent(F(3, 2), claimed_bits=20)
         for _ in range(2):
             with pytest.raises(OracleFailure, match="claims 20 bits"):
                 p.bracket(21)
@@ -1181,12 +1205,6 @@ class TestComputableReal:
         assert enc.width == pow2(-4)
         assert enc.contains(F(1, 3))
 
-    def test_refine_exponent_fast_path(self):
-        p = Exponent.from_rational(F(3, 2))
-        enc = p.real.enclosure(8)
-        assert enc.width == pow2(-7)
-        assert enc.contains(F(3, 2))
-
     def test_consistency_up_to_64(self):
         reals = [
             ComputableReal.constant(F(1, 3)),
@@ -1211,7 +1229,6 @@ class TestComputableReal:
 
 MEMO_ORACLES = {
     "real": (ComputableReal, "approx"),
-    "point": (lambda fn: ComputablePoint(fn, "point"), "approx"),
     "vector": (
         lambda fn: VectorRep(StandardGenSet(Exponent.from_rational(2)), lambda k: [fn(k)]),
         "coefficients",

@@ -668,7 +668,8 @@ def test_long_session_stays_within_the_memo_bound(monkeypatch):
 
     def session():
         rigor._DYADIC_POW_CACHE.clear()
-        p_oracle = Exponent.from_real(sqrt_real(2))
+        sqrt2 = sqrt_real(2)
+        p_oracle = Exponent.from_real(sqrt2)
         presentations = [
             TwistedGenSet(CeSet.odds(), p) for p in (Exponent.from_rational(F(3, 2)), p_oracle)
         ]
@@ -683,7 +684,7 @@ def test_long_session_stays_within_the_memo_bound(monkeypatch):
             k = rng.randint(4, 90)
             answers += [g.norm_query(coeffs, k) for g in presentations]
             answers.append(norm_p(FiniteVector.from_items(enumerate(coeffs)), p_oracle, k))
-        tables = [rigor._DYADIC_POW_CACHE, p_oracle.real._cache]
+        tables = [rigor._DYADIC_POW_CACHE, sqrt2._cache]
         return answers, tables + [g._ucache for g in presentations]
 
     unbounded, _ = session()
