@@ -349,8 +349,6 @@ class CRat:
             return value
         if isinstance(value, (int, Fraction)):
             return cls(Fraction(value))
-        if isinstance(value, tuple) and len(value) == 2:
-            return cls(Fraction(value[0]), Fraction(value[1]))
         raise TypeError(f"cannot interpret {value!r} as a rational point")
 
     def __add__(self, other: "CRat") -> "CRat":
@@ -584,7 +582,7 @@ class Exponent:
         self.fast = fast
         self.label = label
         self._bracket = bracket
-        self._brackets = MemoTable()
+        self._brackets = MemoTable() if fast is None else None
         self._views = MemoTable()
 
     @classmethod
@@ -604,7 +602,8 @@ class Exponent:
 
     def bracket(self, k: int) -> tuple[Fraction, Fraction]:
         """Rationals lo <= value <= hi from the oracle at precision
-        at least max(k, 4); (fast, fast) on the rational track.  Each
+        at least max(k, 4); (fast, fast) on the rational track, which
+        builds no ``_brackets`` table.  On the oracle track each
         precision's bracket is computed once, in ``_brackets``; a bracket
         that raises OracleFailure is not stored, so it raises again."""
         if self.fast is not None:
@@ -801,12 +800,15 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> tuple[int, int, 
     _exp_fixed too.  e ln u is one integer product and division.
 
     The precision W is sized from tb and from mag, an upper bound on
-    log2 t**e: e (f + 1) rounded up for t > 1, -e f rounded down for t < 1.
+    log2 t**e: e (f + 1) rounded up for t > 1, -e f rounded up for t < 1.
     It is never sized from the base's bit length.  W passes tb + 2 + mag by
     guard bits for the radius, so the ends, rounded outward to the grid,
     are at most 3 units apart; a round that misses doubles the guard, on
-    escalate.  A power certified below 2^-(tb+2) is (0, 1, 2^(tb+2)),
-    with no series.
+    escalate.  _exp_fixed returns the power as 2^n times a mantissa at
+    2^-W, n = floor(z / ln 2) for z about ln t**e; mag bounds log2 t**e
+    from above, so n <= mag, and the shift to the grid, W - G - n = mag +
+    guard - n, is a right shift by at least guard >= 8 bits.  A power
+    certified below 2^-(tb+2) is (0, 1, 2^(tb+2)), with no series.
     """
     num, den = t.numerator, t.denominator
     invert = num < den
@@ -841,10 +843,7 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> tuple[int, int, 
         n, M, R = _exp_fixed(-y if invert else y, ry, W, _shift_down(l2, r2, Wl + d - W))
         lo, hi = M - R, M + R
         sh = W - G - n
-        if sh >= 0:
-            lo, hi = lo >> sh, -(-hi >> sh)
-        else:
-            lo, hi = lo << -sh, hi << -sh
+        lo, hi = lo >> sh, -(-hi >> sh)
         if hi - lo <= 3:
             return max(lo, 0), hi, 1 << G
 
@@ -1033,15 +1032,12 @@ def _pow_sum(
     of the enclosure _pow_slack gives of {t**exp : t in [x_lo, x_hi]} at K,
     added exactly: the one power-sum loop.
 
+    Each base adds _pow_slack's (lo, hi, den) on both exponent tracks.
     Each end sums integer numerators per denominator, so the floor-roots
     all add up over the one 2^(K+2), and takes one Fraction per
-    denominator.  The oracle track adds _pow_slack's (lo, hi, den); the
-    rational track routes each end as _pow_slack does, a point base (x_hi
-    is x_lo) once, but keeps each end's own denominator, as exact ends can
-    have unrelated ones.  The exponent 1 adds the bases as they are.
+    denominator.  The exponent 1 adds the bases as they are.
     """
-    e = exp.fast
-    if e == 1:
+    if exp.fast == 1:
         lo = hi = both = _ZERO
         for x_lo, x_hi in bases:
             if x_hi is x_lo:
@@ -1055,14 +1051,8 @@ def _pow_sum(
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
     for x_lo, x_hi in bases:
-        if e is None:
-            n_lo, n_hi, den = _pow_slack(x_lo, x_hi, exp, K)
-            lows[den] = lows.get(den, 0) + n_lo
-        else:
-            n_lo, n_hi, den = _pow_route(x_lo, e, K + 2)
-            lows[den] = lows.get(den, 0) + n_lo
-            if x_hi is not x_lo:
-                _, n_hi, den = _pow_route(x_hi, e, K + 2)
+        n_lo, n_hi, den = _pow_slack(x_lo, x_hi, exp, K)
+        lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
     lo = sum(map(Fraction, lows.values(), lows), _ZERO)
     return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)

@@ -178,7 +178,7 @@ class CeSet:
         maximum.  The cofinite tail keeps the enumeration total and one
         element per stage; at least one natural below the maximum must be
         missing, otherwise gamma would degenerate to 1."""
-        s = sorted(set(int(e) for e in elements))
+        s = sorted(set(strict_int(e) for e in elements))
         if not s:
             raise ConfigError("explicit set needs at least one element")
         if s[0] < 1:
@@ -206,7 +206,7 @@ class CeSet:
         spec = dict(
             self._spec,
             label=label or f"{self.label}~throttled",
-            delays=[[int(e), int(s)] for e, s in delays],
+            delays=[[strict_int(e), strict_int(s)] for e, s in delays],
         )
         if spec["kind"] == "explicit":
             spec["kind"] = "throttled"
@@ -699,12 +699,11 @@ def _inv_root_one_minus_gamma(
 def _tail_ceiling(p: Exponent, t: Fraction, K: int) -> Fraction:
     """Upper end of a certified enclosure of t**p for 0 < t < 1: pow_p at
     precision K, which adds its own guard bits for a base below 1.  As t**p
-    falls when p grows, the oracle track takes the power at a rational
-    exponent: the lower end of p's bracket at precision K // 2, or 1 if
-    that is lower, so it asks the oracle nothing finer than a root at K
-    already did."""
-    if p.fast is None:
-        p = Exponent.from_rational(max(Fraction(1), p.bracket(K // 2)[0]))
+    falls when p grows, the power is taken at a rational exponent on both
+    tracks: the lower end of p's bracket at precision K // 2, or 1 if that
+    is lower.  On the rational track that is p itself; on the oracle track
+    it asks the oracle nothing finer than a root at K already did."""
+    p = Exponent.from_rational(max(Fraction(1), p.bracket(K // 2)[0]))
     return pow_p(Enclosure.point(t), p, K).hi
 
 

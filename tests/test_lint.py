@@ -31,6 +31,13 @@ module imports it or reads it as an attribute, so a caller reads one power form 
 tracks, ``_pow_slack``'s, and never forks on the track to reach the
 router.
 
+The exponent track is tested only where a power kernel needs it: outside
+``Exponent``, ``_pow_slack`` and ``_pow_mantissas``, no ``is None`` or
+``is not None`` comparison reads ``.fast`` or a name bound from
+``.fast``.  Every other reader takes one form on both tracks, the
+bracket or ``_pow_slack``'s ends; a value test such as ``p.fast == 1``
+is not a track test.
+
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
 and not as the literal the default already is.
@@ -336,6 +343,48 @@ def test_only_rigor_imports_pow_route():
             and any(alias.name.split(".")[-1] == "_pow_route" for alias in node.names)
         ]
     assert not stray, "reads of rigor._pow_route outside rigor:\n" + "\n".join(stray)
+
+
+# Functions, with what is nested in them, that may test the exponent
+# track: the Exponent class and the two power kernels that fork on it.
+TRACK_TESTS = {"Exponent", "_pow_slack", "_pow_mantissas"}
+
+
+def _track_tests(func):
+    """Lines in func of ``is None`` / ``is not None`` comparisons whose
+    other side is a ``.fast`` attribute or a name func binds from one."""
+
+    def is_fast(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "fast"
+
+    nodes = list(_own_nodes(func))
+    bound = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign) and is_fast(node.value):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.NamedExpr) and is_fast(node.value):
+            bound.add(node.target.id)
+    for node in nodes:
+        if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+            continue
+        if not isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+            continue
+        sides = [node.left, node.comparators[0]]
+        if not any(isinstance(n, ast.Constant) and n.value is None for n in sides):
+            continue
+        if any(is_fast(n) or isinstance(n, ast.Name) and n.id in bound for n in sides):
+            yield node.lineno
+
+
+def test_only_the_power_kernels_test_the_exponent_track():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func, _ in _functions(tree):
+            if name.split(".")[0] in TRACK_TESTS:
+                continue
+            stray += [f"{path.name}:{line} {name}" for line in _track_tests(func)]
+    assert not stray, "exponent track tests outside the power kernels:\n" + "\n".join(stray)
 
 
 def _classes(trees) -> dict:

@@ -458,6 +458,31 @@ class TestOracleTrackExponent:
         assert built == []
         assert repr(sqrt2.half()) == "Exponent(~p/2[sqrt(2)])"
 
+    def test_rational_exponent_builds_no_bracket_table(self, monkeypatch):
+        """Work guard: a rational exponent and each of its views build one
+        MemoTable, the views table, and no bracket table, since ``bracket``
+        returns (fast, fast) before reading one; a bracket table in every
+        Exponent made 8 here.  An oracle exponent and its two views build
+        both tables each: 7 with the oracle's own."""
+        built = []
+        init = rigor.MemoTable.__init__
+
+        def counted(self):
+            built.append(1)
+            init(self)
+
+        monkeypatch.setattr(rigor.MemoTable, "__init__", counted)
+        p = Exponent.from_rational(F(3, 2))
+        views = [p.half(), p.reciprocal(), p.half().reciprocal()]
+        assert [v.bracket(20) for v in views] == [(F(3, 4),) * 2, (F(2, 3),) * 2, (F(4, 3),) * 2]
+        assert len(built) == 4
+        built.clear()
+        sqrt2 = Exponent.from_real(sqrt_real(2))
+        for view in (sqrt2.half(), sqrt2.reciprocal()):
+            lo, hi = view.bracket(20)
+            assert lo < hi
+        assert len(built) == 7
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             Exponent.from_rational(F(1, 2))
@@ -965,6 +990,14 @@ class TestPointPowers:
         l, h = rigor._pow_mantissas(num, num, den, Exponent.from_rational(1).half(), K)
         assert l <= m <= h
         assert (l == h) != over
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), (F(1, 2), F(1, 3))])
+def test_crat_of_takes_exact_scalars_only(value):
+    """CRat.of reads a CRat, an int or a Fraction; a float or a pair is
+    refused, not converted."""
+    with pytest.raises(TypeError):
+        CRat.of(value)
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,22 @@ class TestCeSets:
         with pytest.raises(ConfigError):
             explicit_set().with_delays([(2, 1), (5, 1)])  # stage clash
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CeSet.explicit([1.9, 3]),
+            lambda: CeSet.explicit(["5", 2]),
+            lambda: explicit_set().with_delays([(5.0, 7)]),
+            lambda: explicit_set().with_delays([(5, "7")]),
+        ],
+        ids=["explicit-float", "explicit-str", "delay-float", "delay-str"],
+    )
+    def test_builders_refuse_non_integers(self, build):
+        """An element or stage that is not an int is refused, where int()
+        would truncate 1.9 to 1 or parse "5"."""
+        with pytest.raises(ConfigError):
+            build()
+
     def test_spec_loader(self):
         ce = ce_set_from_spec({"label": "x", "kind": "odds"})
         assert ce.prefix(1) == (1, 3)
