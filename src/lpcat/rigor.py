@@ -15,17 +15,19 @@ which takes one of two routes, chosen by cost, and returns one form
 either way: integer ends over one denominator, (lo, hi, den), equal ends
 for an exact power.  The exact route is an exact integer power followed
 by an integer floor-root: nested integer square roots when b is a power
-of two, Newton iteration otherwise, and exact on perfect powers.  It is
-taken when its largest operand, bounded by ``_exact_pow_bits`` at scale
-2^-K, fits a fixed bit budget; the two ends then differ only by 2^-K on
-the one floor-root s, (s, s + 1, 2^K), so ``_pow_sum``, the one
-power-sum loop (behind ``lpspace.abs2_pow_sum`` and the twisted
-expansion route), sums the numerators of each denominator as one
-integer.
+of two, Newton iteration seeded from the root of the top bits otherwise,
+and exact on perfect powers; a dyadic base 2^-c reads its root from one
+table entry per residue of c a mod b.  It is taken when its largest
+operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
+budget; the two ends then differ only by 2^-K on the one floor-root s,
+(s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
+``lpspace.abs2_pow_sum`` and the twisted expansion route), sums the
+numerators of each denominator as one integer.
 The same floor-root, under the same budget, takes powers of integer
-ratios m / den straight to integer mantissas at scale 2^-K
-(``_pow_mantissas``), so a caller that sums such terms, the twisted
-norm, builds no Fraction per term.
+ratios m / den straight to integer mantissas at scale 2^-K, a
+power-of-two den by a shift: ``_pow_mantissas`` takes every term of a
+sum in one call, so the twisted norm makes one kernel call per sum and
+builds no Fraction per term.
 Otherwise the dyadic route computes t^e = exp(e ln t) in fixed point:
 ln t by square roots and an atanh series after splitting off the power
 of two, exp by a Taylor series after argument reduction and halving, each
@@ -144,6 +146,11 @@ def iroot(n: int, b: int) -> int:
     because floor(sqrt(floor(y))) = floor(sqrt(y)).  Any other index takes
     Newton iteration: the iterate is monotonically decreasing once above
     the root, so the first non-decrease certifies the floor root.
+    Started from 2^ceil(bits/b), Newton first shrinks by a factor of about
+    1 - 1/b per step; so past h = bits // 2b > 16 it starts from
+    (iroot(n >> bh, b) + 1) << h, an upper bound on the root, and takes
+    that inner root the same way (Brent & Zimmermann, Modern Computer
+    Arithmetic, ch. 1).
     """
     if n < 0:
         raise NegativeBase("iroot of a negative integer")
@@ -158,12 +165,21 @@ def iroot(n: int, b: int) -> int:
         return n
     if n.bit_length() <= b:
         return 1
+    # (operand, h) of every seeded level, the outermost first.
+    levels = []
+    while (h := n.bit_length() // (2 * b)) > 16:
+        levels.append((n, h))
+        n >>= b * h
     x = 1 << -((-n.bit_length()) // b)
     while True:
         y = ((b - 1) * x + n // x ** (b - 1)) // b
-        if y >= x:
+        if y < x:
+            x = y
+        elif levels:
+            n, h = levels.pop()
+            x = (x + 1) << h
+        else:
             return x
-        x = y
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -670,6 +686,9 @@ def _round_dyadic(x: Fraction, P: int, up: bool) -> Fraction:
 # exponent bracket, and each refinement of it, share the one logarithm of
 # their base.
 _DYADIC_POW_CACHE = MemoTable()
+# The exact route's roots of dyadic bases: floor(2^(K - r/b)) by (b, r, K),
+# which serves 2^(-c a/b) for every c with c a = r mod b (see _pow_route).
+_DYADIC_ROOTS = MemoTable()
 # Largest operand, in bits, the exact power route may build (see _pow_route).
 # Rational-track powers stay far below it (about 11k bits at most in the
 # tests and benchmark workloads); the Newton roots past it run to millions
@@ -903,6 +922,14 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
     scale = K if b > 1 else 0  # an integer power is built unshifted
     if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
         return _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(t, e, K))
+    if n == 1 and not d & (d - 1):
+        # t = 2^-c: with (q, r) = divmod(c a, b), the power is 2^-q when
+        # r = 0, and otherwise floor(2^(K - r/b)) >> q, one root per (b, r, K).
+        q, r = divmod((d.bit_length() - 1) * a, b)
+        if not r:
+            return 1, 1, 1 << q
+        s = _DYADIC_ROOTS.get((b, r, K), lambda: iroot(1 << (b * K - r), b) if b * K >= r else 0)
+        return s >> q, (s >> q) + 1, 1 << K
     n, d = n ** a, d ** a
     if b == 1:
         return n, n, d
@@ -1058,36 +1085,58 @@ def _pow_sum(
     return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)
 
 
-def _pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:
-    """Mantissas (l, h) at scale 2^-(K+2) with l <= 2^(K+2) t**exp <= h for
-    every t in [lo/den, hi/den], for integers 0 <= lo <= hi and den >= 1;
-    like _pow_slack, they exceed the exact image width by less than 2^-K.
+def _pow_mantissas(
+    items: Sequence[tuple[int, int, int]], exp: Exponent, K: int
+) -> list[tuple[int, int]]:
+    """For each (lo, hi, den) of items, integers 0 <= lo <= hi and den >= 1,
+    mantissas (l, h) at scale 2^-(K+2) with l <= 2^(K+2) t**exp <= h for
+    every t in [lo/den, hi/den]; like _pow_slack, they exceed the exact
+    image width by less than 2^-K.  A caller that sums many powers under
+    one exponent, the twisted norm, passes all of them in one call.
 
     Rational track, exponent a/b: each end is the exact route's floor-root
     of (m/den)^a 2^(b(K+2)), read from one integer numerator and
     denominator, so no Fraction is built; the upper end steps up one unit
-    unless the root is exact.  The oracle track, and a rational exponent
-    whose operand would pass the budget, take _pow_slack, whose ends lie
-    within 2^-(K+1) of the image, and round its integer ends outward to
-    the grid.
+    unless the root is exact.  A power-of-two den divides by a shift and a
+    mask.  The oracle track, and an item whose operand would pass the
+    budget, take _pow_slack, whose ends lie within 2^-(K+1) of the image,
+    and round its integer ends outward to the grid.
     """
     T = K + 2
+
+    def slack(lo: int, hi: int, den: int) -> tuple[int, int]:
+        l, h, d = _pow_slack(Fraction(lo, den), Fraction(hi, den), exp, K)
+        return (l << T) // d, -((-h << T) // d)
+
     e = exp.fast
-    if e is not None:
-        a, b = e.numerator, e.denominator
-        if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) <= _EXACT_POW_BUDGET:
+    if e is None:
+        return [slack(*item) for item in items]
+    a, b = e.numerator, e.denominator
+    bT = b * T
+    out = []
+    for lo, hi, den in items:
+        if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) > _EXACT_POW_BUDGET:
+            out.append(slack(lo, hi, den))
+            continue
+        if den & (den - 1):
             den_a = den ** a
-
-            def end(m: int) -> tuple[int, bool]:
-                return _floor_root(m ** a << (b * T), den_a, b)
-
-            r, exact = end(lo)
-            if lo != hi:
-                r_hi, exact = end(hi)
-                return r, r_hi if exact else r_hi + 1
-            return r, r if exact else r + 1
-    l, h, d = _pow_slack(Fraction(lo, den), Fraction(hi, den), exp, K)
-    return (l << T) // d, -((-h << T) // d)
+            h, exact = _floor_root(hi ** a << bT, den_a, b)
+            l = h if lo == hi else _floor_root(lo ** a << bT, den_a, b)[0]
+        else:
+            # den^a is 2^(bT + s): the quotient of m^a 2^bT by it is m^a
+            # shifted by s, exact when no bit is shifted out.
+            s = (den.bit_length() - 1) * a - bT
+            num = hi ** a
+            q = num >> s if s >= 0 else num << -s
+            h = iroot(q, b) if b > 1 else q
+            exact = (s <= 0 or not num & ((1 << s) - 1)) and h ** b == q
+            if lo == hi:
+                l = h
+            else:
+                q = lo ** a >> s if s >= 0 else lo ** a << -s
+                l = iroot(q, b) if b > 1 else q
+        out.append((l, h if exact else h + 1))
+    return out
 
 
 def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:

@@ -16,10 +16,12 @@ of a combination a_0 f_0 + ... + a_M f_M expands telescopically as
 
 which consults only the first M enumerated elements and never the set's
 decision procedure.  The sum runs on integer mantissas: each E_j is one
-integer quadratic in the mantissa of 2^(-c/p), a p/2 power by the exact
-route's integer floor-root (the oracle track's corner box, rounded
-outward to the grid), and directed shifts into two integer running sums,
-every step rounded outward, with one Enclosure per sum.  The independent
+integer quadratic in the mantissa of 2^(-c/p), every term's built in one
+pass; one call of rigor's mantissa kernel takes |a_0|^p and the p/2
+powers of all of them by the exact route's integer floor-roots (the
+oracle track's corner box, rounded outward to the grid); and directed
+shifts take each term into two integer running sums, every step rounded
+outward, with one Enclosure per sum.  The independent
 expansion route (``expanded_residual_norm``) also sums on integers: each
 coordinate's quadratic in u from integer numerators, by code of its own,
 u and every p/2 power in the one form rigor's powers return on both
@@ -416,70 +418,37 @@ def ce_set_from_spec(obj: dict) -> CeSet:
 
 
 # The telescoping kernel: an integer m stands for m / 2^s at a scale s
-# fixed by the precision, and every step rounds outward.
+# fixed by the precision, and every step rounds outward.  Each sum builds
+# every E_j term's quadratic in one pass, takes all their p/2 powers, and
+# |a0|^p's, in one _pow_mantissas call, and subtracts |a0|^p 2^-c per term.
 
 
-def _quad_coefficients(alpha0: CRat, alphaj: CRat) -> tuple[int, int, int, int, int]:
-    """(A, B, C, D, g): |a0 u + aj|^2 = (A u^2 + B u + C) / D in integers,
-    so A / D = |a0|^2, B / D = 2 Re(a0 conj aj) and C / D = |aj|^2, with
-    the u-precision guard g = 4 + ceil(log2(1 + |B/D| + 2A/D)), since the
-    quadratic's u-derivative is at most |b| + 2a on [0, 1].  Writing each
-    scalar as (X + iY) / d over the product d of its two denominators, and
-    g - 4 as the bit length of ceil(N / D) - 1 for N = D + |B| + 2A, needs
-    no gcd."""
+def _quad_coefficients(
+    alpha0: CRat, alphas: Sequence[CRat]
+) -> list[tuple[int, int, int, int, int]]:
+    """(A, B, C, D, g) for each aj of alphas: |a0 u + aj|^2 = (A u^2 + B u
+    + C) / D in integers, so A / D = |a0|^2, B / D = 2 Re(a0 conj aj) and
+    C / D = |aj|^2, with the u-precision guard g = 4 + ceil(log2(1 + |B/D|
+    + 2A/D)), since the quadratic's u-derivative is at most |b| + 2a on
+    [0, 1].  Writing each scalar as (X + iY) / d over the product d of its
+    two denominators, a0's once for every term, and g - 4 as the bit
+    length of ceil(N / D) - 1 for N = D + |B| + 2A, needs no gcd."""
     d0 = alpha0.re.denominator * alpha0.im.denominator
-    dj = alphaj.re.denominator * alphaj.im.denominator
     x0 = alpha0.re.numerator * alpha0.im.denominator
     y0 = alpha0.im.numerator * alpha0.re.denominator
-    xj = alphaj.re.numerator * alphaj.im.denominator
-    yj = alphaj.im.numerator * alphaj.re.denominator
-    A = (x0 * x0 + y0 * y0) * dj * dj
-    B = 2 * (x0 * xj + y0 * yj) * d0 * dj
-    C = (xj * xj + yj * yj) * d0 * d0
-    D = (d0 * dj) ** 2
-    return A, B, C, D, 4 + ((D + abs(B) + 2 * A - 1) // D).bit_length()
-
-
-def _epsilon_mantissas(
-    quad: tuple[int, int, int, int, int],
-    a_pow: tuple[int, int],
-    c: int,
-    p: Exponent,
-    K: int,
-    ucache: MemoTable,
-) -> tuple[int, int]:
-    """Mantissas at scale 2^-(K+5) of a certified E_j = |a0 u + aj|^p -
-    |a0|^p 2^-c, u = 2^(-c/p); ``quad`` is _quad_coefficients(a0, aj), and
-    ``a_pow`` is |a0|^p as mantissas at scale 2^-(K+5), shared by every
-    term of a sum.
-
-    u comes as mantissas U at scale 2^-Q; the quadratic is then one
-    integer polynomial A U^2 + B 2^Q U + C 4^Q over D 4^Q, floored for the
-    low end and ceiled for the high end at scale 2^-2Q.  Its p/2 power
-    comes from _pow_mantissas at scale 2^-(K+5), and the subtraction of
-    |a0|^p 2^-c lands on the sum's scale with one directed shift per end.
-
-    One try: the term is certified at any width, and is narrower than
-    2^-K unless the quadratic nears 0, where its p/2 power is steep.  A
-    wider term widens the sum, and ``norm_from_power_sum`` retries the
-    whole sum at a higher K.  u's precision ku is rounded up to a
-    multiple of 8, so the ``ucache`` key (c, ku) does not follow the
-    coefficients' sizes.
-    """
-    A, B, C, D, guard = quad
-    ku = -(-(K + guard) // 8) * 8
-    Q = ku + 2
-    ul, uh = ucache.get((c, ku), lambda: _pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku))
-    BQ, CQ = B << Q, C << (2 * Q)
-    if B >= 0:
-        lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
-    else:
-        lo, hi = A * ul * ul + BQ * uh, A * uh * uh + BQ * ul
-    m_lo = max((lo + CQ) // D, 0)
-    m_hi = max(-((-hi - CQ) // D), 0)
-    t_lo, t_hi = _pow_mantissas(m_lo, m_hi, 1 << (2 * Q), p.half(), K + 3)
-    ap_lo, ap_hi = a_pow
-    return ((t_lo << c) - ap_hi) >> c, -((ap_lo - (t_hi << c)) >> c)
+    a = x0 * x0 + y0 * y0
+    quads = []
+    for aj in alphas:
+        re, im = aj.re, aj.im
+        dre, dim = re.denominator, im.denominator
+        dj = dre * dim
+        xj, yj = re.numerator * dim, im.numerator * dre
+        A = a * dj * dj
+        B = 2 * (x0 * xj + y0 * yj) * d0 * dj
+        C = (xj * xj + yj * yj) * d0 * d0
+        D = (d0 * dj) ** 2
+        quads.append((A, B, C, D, 4 + ((D + abs(B) + 2 * A - 1) // D).bit_length()))
+    return quads
 
 
 class TwistedGenSet(GeneratingSet):
@@ -501,6 +470,23 @@ class TwistedGenSet(GeneratingSet):
         self._ucache = MemoTable()
 
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
+        """Certified |a_0 f_0 + ... + a_m f_m| from the telescoping sum.
+
+        Each sum runs at scale 2^-(per+5).  A term E_j = |a0 u + aj|^p -
+        |a0|^p 2^-c, u = 2^(-c/p), reads u as mantissas U at scale 2^-Q;
+        its quadratic is then one integer polynomial A U^2 + B 2^Q U + C 4^Q
+        over D 4^Q, floored for the low end and ceiled for the high end at
+        scale 2^-2Q.  One _pow_mantissas call takes |a0|^p and every
+        quadratic's p/2 power, and the subtraction of |a0|^p 2^-c lands on
+        the sum's scale with one directed shift per end.
+
+        One try per term: a term is certified at any width, and is narrower
+        than 2^-per unless its quadratic nears 0, where the p/2 power is
+        steep.  A wider term widens the sum, and ``norm_from_power_sum``
+        retries the whole sum at a higher K.  u's precision ku is rounded
+        up to a multiple of 8, so the ``_ucache`` key (c, ku) does not
+        follow the coefficients' sizes.
+        """
         cs = tuple(CRat.of(c) for c in coeffs)
         if not cs or all(c.is_zero for c in cs):
             return Enclosure.point(0)
@@ -508,18 +494,31 @@ class TwistedGenSet(GeneratingSet):
         c_list = self._enum.prefix(m - 1) if m >= 1 else ()
         a0 = cs[0]
         a = a0.abs2()
-        half = self.p.half()
-        terms = [(_quad_coefficients(a0, cs[j]), c_list[j - 1]) for j in range(1, m + 1)]
+        quads = _quad_coefficients(a0, cs[1:])
+        half, inverse = self.p.half(), self.p.reciprocal()
+        ucache = self._ucache
 
         def sum_at(K: int) -> Enclosure:
-            # |a0|^p and every E_j at scale 2^-(per+5), summed as two integers.
             per = K + ceil_log2(Fraction(m + 2))
-            a_pow = _pow_mantissas(a.numerator, a.numerator, a.denominator, half, per + 3)
-            lo, hi = a_pow
-            for quad, c in terms:
-                e_lo, e_hi = _epsilon_mantissas(quad, a_pow, c, self.p, per, self._ucache)
-                lo += e_lo
-                hi += e_hi
+            bases = [(a.numerator, a.numerator, a.denominator)]
+            for (A, B, C, D, guard), c in zip(quads, c_list):
+                ku = -(-(per + guard) // 8) * 8
+                Q = ku + 2
+                ul, uh = ucache.get(
+                    (c, ku), lambda: _pow_mantissas([(1, 1, 1 << c)], inverse, ku)[0]
+                )
+                BQ, CQ = B << Q, C << (2 * Q)
+                if B >= 0:
+                    lo, hi = (A * ul + BQ) * ul, (A * uh + BQ) * uh
+                else:
+                    lo, hi = A * ul * ul + BQ * uh, A * uh * uh + BQ * ul
+                bases.append((max((lo + CQ) // D, 0), max(-((-hi - CQ) // D), 0), 1 << (2 * Q)))
+            (ap_lo, ap_hi), *powers = _pow_mantissas(bases, half, per + 3)
+            lo, hi = ap_lo, ap_hi
+            # E_j's ends ((t_lo << c) - ap_hi) >> c and -((ap_lo - (t_hi << c)) >> c).
+            for (t_lo, t_hi), c in zip(powers, c_list):
+                lo += t_lo + (-ap_hi >> c)
+                hi += t_hi - (ap_lo >> c)
             scale = 1 << (per + 5)
             return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 

@@ -156,6 +156,28 @@ class TestIntegerRoots:
         assert r ** b <= n < (r + 1) ** b
         assert r == newton_iroot(n, b)
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 193),
+        st.integers(1, 40_000),
+        st.integers(0, 2**32),
+        st.sampled_from(["drawn", "onto", "below"]),
+    )
+    def test_seeded_newton_floor_property(self, b, bits, seed, where):
+        """Past h = bits // 2b > 16, Newton starts from the root of n's top
+        bits; the floor property holds for b up to 193 and n up to 40,000
+        bits, also for n moved onto a perfect power r^b and just below it,
+        where an off-by-one shows."""
+        rng = random.Random(seed)
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        if where != "drawn":
+            root = max(1, rng.getrandbits(max(1, bits // b)))
+            n = root ** b - (where == "below")
+        r = iroot(n, b)
+        assert r ** b <= n < (r + 1) ** b
+        if where == "onto":
+            assert r == root
+
 
 class TestPowRoot:
     def test_p1_identity(self, p1):
@@ -987,9 +1009,69 @@ class TestPointPowers:
         m = rng.getrandbits(2 * half_bits) | 1 << (2 * half_bits - 1) | 1
         num, den = m * m, 1 << (2 * T)
         assert (exact_bits(F(num, den), e, T) > rigor._EXACT_POW_BUDGET) == over
-        l, h = rigor._pow_mantissas(num, num, den, Exponent.from_rational(1).half(), K)
+        ((l, h),) = rigor._pow_mantissas([(num, num, den)], Exponent.from_rational(1).half(), K)
         assert l <= m <= h
         assert (l == h) != over
+
+
+def ref_dyadic_route(c: int, e: F, K: int) -> tuple[int, int, int]:
+    """The exact route of 2^-c under e = a/b as _pow_route took it before
+    dyadic bases took one root per residue: the perfect-power test on
+    d^a = 2^(c a), then the floor-root of 2^(bK) / d^a, each by the
+    independent newton_iroot."""
+    a, b = e.numerator, e.denominator
+    d = 1 << (c * a)
+    if b == 1:
+        return 1, 1, d
+    rd = newton_iroot(d, b)
+    if rd ** b == d:
+        return 1, 1, rd
+    s = newton_iroot((1 << (b * K)) // d, b)
+    return s, s + 1, 1 << K
+
+
+@st.composite
+def dyadic_powers(draw):
+    """(c, e, K) with c <= 4000, e = a/b for b <= 193 and K <= 2000, c and
+    K cut down to the exact route's budget; some with b | c a, where the
+    power is exact, and some with a small K, where bK < r."""
+    budget = rigor._EXACT_POW_BUDGET
+    b = draw(st.integers(1, 193))
+    e = F(draw(st.integers(1, min(400, budget // (4 * b)))), b)
+    a, b = e.numerator, e.denominator
+    K = draw(st.integers(0, 3) | st.integers(0, 2000))
+    while rigor._exact_pow_bits(1, 2, e, K if b > 1 else 0) > budget:
+        K //= 2
+    c_max = 1
+    while c_max < 4000 and rigor._exact_pow_bits(1, c_max + 2, e, K if b > 1 else 0) <= budget:
+        c_max += 1
+    c = draw(st.integers(1, c_max))
+    if not draw(st.integers(0, 3)) and b <= c_max:
+        c -= c % b
+    return c, e, K
+
+
+class TestDyadicBaseRoots:
+    """_pow_route on t = 2^-c takes (q, r) = divmod(c a, b): exact when
+    r = 0, else floor(2^(K - r/b)) >> q from one root per (b, r, K)."""
+
+    @settings(max_examples=150)
+    @given(dyadic_powers())
+    def test_equals_the_perfect_power_route(self, case):
+        c, e, K = case
+        t = F(1, 1 << c)
+        assert exact_bits(t, e, K if e.denominator > 1 else 0) <= rigor._EXACT_POW_BUDGET
+        assert rigor._pow_route(t, e, K) == ref_dyadic_route(c, e, K)
+
+    def test_residue_cases(self):
+        """b | c a gives the exact power; bK < r gives the floor 0; a root
+        of the table serves every c of its residue."""
+        e = F(1, 39)
+        assert rigor._pow_route(F(1, 1 << 78), e, 50) == (1, 1, 4)
+        assert rigor._pow_route(F(1, 1 << 5), e, 0) == (0, 1, 1)
+        for c in (5, 44, 83):
+            assert rigor._pow_route(F(1, 1 << c), e, 60) == ref_dyadic_route(c, e, 60)
+        assert (39, 5, 60) in rigor._DYADIC_ROOTS
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), (F(1, 2), F(1, 3))])
@@ -1047,7 +1129,7 @@ class TestMantissaPowers:
                 p = Exponent.from_rational(q)
             return p.reciprocal() if e < 1 else p
 
-        l, h = rigor._pow_mantissas(lo, hi, den, exponent(False), K)
+        ((l, h),) = rigor._pow_mantissas([(lo, hi, den)], exponent(False), K)
         # l <= 2^T (lo/den)^e and h >= 2^T (hi/den)^e, and the rational
         # track is tight: within one unit of either end.
         assert l ** b * den ** a <= lo ** a << (T * b) < (l + 1) ** b * den ** a
@@ -1055,11 +1137,14 @@ class TestMantissaPowers:
         assert h == 0 or (h - 1) ** b * den ** a < hi ** a << (T * b)
         if not oracle:
             return
-        ol, oh = rigor._pow_mantissas(lo, hi, den, exponent(True), K)
+        ((ol, oh),) = rigor._pow_mantissas([(lo, hi, den)], exponent(True), K)
         assert ol <= l and h <= oh
-        # The exact image spans more than h - l - 2 units, and the slack
-        # allowed is 2^-K, which is 4 units.
-        assert oh - ol < max(h - l - 2, 0) + 4
+        # The slack allowed is 2^-K, which is 4 units, over the exact image
+        # width W.  W lies in (h - l - 2, h - l], and equals h - l on exact
+        # ends ([2, 3] at e = 1, K = 0: 4 units, and the oracle box spans 6),
+        # so W is bounded from above 10 bits finer on the rational track.
+        ((l10, h10),) = rigor._pow_mantissas([(lo, hi, den)], exponent(False), K + 10)
+        assert (oh - ol) << 10 < h10 - l10 + (4 << 10)
 
     def test_integer_power_counts_its_shift(self, monkeypatch):
         """At p = 2 the mantissa power is m^1 << (K + 2) over den: the
@@ -1079,9 +1164,107 @@ class TestMantissaPowers:
         rng = random.Random(30)
         for bits in (rigor._EXACT_POW_BUDGET - T, rigor._EXACT_POW_BUDGET):
             m = rng.getrandbits(bits) | 1 << (bits - 1)
-            l, h = rigor._pow_mantissas(m, m, 3, half, K)
+            ((l, h),) = rigor._pow_mantissas([(m, m, 3)], half, K)
             assert 3 * l <= m << T <= 3 * h
         assert operands == [rigor._EXACT_POW_BUDGET]
+
+
+def ref_pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tuple[int, int]:
+    """The mantissa power of one item [lo/den, hi/den], as _pow_mantissas
+    took it before it took every item of a sum in one call; kept as the
+    reference for that kernel."""
+    T = K + 2
+    e = exp.fast
+    if e is not None:
+        a, b = e.numerator, e.denominator
+        if rigor._exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) <= rigor._EXACT_POW_BUDGET:
+            den_a = den ** a
+
+            def end(m: int) -> tuple[int, bool]:
+                return rigor._floor_root(m ** a << (b * T), den_a, b)
+
+            r, exact = end(lo)
+            if lo != hi:
+                r_hi, exact = end(hi)
+                return r, r_hi if exact else r_hi + 1
+            return r, r if exact else r + 1
+    l, h, d = rigor._pow_slack(F(lo, den), F(hi, den), exp, K)
+    return (l << T) // d, -((-h << T) // d)
+
+
+# The exponents of the twisted norm's powers (p/2 at p = 1, 3/2 and 2, and
+# 1/p at p = 3/2), 7/6, and p = 3/2 on the oracle track.
+KERNEL_EXPONENTS = {
+    "1/2": Exponent.from_rational(1).half(),
+    "3/4": Exponent.from_rational(F(3, 2)).half(),
+    "1": Exponent.from_rational(2).half(),
+    "2/3": Exponent.from_rational(F(3, 2)).reciprocal(),
+    "7/6": Exponent.from_rational(F(7, 6)),
+    "oracle 3/2": Exponent.from_real(ComputableReal.constant(F(3, 2))),
+}
+
+
+@st.composite
+def kernel_items(draw, e, K):
+    """(lo, hi, den) for the mantissa kernel at exponent e and scale
+    2^-(K+2): small items, or, for a rational e, items whose operand bound
+    lies within a few bits of _EXACT_POW_BUDGET on either side, with hi and
+    den of about one size so that the dyadic route past it stays cheap.
+    Dens are powers of two, the form of every twisted-norm E_j term, or
+    not."""
+    pow2_den = draw(st.booleans())
+    if e is None or draw(st.booleans()):
+        den = 1 << draw(st.integers(0, 300)) if pow2_den else draw(st.integers(1, 1 << 200))
+        lo = draw(st.integers(0, 1 << 400))
+        return lo, lo + draw(st.integers(0, 1) | st.integers(0, 1 << 300)), den
+    a, b, T, budget = e.numerator, e.denominator, K + 2, rigor._EXACT_POW_BUDGET
+    if b == 1:
+        db = hb = (budget - T) // a
+    else:
+        db = (budget - b * T) // (a * b)
+        hb = (budget - (b - 1) * a * db - b * T) // a
+    hb += draw(st.integers(-2, 3))
+    # Drawn from a seed: hypothesis draws no integer of thousands of bits.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    den = 1 << (db - 1) if pow2_den else rng.getrandbits(db) | 1 << (db - 1)
+    hi = rng.getrandbits(hb) | 1 << (hb - 1)
+    return hi - draw(st.integers(0, 1) | st.integers(0, 1 << 64)), hi, den
+
+
+class TestMantissaKernel:
+    """_pow_mantissas takes a sum's items in one call and equals the
+    per-item kernel it replaced, item by item."""
+
+    @settings(max_examples=80)
+    @given(st.data(), st.sampled_from(sorted(KERNEL_EXPONENTS)), st.integers(0, 80))
+    def test_batch_equals_per_item_reference(self, data, name, K):
+        exp = KERNEL_EXPONENTS[name]
+        items = data.draw(st.lists(kernel_items(exp.fast, K), min_size=1, max_size=5))
+        got = rigor._pow_mantissas(items, exp, K)
+        assert got == [ref_pow_mantissas(*item, exp, K) for item in items]
+
+    @pytest.mark.parametrize("name", [n for n in sorted(KERNEL_EXPONENTS) if "oracle" not in n])
+    def test_both_sides_of_the_budget_in_one_call(self, name):
+        """Items at the budget and one bit past it, over a power-of-two den
+        and over an odd one, in one call: each takes its own route."""
+        exp, K = KERNEL_EXPONENTS[name], 40
+        e, T, budget = exp.fast, K + 2, rigor._EXACT_POW_BUDGET
+        rng = random.Random(name)
+        items = []
+        for over in range(3):
+            for pow2_den in (False, True):
+                db = 300 if e.denominator == 1 else (budget - e.denominator * T) // (e.numerator * e.denominator)
+                den = 1 << db if pow2_den else rng.getrandbits(db) | 1 << db | 1
+                hb = 1
+                while rigor._exact_pow_bits(hb + 1, den.bit_length(), e, T) <= budget:
+                    hb += 1
+                hi = rng.getrandbits(hb + over) | 1 << (hb + over - 1)
+                items.append((hi - rng.getrandbits(32), hi, den))
+        sides = [rigor._exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) > budget
+                 for _, hi, den in items]
+        assert sides == [False, False, True, True, True, True]
+        got = rigor._pow_mantissas(items, exp, K)
+        assert got == [ref_pow_mantissas(*item, exp, K) for item in items]
 
 
 def ref_pow_slack(x: Enclosure, exp: Exponent, K: int) -> Enclosure:

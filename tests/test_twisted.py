@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lpcat import rigor
 from lpcat import (
@@ -49,11 +49,9 @@ from lpcat import (
 )
 from lpcat import twisted
 from lpcat.cli import main, parse_p
-from lpcat.rigor import CRAT_ZERO, ComputableReal, MemoTable, ceil_log2, norm_from_power_sum, root_p
+from lpcat.rigor import CRAT_ZERO, ComputableReal, ceil_log2, norm_from_power_sum, root_p
 from lpcat.twisted import (
     _decide_bits,
-    _epsilon_mantissas,
-    _quad_coefficients,
     _quad_ends,
     _residual_quads,
 )
@@ -416,14 +414,41 @@ class TestGammaReal:
             assert (tail.lo, tail.hi) == (max(q - left, F(0)), hi)
 
 
+def telescoping_sum_at(presentation: TwistedGenSet, coeffs):
+    """The sum_at that presentation.norm_enclosure(coeffs, ...) hands to
+    norm_from_power_sum."""
+    real = twisted.norm_from_power_sum
+    twisted.norm_from_power_sum = lambda sum_at, p, k: sum_at
+    try:
+        return presentation.norm_enclosure(coeffs, 0)
+    finally:
+        twisted.norm_from_power_sum = real
+
+
+def epsilon_mantissas(alpha0: CRat, alphaj: CRat, c: int, presentation: TwistedGenSet, K: int):
+    """Mantissas at scale 2^-(K+5) of E_1 = |a0 u + aj|^p - |a0|^p 2^-c,
+    u = 2^(-c/p), as TwistedGenSet.norm_enclosure's sum computes the term
+    at per = K: the two-term sum on a set enumerated from c, less |a0|^p
+    from the same kernel.  For m = 1, per is the sum's K plus 2."""
+    assert presentation.ce.element_at(0) == c
+    s = telescoping_sum_at(presentation, [alpha0, alphaj])(K - 2)
+    a = alpha0.abs2()
+    ((ap_lo, ap_hi),) = rigor._pow_mantissas(
+        [(a.numerator, a.numerator, a.denominator)], presentation.p.half(), K + 3
+    )
+    scale = 1 << (K + 5)
+    return int(s.lo * scale) - ap_lo, int(s.hi * scale) - ap_hi
+
+
+def twisted_from(c: int, p: Exponent) -> TwistedGenSet:
+    """A presentation whose first enumerated element is c."""
+    return TwistedGenSet(CeSet.explicit([c, c + 2]), p)
+
+
 def epsilon_term(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     """The j-th correction term of the telescoping norm identity at 2^-k,
-    from _epsilon_mantissas as TwistedGenSet.norm_enclosure calls it."""
-    alpha0, alphaj = CRat.of(alpha0), CRat.of(alphaj)
-    a = alpha0.abs2()
-    a_pow = rigor._pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), k + 3)
-    quad = _quad_coefficients(alpha0, alphaj)
-    lo, hi = _epsilon_mantissas(quad, a_pow, c, p, k, MemoTable())
+    as TwistedGenSet.norm_enclosure's sum computes it."""
+    lo, hi = epsilon_mantissas(CRat.of(alpha0), CRat.of(alphaj), c, twisted_from(c, p), k)
     return Enclosure(F(lo, 1 << (k + 5)), F(hi, 1 << (k + 5)))
 
 
@@ -570,14 +595,16 @@ class TestEpsilonKernel:
     @example(CRat(1), CRat(F(-6299605249, 10**10)), 1, 130, "3/2")
     @example(CRat(1), CRat(F(-6299605249, 10**10)), 1, 130, "oracle 3/2")
     def test_mantissa_kernel_against_fraction_route(self, alpha0, alphaj, c, K, name):
-        """Both tracks: the integer-mantissa term meets the Fraction
-        reference.  Rational track: on the u the kernel read, it contains
-        the reference."""
+        """Both tracks: the integer-mantissa term, as the telescoping sum
+        computes it, meets the Fraction reference.  Rational track: on the
+        u the sum read, it contains the reference.  An all-zero pair
+        computes no term."""
+        assume(not (alpha0.is_zero and alphaj.is_zero))
         p = KERNEL_EXPONENTS[name]
         a = alpha0.abs2()
-        a_pow = rigor._pow_mantissas(a.numerator, a.numerator, a.denominator, p.half(), K + 3)
-        ucache = MemoTable()
-        lo, hi = _epsilon_mantissas(_quad_coefficients(alpha0, alphaj), a_pow, c, p, K, ucache)
+        presentation = twisted_from(c, p)
+        lo, hi = epsilon_mantissas(alpha0, alphaj, c, presentation, K)
+        ucache = presentation._ucache
         ours = Enclosure(F(lo, 1 << (K + 5)), F(hi, 1 << (K + 5)))
 
         def own_u(ku):
@@ -591,11 +618,47 @@ class TestEpsilonKernel:
         def kernel_u(ku):
             ku = -(-ku // 8) * 8
             assert (c, ku) in ucache
-            ul, uh = rigor._pow_mantissas(1, 1, 1 << c, p.reciprocal(), ku)
+            ((ul, uh),) = rigor._pow_mantissas([(1, 1, 1 << c)], p.reciprocal(), ku)
             return Enclosure(F(ul, 1 << (ku + 2)), F(uh, 1 << (ku + 2)))
 
         ref = reference_epsilon(alpha0, a, alphaj, c, p, K, kernel_u)
         assert ours.lo <= ref.lo and ref.hi <= ours.hi, (ours, ref)
+
+
+@pytest.mark.parametrize("p", [F(1), F(3, 2), F(2)], ids=["1", "3/2", "2"])
+def test_warm_norm_kernel_calls_do_not_grow_with_m(monkeypatch, p):
+    """Work guard, free of timing noise: a warm k = 30 telescoping norm
+    query calls the power kernel once per sum it reads, at m = 8 and at
+    m = 64 alike.  A sum that called it once per term made m calls."""
+    kernel, norm_from_sum = twisted._pow_mantissas, twisted.norm_from_power_sum
+    counts = {}
+
+    def kernel_counted(items, exp, K):
+        counts["kernel"] += 1
+        return kernel(items, exp, K)
+
+    def sums_counted(sum_at, q, k):
+        def counted(K):
+            counts["sums"] += 1
+            return sum_at(K)
+
+        return norm_from_sum(counted, q, k)
+
+    for m in (8, 64):
+        presentation = TwistedGenSet(CeSet.odds(), Exponent.from_rational(p))
+        rng = random.Random(7)
+
+        def rat():
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+        coeffs = [CRat(rat(), rat()) for _ in range(m)]
+        presentation.norm_enclosure(coeffs, 30)
+        counts.update(kernel=0, sums=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(twisted, "_pow_mantissas", kernel_counted)
+            patch.setattr(twisted, "norm_from_power_sum", sums_counted)
+            presentation.norm_enclosure(coeffs, 30)
+        assert 1 <= counts["kernel"] == counts["sums"] <= 3, (m, counts)
 
 
 @pytest.mark.parametrize("p, before", [(F(1), 508), (F(3, 2), 513), (F(2), 4)])
