@@ -43,6 +43,10 @@ oracle; the general track brackets the exponent by dyadics at 2^-k
 refining the bracket until they fall under the width asked for.  The
 power of an interval, ``_pow_slack``, answers in the routed form on both
 tracks, which ``pow_p`` and ``root_p`` read (``Enclosure.from_ends``).
+It takes every base of a sum in one call: on the oracle track one
+bracket escalation serves them all, reading the bracket once per round
+and the corner gaps of each distinct base once per round until it
+passes.
 
 Precision bookkeeping convention: an operation asked for precision k
 returns an enclosure that exceeds the width of the exact image of its
@@ -979,7 +983,8 @@ def _exp_gap(
 def _gap_terms(t: Fraction) -> tuple[bool, int, int]:
     """(t < 1, f, l) for a power base t > 0, t != 1, and u = max(t, 1/t):
     f = floor(log2 u) and 2^l <= ln u, all from integer bit lengths.  They
-    are what _gap_must_fail reads of t, taken once per _pow_slack call."""
+    are what _gap_must_fail reads of t, taken once per distinct base of a
+    _pow_slack call."""
     below = t < 1
     n, d = (t.denominator, t.numerator) if below else (t.numerator, t.denominator)
     f = _log2_floor(n, d)
@@ -988,22 +993,27 @@ def _gap_terms(t: Fraction) -> tuple[bool, int, int]:
     return below, f, ln_bits
 
 
-def _gap_must_fail(
-    terms: list[tuple[bool, int, int]], e_lo: Fraction, e_hi: Fraction, K: int
-) -> bool:
-    """Whether the bracket [e_lo, e_hi] certifies a true corner gap
-    g >= 2^-(K+1) at some endpoint whose _gap_terms are in terms; then
-    _exp_gap at K + 3 reads at least 2^-(K+2), and _pow_slack's round at K
-    must fail.
+def _gap_bits(e_lo: Fraction, e_hi: Fraction, K: int) -> int:
+    """floor(log2(e_hi - e_lo)) + K + 1 for a bracket e_lo < e_hi: what
+    _gap_must_fail reads of a round's bracket width at K, taken once per
+    round for every base of the round; the one Fraction built is the
+    width."""
+    width = e_hi - e_lo
+    return _log2_floor(width.numerator, width.denominator) + K + 1
+
+
+def _gap_must_fail(terms: list[tuple[bool, int, int]], bits: int, e_hi: Fraction) -> bool:
+    """Whether the bracket [e_lo, e_hi], bits = _gap_bits(e_lo, e_hi, K),
+    certifies a true corner gap g >= 2^-(K+1) at some endpoint whose
+    _gap_terms are in terms; then _exp_gap at K + 3 reads at least
+    2^-(K+2), and the base cannot pass _pow_slack's round at K.
 
     By the mean value theorem g = t**xi ln(u) (e_hi - e_lo) for some xi in
     the bracket.  t**xi >= 1 for t > 1, as e_lo > 0 in every bracket, and
     t**xi >= u**-e_hi >= 2^-ceil(e_hi (f + 1)) for t < 1.  Each factor is
-    bounded below by a power of two from integer bit lengths; the one
-    Fraction built is e_hi - e_lo, and e_lo < e_hi in every bracket.
+    bounded below by a power of two from integer bit lengths, so the test
+    builds no Fraction.
     """
-    width = e_hi - e_lo
-    bits = _log2_floor(width.numerator, width.denominator) + K + 1
     for below, f, ln_bits in terms:
         if below:
             ln_bits += e_hi.numerator * (f + 1) // -e_hi.denominator
@@ -1013,43 +1023,81 @@ def _gap_must_fail(
 
 
 def _pow_slack(
-    x_lo: Fraction, x_hi: Fraction, exp: Exponent, K: int
-) -> tuple[int, int, int]:
-    """An enclosure of {t**exp : t in [x_lo, x_hi]} exceeding the exact
-    image width by less than 2^-K, on both tracks in _pow_route's form:
-    integers (lo, hi, den) with ends lo / den and hi / den.
+    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
+) -> list[tuple[int, int, int]]:
+    """For each base [x_lo, x_hi] of bases, an enclosure of {t**exp : t in
+    [x_lo, x_hi]} exceeding the exact image width by less than 2^-K, on
+    both tracks in _pow_route's form: integers (lo, hi, den) with ends
+    lo / den and hi / den.  A caller that takes many powers under one
+    exponent, a power sum, passes every base in one call.
 
-    Rational track: direct directed rounding at K + 2 (guard g = 2).
-    t**e is increasing in t, so the lower end of x_lo**e and the upper end
-    of x_hi**e bound the image, put over one denominator; when x_hi is
-    x_lo, both come from its one _pow_route result.
-    Oracle track: the exponent bracket is refined from precision
-    max(6, K // 2) in steps of max(8, K // 2) until the corner gaps
-    _exp_gap reads at K + 3 fall under 2^-(K+2), which leaves each true
-    corner gap below 2^-(K+1).  A round whose bracket _gap_must_fail
-    certifies a true gap of at least 2^-(K+1) cannot pass, so its corner
-    powers are never computed; every round that runs, and the bracket
-    taken, are those of the unskipped loop.  The passing round's box is
-    built from the corner powers its gaps were read from.
+    Rational track: direct directed rounding at K + 2 (guard g = 2), one
+    base at a time.  t**e is increasing in t, so the lower end of x_lo**e
+    and the upper end of x_hi**e bound the image, put over one
+    denominator; when x_hi is x_lo, both come from its one _pow_route
+    result.
+    Oracle track: one escalation for every base.  The exponent bracket is
+    refined from precision max(6, K // 2) in steps of max(8, K // 2), read
+    once per round, until each base's corner gaps, which _exp_gap reads at
+    K + 3, fall under 2^-(K+2); that leaves each true corner gap below
+    2^-(K+1).  A base passes in the first round that certifies it and
+    leaves the round loop; the loop ends when no base is left.  Equal
+    bases, keyed by their integer numerators and denominators, share one
+    box.  A round whose bracket _gap_must_fail certifies a true gap of at
+    least 2^-(K+1) at a base cannot pass it, so its corner powers are
+    never computed.  The schedule does not depend on the base, so every
+    base passes in the round, and gets the box, of the unskipped loop on
+    that base alone.  The passing round's box is built from the corner
+    powers its gaps were read from.
     """
-    if x_lo.numerator < 0:
-        raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
     e = exp.fast
     if e is not None:
-        lo, hi, den = _pow_route(x_lo, e, K + 2)
-        if x_hi is x_lo:
-            return lo, hi, den
-        _, hi, d = _pow_route(x_hi, e, K + 2)
-        return (lo, hi, den) if d == den else (lo * d, hi * den, den * d)
-    ends = (x_lo,) if x_lo == x_hi else (x_lo, x_hi)
-    terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
+        out = []
+        for x_lo, x_hi in bases:
+            if x_lo.numerator < 0:
+                raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
+            lo, hi, den = _pow_route(x_lo, e, K + 2)
+            if x_hi is not x_lo:
+                _, hi, d = _pow_route(x_hi, e, K + 2)
+                if d != den:
+                    lo, hi, den = lo * d, hi * den, den * d
+            out.append((lo, hi, den))
+        return out
+    # Each distinct base once, as (slot, x_lo, x_hi, its _gap_terms); a
+    # Fraction hash costs more than the four integers of its key.
+    slots: dict[tuple[int, int, int, int], int] = {}
+    index = []
+    pending = []
+    for x_lo, x_hi in bases:
+        if x_lo.numerator < 0:
+            raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
+        key = (x_lo.numerator, x_lo.denominator, x_hi.numerator, x_hi.denominator)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(pending)
+            ends = (x_lo,) if x_lo == x_hi else (x_lo, x_hi)
+            terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
+            pending.append((slot, x_lo, x_hi, terms))
+        index.append(slot)
+    if not pending:
+        return []
+    boxes: list = [None] * len(pending)
     step = max(8, K // 2)
     for kp in escalate(max(6, K // 2), lambda _: step, 64, "exponent bracket failed to converge"):
         e_lo, e_hi = exp.bracket(kp)
-        if not _gap_must_fail(terms, e_lo, e_hi, K):
-            box = _exp_gap(x_lo, x_hi, e_lo, e_hi, K + 3)
-            if box is not None:
-                return box
+        bits = _gap_bits(e_lo, e_hi, K)
+        waiting = []
+        for base in pending:
+            slot, x_lo, x_hi, terms = base
+            if not _gap_must_fail(terms, bits, e_hi):
+                box = _exp_gap(x_lo, x_hi, e_lo, e_hi, K + 3)
+                if box is not None:
+                    boxes[slot] = box
+                    continue
+            waiting.append(base)
+        if not waiting:
+            return [boxes[slot] for slot in index]
+        pending = waiting
 
 
 def _pow_sum(
@@ -1059,10 +1107,11 @@ def _pow_sum(
     of the enclosure _pow_slack gives of {t**exp : t in [x_lo, x_hi]} at K,
     added exactly: the one power-sum loop.
 
-    Each base adds _pow_slack's (lo, hi, den) on both exponent tracks.
-    Each end sums integer numerators per denominator, so the floor-roots
-    all add up over the one 2^(K+2), and takes one Fraction per
-    denominator.  The exponent 1 adds the bases as they are.
+    One _pow_slack call takes every base, on both exponent tracks, so an
+    oracle-track sum runs one bracket escalation.  Each end sums integer
+    numerators per denominator, so the floor-roots all add up over the one
+    2^(K+2), and takes one Fraction per denominator.  The exponent 1 adds
+    the bases as they are.
     """
     if exp.fast == 1:
         lo = hi = both = _ZERO
@@ -1077,8 +1126,7 @@ def _pow_sum(
         return (both + lo if lo else both), (both + hi if hi else both)
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
-    for x_lo, x_hi in bases:
-        n_lo, n_hi, den = _pow_slack(x_lo, x_hi, exp, K)
+    for n_lo, n_hi, den in _pow_slack(bases, exp, K):
         lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
     lo = sum(map(Fraction, lows.values(), lows), _ZERO)
@@ -1098,25 +1146,32 @@ def _pow_mantissas(
     of (m/den)^a 2^(b(K+2)), read from one integer numerator and
     denominator, so no Fraction is built; the upper end steps up one unit
     unless the root is exact.  A power-of-two den divides by a shift and a
-    mask.  The oracle track, and an item whose operand would pass the
-    budget, take _pow_slack, whose ends lie within 2^-(K+1) of the image,
-    and round its integer ends outward to the grid.
+    mask.  An item whose operand would pass the budget takes _pow_slack.
+    The oracle track makes one _pow_slack call for the whole sum, with one
+    base per distinct item, the only items it builds Fractions for.
+    _pow_slack's ends lie within 2^-(K+1) of the image, and each is
+    rounded outward to the grid.
     """
     T = K + 2
 
-    def slack(lo: int, hi: int, den: int) -> tuple[int, int]:
-        l, h, d = _pow_slack(Fraction(lo, den), Fraction(hi, den), exp, K)
-        return (l << T) // d, -((-h << T) // d)
+    def slack(items: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        bases = []
+        for lo, hi, den in items:
+            x = Fraction(lo, den)
+            bases.append((x, x if lo == hi else Fraction(hi, den)))
+        return [((l << T) // d, -((-h << T) // d)) for l, h, d in _pow_slack(bases, exp, K)]
 
     e = exp.fast
     if e is None:
-        return [slack(*item) for item in items]
+        distinct = list(dict.fromkeys(items))
+        table = dict(zip(distinct, slack(distinct)))
+        return [table[item] for item in items]
     a, b = e.numerator, e.denominator
     bT = b * T
     out = []
     for lo, hi, den in items:
         if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) > _EXACT_POW_BUDGET:
-            out.append(slack(lo, hi, den))
+            out += slack([(lo, hi, den)])
             continue
         if den & (den - 1):
             den_a = den ** a
@@ -1154,7 +1209,7 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
         over = p.ub() - 1
         if over > 0:
             extra = frac_ceil(over * ceil_log2(1 / x.lo))
-    return Enclosure.from_ends(*_pow_slack(x.lo, x.hi, p, k + extra))
+    return Enclosure.from_ends(*_pow_slack([(x.lo, x.hi)], p, k + extra)[0])
 
 
 def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
@@ -1167,7 +1222,7 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     endpoints carry integer-arithmetic certificates; on the exact route
     rational roots (perfect powers) are detected and returned exactly.
     """
-    return Enclosure.from_ends(*_pow_slack(x.lo, x.hi, p.reciprocal(), k))
+    return Enclosure.from_ends(*_pow_slack([(x.lo, x.hi)], p.reciprocal(), k)[0])
 
 
 def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:

@@ -486,8 +486,11 @@ class TwistedGenSet(GeneratingSet):
         retries the whole sum at a higher K.  u's precision ku is rounded
         up to a multiple of 8, so the ``_ucache`` key (c, ku) does not
         follow the coefficients' sizes.
+
+        ``norm_query`` passes the CRat tuple it validated, which is read as
+        it is; an int or Fraction coefficient is coerced here.
         """
-        cs = tuple(CRat.of(c) for c in coeffs)
+        cs = [c if isinstance(c, CRat) else CRat.of(c) for c in coeffs]
         if not cs or all(c.is_zero for c in cs):
             return Enclosure.point(0)
         m = len(cs) - 1
@@ -630,7 +633,7 @@ def expanded_residual_norm(
     guard = 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
     quads = _residual_quads(a0, cs, target, depth)
     inverse = p.reciprocal()
-    points = [pow2(-c) for c in c_prefix]
+    points = [(u, u) for u in (pow2(-c) for c in c_prefix)]
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
@@ -640,9 +643,9 @@ def expanded_residual_norm(
             squares = (Fraction(C, D) for _, _, C, D in quads)
             return Enclosure(*_pow_sum([(c, c) for c in squares], half, per))
         one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = _pow_slack(one_minus.lo, one_minus.hi, inverse, per + 2)
-        us = [_pow_slack(u, u, inverse, per + 4) for u in points]
-        bases = [_quad_ends(quad, u) for quad, u in zip(quads, [w, *us])]
+        w = _pow_slack([(one_minus.lo, one_minus.hi)], inverse, per + 2)
+        us = _pow_slack(points, inverse, per + 4)
+        bases = [_quad_ends(quad, u) for quad, u in zip(quads, w + us)]
         lo, hi = _pow_sum(bases, half, per)
         a_lo, a_hi = _pow_sum([(a0sq, a0sq)], half, per)
         tail = ce.tail_mass(depth - 1, kg)
@@ -764,11 +767,10 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     # Each coefficient is -q1 times the middle (lo + hi) / (2 den) of
     # 2^(-c/p) as root_p(2^-c, p, kr) encloses it, read as integer ends.
     inverse = p.reciprocal()
+    points = [(u, u) for u in (pow2(-c) for c in prefix)]
     for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
-        for c in prefix:
-            u = pow2(-c)
-            lo, hi, den = _pow_slack(u, u, inverse, kr)
+        for lo, hi, den in _pow_slack(points, inverse, kr):
             num = -q1.numerator * (lo + hi)
             coeffs.append(CRat(Fraction(num, q1.denominator * 2 * den)))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
@@ -872,7 +874,7 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
             se = s.enclosure(kk)
             if se.lo > 0:
                 # s^p in [lo, hi] / den, so gamma in [1 - den / lo, 1 - den / hi].
-                lo, hi, den = _pow_slack(se.lo, se.hi, p, kk)
+                lo, hi, den = _pow_slack([(se.lo, se.hi)], p, kk)[0]
                 if lo > 0 and den * (hi - lo) << k < lo * hi:
                     return 1 - Fraction(den * (lo + hi), 2 * lo * hi)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpcat import rigor
+from lpcat.cli import parse_p
 from lpcat import (
     ComputableReal,
     ConfigError,
@@ -851,7 +852,7 @@ class TestDyadicPowerKernel:
             exp = rng.choice([p, p.half(), p.reciprocal()])
             rigor._DYADIC_POW_CACHE.clear()
             calls.clear()
-            rigor._pow_slack(t, t, exp, rng.choice([10, 30, 60, 200]))
+            rigor._pow_slack([(t, t)], exp, rng.choice([10, 30, 60, 200]))
             assert len(calls) == len(set(calls)) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -972,7 +973,7 @@ def point_box(t: F, e: F, K: int) -> Enclosure:
     directed rounding runs at K.  from_rational takes e >= 1, so a
     smaller e is the 1/p view of 1/e."""
     exp = Exponent.from_rational(e) if e >= 1 else Exponent.from_rational(1 / e).reciprocal()
-    return Enclosure.from_ends(*rigor._pow_slack(t, t, exp, K - 2))
+    return Enclosure.from_ends(*rigor._pow_slack([(t, t)], exp, K - 2)[0])
 
 
 class TestPointPowers:
@@ -1188,7 +1189,7 @@ def ref_pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tupl
                 r_hi, exact = end(hi)
                 return r, r_hi if exact else r_hi + 1
             return r, r if exact else r + 1
-    l, h, d = rigor._pow_slack(F(lo, den), F(hi, den), exp, K)
+    ((l, h, d),) = rigor._pow_slack([(F(lo, den), F(hi, den))], exp, K)
     return (l << T) // d, -((-h << T) // d)
 
 
@@ -1349,7 +1350,8 @@ class TestOracleTrackPowers:
         threshold = pow2(-(K + 2))
 
         def must_fail(kp):
-            return rigor._gap_must_fail(terms, *exp.bracket(kp), K)
+            e_lo, e_hi = exp.bracket(kp)
+            return rigor._gap_must_fail(terms, rigor._gap_bits(e_lo, e_hi, K), e_hi)
 
         def true_gap_above(kp, bound):
             """Whether some true corner gap may reach bound: an upper
@@ -1375,22 +1377,31 @@ class TestOracleTrackPowers:
         for kp in range(kp0, kp0 + 64 * step, step):
             e_lo, e_hi = exp.bracket(kp)
             box = rigor._exp_gap(x.lo, x.hi, e_lo, e_hi, K + 3)
-            if rigor._gap_must_fail(terms, e_lo, e_hi, K):
+            if rigor._gap_must_fail(terms, rigor._gap_bits(e_lo, e_hi, K), e_hi):
                 assert box is None
             if box is not None:
                 break
+        # x alone, and x repeated among other bases: once as the same
+        # objects and once as equal copies, which share one box.
+        twin = (F(x.lo.numerator, x.lo.denominator), F(x.hi.numerator, x.hi.denominator))
+        repeated = [(x.lo, x.hi), (F(1, 3), F(1, 3)), twin, (x.lo, x.hi), (F(5), F(7))]
         try:
             want = ref_pow_slack(x, exp, K)
         except OracleFailure:
-            with pytest.raises(OracleFailure):
-                rigor._pow_slack(x.lo, x.hi, exp, K)
+            for bases in ([(x.lo, x.hi)], repeated):
+                with pytest.raises(OracleFailure):
+                    rigor._pow_slack(bases, exp, K)
             return
-        assert Enclosure.from_ends(*rigor._pow_slack(x.lo, x.hi, exp, K)) == want
+        assert [Enclosure.from_ends(*box) for box in rigor._pow_slack([(x.lo, x.hi)], exp, K)] == [want]
+        boxes = rigor._pow_slack(repeated, exp, K)
+        assert boxes[0] == boxes[2] == boxes[3]
+        assert Enclosure.from_ends(*boxes[0]) == want
 
     def test_sqrt2_norm_work(self, monkeypatch):
         """Work guard, free of timing noise: _exp_gap rounds in one seeded
         m = 64, k = 30 norm at p = sqrt(2), from an empty dyadic cache.
-        It ran 167 while every round computed its corner powers.  The
+        It ran 167 while every round computed its corner powers, and 89
+        while each base of a sum ran its own bracket escalation.  The
         cache it leaves holds integer keys only."""
         rng = random.Random(7)
         vector = FiniteVector.from_items(
@@ -1407,11 +1418,170 @@ class TestOracleTrackPowers:
         monkeypatch.setattr(rigor, "_exp_gap", counted)
         rigor._DYADIC_POW_CACHE.clear()
         norm_p(vector, Exponent.from_real(sqrt_real(2)), 30)
-        assert rounds <= 90 < 167
+        assert rounds <= 56 < 89
         keys = list(rigor._DYADIC_POW_CACHE._data)
         assert keys and all(
             isinstance(key, tuple) and all(type(part) is int for part in key) for key in keys
         )
+
+
+    @staticmethod
+    def seeded_bases(seed: int, count: int) -> list[tuple[Fraction, Fraction]]:
+        """count distinct seeded bases on both sides of 1, points and
+        intervals."""
+        rng = random.Random(seed)
+        bases = set()
+        while len(bases) < count:
+            a = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            bases.add((a, a) if rng.random() < 0.7 else (a, a + F(1, rng.randint(2, 10**6))))
+        return sorted(bases)
+
+    def test_sum_reads_each_bracket_once_per_round(self, monkeypatch):
+        """Work guard: one oracle-track _pow_sum reads the bracket of its
+        exponent once per round, at the schedule's precisions, not once
+        per base; it read one bracket per base and round while each base
+        ran its own escalation."""
+        bases = self.seeded_bases(11, 40)
+        reads = []
+        bracket = Exponent.bracket
+        for view in ("p", "p/2", "1/p"):
+            p = Exponent.from_real(sqrt_real(2))
+            exp = {"p": p, "p/2": p.half(), "1/p": p.reciprocal()}[view]
+
+            def counted(self, k, exp=exp):
+                if self is exp:
+                    reads.append(k)
+                return bracket(self, k)
+
+            monkeypatch.setattr(Exponent, "bracket", counted)
+            for K in (0, 30, 200):
+                reads.clear()
+                rigor._pow_sum(bases, exp, K)
+                kp0, step = max(6, K // 2), max(8, K // 2)
+                assert reads == [kp0 + i * step for i in range(len(reads))]
+                assert 1 <= len(reads) <= 4
+            monkeypatch.undo()
+
+    def test_exp_gap_once_per_distinct_base_and_round(self, monkeypatch):
+        """Work guard: a sum that repeats its bases, as equal objects and
+        as equal copies, reads each distinct base's corner gaps once per
+        round, the calls the distinct bases alone make."""
+        distinct = self.seeded_bases(12, 12)
+        copies = [(F(lo.numerator, lo.denominator), F(hi.numerator, hi.denominator))
+                  for lo, hi in distinct]
+        repeated = distinct * 3 + copies
+        random.Random(12).shuffle(repeated)
+        calls = []
+        exp_gap = rigor._exp_gap
+
+        def counted(*args):
+            calls.append(args)
+            return exp_gap(*args)
+
+        monkeypatch.setattr(rigor, "_exp_gap", counted)
+        for p in (sqrt_real(2), ComputableReal.constant(F(3, 2))):
+            for exp in (Exponent.from_real(p), Exponent.from_real(p).half()):
+                for K in (10, 60):
+                    calls.clear()
+                    alone = rigor._pow_sum(distinct, exp, K)
+                    once = sorted(calls)
+                    calls.clear()
+                    assert rigor._pow_sum(repeated, exp, K) == (4 * alone[0], 4 * alone[1])
+                    assert sorted(calls) == once
+                    assert len(set(calls)) == len(calls) >= len(distinct)
+
+
+def rational_exponents():
+    """Rational-track exponents and their p/2 and 1/p views."""
+    views = {"p": lambda p: p, "p/2": Exponent.half, "1/p": Exponent.reciprocal}
+    return st.builds(
+        lambda q, view: views[view](Exponent.from_rational(q)),
+        st.sampled_from([F(1), F(3, 2), F(2), F(7, 6), F(3)]),
+        st.sampled_from(list(views)),
+    )
+
+
+@st.composite
+def repeated_bases(draw):
+    """A list of base_enclosures with repeats: each entry is one of a few
+    distinct bases, as its own objects or as equal copies."""
+    distinct = draw(st.lists(base_enclosures(), min_size=1, max_size=4))
+    bases = []
+    for i in draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8)):
+        lo, hi = distinct[i].lo, distinct[i].hi
+        if draw(st.booleans()):
+            copy = F(lo.numerator, lo.denominator)
+            lo, hi = copy, copy if hi is lo else F(hi.numerator, hi.denominator)
+        bases.append((lo, hi))
+    return bases
+
+
+def first_failure(bases, exp: Exponent, K: int):
+    """The per-base loop's answer: one ref_pow_slack per base, in order,
+    or the message of the first OracleFailure it raises."""
+    try:
+        return [ref_pow_slack(Enclosure(lo, hi), exp, K) for lo, hi in bases]
+    except OracleFailure as exc:
+        return str(exc)
+
+
+class TestPowerSlackKernel:
+    """_pow_slack takes every base of a sum in one call and equals the
+    per-base loop it replaced, base by base, on both exponent tracks, and
+    fails as that loop fails."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(repeated_bases(), oracle_exponents() | rational_exponents(), st.integers(0, 80))
+    def test_list_equals_per_base_reference(self, bases, exp, K):
+        want = first_failure(bases, exp, K)
+        if isinstance(want, str):
+            with pytest.raises(OracleFailure) as info:
+                rigor._pow_slack(bases, exp, K)
+            assert str(info.value) == want
+            return
+        assert [Enclosure.from_ends(*box) for box in rigor._pow_slack(bases, exp, K)] == want
+
+    def test_failures_match_the_per_base_loop(self):
+        """An oracle that claims 40 bits, as ``--p oracle:1.5:40`` builds
+        it, one certified below 1, and a base whose gap cannot close in
+        64 rounds each raise the per-base loop's message; every view of
+        the first fails at the bracket of the first round past 40 bits."""
+        few = parse_p("oracle:1.5:40")
+        below = Exponent.from_real(ComputableReal.constant(F(9999, 10000)))
+        three_halves, steep = Exponent.from_real(ComputableReal.constant(F(3, 2))), F(1 << 400)
+        cases = [
+            (exp, bases, K)
+            for exp in (few, few.half(), few.reciprocal())
+            for bases in ([(F(3), F(3)), (F(1, 3), F(2, 3)), (F(3), F(3))], [(F(1), F(1))] * 2)
+            for K in (10, 60, 200)
+        ]
+        cases += [(below, [(F(2), F(2))], 30), (three_halves, [(F(2), F(3)), (steep, steep)], 4)]
+        messages = set()
+        for exp, bases, K in cases:
+            want = first_failure(bases, exp, K)
+            if isinstance(want, str):
+                messages.add(want.split(",")[0])
+                with pytest.raises(OracleFailure) as info:
+                    rigor._pow_slack(bases, exp, K)
+                assert str(info.value) == want
+            else:
+                boxes = rigor._pow_slack(bases, exp, K)
+                assert [Enclosure.from_ends(*box) for box in boxes] == want
+        assert messages == {
+            "exponent oracle only claims 40 bits",
+            "exponent oracle const(9999/10000) is certified below 1",
+            "exponent bracket failed to converge",
+        }
+
+    @pytest.mark.parametrize("track", ["rational", "oracle"])
+    def test_negative_base_and_empty_list(self, track):
+        p = Exponent.from_rational(F(3, 2))
+        if track == "oracle":
+            p = Exponent.from_real(ComputableReal.constant(F(3, 2)))
+        for exp in (p, p.half(), p.reciprocal()):
+            assert rigor._pow_slack([], exp, 30) == []
+            with pytest.raises(NegativeBase):
+                rigor._pow_slack([(F(2), F(2)), (F(-1, 3), F(1, 3))], exp, 30)
 
 
 class TestComputableReal:

@@ -715,6 +715,36 @@ def test_warm_norm_enclosure_work(monkeypatch, p, before):
     assert made <= 16 < before
 
 
+
+@pytest.mark.parametrize("p", [F(3, 2), "oracle"])
+def test_norm_query_coerces_each_coefficient_once(monkeypatch, p):
+    """Work guard, free of timing noise: one warm m = 64 telescoping
+    norm_query calls CRat.of m + 1 times, once per coefficient as it
+    validates them; norm_enclosure coerced that tuple a second time.
+    norm_enclosure still takes ints and Fractions as they are."""
+    exp = Exponent.from_real(sqrt_real(2)) if p == "oracle" else Exponent.from_rational(p)
+    presentation = TwistedGenSet(CeSet.odds(), exp)
+    rng = random.Random(7)
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(65)]
+    want = presentation.norm_query(coeffs, 30)
+    calls = 0
+    of = CRat.of.__func__
+
+    def counted(cls, value):
+        nonlocal calls
+        calls += 1
+        return of(cls, value)
+
+    monkeypatch.setattr(CRat, "of", classmethod(counted))
+    assert presentation.norm_query(coeffs, 30) == want
+    assert calls == len(coeffs)
+    monkeypatch.undo()
+    plain = [1, -coeffs[1], *coeffs[2:]]
+    assert presentation.norm_enclosure(plain, 30) == presentation.norm_enclosure(
+        tuple(map(CRat.of, plain)), 30
+    )
+
+
 def test_ucache_keys_do_not_follow_coefficient_sizes():
     """u's precision is rounded up to a multiple of the retry step, so the
     cache holds few keys, and answers do not depend on which queries came
