@@ -33,7 +33,7 @@ from .rigor import (
     ceil_log2,
     pow2,
 )
-from .lpspace import FiniteVector, basis, norm_of_abs2_terms, norm_p
+from .lpspace import FiniteVector, basis, norm_of_abs2_terms, _abs2_ends
 
 REAL = "real"
 COMPLEX = "complex"
@@ -116,12 +116,14 @@ class StandardGenSet(GeneratingSet):
         return FiniteVector.from_items(list(enumerate(cs)))
 
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
-        return norm_p(self.vector_of(coeffs), self.p, k)
+        """|sum a_j zeta e_j| from the |a_j|^2 of the validated CRats, the
+        terms ``norm_p`` takes from the combination's vector."""
+        return norm_of_abs2_terms([_abs2_ends(c) for c in coeffs if not c.is_zero], self.p, k)
 
     def residual_norm(self, v: FiniteVector, coeffs: Sequence, k: int) -> Enclosure:
         """|v - sum a_j zeta e_j| on integers: coordinate j of the
         combination is zeta a_j over one denominator, and each nonzero
-        difference gives one reduced term |v_j - zeta a_j|^2, the one
+        difference gives one integer term |v_j - zeta a_j|^2, the one
         ``norm_p`` takes from the difference vector."""
         zr, zi, zd = _numerators(self.zeta)
         w = {}
@@ -137,7 +139,8 @@ class StandardGenSet(GeneratingSet):
             yr, yi, yd = w.get(j, (0, 0, 1))
             re, im = xr * yd - yr * xd, xi * yd - yi * xd
             if re or im:
-                terms.append(Fraction(re * re + im * im, (xd * yd) ** 2))
+                m = re * re + im * im
+                terms.append((m, m, (xd * yd) ** 2))
         return norm_of_abs2_terms(terms, self.p, k)
 
 
@@ -147,7 +150,7 @@ class ZetaGenSet(StandardGenSet):
     Its norm oracle coincides with the standard one because |zeta| = 1;
     that is exactly why it is an effective generating set no matter how
     hard the scalar itself is to compute, and why it inherits E's norm
-    through its own ``vector_of`` and E's residual through ``zeta``.  Desk
+    (|zeta a|^2 = |a|^2 exactly) and E's residual through ``zeta``.  Desk
     instances carry an exact Pythagorean scalar so reps and residuals stay
     certifiable.
     """

@@ -288,11 +288,11 @@ def _l2_norms(
     xs = [a * (L // b) for a, b in sample]
     x0, x1 = (xs + [0])[:2]
     tail = sum(x * x for x in xs[2:])
-    plain = Fraction(sum(x * x for x in xs), L * L)
-    rotated = Fraction((x0 + x1) ** 2 + (x0 - x1) ** 2 + 2 * tail, 2 * L * L)
+    plain = sum(x * x for x in xs)
+    rotated = (x0 + x1) ** 2 + (x0 - x1) ** 2 + 2 * tail
     return (
-        norm_of_abs2_terms([plain], p2, width_bits),
-        norm_of_abs2_terms([rotated], p2, width_bits),
+        norm_of_abs2_terms([(plain, plain, L * L)], p2, width_bits),
+        norm_of_abs2_terms([(rotated, rotated, 2 * L * L)], p2, width_bits),
     )
 
 
@@ -336,7 +336,7 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     }
 
     if p.fast != 2:
-        witness = norm_of_abs2_terms([Fraction(1, 2), Fraction(1, 2)], p, width_bits)
+        witness = norm_of_abs2_terms([(1, 1, 2), (1, 1, 2)], p, width_bits)
         excludes_one = witness.lo > 1 or witness.hi < 1
         report["p_witness"] = {
             "vector": basis(0).to_quintuples(),

@@ -106,13 +106,12 @@ def basis(n: int) -> FiniteVector:
     return FiniteVector(((n, CRat.of(1)),))
 
 
-def abs2_pow_sum(abs2_terms: Sequence[Fraction], p: Exponent, k: int) -> Enclosure:
-    """Sum of m^(p/2) over exact squared moduli m >= 0, with total slack
-    below 2^-k, as one Enclosure: ``_pow_sum`` over the point bases m at
-    per = k + ceil(log2(n + 1)) for n terms, which is k + n.bit_length().
-    """
-    per = k + len(abs2_terms).bit_length()
-    return Enclosure(*_pow_sum([(m2, m2) for m2 in abs2_terms], p.half(), per))
+def _abs2_ends(c: CRat) -> tuple[int, int, int]:
+    """|c|^2 as a point (m, m, den) of the power kernels' integer form."""
+    re, im = c.re, c.im
+    dr, di = re.denominator, im.denominator
+    m = (re.numerator * di) ** 2 + (im.numerator * dr) ** 2
+    return m, m, (dr * di) ** 2
 
 
 def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
@@ -121,11 +120,16 @@ def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:
     Exact whenever every |a_n|^p and the final root are rational, e.g.
     p = 1 with real rational coordinates, or Pythagorean points.
     """
-    return norm_of_abs2_terms([c.abs2() for _, c in v.coords], p, k)
+    return norm_of_abs2_terms([_abs2_ends(c) for _, c in v.coords], p, k)
 
 
-def norm_of_abs2_terms(abs2_terms: Sequence[Fraction], p: Exponent, k: int) -> Enclosure:
-    """Certified norm from the exact squared moduli of the coordinates."""
+def norm_of_abs2_terms(
+    abs2_terms: Sequence[tuple[int, int, int]], p: Exponent, k: int
+) -> Enclosure:
+    """Certified norm from the exact squared moduli of the coordinates,
+    points (m, m, den) of the power kernels' form: their p/2 powers at K
+    sum in ``_pow_sum`` at K + ceil(log2(n + 1)) = K + n.bit_length()."""
     if not abs2_terms:
         return Enclosure.point(0)
-    return norm_from_power_sum(lambda K: abs2_pow_sum(abs2_terms, p, K), p, k)
+    half, guard = p.half(), len(abs2_terms).bit_length()
+    return norm_from_power_sum(lambda K: Enclosure(*_pow_sum(abs2_terms, half, K + guard)), p, k)

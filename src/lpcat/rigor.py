@@ -9,25 +9,28 @@ The whole library runs on three numeric currencies:
   rational within 2^-k of the represented real.
 
 Every operation is outward rounded: the result encloses the exact image of
-every point of its inputs.  There is no floating point anywhere.  A power
-t^(a/b) of a rational point is routed in one place, ``_pow_route``,
-which takes one of two routes, chosen by cost, and returns one form
-either way: integer ends over one denominator, (lo, hi, den), equal ends
-for an exact power.  The exact route is an exact integer power followed
-by an integer floor-root: nested integer square roots when b is a power
-of two, Newton iteration seeded from the root of the top bits otherwise,
+every point of its inputs.  There is no floating point anywhere.  Below
+the ``Enclosure`` API the power kernels take and return one integer form,
+(lo, hi, den) for [lo, hi] / den, lo == hi for a point.  ``_pow_slack``
+reduces each end once by gcd, so every route reads a value and not how
+it was written, and no kernel builds a Fraction; ``_pow_sum`` builds one
+per denominator.  A power t^(a/b) of a rational point n / d is routed in
+one place, ``_pow_route``, which takes one of two routes, chosen by cost,
+and returns that form either way, equal ends for an exact power.  The
+exact route is an exact integer power followed by an integer floor-root:
+nested integer square roots when b is a power of two, Newton iteration
+seeded from the root of the top bits otherwise,
 and exact on perfect powers; a dyadic base 2^-c reads its root from one
 table entry per residue of c a mod b.  It is taken when its largest
 operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
 budget; the two ends then differ only by 2^-K on the one floor-root s,
 (s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
-``lpspace.abs2_pow_sum`` and the twisted expansion route), sums the
+``lpspace.norm_of_abs2_terms`` and the twisted expansion route), sums the
 numerators of each denominator as one integer.
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K, a
 power-of-two den by a shift: ``_pow_mantissas`` takes every term of a
-sum in one call, so the twisted norm makes one kernel call per sum and
-builds no Fraction per term.
+sum in one call, so the twisted norm makes one kernel call per sum.
 Otherwise the dyadic route computes t^e = exp(e ln t) in fixed point:
 ln t by square roots and an atanh series after splitting off the power
 of two, exp by a Taylor series after argument reduction and halving, each
@@ -40,13 +43,11 @@ Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by dyadics at 2^-k
 (``_round_dyadic``) and reads the corner gaps of t^e_lo and t^e_hi,
-refining the bracket until they fall under the width asked for.  The
-power of an interval, ``_pow_slack``, answers in the routed form on both
-tracks, which ``pow_p`` and ``root_p`` read (``Enclosure.from_ends``).
-It takes every base of a sum in one call: on the oracle track one
-bracket escalation serves them all, reading the bracket once per round
-and the corner gaps of each distinct base once per round until it
-passes.
+refining the bracket until they fall under the width asked for.
+``_pow_slack`` answers in the integer form on both tracks.  It takes
+every base of a sum in one call: on the oracle track one bracket
+escalation serves them all, reading the bracket once per round and the
+corner gaps of each distinct base once per round until it passes.
 
 Precision bookkeeping convention: an operation asked for precision k
 returns an enclosure that exceeds the width of the exact image of its
@@ -64,7 +65,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
@@ -270,6 +271,14 @@ class Enclosure:
         q = Fraction(lo, den)
         return Enclosure(q, q if lo == hi else Fraction(hi, den))
 
+    def ends(self) -> tuple[int, int, int]:
+        """The integer form (lo, hi, den) the power kernels take."""
+        lo, hi = self.lo, self.hi
+        d, e = lo.denominator, hi.denominator
+        if d == e:
+            return lo.numerator, hi.numerator, d
+        return lo.numerator * e, hi.numerator * d, d * e
+
     # -- geometry ----------------------------------------------------------
 
     @property
@@ -417,7 +426,8 @@ class CRat:
         exact = self.abs_exact()
         if exact is not None:
             return Enclosure.point(exact)
-        return Enclosure.from_ends(*_pow_route(self.abs2(), _HALF, k + 2))
+        m2 = self.abs2()
+        return Enclosure.from_ends(*_pow_route(m2.numerator, m2.denominator, _HALF, k + 2))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -809,11 +819,11 @@ def _exp_fixed(z: int, rz: int, W: int, ln2: tuple[int, int]) -> tuple[int, int,
     return n, total, rad
 
 
-def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> tuple[int, int, int]:
+def _pow_dyadic_enclosure(num: int, den: int, e: Fraction, tb: int) -> tuple[int, int, int]:
     """Certified enclosure (lo, hi, 2^(tb+2)) of t**e, lo / 2^(tb+2) <=
-    t**e <= hi / 2^(tb+2) with hi - lo <= 3, for t > 0, t != 1 and
-    rational e > 0 of arbitrary height: its ends on the grid 2^-(tb+2),
-    as integers over that one denominator.
+    t**e <= hi / 2^(tb+2) with hi - lo <= 3, for t = num / den in lowest
+    terms, t > 0, t != 1, and rational e > 0 of arbitrary height: its ends
+    on the grid 2^-(tb+2), as integers over that one denominator.
 
     t**e = exp(+-e ln u) for u = max(t, 1/t), negative for t < 1, and
     ln u = f ln 2 + ln v with 2^f <= u < 2^(f+1).  ln v comes from
@@ -833,7 +843,6 @@ def _pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> tuple[int, int, 
     guard - n, is a right shift by at least guard >= 8 bits.  A power
     certified below 2^-(tb+2) is (0, 1, 2^(tb+2)), with no series.
     """
-    num, den = t.numerator, t.denominator
     invert = num < den
     if invert:
         num, den = den, num
@@ -898,16 +907,15 @@ def _floor_root(num: int, den: int, b: int) -> tuple[int, bool]:
     return r, not rem and r ** b == q
 
 
-def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
-    """t**e for rational t >= 0 and e > 0 at 2^-K, the one router of a point
-    power, in the one form every reader takes: integers (lo, hi, den) with
-    lo / den <= t**e <= hi / den and (hi - lo) / den <= 2^-K, lo == hi
-    exactly when the power is rational on the exact route.  The exact
-    route gives a rational power over its own denominator and a floor-root
-    s as (s, s + 1, 2^K); the dyadic route gives its grid ends over
-    2^(K+2).  ``_pow_slack`` returns the same form for an interval; a
-    caller that sums many powers adds the numerators of each denominator
-    as integers.
+def _pow_route(n: int, d: int, e: Fraction, K: int) -> tuple[int, int, int]:
+    """t**e for t = n / d >= 0 in lowest terms and rational e > 0 at 2^-K,
+    the one router of a point power, in the one form every reader takes:
+    integers (lo, hi, den) with lo / den <= t**e <= hi / den and
+    (hi - lo) / den <= 2^-K, lo == hi exactly when the power is rational
+    on the exact route.  The exact route gives a rational power over its
+    own denominator and a floor-root s as (s, s + 1, 2^K); the dyadic
+    route gives its grid ends over 2^(K+2).  ``_pow_slack`` takes and
+    returns the same form for an interval.
 
     The route is chosen by cost, not by the height of e = a/b.  The exact
     route forms t**a and takes one integer floor-root of it, and returns
@@ -919,13 +927,12 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
     in fixed point, with a certified radius, at a precision sized from K
     and log2 t**e, its ends on the grid 2^-(K+2).
     """
-    n, d = t.numerator, t.denominator
     if n == d or not n or e == 1:
         return n, n, d
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0  # an integer power is built unshifted
     if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
-        return _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(t, e, K))
+        return _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(n, d, e, K))
     if n == 1 and not d & (d - 1):
         # t = 2^-c: with (q, r) = divmod(c a, b), the power is 2^-q when
         # r = 0, and otherwise floor(2^(K - r/b)) >> q, one root per (b, r, K).
@@ -947,10 +954,11 @@ def _pow_route(t: Fraction, e: Fraction, K: int) -> tuple[int, int, int]:
 
 
 def _exp_gap(
-    x_lo: Fraction, x_hi: Fraction, e_lo: Fraction, e_hi: Fraction, K: int
+    base: tuple[int, int, int, int], e_lo: Fraction, e_hi: Fraction, K: int
 ) -> Optional[tuple[int, int, int]]:
-    """The corner box (lo, hi, den) of [x_lo, x_hi] under the exponent
-    bracket [e_lo, e_hi], or None when a corner gap reads 2^(1-K) or more:
+    """The corner box (lo, hi, den) of [n_lo / d_lo, n_hi / d_hi], base =
+    (n_lo, d_lo, n_hi, d_hi) in lowest terms, under the exponent bracket
+    [e_lo, e_hi], or None when a corner gap reads 2^(1-K) or more:
     t**e_lo and t**e_hi by _pow_route at 2^-K, for each end t.
 
     The gap read at t, |hi(t**e_hi) - lo(t**e_lo)|, is one integer
@@ -962,31 +970,33 @@ def _exp_gap(
 
     The box is made of those same powers: t**e is increasing in t and
     monotone in e, rising for t > 1 and falling for t < 1, so the lower end
-    at x_lo and the upper end at x_hi, each at the exponent its side of 1
-    picks, enclose {t**e : t in [x_lo, x_hi], e in [e_lo, e_hi]}.
+    at the lower end and the upper end at the upper end, each at the
+    exponent its side of 1 picks, enclose {t**e : t in the base, e in
+    [e_lo, e_hi]}.
     """
 
-    def corners(t: Fraction) -> Optional[tuple]:
-        low, high = _pow_route(t, e_lo, K), _pow_route(t, e_hi, K)
+    def corners(n: int, d: int) -> Optional[tuple]:
+        low, high = _pow_route(n, d, e_lo, K), _pow_route(n, d, e_hi, K)
         gap = abs(high[1] * low[2] - low[0] * high[2]) << (K - 1)
         return (low, high) if gap < low[2] * high[2] else None
 
-    at_lo = corners(x_lo)
-    at_hi = at_lo if x_hi == x_lo else corners(x_hi)
+    n_lo, d_lo, n_hi, d_hi = base
+    at_lo = corners(n_lo, d_lo)
+    at_hi = at_lo if n_hi == n_lo and d_hi == d_lo else corners(n_hi, d_hi)
     if at_lo is None or at_hi is None:
         return None
-    lo, _, d = at_lo[x_lo < 1]
-    _, hi, den = at_hi[x_hi > 1]
+    lo, _, d = at_lo[n_lo < d_lo]
+    _, hi, den = at_hi[n_hi > d_hi]
     return (lo, hi, den) if d == den else (lo * den, hi * d, d * den)
 
 
-def _gap_terms(t: Fraction) -> tuple[bool, int, int]:
-    """(t < 1, f, l) for a power base t > 0, t != 1, and u = max(t, 1/t):
-    f = floor(log2 u) and 2^l <= ln u, all from integer bit lengths.  They
-    are what _gap_must_fail reads of t, taken once per distinct base of a
-    _pow_slack call."""
-    below = t < 1
-    n, d = (t.denominator, t.numerator) if below else (t.numerator, t.denominator)
+def _gap_terms(n: int, d: int) -> tuple[bool, int, int]:
+    """(t < 1, f, l) for a power base t = n / d > 0, t != 1, and u =
+    max(t, 1/t): f = floor(log2 u) and 2^l <= ln u, all from integer bit
+    lengths.  They are what _gap_must_fail reads of t, taken once per
+    distinct base of a _pow_slack call."""
+    below = n < d
+    n, d = (d, n) if below else (n, d)
     f = _log2_floor(n, d)
     # ln u >= f ln 2 > f / 2 once u >= 2, and ln u >= (u - 1) / u below 2.
     ln_bits = f.bit_length() - 2 if f else (n - d).bit_length() - 1 - n.bit_length()
@@ -1023,61 +1033,62 @@ def _gap_must_fail(terms: list[tuple[bool, int, int]], bits: int, e_hi: Fraction
 
 
 def _pow_slack(
-    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
+    bases: Sequence[tuple[int, int, int]], exp: Exponent, K: int
 ) -> list[tuple[int, int, int]]:
-    """For each base [x_lo, x_hi] of bases, an enclosure of {t**exp : t in
-    [x_lo, x_hi]} exceeding the exact image width by less than 2^-K, on
-    both tracks in _pow_route's form: integers (lo, hi, den) with ends
-    lo / den and hi / den.  A caller that takes many powers under one
-    exponent, a power sum, passes every base in one call.
+    """For each base (lo, hi, den) of bases, integers 0 <= lo <= hi and
+    den >= 1, lo == hi for a point, an enclosure of {t**exp : t in
+    [lo / den, hi / den]} exceeding the exact image width by less than
+    2^-K, on both tracks in that same form.  A caller that takes many
+    powers under one exponent, a power sum, passes every base in one call.
+    Each end is reduced to lowest terms once, by gcd, on entry, so equal
+    values give equal boxes: every route choice reads the value.
 
     Rational track: direct directed rounding at K + 2 (guard g = 2), one
-    base at a time.  t**e is increasing in t, so the lower end of x_lo**e
-    and the upper end of x_hi**e bound the image, put over one
-    denominator; when x_hi is x_lo, both come from its one _pow_route
-    result.
+    base at a time.  t**e is increasing in t, so the lower end of the lower
+    end's power and the upper end of the upper end's bound the image, put
+    over one denominator; a point takes both from one _pow_route result.
     Oracle track: one escalation for every base.  The exponent bracket is
     refined from precision max(6, K // 2) in steps of max(8, K // 2), read
     once per round, until each base's corner gaps, which _exp_gap reads at
     K + 3, fall under 2^-(K+2); that leaves each true corner gap below
     2^-(K+1).  A base passes in the first round that certifies it and
     leaves the round loop; the loop ends when no base is left.  Equal
-    bases, keyed by their integer numerators and denominators, share one
-    box.  A round whose bracket _gap_must_fail certifies a true gap of at
-    least 2^-(K+1) at a base cannot pass it, so its corner powers are
-    never computed.  The schedule does not depend on the base, so every
-    base passes in the round, and gets the box, of the unskipped loop on
-    that base alone.  The passing round's box is built from the corner
-    powers its gaps were read from.
+    bases, keyed by their reduced ends, share one box.  A round whose
+    bracket _gap_must_fail certifies a true gap of at least 2^-(K+1) at a
+    base cannot pass it, so its corner powers are never computed.  The
+    schedule does not depend on the base, so every base passes in the
+    round, and gets the box, of the unskipped loop on that base alone.  The
+    passing round's box is built from the corner powers its gaps were read
+    from.
     """
+    reduced = []  # (n_lo, d_lo, n_hi, d_hi)
+    for lo, hi, den in bases:
+        if lo < 0:
+            raise NegativeBase(f"negative base enclosure [{lo}, {hi}] / {den}")
+        g = gcd(lo, den)
+        h = g if hi == lo else gcd(hi, den)
+        reduced.append((lo // g, den // g, hi // h, den // h))
     e = exp.fast
     if e is not None:
         out = []
-        for x_lo, x_hi in bases:
-            if x_lo.numerator < 0:
-                raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
-            lo, hi, den = _pow_route(x_lo, e, K + 2)
-            if x_hi is not x_lo:
-                _, hi, d = _pow_route(x_hi, e, K + 2)
+        for n_lo, d_lo, n_hi, d_hi in reduced:
+            lo, hi, den = _pow_route(n_lo, d_lo, e, K + 2)
+            if n_hi != n_lo or d_hi != d_lo:
+                _, hi, d = _pow_route(n_hi, d_hi, e, K + 2)
                 if d != den:
                     lo, hi, den = lo * d, hi * den, den * d
             out.append((lo, hi, den))
         return out
-    # Each distinct base once, as (slot, x_lo, x_hi, its _gap_terms); a
-    # Fraction hash costs more than the four integers of its key.
+    # Each distinct base once, as (slot, base, its _gap_terms).
     slots: dict[tuple[int, int, int, int], int] = {}
     index = []
     pending = []
-    for x_lo, x_hi in bases:
-        if x_lo.numerator < 0:
-            raise NegativeBase(f"negative base enclosure [{x_lo}, {x_hi}]")
-        key = (x_lo.numerator, x_lo.denominator, x_hi.numerator, x_hi.denominator)
-        slot = slots.get(key)
+    for base in reduced:
+        slot = slots.get(base)
         if slot is None:
-            slot = slots[key] = len(pending)
-            ends = (x_lo,) if x_lo == x_hi else (x_lo, x_hi)
-            terms = [_gap_terms(t) for t in ends if t not in (0, 1)]
-            pending.append((slot, x_lo, x_hi, terms))
+            slot = slots[base] = len(pending)
+            terms = [_gap_terms(n, d) for n, d in {base[:2], base[2:]} if n and n != d]
+            pending.append((slot, base, terms))
         index.append(slot)
     if not pending:
         return []
@@ -1087,56 +1098,50 @@ def _pow_slack(
         e_lo, e_hi = exp.bracket(kp)
         bits = _gap_bits(e_lo, e_hi, K)
         waiting = []
-        for base in pending:
-            slot, x_lo, x_hi, terms = base
+        for slot, base, terms in pending:
             if not _gap_must_fail(terms, bits, e_hi):
-                box = _exp_gap(x_lo, x_hi, e_lo, e_hi, K + 3)
+                box = _exp_gap(base, e_lo, e_hi, K + 3)
                 if box is not None:
                     boxes[slot] = box
                     continue
-            waiting.append(base)
+            waiting.append((slot, base, terms))
         if not waiting:
             return [boxes[slot] for slot in index]
         pending = waiting
 
 
 def _pow_sum(
-    bases: Sequence[tuple[Fraction, Fraction]], exp: Exponent, K: int
+    bases: Sequence[tuple[int, int, int]], exp: Exponent, K: int
 ) -> tuple[Fraction, Fraction]:
-    """The ends of the sum, over bases [x_lo, x_hi] with 0 <= x_lo <= x_hi,
-    of the enclosure _pow_slack gives of {t**exp : t in [x_lo, x_hi]} at K,
-    added exactly: the one power-sum loop.
+    """The ends of the sum, over bases (lo, hi, den) in _pow_slack's form,
+    of the enclosure _pow_slack gives of {t**exp : t in [lo / den,
+    hi / den]} at K, added exactly: the one power-sum loop.
 
     One _pow_slack call takes every base, on both exponent tracks, so an
-    oracle-track sum runs one bracket escalation.  Each end sums integer
+    oracle-track sum runs one bracket escalation; the exponent 1 takes the
+    bases as their own powers and skips it.  Each end sums integer
     numerators per denominator, so the floor-roots all add up over the one
-    2^(K+2), and takes one Fraction per denominator.  The exponent 1 adds
-    the bases as they are.
+    2^(K+2), and takes one Fraction per denominator, the sum starting from
+    the first of them.
     """
-    if exp.fast == 1:
-        lo = hi = both = _ZERO
-        for x_lo, x_hi in bases:
-            if x_hi is x_lo:
-                both += x_lo
-            else:
-                lo += x_lo
-                hi += x_hi
-        # A zero end is not added: the one-term sums at p = 2 of
-        # rotation_demo then cost one Fraction addition each.
-        return (both + lo if lo else both), (both + hi if hi else both)
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
-    for n_lo, n_hi, den in _pow_slack(bases, exp, K):
+    for n_lo, n_hi, den in bases if exp.fast == 1 else _pow_slack(bases, exp, K):
         lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
-    lo = sum(map(Fraction, lows.values(), lows), _ZERO)
-    return lo, lo if highs == lows else sum(map(Fraction, highs.values(), highs), _ZERO)
+
+    def total(sums: dict[int, int]) -> Fraction:
+        terms = map(Fraction, sums.values(), sums)
+        return sum(terms, next(terms, _ZERO))  # from the first term on
+
+    lo = total(lows)
+    return lo, lo if highs == lows else total(highs)
 
 
 def _pow_mantissas(
     items: Sequence[tuple[int, int, int]], exp: Exponent, K: int
 ) -> list[tuple[int, int]]:
-    """For each (lo, hi, den) of items, integers 0 <= lo <= hi and den >= 1,
+    """For each (lo, hi, den) of items, in _pow_slack's base form,
     mantissas (l, h) at scale 2^-(K+2) with l <= 2^(K+2) t**exp <= h for
     every t in [lo/den, hi/den]; like _pow_slack, they exceed the exact
     image width by less than 2^-K.  A caller that sums many powers under
@@ -1144,34 +1149,24 @@ def _pow_mantissas(
 
     Rational track, exponent a/b: each end is the exact route's floor-root
     of (m/den)^a 2^(b(K+2)), read from one integer numerator and
-    denominator, so no Fraction is built; the upper end steps up one unit
-    unless the root is exact.  A power-of-two den divides by a shift and a
-    mask.  An item whose operand would pass the budget takes _pow_slack.
-    The oracle track makes one _pow_slack call for the whole sum, with one
-    base per distinct item, the only items it builds Fractions for.
-    _pow_slack's ends lie within 2^-(K+1) of the image, and each is
+    denominator; the upper end steps up one unit unless the root is exact.
+    A power-of-two den divides by a shift and a mask.  An item whose
+    operand would pass the budget takes _pow_slack.  The oracle track makes
+    one _pow_slack call for the whole sum, which keys equal items to one
+    box.  _pow_slack's ends lie within 2^-(K+1) of the image, and each is
     rounded outward to the grid.
     """
     T = K + 2
-
-    def slack(items: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
-        bases = []
-        for lo, hi, den in items:
-            x = Fraction(lo, den)
-            bases.append((x, x if lo == hi else Fraction(hi, den)))
-        return [((l << T) // d, -((-h << T) // d)) for l, h, d in _pow_slack(bases, exp, K)]
-
     e = exp.fast
     if e is None:
-        distinct = list(dict.fromkeys(items))
-        table = dict(zip(distinct, slack(distinct)))
-        return [table[item] for item in items]
+        return [((l << T) // d, -((-h << T) // d)) for l, h, d in _pow_slack(items, exp, K)]
     a, b = e.numerator, e.denominator
     bT = b * T
     out = []
     for lo, hi, den in items:
         if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) > _EXACT_POW_BUDGET:
-            out += slack([(lo, hi, den)])
+            ((l, h, d),) = _pow_slack([(lo, hi, den)], exp, K)
+            out.append(((l << T) // d, -((-h << T) // d)))
             continue
         if den & (den - 1):
             den_a = den ** a
@@ -1209,7 +1204,7 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
         over = p.ub() - 1
         if over > 0:
             extra = frac_ceil(over * ceil_log2(1 / x.lo))
-    return Enclosure.from_ends(*_pow_slack([(x.lo, x.hi)], p, k + extra)[0])
+    return Enclosure.from_ends(*_pow_slack([x.ends()], p, k + extra)[0])
 
 
 def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
@@ -1222,7 +1217,7 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     endpoints carry integer-arithmetic certificates; on the exact route
     rational roots (perfect powers) are detected and returned exactly.
     """
-    return Enclosure.from_ends(*_pow_slack([(x.lo, x.hi)], p.reciprocal(), k)[0])
+    return Enclosure.from_ends(*_pow_slack([x.ends()], p.reciprocal(), k)[0])
 
 
 def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
@@ -1232,7 +1227,7 @@ def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
         raise NegativeBase("sqrt of a negative rational")
 
     def fn(k: int) -> Fraction:
-        lo, hi, den = _pow_route(q, _HALF, k + 2)
+        lo, hi, den = _pow_route(q.numerator, q.denominator, _HALF, k + 2)
         return Fraction(lo + hi, 2 * den)
 
     return ComputableReal(fn, label or f"sqrt({q})")
@@ -1285,7 +1280,7 @@ def norm_from_power_sum(
             t0 = pow2(-(k + 1))
             kt = frac_ceil(Fraction(k + 2) * p_ub) + 4
             _, e_hi = p.bracket(kt)
-            lo, _, den = _pow_route(t0, e_hi, kt)
+            lo, _, den = _pow_route(1, 2 << k, e_hi, kt)
             if s.hi * den <= lo:
                 return Enclosure(_ZERO, t0)
             continue

@@ -22,14 +22,13 @@ powers of all of them by the exact route's integer floor-roots (the
 oracle track's corner box, rounded outward to the grid); and directed
 shifts take each term into two integer running sums, every step rounded
 outward, with one Enclosure per sum.  The independent
-expansion route (``expanded_residual_norm``) also sums on integers: each
-coordinate's quadratic in u from integer numerators, by code of its own,
-u and every p/2 power in the one form rigor's powers return on both
-exponent tracks, integer ends over one denominator, and the powers added
-by rigor's one power-sum loop, ``_pow_sum``, each denominator's
-numerators as one integer.  It shares only rigor primitives and no
-function of this module with the telescoping sum, so comparing the two
-checks it.
+expansion route (``expanded_residual_norm``) also sums on integers, in
+the one form rigor's power kernels take and return on both exponent
+tracks, integer ends over one denominator: u, each coordinate's
+quadratic in u, by code of its own, and every p/2 power, added by rigor's
+one power-sum loop, ``_pow_sum``, each denominator's numerators as one
+integer.  It shares only rigor primitives and no function of this
+module with the telescoping sum, so comparing the two checks it.
 
 Conversely, anything that can point at a unit multiple of e_0 in
 F-coordinates reveals (1 - gamma)^(-1/p), hence gamma, hence membership
@@ -487,17 +486,16 @@ class TwistedGenSet(GeneratingSet):
         up to a multiple of 8, so the ``_ucache`` key (c, ku) does not
         follow the coefficients' sizes.
 
-        ``norm_query`` passes the CRat tuple it validated, which is read as
-        it is; an int or Fraction coefficient is coerced here.
+        Every caller passes CRat coefficients: ``norm_query`` the tuple it
+        validated, which is read as it is.
         """
-        cs = [c if isinstance(c, CRat) else CRat.of(c) for c in coeffs]
-        if not cs or all(c.is_zero for c in cs):
+        if not coeffs or all(c.is_zero for c in coeffs):
             return Enclosure.point(0)
-        m = len(cs) - 1
+        m = len(coeffs) - 1
         c_list = self._enum.prefix(m - 1) if m >= 1 else ()
-        a0 = cs[0]
+        a0 = coeffs[0]
         a = a0.abs2()
-        quads = _quad_coefficients(a0, cs[1:])
+        quads = _quad_coefficients(a0, coeffs[1:])
         half, inverse = self.p.half(), self.p.reciprocal()
         ucache = self._ucache
 
@@ -575,23 +573,21 @@ def _residual_quads(
 
 def _quad_ends(
     quad: tuple[int, int, int, int], u: tuple[int, int, int]
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int, int, int]:
     """The ends of (A u^2 + B u + C) / D over u >= 0 in [ul, uh] / v, for
     ``_residual_quads``' (A, B, C, D) with A >= 0 and u = (ul, uh, v) in
-    the form ``_pow_slack`` returns.  The square term rises with u, and the
-    linear term takes the end of u that the sign of B picks, so each end of
-    the quadratic is one integer numerator over D v^2, normalised once.
+    the form ``_pow_slack`` returns, in that form too.  The square term
+    rises with u, and the linear term takes the end of u that the sign of
+    B picks, so each end is one integer numerator over D v^2, as it is.
     Only the lower end is floored at 0: the quadratic is a squared modulus
     |a_0 u - d|^2, and the upper end bounds it over u."""
     ul, uh, v = u
     A, B, C, D = quad
     cv = C * v
-    den = D * v * v
     lin_lo, lin_hi = (ul, uh) if B >= 0 else (uh, ul)
-    lo = Fraction(max(A * ul * ul + (B * lin_lo + cv) * v, 0), den)
-    if ul == uh:
-        return lo, lo
-    return lo, Fraction(A * uh * uh + (B * lin_hi + cv) * v, den)
+    lo = max(A * ul * ul + (B * lin_lo + cv) * v, 0)
+    hi = lo if ul == uh else A * uh * uh + (B * lin_hi + cv) * v
+    return lo, hi, D * v * v
 
 
 def expanded_residual_norm(
@@ -615,9 +611,9 @@ def expanded_residual_norm(
     quadratics do not depend on the precision: their integer coefficients
     are computed once, from the scalars' numerators and denominators
     (``_residual_quads``).  Each u_n is the 1/p power of a point, and u_0
-    of the interval 1 - gamma, as ``root_p`` takes them, read as integer
-    ends over one denominator straight from ``rigor._pow_slack`` on both
-    exponent tracks.  The quadratic's ends come from integer numerators
+    of the interval 1 - gamma, as ``root_p`` takes them, in and out of
+    ``rigor._pow_slack`` as integer ends over one denominator on both
+    exponent tracks.  The quadratic's ends are integer numerators
     (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
     with one Enclosure per sum.  The ends equal those of the per-term
     Enclosure sum.
@@ -633,21 +629,20 @@ def expanded_residual_norm(
     guard = 2 + (ceil_log2(1 + a0sq) if a0sq > 0 else 0)
     quads = _residual_quads(a0, cs, target, depth)
     inverse = p.reciprocal()
-    points = [(u, u) for u in (pow2(-c) for c in c_prefix)]
+    points = [(1, 1, 1 << c) for c in c_prefix]
 
     def sum_at(K: int) -> Enclosure:
         per = K + ceil_log2(Fraction(depth + 3))
         kg = per + guard
         gamma = ce.gamma_enclosure(kg)
         if a0.is_zero:
-            squares = (Fraction(C, D) for _, _, C, D in quads)
-            return Enclosure(*_pow_sum([(c, c) for c in squares], half, per))
+            return Enclosure(*_pow_sum([(C, C, D) for _, _, C, D in quads], half, per))
         one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = _pow_slack([(one_minus.lo, one_minus.hi)], inverse, per + 2)
+        w = _pow_slack([one_minus.ends()], inverse, per + 2)
         us = _pow_slack(points, inverse, per + 4)
         bases = [_quad_ends(quad, u) for quad, u in zip(quads, w + us)]
         lo, hi = _pow_sum(bases, half, per)
-        a_lo, a_hi = _pow_sum([(a0sq, a0sq)], half, per)
+        a_lo, a_hi = _pow_sum([(a0sq.numerator, a0sq.numerator, a0sq.denominator)], half, per)
         tail = ce.tail_mass(depth - 1, kg)
         return Enclosure(lo + a_lo * tail.lo, hi + a_hi * tail.hi)
 
@@ -767,7 +762,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     # Each coefficient is -q1 times the middle (lo + hi) / (2 den) of
     # 2^(-c/p) as root_p(2^-c, p, kr) encloses it, read as integer ends.
     inverse = p.reciprocal()
-    points = [(u, u) for u in (pow2(-c) for c in prefix)]
+    points = [(1, 1, 1 << c) for c in prefix]
     for kr in escalate(start, lambda _: 16, 6, failure):
         coeffs = [CRat.of(q1)]
         for lo, hi, den in _pow_slack(points, inverse, kr):
@@ -874,7 +869,7 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
             se = s.enclosure(kk)
             if se.lo > 0:
                 # s^p in [lo, hi] / den, so gamma in [1 - den / lo, 1 - den / hi].
-                lo, hi, den = _pow_slack([(se.lo, se.hi)], p, kk)[0]
+                lo, hi, den = _pow_slack([se.ends()], p, kk)[0]
                 if lo > 0 and den * (hi - lo) << k < lo * hi:
                     return 1 - Fraction(den * (lo + hi), 2 * lo * hi)
 

@@ -565,3 +565,29 @@ def test_check_ballmap_crat_work(p32, crats_built):
     report = check_ballmap(bmap, d.apply, schedule)
     assert report.passed
     assert len(crats_built) <= 170
+
+
+@pytest.mark.parametrize("kind", ["E", "F_zeta"])
+@pytest.mark.parametrize("p", [F(3, 2), 2, "oracle"])
+def test_norm_query_coerces_each_coefficient_once(monkeypatch, kind, p):
+    """Work guard, free of timing noise: one m = 64 norm_query on E and
+    on F_zeta calls CRat.of m + 1 times, once per coefficient as it
+    validates them.  It made 3 (m + 1) = 195 while norm_enclosure coerced
+    the tuple again in vector_of and once more in FiniteVector.from_items.
+    The answer is still the norm of the combination's vector."""
+    exp = Exponent.from_real(sqrt_real(2)) if p == "oracle" else Exponent.from_rational(p)
+    presentation = StandardGenSet(exp) if kind == "E" else ZetaGenSet(ZETA, exp)
+    rng = random.Random(7)
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(65)]
+    want = norm_p(presentation.vector_of(coeffs), exp, 30).midpoint
+    calls = 0
+    of = CRat.of.__func__
+
+    def counted(cls, value):
+        nonlocal calls
+        calls += 1
+        return of(cls, value)
+
+    monkeypatch.setattr(CRat, "of", classmethod(counted))
+    assert presentation.norm_query(coeffs, 30) == want
+    assert calls == len(coeffs)

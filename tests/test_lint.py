@@ -38,6 +38,15 @@ The exponent track is tested only where a power kernel needs it: outside
 bracket or ``_pow_slack``'s ends; a value test such as ``p.fast == 1``
 is not a track test.
 
+The power kernels run on the integer form: ``_pow_route``,
+``_pow_dyadic_enclosure``, ``_exp_gap``, ``_gap_terms``, ``_pow_slack``
+and ``_pow_mantissas``, with what is nested in them, read ``Fraction``
+only in type annotations, so they build none, and make no ``is`` or
+``is not`` comparison other than with ``None``: a base (lo, hi, den) is a
+point when lo == hi, not when two end objects are one.  Fractions are
+built only in ``_pow_sum``'s per-denominator sums and in
+``Enclosure.from_ends``.
+
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
 and not as the literal the default already is.
@@ -385,6 +394,40 @@ def test_only_the_power_kernels_test_the_exponent_track():
                 continue
             stray += [f"{path.name}:{line} {name}" for line in _track_tests(func)]
     assert not stray, "exponent track tests outside the power kernels:\n" + "\n".join(stray)
+
+
+# The kernels that take and return the integer form (lo, hi, den).
+INTEGER_KERNELS = {
+    "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack", "_pow_mantissas"
+}
+
+
+def _fractions_and_identities(func):
+    """Lines in func, nested functions included, that read ``Fraction``
+    outside a type annotation, or compare with ``is`` or ``is not`` where
+    neither side is ``None``."""
+    types_only = _type_reads(func)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in types_only:
+            yield node.lineno
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            sides = [node.left, *node.comparators]
+            if not any(isinstance(n, ast.Constant) and n.value is None for n in sides):
+                yield node.lineno
+
+
+def test_the_power_kernels_build_no_fraction():
+    tree = ast.parse((SRC / "rigor.py").read_text())
+    kernels = {name: func for name, func, _ in _functions(tree) if name in INTEGER_KERNELS}
+    assert kernels.keys() == INTEGER_KERNELS
+    stray = [
+        f"rigor.py:{line} {name}"
+        for name, func in sorted(kernels.items())
+        for line in _fractions_and_identities(func)
+    ]
+    assert not stray, "Fractions or identity tests in the integer kernels:\n" + "\n".join(stray)
 
 
 def _classes(trees) -> dict:

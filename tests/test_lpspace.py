@@ -21,8 +21,9 @@ from lpcat import (
     sqrt_real,
     TwistedGenSet,
 )
-from lpcat.lpspace import abs2_pow_sum
-from test_rigor import ref_pow_slack
+from lpcat import lpspace
+from lpcat.lpspace import norm_of_abs2_terms
+from test_rigor import as_ends, ref_pow_slack
 
 F = Fraction
 
@@ -32,6 +33,19 @@ scalars = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 def abs2_terms(v: FiniteVector) -> list[Fraction]:
     """The squared-modulus terms norm_p sums, one exact term per coordinate."""
     return [c.abs2() for _, c in v.coords]
+
+
+def abs2_power_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
+    """The power sum norm_of_abs2_terms takes the root of, read at k: the
+    sum_at it hands to norm_from_power_sum, with that patched out, on the
+    terms as points (m, m, den).  No terms give the point 0."""
+    real = lpspace.norm_from_power_sum
+    lpspace.norm_from_power_sum = lambda sum_at, p, k: sum_at
+    try:
+        sum_at = norm_of_abs2_terms([as_ends(m2, m2) for m2 in terms], p, k)
+    finally:
+        lpspace.norm_from_power_sum = real
+    return sum_at(k) if terms else sum_at
 
 
 def random_vector(rng: random.Random, width: int = 5) -> FiniteVector:
@@ -153,8 +167,8 @@ class TestNormAxioms:
             )
             assert not (u.support() & v.support())
             k = 30
-            joint = abs2_pow_sum(abs2_terms(u + v), p, k)
-            split = abs2_pow_sum(abs2_terms(u), p, k) + abs2_pow_sum(abs2_terms(v), p, k)
+            joint = abs2_power_sum(abs2_terms(u + v), p, k)
+            split = abs2_power_sum(abs2_terms(u), p, k) + abs2_power_sum(abs2_terms(v), p, k)
             assert joint.intersects(split.pad(2 * pow2(-k)))
 
 
@@ -167,7 +181,7 @@ def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0
     if rigor._exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > rigor._EXACT_POW_BUDGET:
-        lo, hi, den = rigor._pow_dyadic_enclosure(t, e, K)
+        lo, hi, den = rigor._pow_dyadic_enclosure(t.numerator, t.denominator, e, K)
         assert den == 1 << (K + 2)
         return F(lo, den), F(hi, den)
     if b == 1:
@@ -185,7 +199,8 @@ def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]
 
 
 def ref_abs2_pow_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
-    """abs2_pow_sum as a sum of one Enclosure per term: _pow_slack's
+    """The power sum of norm_of_abs2_terms as a sum of one Enclosure per
+    term, at per = k + ceil(log2(n + 1)) for n terms: _pow_slack's
     rational track (the point power at per + 2, or the term itself at
     p = 2) and its oracle track, ref_pow_slack."""
     if not terms:
@@ -235,15 +250,16 @@ SUM_EXPONENTS = {
 
 
 class TestPowerSumAccumulator:
-    """abs2_pow_sum keeps its sum in integers and one Fraction: it must
-    give the very ends of the per-term Enclosure sum it replaced."""
+    """The power sum of norm_of_abs2_terms keeps its sum in integers and
+    one Fraction per denominator: it must give the very ends of the
+    per-term Enclosure sum it replaced."""
 
     @pytest.mark.parametrize("p_name", sorted(SUM_EXPONENTS))
     @settings(max_examples=40)
     @given(st.lists(squared_moduli(), max_size=6), st.integers(0, 60))
     def test_ends_equal_the_per_term_sum(self, p_name, terms, k):
         p = SUM_EXPONENTS[p_name]()
-        got = abs2_pow_sum(terms, p, k)
+        got = abs2_power_sum(terms, p, k)
         want = ref_abs2_pow_sum(terms, p, k)
         assert (got.lo, got.hi) == (want.lo, want.hi)
         assert got.width < pow2(-k)
@@ -257,27 +273,27 @@ class TestPowerSumAccumulator:
         e, K = F(3, 4), 32
         big = F((1 << 34_000) + 1, (1 << 33_999) + 3)
         tiny = F(3, (1 << 34_000) + 1)
-        assert rigor._pow_route(F(0), e, K) == (0, 0, 1)
-        assert rigor._pow_route(F(1), e, K) == (1, 1, 1)
-        assert rigor._pow_route(F(5, 7), F(1), K) == (5, 5, 7)
-        assert rigor._pow_route(F(2, 3), F(3), K) == (8, 8, 27)
-        assert rigor._pow_route(F(2) ** 12, e, K) == (2 ** 9, 2 ** 9, 1)
-        assert rigor._pow_route(F(16, 81), e, K) == (8, 8, 27)
+        assert rigor._pow_route(0, 1, e, K) == (0, 0, 1)
+        assert rigor._pow_route(1, 1, e, K) == (1, 1, 1)
+        assert rigor._pow_route(5, 7, F(1), K) == (5, 5, 7)
+        assert rigor._pow_route(2, 3, F(3), K) == (8, 8, 27)
+        assert rigor._pow_route(2 ** 12, 1, e, K) == (2 ** 9, 2 ** 9, 1)
+        assert rigor._pow_route(16, 81, e, K) == (8, 8, 27)
         s = math.isqrt(math.isqrt(2 ** 3 << (4 * K)))
-        assert rigor._pow_route(F(2), e, K) == (s, s + 1, 1 << K)
-        lo, hi, den = rigor._pow_route(big, e, K)
+        assert rigor._pow_route(2, 1, e, K) == (s, s + 1, 1 << K)
+        lo, hi, den = rigor._pow_route(big.numerator, big.denominator, e, K)
         assert den == 1 << (K + 2) and 0 < lo < hi <= lo + 3
         assert lo ** 4 <= big ** 3 * den ** 4 <= hi ** 4
-        assert rigor._pow_route(tiny, e, K) == (0, 1, 1 << (K + 2))
+        assert rigor._pow_route(tiny.numerator, tiny.denominator, e, K) == (0, 1, 1 << (K + 2))
         terms = [F(2), F(2) ** 12, big, F(25), tiny]
         p = Exponent.from_rational(F(3, 2))
-        assert abs2_pow_sum(terms, p, 30) == ref_abs2_pow_sum(terms, p, 30)
+        assert abs2_power_sum(terms, p, 30) == ref_abs2_pow_sum(terms, p, 30)
 
 
 def interval_bases():
-    """Bases [x_lo, x_hi] for rigor._pow_sum: points (the same object at
-    both ends) and ordered pairs of squared_moduli, so 0 and 1, exact
-    twelfth powers, and bases past _EXACT_POW_BUDGET, at either end."""
+    """Bases [x_lo, x_hi] for rigor._pow_sum: points and ordered pairs of
+    squared_moduli, so 0 and 1, exact twelfth powers, and bases past
+    _EXACT_POW_BUDGET, at either end."""
     terms = squared_moduli()
     points = terms.map(lambda t: (t, t))
     pairs = st.builds(lambda a, b: (min(a, b), max(a, b)), terms, terms)
@@ -310,23 +326,26 @@ def ref_pow_sum(bases, exp: Exponent, K: int) -> Enclosure:
     return total
 
 
-# Bases whose two ends are equal but distinct objects: they take the
-# two-end path, which must give the sums of the point path.
-TWINS = [(t, F(t.numerator, t.denominator)) for t in (F(2), F(2) ** 12, F(0), F(1), F(25, 169))]
+# Points whose ends the scale of the test below also writes over an
+# unreduced denominator: 0 and 1 among them, which the routes pass through.
+POINTS = [(t, t) for t in (F(2), F(2) ** 12, F(0), F(1), F(25, 169))]
 
 
 class TestPowerSumKernel:
     """rigor._pow_sum on interval bases gives the very ends of the sum of
-    one Enclosure per base."""
+    one Enclosure per base, whether the bases come over their own
+    denominators or over six times those."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_EXPONENTS))
     @settings(max_examples=30)
     @given(st.lists(interval_bases(), max_size=5), st.integers(0, 60))
-    @example(TWINS, 30)
+    @example(POINTS, 30)
     def test_ends_equal_the_per_base_sum(self, name, bases, K):
         exp = KERNEL_EXPONENTS[name]()
         want = ref_pow_sum(bases, exp, K)
-        assert rigor._pow_sum(bases, exp, K) == (want.lo, want.hi)
+        for scale in (1, 6):
+            ends = [as_ends(x_lo, x_hi, scale) for x_lo, x_hi in bases]
+            assert rigor._pow_sum(ends, exp, K) == (want.lo, want.hi)
 
 
 def test_norm_p_enclosure_work(monkeypatch, p32):

@@ -664,7 +664,7 @@ def ref_pow_dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
 def dyadic_enclosure(t: Fraction, e: Fraction, tb: int) -> Enclosure:
     """The dyadic kernel's integer ends (lo, hi, den) of t**e at tb as an
     Enclosure, checked to be integers over the grid denominator 2^(tb+2)."""
-    lo, hi, den = rigor._pow_dyadic_enclosure(t, e, tb)
+    lo, hi, den = rigor._pow_dyadic_enclosure(t.numerator, t.denominator, e, tb)
     assert type(lo) is int and type(hi) is int and den == 1 << (tb + 2)
     return Enclosure(F(lo, den), F(hi, den))
 
@@ -751,8 +751,21 @@ def kernel_work(t: Fraction, e: Fraction, tb: int) -> tuple[Enclosure, int, int]
 
 def point_ends(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]:
     """_pow_route's integer ends of t**e at 2^-K as two Fractions."""
-    lo, hi, den = rigor._pow_route(t, e, K)
+    lo, hi, den = rigor._pow_route(t.numerator, t.denominator, e, K)
     return F(lo, den), F(hi, den)
+
+
+def as_ends(lo: Fraction, hi: Fraction, scale: int = 1) -> tuple[int, int, int]:
+    """The base [lo, hi] in the power kernels' integer form (lo, hi, den):
+    a point over its own denominator, an interval over the product of its
+    two, and every part times scale, so that scale > 1 writes the same
+    value over an unreduced denominator."""
+    if lo == hi:
+        n, m, d = lo.numerator, lo.numerator, lo.denominator
+    else:
+        n, m = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        d = lo.denominator * hi.denominator
+    return n * scale, m * scale, d * scale
 
 
 def exact_bits(t: Fraction, e: Fraction, K: int) -> int:
@@ -852,7 +865,7 @@ class TestDyadicPowerKernel:
             exp = rng.choice([p, p.half(), p.reciprocal()])
             rigor._DYADIC_POW_CACHE.clear()
             calls.clear()
-            rigor._pow_slack([(t, t)], exp, rng.choice([10, 30, 60, 200]))
+            rigor._pow_slack([as_ends(t, t)], exp, rng.choice([10, 30, 60, 200]))
             assert len(calls) == len(set(calls)) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -973,7 +986,7 @@ def point_box(t: F, e: F, K: int) -> Enclosure:
     directed rounding runs at K.  from_rational takes e >= 1, so a
     smaller e is the 1/p view of 1/e."""
     exp = Exponent.from_rational(e) if e >= 1 else Exponent.from_rational(1 / e).reciprocal()
-    return Enclosure.from_ends(*rigor._pow_slack([(t, t)], exp, K - 2)[0])
+    return Enclosure.from_ends(*rigor._pow_slack([as_ends(t, t)], exp, K - 2)[0])
 
 
 class TestPointPowers:
@@ -1062,16 +1075,16 @@ class TestDyadicBaseRoots:
         c, e, K = case
         t = F(1, 1 << c)
         assert exact_bits(t, e, K if e.denominator > 1 else 0) <= rigor._EXACT_POW_BUDGET
-        assert rigor._pow_route(t, e, K) == ref_dyadic_route(c, e, K)
+        assert rigor._pow_route(1, 1 << c, e, K) == ref_dyadic_route(c, e, K)
 
     def test_residue_cases(self):
         """b | c a gives the exact power; bK < r gives the floor 0; a root
         of the table serves every c of its residue."""
         e = F(1, 39)
-        assert rigor._pow_route(F(1, 1 << 78), e, 50) == (1, 1, 4)
-        assert rigor._pow_route(F(1, 1 << 5), e, 0) == (0, 1, 1)
+        assert rigor._pow_route(1, 1 << 78, e, 50) == (1, 1, 4)
+        assert rigor._pow_route(1, 1 << 5, e, 0) == (0, 1, 1)
         for c in (5, 44, 83):
-            assert rigor._pow_route(F(1, 1 << c), e, 60) == ref_dyadic_route(c, e, 60)
+            assert rigor._pow_route(1, 1 << c, e, 60) == ref_dyadic_route(c, e, 60)
         assert (39, 5, 60) in rigor._DYADIC_ROOTS
 
 
@@ -1189,7 +1202,7 @@ def ref_pow_mantissas(lo: int, hi: int, den: int, exp: Exponent, K: int) -> tupl
                 r_hi, exact = end(hi)
                 return r, r_hi if exact else r_hi + 1
             return r, r if exact else r + 1
-    ((l, h, d),) = rigor._pow_slack([(F(lo, den), F(hi, den))], exp, K)
+    ((l, h, d),) = rigor._pow_slack([(lo, hi, den)], exp, K)
     return (l << T) // d, -((-h << T) // d)
 
 
@@ -1346,7 +1359,7 @@ class TestOracleTrackPowers:
     @given(base_enclosures(), oracle_exponents(), st.integers(0, 80))
     def test_skip_is_sound_and_output_unchanged(self, x, exp, K):
         ends = [t for t in {x.lo, x.hi} if t not in (0, 1)]
-        terms = [rigor._gap_terms(t) for t in ends]
+        terms = [rigor._gap_terms(t.numerator, t.denominator) for t in ends]
         threshold = pow2(-(K + 2))
 
         def must_fail(kp):
@@ -1376,23 +1389,24 @@ class TestOracleTrackPowers:
         # at K + 3 of at least 2^-(K+2), so it could not have passed.
         for kp in range(kp0, kp0 + 64 * step, step):
             e_lo, e_hi = exp.bracket(kp)
-            box = rigor._exp_gap(x.lo, x.hi, e_lo, e_hi, K + 3)
+            base = (x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator)
+            box = rigor._exp_gap(base, e_lo, e_hi, K + 3)
             if rigor._gap_must_fail(terms, rigor._gap_bits(e_lo, e_hi, K), e_hi):
                 assert box is None
             if box is not None:
                 break
-        # x alone, and x repeated among other bases: once as the same
-        # objects and once as equal copies, which share one box.
-        twin = (F(x.lo.numerator, x.lo.denominator), F(x.hi.numerator, x.hi.denominator))
-        repeated = [(x.lo, x.hi), (F(1, 3), F(1, 3)), twin, (x.lo, x.hi), (F(5), F(7))]
+        # x alone, and x repeated among other bases: twice as it is and
+        # once over a denominator six times as large, which share one box.
+        x_ends = as_ends(x.lo, x.hi)
+        repeated = [x_ends, (1, 1, 3), as_ends(x.lo, x.hi, 6), x_ends, (5, 7, 1)]
         try:
             want = ref_pow_slack(x, exp, K)
         except OracleFailure:
-            for bases in ([(x.lo, x.hi)], repeated):
+            for bases in ([x_ends], repeated):
                 with pytest.raises(OracleFailure):
                     rigor._pow_slack(bases, exp, K)
             return
-        assert [Enclosure.from_ends(*box) for box in rigor._pow_slack([(x.lo, x.hi)], exp, K)] == [want]
+        assert [Enclosure.from_ends(*box) for box in rigor._pow_slack([x_ends], exp, K)] == [want]
         boxes = rigor._pow_slack(repeated, exp, K)
         assert boxes[0] == boxes[2] == boxes[3]
         assert Enclosure.from_ends(*boxes[0]) == want
@@ -1426,15 +1440,15 @@ class TestOracleTrackPowers:
 
 
     @staticmethod
-    def seeded_bases(seed: int, count: int) -> list[tuple[Fraction, Fraction]]:
+    def seeded_bases(seed: int, count: int) -> list[tuple[int, int, int]]:
         """count distinct seeded bases on both sides of 1, points and
-        intervals."""
+        intervals, in the kernels' integer form."""
         rng = random.Random(seed)
         bases = set()
         while len(bases) < count:
             a = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
             bases.add((a, a) if rng.random() < 0.7 else (a, a + F(1, rng.randint(2, 10**6))))
-        return sorted(bases)
+        return [as_ends(lo, hi) for lo, hi in sorted(bases)]
 
     def test_sum_reads_each_bracket_once_per_round(self, monkeypatch):
         """Work guard: one oracle-track _pow_sum reads the bracket of its
@@ -1463,12 +1477,12 @@ class TestOracleTrackPowers:
             monkeypatch.undo()
 
     def test_exp_gap_once_per_distinct_base_and_round(self, monkeypatch):
-        """Work guard: a sum that repeats its bases, as equal objects and
-        as equal copies, reads each distinct base's corner gaps once per
-        round, the calls the distinct bases alone make."""
+        """Work guard: a sum that repeats its bases, as they are and over
+        a denominator five times as large, reads each distinct base's
+        corner gaps once per round, the calls the distinct bases alone
+        make."""
         distinct = self.seeded_bases(12, 12)
-        copies = [(F(lo.numerator, lo.denominator), F(hi.numerator, hi.denominator))
-                  for lo, hi in distinct]
+        copies = [(5 * lo, 5 * hi, 5 * den) for lo, hi, den in distinct]
         repeated = distinct * 3 + copies
         random.Random(12).shuffle(repeated)
         calls = []
@@ -1503,24 +1517,22 @@ def rational_exponents():
 
 @st.composite
 def repeated_bases(draw):
-    """A list of base_enclosures with repeats: each entry is one of a few
-    distinct bases, as its own objects or as equal copies."""
+    """A list of base_enclosures with repeats, in the kernels' integer
+    form: each entry is one of a few distinct bases, over its own
+    denominator or over one seven times as large."""
     distinct = draw(st.lists(base_enclosures(), min_size=1, max_size=4))
     bases = []
     for i in draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8)):
-        lo, hi = distinct[i].lo, distinct[i].hi
-        if draw(st.booleans()):
-            copy = F(lo.numerator, lo.denominator)
-            lo, hi = copy, copy if hi is lo else F(hi.numerator, hi.denominator)
-        bases.append((lo, hi))
+        x = distinct[i]
+        bases.append(as_ends(x.lo, x.hi, 7 if draw(st.booleans()) else 1))
     return bases
 
 
 def first_failure(bases, exp: Exponent, K: int):
-    """The per-base loop's answer: one ref_pow_slack per base, in order,
-    or the message of the first OracleFailure it raises."""
+    """The per-base loop's answer: one ref_pow_slack per base (lo, hi,
+    den), in order, or the message of the first OracleFailure it raises."""
     try:
-        return [ref_pow_slack(Enclosure(lo, hi), exp, K) for lo, hi in bases]
+        return [ref_pow_slack(Enclosure.from_ends(*base), exp, K) for base in bases]
     except OracleFailure as exc:
         return str(exc)
 
@@ -1548,14 +1560,14 @@ class TestPowerSlackKernel:
         the first fails at the bracket of the first round past 40 bits."""
         few = parse_p("oracle:1.5:40")
         below = Exponent.from_real(ComputableReal.constant(F(9999, 10000)))
-        three_halves, steep = Exponent.from_real(ComputableReal.constant(F(3, 2))), F(1 << 400)
+        three_halves, steep = Exponent.from_real(ComputableReal.constant(F(3, 2))), 1 << 400
         cases = [
             (exp, bases, K)
             for exp in (few, few.half(), few.reciprocal())
-            for bases in ([(F(3), F(3)), (F(1, 3), F(2, 3)), (F(3), F(3))], [(F(1), F(1))] * 2)
+            for bases in ([(3, 3, 1), (1, 2, 3), (3, 3, 1)], [(1, 1, 1)] * 2)
             for K in (10, 60, 200)
         ]
-        cases += [(below, [(F(2), F(2))], 30), (three_halves, [(F(2), F(3)), (steep, steep)], 4)]
+        cases += [(below, [(2, 2, 1)], 30), (three_halves, [(2, 3, 1), (steep, steep, 1)], 4)]
         messages = set()
         for exp, bases, K in cases:
             want = first_failure(bases, exp, K)
@@ -1581,7 +1593,84 @@ class TestPowerSlackKernel:
         for exp in (p, p.half(), p.reciprocal()):
             assert rigor._pow_slack([], exp, 30) == []
             with pytest.raises(NegativeBase):
-                rigor._pow_slack([(F(2), F(2)), (F(-1, 3), F(1, 3))], exp, 30)
+                rigor._pow_slack([(2, 2, 1), (-1, 1, 3)], exp, 30)
+
+
+class TestLowestTerms:
+    """_pow_slack reduces each end of a base to lowest terms once, on
+    entry, so every route choice reads the value and not how it is
+    written: equal values over different denominators give identical
+    boxes on both exponent tracks, each base taken alone."""
+
+    # 40,001 bits and odd: a factor that puts an unreduced operand past
+    # _EXACT_POW_BUDGET under every exponent below, and that gcd strips.
+    BIG = (1 << 40_000) + 1
+
+    @staticmethod
+    def exponents(track: str) -> list[Exponent]:
+        if track == "rational":
+            p = Exponent.from_rational(F(3, 2))
+        else:
+            p = Exponent.from_real(sqrt_real(2))
+        return [p, p.half(), p.reciprocal()]
+
+    def forms(self) -> list[list[tuple[int, int, int]]]:
+        """Lists of one value written several ways: 1/2 over 2 and 4 and
+        over 2 BIG, where the unreduced operand passes the budget; 3/2, a
+        base off the dyadic branch, over 2 BIG; an interval over its own
+        denominators' product and over nine times it; and 0 and 1."""
+        big = self.BIG
+        return [
+            [(1, 1, 2), (2, 2, 4), (big, big, 2 * big)],
+            [(3, 3, 2), (3 * big, 3 * big, 2 * big)],
+            [(1, 2, 3), (9, 18, 27)],
+            [(0, 0, 1), (0, 0, 5)],
+            [(1, 1, 1), (7, 7, 7)],
+        ]
+
+    @pytest.mark.parametrize("track", ["rational", "oracle"])
+    def test_equal_values_give_identical_boxes(self, track):
+        big = self.BIG
+        for exp in self.exponents(track):
+            e = exp.fast if exp.fast is not None else exp.bracket(6)[0]
+            assert rigor._exact_pow_bits(big.bit_length(), (2 * big).bit_length(), e, 10) > (
+                rigor._EXACT_POW_BUDGET
+            )
+            for K in (10, 40):
+                for forms in self.forms():
+                    boxes = [rigor._pow_slack([form], exp, K)[0] for form in forms]
+                    assert boxes == [boxes[0]] * len(forms)
+
+    def test_perfect_power_seen_only_in_lowest_terms(self):
+        """4/16 is 1/4, whose square root 1/2 is exact; read unreduced,
+        the dyadic-base branch would not see 2^-2 and the root of 16
+        would come back over 4 instead."""
+        half = Exponent.from_rational(2).reciprocal()
+        for K in (0, 10, 60):
+            assert rigor._pow_slack([(4, 4, 16)], half, K) == [(1, 1, 2)]
+            assert rigor._pow_slack([(4, 4, 16), (1, 1, 4)], half, K) == [(1, 1, 2)] * 2
+
+    @pytest.mark.parametrize("track", ["rational", "oracle"])
+    def test_quad_ends_unreduced_numerators(self, track):
+        """The expansion route hands _pow_sum each quadratic's ends over
+        D v^2 as _quad_ends forms them; they give the box of the same
+        value over its reduced denominators, and the sum of the reduced
+        values."""
+        from lpcat.twisted import _quad_ends, _residual_quads
+
+        a0 = CRat(F(3, 5), F(-4, 7))
+        coeffs = (a0, CRat(F(1, 3), F(2, 9)), CRat(F(-5, 4)))
+        target = FiniteVector.from_items([(0, CRat(F(1, 2))), (2, CRat(F(2, 3), F(1, 6)))])
+        quads = _residual_quads(a0, coeffs, target, 3)
+        for exp in self.exponents(track):
+            inverse, half = exp.reciprocal(), exp.half()
+            for K in (10, 40):
+                us = rigor._pow_slack([(1, 1, 1 << c) for c in (1, 3, 5, 7)], inverse, K + 4)
+                raw = [_quad_ends(quad, u) for quad, u in zip(quads, us)]
+                assert any(math.gcd(lo, den) > 1 for lo, _, den in raw)
+                reduced = [as_ends(F(lo, den), F(hi, den)) for lo, hi, den in raw]
+                assert rigor._pow_slack(raw, half, K) == rigor._pow_slack(reduced, half, K)
+                assert rigor._pow_sum(raw, half, K) == rigor._pow_sum(reduced, half, K)
 
 
 class TestComputableReal:

@@ -510,13 +510,18 @@ class TestQuadraticInU:
         clamped = ref.clamp_nonneg()
         quad = _residual_quads(a0, (a0,), FiniteVector.from_items([(0, d)]), 0)[0]
         want = (clamped.lo, clamped.hi)
+
+        def quad_ends(u):
+            lo, hi, den = _quad_ends(quad, u)
+            return F(lo, den), F(hi, den)
+
         ends = (ul.numerator * uh.denominator, uh.numerator * ul.denominator,
                 ul.denominator * uh.denominator)
-        assert _quad_ends(quad, ends) == want
+        assert quad_ends(ends) == want
         # The same ends from u over the unreduced denominator 2^90, as the
         # dyadic route gives its grid ends.
         grid = 1 << 90
-        assert _quad_ends(quad, (int(ul * grid), int(uh * grid), grid)) == want
+        assert quad_ends((int(ul * grid), int(uh * grid), grid)) == want
 
 
 def ref_integer_quad(a: F, b: F, c: F) -> tuple[int, int, int, int]:
@@ -721,7 +726,7 @@ def test_norm_query_coerces_each_coefficient_once(monkeypatch, p):
     """Work guard, free of timing noise: one warm m = 64 telescoping
     norm_query calls CRat.of m + 1 times, once per coefficient as it
     validates them; norm_enclosure coerced that tuple a second time.
-    norm_enclosure still takes ints and Fractions as they are."""
+    norm_enclosure takes the validated tuple as it is."""
     exp = Exponent.from_real(sqrt_real(2)) if p == "oracle" else Exponent.from_rational(p)
     presentation = TwistedGenSet(CeSet.odds(), exp)
     rng = random.Random(7)
@@ -738,11 +743,6 @@ def test_norm_query_coerces_each_coefficient_once(monkeypatch, p):
     monkeypatch.setattr(CRat, "of", classmethod(counted))
     assert presentation.norm_query(coeffs, 30) == want
     assert calls == len(coeffs)
-    monkeypatch.undo()
-    plain = [1, -coeffs[1], *coeffs[2:]]
-    assert presentation.norm_enclosure(plain, 30) == presentation.norm_enclosure(
-        tuple(map(CRat.of, plain)), 30
-    )
 
 
 def test_ucache_keys_do_not_follow_coefficient_sizes():
@@ -910,7 +910,7 @@ def test_near_cancelling_norm_certifies(monkeypatch, name, bits, k):
         return norm_from_power_sum(counted_sum, p, k)
 
     monkeypatch.setattr(twisted, "norm_from_power_sum", counted)
-    ours = TwistedGenSet(CeSet.odds(), p).norm_enclosure([1, -u], k)
+    ours = TwistedGenSet(CeSet.odds(), p).norm_enclosure([CRat.of(1), CRat.of(-u)], k)
     assert ours.width < pow2(-k)
     assert ours.hi**3 >= F(1, 4) and ours.lo**3 <= F(1, 4) + pow2(2 - 3 * bits // 2)
     assert ours.intersects(other)
