@@ -132,4 +132,4 @@ def norm_of_abs2_terms(
     if not abs2_terms:
         return Enclosure.point(0)
     half, guard = p.half(), len(abs2_terms).bit_length()
-    return norm_from_power_sum(lambda K: Enclosure(*_pow_sum(abs2_terms, half, K + guard)), p, k)
+    return norm_from_power_sum(lambda K: _pow_sum(abs2_terms, half, K + guard), p, k)

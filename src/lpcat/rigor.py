@@ -13,20 +13,22 @@ every point of its inputs.  There is no floating point anywhere.  Below
 the ``Enclosure`` API the power kernels take and return one integer form,
 (lo, hi, den) for [lo, hi] / den, lo == hi for a point.  ``_pow_slack``
 reduces each end once by gcd, so every route reads a value and not how
-it was written, and no kernel builds a Fraction; ``_pow_sum`` builds one
-per denominator.  A power t^(a/b) of a rational point n / d is routed in
-one place, ``_pow_route``, which takes one of two routes, chosen by cost,
-and returns that form either way, equal ends for an exact power.  The
-exact route is an exact integer power followed by an integer floor-root:
-nested integer square roots when b is a power of two, Newton iteration
-seeded from the root of the top bits otherwise,
+it was written, and no kernel builds a Fraction: a power sum reaches
+``norm_from_power_sum``'s root in this form, and its one Enclosure is
+built at the return.  A power t^(a/b) of a rational point n / d is
+routed in one place, ``_pow_route``, which takes one of two routes,
+chosen by cost, and returns that form either way, equal ends for an
+exact power.  The exact route is an exact integer power followed by an
+integer floor-root: nested integer square roots when b is a power of
+two, Newton iteration seeded from the root of the top bits otherwise,
 and exact on perfect powers; a dyadic base 2^-c reads its root from one
 table entry per residue of c a mod b.  It is taken when its largest
 operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
 budget; the two ends then differ only by 2^-K on the one floor-root s,
 (s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
 ``lpspace.norm_of_abs2_terms`` and the twisted expansion route), sums the
-numerators of each denominator as one integer.
+numerators of each denominator as one integer, and those sums over the
+lcm of the denominators.
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K, a
 power-of-two den by a shift: ``_pow_mantissas`` takes every term of a
@@ -65,7 +67,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
@@ -1112,30 +1114,26 @@ def _pow_slack(
 
 def _pow_sum(
     bases: Sequence[tuple[int, int, int]], exp: Exponent, K: int
-) -> tuple[Fraction, Fraction]:
-    """The ends of the sum, over bases (lo, hi, den) in _pow_slack's form,
-    of the enclosure _pow_slack gives of {t**exp : t in [lo / den,
-    hi / den]} at K, added exactly: the one power-sum loop.
+) -> tuple[int, int, int]:
+    """The sum, over bases (lo, hi, den) in _pow_slack's form, of the
+    enclosure _pow_slack gives of {t**exp : t in [lo / den, hi / den]} at
+    K, added exactly, in that form too: the one power-sum loop.
 
     One _pow_slack call takes every base, on both exponent tracks, so an
     oracle-track sum runs one bracket escalation; the exponent 1 takes the
     bases as their own powers and skips it.  Each end sums integer
     numerators per denominator, so the floor-roots all add up over the one
-    2^(K+2), and takes one Fraction per denominator, the sum starting from
-    the first of them.
+    2^(K+2), and the per-denominator sums add up over the lcm of the
+    denominators, 1 for no base.
     """
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
     for n_lo, n_hi, den in bases if exp.fast == 1 else _pow_slack(bases, exp, K):
         lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
-
-    def total(sums: dict[int, int]) -> Fraction:
-        terms = map(Fraction, sums.values(), sums)
-        return sum(terms, next(terms, _ZERO))  # from the first term on
-
-    lo = total(lows)
-    return lo, lo if highs == lows else total(highs)
+    den = lcm(*lows)
+    lo = sum(n * (den // d) for d, n in lows.items())
+    return lo, lo if highs == lows else sum(n * (den // d) for d, n in highs.items()), den
 
 
 def _pow_mantissas(
@@ -1239,14 +1237,17 @@ def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
 
 
 def norm_from_power_sum(
-    sum_at: Callable[[int], Enclosure], p: Exponent, k: int
+    sum_at: Callable[[int], tuple[int, int, int]], p: Exponent, k: int
 ) -> Enclosure:
     """Certified S^(1/p) where ``sum_at(K)`` encloses the exact power sum
-    S >= 0.  Any enclosure is sound: every return is certified from
-    s ⊇ S alone, and one whose root is not narrower than 2^-k is not
-    returned.  The slack should fall below 2^-K for large enough K; a
-    wider sum, such as the twisted E_j kernel's on a near-cancelling term,
-    is the loop's to retry at a higher K.
+    S >= 0 as the power kernels' integer form (lo, hi, den), over any
+    denominator: every test below is an integer comparison on the value,
+    and the root's one _pow_slack call reduces each end by gcd.  Any
+    enclosure is sound: every return is certified from [lo, hi] / den ⊇ S
+    alone, and one whose root is not narrower than 2^-k is not returned.
+    The slack should fall below 2^-K for large enough K; a wider sum, such
+    as the twisted E_j kernel's on a near-cancelling term, is the loop's
+    to retry at a higher K.
 
     The loop runs on ``escalate``, and each round reads one sum, at the K
     it yields.  Guards: the root's derivative on [S_lo, ..] is at most
@@ -1260,34 +1261,32 @@ def norm_from_power_sum(
     2^-K, whose lower end stays 0 until K nears log2(1/S), is reached in
     logarithmically many rounds.  At most 64 sums are read.
 
-    A zero-width sum is S itself, so its root root_p(S, p, k + 2) is taken
-    at once, with no guard jump.  A jumped sum would be the same point S
-    unless the larger K pushed a term past the exact route's operand
-    budget, so the answer is the one the guard jump would give.
+    A zero-width sum is S itself, so its root is taken at once, at k + 2,
+    with no guard jump.  A jumped sum would be the same point S unless the
+    larger K pushed a term past the exact route's operand budget, so the
+    answer is the one the guard jump would give.
     """
-    p_ub = p.ub()
+    a, b = p.ub().as_integer_ratio()
     step = max(8, k // 2)
     # The K the last guard asked for; escalate yields it next if K was below.
     need = 0
     failure = "norm extraction failed to converge"
     for K in escalate(k + 4, lambda K: need - K if need > K else max(step, K - k - 4), 64, failure):
-        s = sum_at(K).clamp_nonneg()
-        if s.hi == 0:
+        lo, hi, den = sum_at(K)
+        if hi <= 0:
             return Enclosure.point(0)
-        if s.lo == s.hi:
-            return root_p(s, p, k + 2)
-        if s.lo == 0:
-            t0 = pow2(-(k + 1))
-            kt = frac_ceil(Fraction(k + 2) * p_ub) + 4
+        lo = max(lo, 0)
+        if lo == 0:
+            kt = -(-(k + 2) * a // b) + 4
             _, e_hi = p.bracket(kt)
-            lo, _, den = _pow_route(1, 2 << k, e_hi, kt)
-            if s.hi * den <= lo:
-                return Enclosure(_ZERO, t0)
+            t_lo, _, t_den = _pow_route(1, 2 << k, e_hi, kt)
+            if hi * t_den <= t_lo * den:
+                return Enclosure.from_ends(0, 1, 2 << k)
             continue
-        if s.lo < 1:
-            need = k + 4 + frac_ceil(Fraction(ceil_log2(1 / s.lo)) * (p_ub - 1) / p_ub)
+        if lo < den and lo != hi:
+            need = k + 4 + -(_log2_floor(lo, den) * (a - b) // a)
             if K < need:
                 continue
-        out = root_p(s, p, k + 2)
-        if out.width < pow2(-k):
-            return out
+        r_lo, r_hi, r_den = _pow_slack([(lo, hi, den)], p.reciprocal(), k + 2)[0]
+        if lo == hi or (r_hi - r_lo) << k < r_den:
+            return Enclosure.from_ends(r_lo, r_hi, r_den)

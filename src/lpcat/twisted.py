@@ -21,7 +21,7 @@ pass; one call of rigor's mantissa kernel takes |a_0|^p and the p/2
 powers of all of them by the exact route's integer floor-roots (the
 oracle track's corner box, rounded outward to the grid); and directed
 shifts take each term into two integer running sums, every step rounded
-outward, with one Enclosure per sum.  The independent
+outward, that rigor's root reads over one power of two.  The independent
 expansion route (``expanded_residual_norm``) also sums on integers, in
 the one form rigor's power kernels take and return on both exponent
 tracks, integer ends over one denominator: u, each coordinate's
@@ -471,11 +471,11 @@ class TwistedGenSet(GeneratingSet):
     def norm_enclosure(self, coeffs: Sequence[CRat], k: int) -> Enclosure:
         """Certified |a_0 f_0 + ... + a_m f_m| from the telescoping sum.
 
-        Each sum runs at scale 2^-(per+5).  A term E_j = |a0 u + aj|^p -
-        |a0|^p 2^-c, u = 2^(-c/p), reads u as mantissas U at scale 2^-Q;
-        its quadratic is then one integer polynomial A U^2 + B 2^Q U + C 4^Q
-        over D 4^Q, floored for the low end and ceiled for the high end at
-        scale 2^-2Q.  One _pow_mantissas call takes |a0|^p and every
+        Each sum runs at scale 2^-(per+5), the denominator ``sum_at`` hands
+        its two integer ends over.  A term E_j = |a0 u + aj|^p - |a0|^p 2^-c,
+        u = 2^(-c/p), reads u as mantissas U at scale 2^-Q; its quadratic is
+        then one integer polynomial A U^2 + B 2^Q U + C 4^Q over D 4^Q,
+        floored for the low end and ceiled for the high end at scale 2^-2Q.  One _pow_mantissas call takes |a0|^p and every
         quadratic's p/2 power, and the subtraction of |a0|^p 2^-c lands on
         the sum's scale with one directed shift per end.
 
@@ -499,8 +499,8 @@ class TwistedGenSet(GeneratingSet):
         half, inverse = self.p.half(), self.p.reciprocal()
         ucache = self._ucache
 
-        def sum_at(K: int) -> Enclosure:
-            per = K + ceil_log2(Fraction(m + 2))
+        def sum_at(K: int) -> tuple[int, int, int]:
+            per = K + (m + 1).bit_length()
             bases = [(a.numerator, a.numerator, a.denominator)]
             for (A, B, C, D, guard), c in zip(quads, c_list):
                 ku = -(-(per + guard) // 8) * 8
@@ -520,8 +520,7 @@ class TwistedGenSet(GeneratingSet):
             for (t_lo, t_hi), c in zip(powers, c_list):
                 lo += t_lo + (-ap_hi >> c)
                 hi += t_hi - (ap_lo >> c)
-            scale = 1 << (per + 5)
-            return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+            return lo, hi, 1 << (per + 5)
 
         return norm_from_power_sum(sum_at, self.p, k)
 
@@ -611,12 +610,12 @@ def expanded_residual_norm(
     quadratics do not depend on the precision: their integer coefficients
     are computed once, from the scalars' numerators and denominators
     (``_residual_quads``).  Each u_n is the 1/p power of a point, and u_0
-    of the interval 1 - gamma, as ``root_p`` takes them, in and out of
-    ``rigor._pow_slack`` as integer ends over one denominator on both
+    of the interval 1 - gamma, read from gamma's decided mass, in and out
+    of ``rigor._pow_slack`` as integer ends over one denominator on both
     exponent tracks.  The quadratic's ends are integer numerators
-    (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``,
-    with one Enclosure per sum.  The ends equal those of the per-term
-    Enclosure sum.
+    (``_quad_ends``), and their p/2 powers add up in ``rigor._pow_sum``;
+    the root reads that sum plus |a_0|^p times the tail mass over one
+    denominator, whose value is that of the per-term Enclosure sum.
     """
     cs = tuple(CRat.of(c) for c in coeffs)
     m = len(cs) - 1
@@ -631,20 +630,21 @@ def expanded_residual_norm(
     inverse = p.reciprocal()
     points = [(1, 1, 1 << c) for c in c_prefix]
 
-    def sum_at(K: int) -> Enclosure:
-        per = K + ceil_log2(Fraction(depth + 3))
+    def sum_at(K: int) -> tuple[int, int, int]:
+        per = K + (depth + 2).bit_length()
         kg = per + guard
-        gamma = ce.gamma_enclosure(kg)
+        # gamma in [n, n + 1] / top, so 1 - gamma in [top - n - 1, top - n] / top.
+        n, top = ce._decided_mass(kg), 1 << (kg + 1)
         if a0.is_zero:
-            return Enclosure(*_pow_sum([(C, C, D) for _, _, C, D in quads], half, per))
-        one_minus = (Enclosure.point(1) - gamma).clamp_nonneg()
-        w = _pow_slack([one_minus.ends()], inverse, per + 2)
+            return _pow_sum([(C, C, D) for _, _, C, D in quads], half, per)
+        w = _pow_slack([(max(top - n - 1, 0), top - n, top)], inverse, per + 2)
         us = _pow_slack(points, inverse, per + 4)
         bases = [_quad_ends(quad, u) for quad, u in zip(quads, w + us)]
-        lo, hi = _pow_sum(bases, half, per)
-        a_lo, a_hi = _pow_sum([(a0sq.numerator, a0sq.numerator, a0sq.denominator)], half, per)
-        tail = ce.tail_mass(depth - 1, kg)
-        return Enclosure(lo + a_lo * tail.lo, hi + a_hi * tail.hi)
+        lo, hi, den = _pow_sum(bases, half, per)
+        a_lo, a_hi, a_den = _pow_sum([(a0sq.numerator, a0sq.numerator, a0sq.denominator)], half, per)
+        t_lo, t_hi, t_den = ce._tail_ends(depth - 1, kg)
+        tail_den = a_den * t_den
+        return lo * tail_den + a_lo * t_lo * den, hi * tail_den + a_hi * t_hi * den, den * tail_den
 
     return norm_from_power_sum(sum_at, p, k)
 

@@ -39,13 +39,12 @@ bracket or ``_pow_slack``'s ends; a value test such as ``p.fast == 1``
 is not a track test.
 
 The power kernels run on the integer form: ``_pow_route``,
-``_pow_dyadic_enclosure``, ``_exp_gap``, ``_gap_terms``, ``_pow_slack``
-and ``_pow_mantissas``, with what is nested in them, read ``Fraction``
-only in type annotations, so they build none, and make no ``is`` or
-``is not`` comparison other than with ``None``: a base (lo, hi, den) is a
-point when lo == hi, not when two end objects are one.  Fractions are
-built only in ``_pow_sum``'s per-denominator sums and in
-``Enclosure.from_ends``.
+``_pow_dyadic_enclosure``, ``_exp_gap``, ``_gap_terms``, ``_pow_slack``,
+``_pow_sum`` and ``_pow_mantissas``, with what is nested in them, read
+``Fraction`` only in type annotations, so they build none, and make no
+``is`` or ``is not`` comparison other than with ``None``: a base
+(lo, hi, den) is a point when lo == hi, not when two end objects are
+one.  Fractions are built only in ``Enclosure.from_ends``.
 
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
@@ -398,7 +397,8 @@ def test_only_the_power_kernels_test_the_exponent_track():
 
 # The kernels that take and return the integer form (lo, hi, den).
 INTEGER_KERNELS = {
-    "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack", "_pow_mantissas"
+    "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack", "_pow_sum",
+    "_pow_mantissas",
 }
 
 

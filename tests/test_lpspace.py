@@ -38,14 +38,14 @@ def abs2_terms(v: FiniteVector) -> list[Fraction]:
 def abs2_power_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
     """The power sum norm_of_abs2_terms takes the root of, read at k: the
     sum_at it hands to norm_from_power_sum, with that patched out, on the
-    terms as points (m, m, den).  No terms give the point 0."""
+    terms as points (m, m, den), as an Enclosure; no terms give point 0."""
     real = lpspace.norm_from_power_sum
     lpspace.norm_from_power_sum = lambda sum_at, p, k: sum_at
     try:
         sum_at = norm_of_abs2_terms([as_ends(m2, m2) for m2 in terms], p, k)
     finally:
         lpspace.norm_from_power_sum = real
-    return sum_at(k) if terms else sum_at
+    return Enclosure.from_ends(*sum_at(k)) if terms else sum_at
 
 
 def random_vector(rng: random.Random, width: int = 5) -> FiniteVector:
@@ -345,7 +345,7 @@ class TestPowerSumKernel:
         want = ref_pow_sum(bases, exp, K)
         for scale in (1, 6):
             ends = [as_ends(x_lo, x_hi, scale) for x_lo, x_hi in bases]
-            assert rigor._pow_sum(ends, exp, K) == (want.lo, want.hi)
+            assert Enclosure.from_ends(*rigor._pow_sum(ends, exp, K)) == want
 
 
 def test_norm_p_enclosure_work(monkeypatch, p32):

@@ -293,7 +293,7 @@ class TestEscalation:
         def sum_at(K):
             asked.append(K)
             slack = pow2(-(K + 1))
-            return Enclosure(S if K == 14 else max(F(0), S - slack), S + slack)
+            return Enclosure(S if K == 14 else max(F(0), S - slack), S + slack).ends()
 
         got = rigor.norm_from_power_sum(sum_at, Exponent.from_rational(F(3, 2)), 10)
         assert asked == [14, 28]
@@ -308,7 +308,7 @@ class TestEscalation:
 
         def sum_at(K):
             asked.append(K)
-            return Enclosure(S, S + pow2(-14 if K == 28 else -(K + 1)))
+            return Enclosure(S, S + pow2(-14 if K == 28 else -(K + 1))).ends()
 
         p = Exponent.from_rational(F(3, 2))
         got = rigor.norm_from_power_sum(sum_at, p, 10)
@@ -388,7 +388,7 @@ class TestPointPowerSum:
 
         def sum_at(K):
             asked.append(K)
-            return Enclosure.point(S)
+            return Enclosure.point(S).ends()
 
         got = rigor.norm_from_power_sum(sum_at, p, k)
         assert asked == [k + 4]
@@ -419,7 +419,8 @@ class TestGuardJump:
             return sum_at
 
         asked, ref_asked = [], []
-        got = rigor.norm_from_power_sum(counted(asked), p, k)
+        sum_at = counted(asked)
+        got = rigor.norm_from_power_sum(lambda K: sum_at(K).ends(), p, k)
         assert got == ref_norm_from_power_sum(counted(ref_asked), p, k)
         assert len(asked) <= len(ref_asked)
 
@@ -1497,10 +1498,11 @@ class TestOracleTrackPowers:
             for exp in (Exponent.from_real(p), Exponent.from_real(p).half()):
                 for K in (10, 60):
                     calls.clear()
-                    alone = rigor._pow_sum(distinct, exp, K)
+                    alone = Enclosure.from_ends(*rigor._pow_sum(distinct, exp, K))
                     once = sorted(calls)
                     calls.clear()
-                    assert rigor._pow_sum(repeated, exp, K) == (4 * alone[0], 4 * alone[1])
+                    got = Enclosure.from_ends(*rigor._pow_sum(repeated, exp, K))
+                    assert (got.lo, got.hi) == (4 * alone.lo, 4 * alone.hi)
                     assert sorted(calls) == once
                     assert len(set(calls)) == len(calls) >= len(distinct)
 
@@ -1671,6 +1673,55 @@ class TestLowestTerms:
                 reduced = [as_ends(F(lo, den), F(hi, den)) for lo, hi, den in raw]
                 assert rigor._pow_slack(raw, half, K) == rigor._pow_slack(reduced, half, K)
                 assert rigor._pow_sum(raw, half, K) == rigor._pow_sum(reduced, half, K)
+
+    # The sum at K as a Fraction pair: a point; a sum certified below
+    # 2^-(k+1)p with lower end 0; one far below 1, which takes the guard
+    # jump; and one above 1, whose root is taken in the first round.  The
+    # jump's lower end 2^-98 / 3 has L = 100, while the bit lengths of its
+    # lowest terms read 99: a guard that skips the comparison moves K.
+    SUMS = {
+        "point": lambda K: (F(1, 3), F(1, 3)),
+        "zero lower end": lambda K: (F(0), pow2(-200)),
+        "guard jump": lambda K: (pow2(-98) / 3, pow2(-98) / 3 + pow2(-(K + 1))),
+        "root": lambda K: (F(5, 3) - pow2(-(K + 2)), F(5, 3) + pow2(-(K + 2))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SUMS))
+    @pytest.mark.parametrize("p_name", ["3/2", "sqrt2"])
+    def test_equal_sums_give_equal_norms(self, p_name, case):
+        """norm_from_power_sum reads the value of sum_at's (lo, hi, den):
+        one sum over the product of its ends' denominators, over three
+        times that and in lowest terms gives one Enclosure from the same
+        reads, the one ref_norm_from_power_sum gives on the Enclosure
+        form, through each exit of the loop."""
+        sum_at = self.SUMS[case]
+
+        def lowest(lo, hi):
+            d = math.lcm(lo.denominator, hi.denominator)
+            return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+        forms = [as_ends, lambda lo, hi: as_ends(lo, hi, 3), lowest]
+        for k in (10, 30):
+            p = NORM_EXPONENTS[p_name]()
+            want = ref_norm_from_power_sum(lambda K: Enclosure(*sum_at(K)), p, k)
+            runs = []
+            for form in forms:
+                asked = []
+
+                def ends(K):
+                    asked.append(K)
+                    return form(*sum_at(K))
+
+                runs.append((rigor.norm_from_power_sum(ends, p, k), asked))
+            got, asked = runs[0]
+            assert runs == [(want, asked)] * len(forms)
+            assert got.width < pow2(-k)
+            if case == "zero lower end":
+                assert got == Enclosure(F(0), pow2(-(k + 1)))
+            elif case == "guard jump":
+                assert asked[1] - asked[0] > max(8, k // 2)
+            else:
+                assert asked == [k + 4]
 
 
 class TestComputableReal:

@@ -431,7 +431,7 @@ def epsilon_mantissas(alpha0: CRat, alphaj: CRat, c: int, presentation: TwistedG
     at per = K: the two-term sum on a set enumerated from c, less |a0|^p
     from the same kernel.  For m = 1, per is the sum's K plus 2."""
     assert presentation.ce.element_at(0) == c
-    s = telescoping_sum_at(presentation, [alpha0, alphaj])(K - 2)
+    s = Enclosure.from_ends(*telescoping_sum_at(presentation, [alpha0, alphaj])(K - 2))
     a = alpha0.abs2()
     ((ap_lo, ap_hi),) = rigor._pow_mantissas(
         [(a.numerator, a.numerator, a.denominator)], presentation.p.half(), K + 3
@@ -1132,7 +1132,7 @@ def ref_expanded_residual_norm(
             total = total + a0_pow * ref_tail_mass(ce, depth - 1, kg)
         return total
 
-    return norm_from_power_sum(sum_at, p, k)
+    return norm_from_power_sum(lambda K: sum_at(K).ends(), p, k)
 
 
 EXPANSION_PS = ["1", "3/2", "2", "3", "oracle:1.5:400"]
