@@ -15,7 +15,6 @@ reference on a finite, recorded schedule.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,8 +29,8 @@ from .rigor import (
     Enclosure,
     Exponent,
     PrecisionOracle,
-    ceil_log2,
     pow2,
+    _log2_floor,
 )
 from .lpspace import FiniteVector, basis, norm_of_abs2_terms, _abs2_ends
 
@@ -93,14 +92,6 @@ class GeneratingSet:
         return cs
 
 
-def _numerators(z: CRat) -> tuple[int, int, int]:
-    """(re, im, d) with z = (re + im i) / d, d the least common
-    denominator of z's two parts."""
-    re, im = z.re, z.im
-    d = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
-
-
 class StandardGenSet(GeneratingSet):
     """The standard presentation: f_n = e_n, the zeta = 1 case of
     ``ZetaGenSet``."""
@@ -125,17 +116,16 @@ class StandardGenSet(GeneratingSet):
         combination is zeta a_j over one denominator, and each nonzero
         difference gives one integer term |v_j - zeta a_j|^2, the one
         ``norm_p`` takes from the difference vector."""
-        zr, zi, zd = _numerators(self.zeta)
+        zr, zi, zd = self.zeta.ints
         w = {}
         for j, a in enumerate(_coerce_coeffs(coeffs)):
-            if a.is_zero:
-                continue
-            ar, ai, ad = _numerators(a)
-            w[j] = (zr * ar - zi * ai, zr * ai + zi * ar, zd * ad)
+            ar, ai, ad = a.ints
+            if ar or ai:
+                w[j] = (zr * ar - zi * ai, zr * ai + zi * ar, zd * ad)
         vs = dict(v.coords)
         terms = []
         for j in sorted(vs.keys() | w.keys()):
-            xr, xi, xd = _numerators(vs[j]) if j in vs else (0, 0, 1)
+            xr, xi, xd = vs[j].ints if j in vs else (0, 0, 1)
             yr, yi, yd = w.get(j, (0, 0, 1))
             re, im = xr * yd - yr * xd, xi * yd - yi * xd
             if re or im:
@@ -237,7 +227,8 @@ class RationalBall:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        if not isinstance(self.radius, Fraction):
+            object.__setattr__(self, "radius", Fraction(self.radius))
         if self.radius <= 0:
             raise ConfigError("ball radius must be positive")
 
@@ -332,23 +323,27 @@ def ballmap_from_disjoint_family(
         if len(alphas) > len(reps) or len(alphas) > _MAX_FAMILY:
             return None
         r = ball.radius
-        # |re| + |im| >= |a|, so total bounds sum |a| with no root taken.
-        total = sum((abs(a.re) + abs(a.im) for a in alphas), Fraction(0))
-        if total == 0:
+        # |re| + |im| >= |a|, so total = tn / td bounds sum |a| with no
+        # root taken, and k_q - 1 = ceil(log2(total / r)).
+        tn, td = 0, 1
+        for a in alphas:
+            ar, ai, ad = a.ints
+            tn, td = tn * ad + (abs(ar) + abs(ai)) * td, td * ad
+        if not tn:
             return RationalBall((CRAT_ZERO,), 2 * r, target.label)
-        k_q = max(1, ceil_log2(total / r) + 1)
+        k_q = max(1, 1 - _log2_floor(td * r.numerator, tn * r.denominator))
         if k_q > _MAX_PRECISION:
             return None
         # Output index -> (re, im, d): the sum of a * c so far is (re + im i) / d.
         acc: dict[int, tuple[int, int, int]] = {}
         for a, rep in zip(alphas, reps):
-            if a.is_zero:
+            ar, ai, ad = a.ints
+            if not (ar or ai):
                 continue
-            ar, ai, ad = _numerators(a)
             for i, c in enumerate(rep.coefficients(k_q)):
-                if c.is_zero:
+                cr, ci, cd = c.ints
+                if not (cr or ci):
                     continue
-                cr, ci, cd = _numerators(c)
                 re, im, d = ar * cr - ai * ci, ar * ci + ai * cr, ad * cd
                 got = acc.get(i)
                 if got is not None:
@@ -357,7 +352,7 @@ def ballmap_from_disjoint_family(
                 acc[i] = (re, im, d)
         beta = [CRAT_ZERO] * (max(acc, default=0) + 1)
         for i, (re, im, d) in acc.items():
-            beta[i] = CRat(Fraction(re, d), Fraction(im, d))
+            beta[i] = CRat.from_ints(re, im, d)
         return RationalBall(tuple(beta), 2 * r, target.label)
 
     return BallMap(source, target, kind, transform)

@@ -69,7 +69,8 @@ class IsometryDescriptor:
         for lam in self.lambdas:
             if not isinstance(lam, CRat):
                 raise TypeError(f"descriptor scalars are CRat points, not {type(lam).__name__}")
-            if lam.abs2() != 1:
+            x, y, d = lam.ints
+            if x * x + y * y != d * d:
                 raise NotUnimodular(f"scalar {lam} has |.|^2 = {lam.abs2()}")
 
     @property
@@ -91,14 +92,10 @@ class IsometryDescriptor:
         return exact_rep(genset, coeffs, label=f"T(e{n})")
 
     def as_json(self) -> dict:
-        lambdas = [
-            [lam.re.numerator, lam.re.denominator, lam.im.numerator, lam.im.denominator]
-            for lam in self.lambdas
-        ]
         return {
             "schema": "lpcat.descriptor/1",
             "phi": [[n, t] for n, t in enumerate(self.phi)],
-            "lambdas": lambdas,
+            "lambdas": [list(lam.parts()) for lam in self.lambdas],
         }
 
     @classmethod
@@ -111,7 +108,7 @@ class IsometryDescriptor:
             lambdas = []
             for row in obj["lambdas"]:
                 rn, rd, imn, imd = (strict_int(x) for x in row)
-                lambdas.append(CRat(Fraction(rn, rd), Fraction(imn, imd)))
+                lambdas.append(CRat.from_ints(rn * imd, imn * rd, rd * imd))
         except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed descriptor: {exc!r}") from exc
         if [a for a, _ in pairs] != list(range(len(pairs))):

@@ -9,12 +9,12 @@ one place, the power (|a|^2)^(p/2) of the exact squared modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rigor import (
     CRat,
     CRAT_ZERO,
+    ConfigError,
     Enclosure,
     Exponent,
     norm_from_power_sum,
@@ -83,10 +83,7 @@ class FiniteVector:
 
     # canonical JSON form: [index, re_num, re_den, im_num, im_den] sorted
     def to_quintuples(self) -> list[list[int]]:
-        return [
-            [i, v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator]
-            for i, v in self.coords
-        ]
+        return [[i, *v.parts()] for i, v in self.coords]
 
     @classmethod
     def from_quintuples(cls, rows: Sequence[Sequence[int]]) -> "FiniteVector":
@@ -95,7 +92,9 @@ class FiniteVector:
             if len(row) != 5:
                 raise ValueError("vector rows must be quintuples")
             i, rn, rd, imn, imd = (strict_int(x) for x in row)
-            items.append((i, CRat(Fraction(rn, rd), Fraction(imn, imd))))
+            if not rd or not imd:
+                raise ConfigError("a vector row has a zero denominator")
+            items.append((i, CRat.from_ints(rn * imd, imn * rd, rd * imd)))
         return cls.from_items(items)
 
 
@@ -108,10 +107,9 @@ def basis(n: int) -> FiniteVector:
 
 def _abs2_ends(c: CRat) -> tuple[int, int, int]:
     """|c|^2 as a point (m, m, den) of the power kernels' integer form."""
-    re, im = c.re, c.im
-    dr, di = re.denominator, im.denominator
-    m = (re.numerator * di) ** 2 + (im.numerator * dr) ** 2
-    return m, m, (dr * di) ** 2
+    x, y, d = c.ints
+    m = x * x + y * y
+    return m, m, d * d
 
 
 def norm_p(v: FiniteVector, p: Exponent, k: int) -> Enclosure:

@@ -2,7 +2,12 @@
 
 The whole library runs on three numeric currencies:
 
-* exact rationals (``fractions.Fraction``),
+* exact rationals: ``fractions.Fraction`` for reals, and ``CRat`` for
+  complex scalars, which stores the three integers (re, im, den) in
+  lowest terms; its arithmetic, its printed forms and the readers of its
+  fields (squared moduli, residuals, ball maps, the twisted quadratics)
+  run on those integers, and ``.re`` and ``.im`` build a Fraction only
+  when read,
 * ``Enclosure``, a closed interval with exact rational endpoints that
   certifiably contains the exact value it stands for, and
 * ``ComputableReal``, a query interface mapping a precision index k to a
@@ -28,7 +33,7 @@ budget; the two ends then differ only by 2^-K on the one floor-root s,
 (s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
 ``lpspace.norm_of_abs2_terms`` and the twisted expansion route), sums the
 numerators of each denominator as one integer, and those sums over the
-lcm of the denominators.
+lcm of the denominators, many of them by a balanced tree (``_tree_sum``).
 The same floor-root, under the same budget, takes powers of integer
 ratios m / den straight to integer mantissas at scale 2^-K, a
 power-of-two den by a shift: ``_pow_mantissas`` takes every term of a
@@ -358,71 +363,110 @@ class Enclosure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CRat:
-    """Rational point of the complex plane.  In real-field mode the
-    imaginary part is identically zero."""
+    """Rational point (re + im i) / den of the complex plane, stored as
+    the three integers ``ints`` = (re, im, den) with den >= 1 and
+    gcd(re, im, den) = 1.  The form is canonical, so equality and hashing
+    go by value.  In real-field mode the imaginary part is identically
+    zero.
 
-    re: Fraction
-    im: Fraction = _ZERO
+    ``CRat(re, im)`` takes two rationals and ``from_ints`` three integers;
+    the first calls the second, which is the one constructor that builds
+    a CRat.  Arithmetic and every hot reader work on the integers; ``re``
+    and ``im`` build a Fraction when read, and the printed forms reduce
+    each part once by gcd, so they read as a Fraction would print.
+    """
 
-    def __post_init__(self):
-        for name in ("re", "im"):
-            v = getattr(self, name)
-            if isinstance(v, float):
-                raise TypeError("floats are not accepted; use Fraction")
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+    __slots__ = ("ints",)
+
+    def __new__(cls, re: RatLike, im: RatLike = 0) -> "CRat":
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("floats are not accepted; use Fraction")
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        return cls.from_ints(re.numerator * di, im.numerator * dr, dr * di)
+
+    @classmethod
+    def from_ints(cls, re: int, im: int, den: int) -> "CRat":
+        """(re + im i) / den for integers, den != 0, in the canonical form:
+        one gcd, taken negative for a negative den, divides all three."""
+        if not den:
+            raise ZeroDivisionError("CRat with a zero denominator")
+        g = gcd(re, im, den) if den > 0 else -gcd(re, im, den)
+        self = object.__new__(cls)
+        object.__setattr__(self, "ints", (re // g, im // g, den // g))
+        return self
+
+    def __setattr__(self, _name, _value):
+        raise AttributeError("CRat is immutable")
+
+    def __reduce__(self):
+        return CRat.from_ints, self.ints
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CRat) and self.ints == other.ints
+
+    def __hash__(self) -> int:
+        return hash(self.ints)
 
     @classmethod
     def of(cls, value) -> "CRat":
         if isinstance(value, CRat):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value))
+            return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a rational point")
 
+    @property
+    def re(self) -> Fraction:
+        re, _, den = self.ints
+        return Fraction(re, den)
+
+    @property
+    def im(self) -> Fraction:
+        _, im, den = self.ints
+        return Fraction(im, den)
+
     def __add__(self, other: "CRat") -> "CRat":
-        return CRat(self.re + other.re, self.im + other.im)
+        x, y, d = self.ints
+        u, v, e = other.ints
+        return CRat.from_ints(x * e + u * d, y * e + v * d, d * e)
 
     def __sub__(self, other: "CRat") -> "CRat":
-        return CRat(self.re - other.re, self.im - other.im)
+        x, y, d = self.ints
+        u, v, e = other.ints
+        return CRat.from_ints(x * e - u * d, y * e - v * d, d * e)
 
     def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
+        x, y, d = self.ints
+        return CRat.from_ints(-x, -y, d)
 
     def __mul__(self, other: "CRat") -> "CRat":
-        return CRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        x, y, d = self.ints
+        u, v, e = other.ints
+        return CRat.from_ints(x * u - y * v, x * v + y * u, d * e)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        x, y, d = self.ints
+        return Fraction(x * x + y * y, d * d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.ints[0] and not self.ints[1]
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.ints[1]
 
     def abs_exact(self) -> Optional[Fraction]:
         """Exact modulus when it is rational (real, imaginary, or
-        Pythagorean points), else None."""
-        if self.im == 0:
-            return abs(self.re)
-        if self.re == 0:
-            return abs(self.im)
-        m2 = self.abs2()
-        rn = iroot(m2.numerator, 2)
-        if rn * rn == m2.numerator:
-            rd = iroot(m2.denominator, 2)
-            if rd * rd == m2.denominator:
-                return Fraction(rn, rd)
-        return None
+        Pythagorean points), else None: (x^2 + y^2) / d^2 is the square of
+        a rational only if x^2 + y^2 is a square."""
+        x, y, d = self.ints
+        m2 = x * x + y * y
+        r = iroot(m2, 2)
+        return Fraction(r, d) if r * r == m2 else None
 
     def abs_enclosure(self, k: int) -> Enclosure:
         exact = self.abs_exact()
@@ -431,13 +475,20 @@ class CRat:
         m2 = self.abs2()
         return Enclosure.from_ends(*_pow_route(m2.numerator, m2.denominator, _HALF, k + 2))
 
+    def parts(self) -> tuple[int, int, int, int]:
+        """(re numerator, re denominator, im numerator, im denominator),
+        each part in lowest terms, as Fraction reads them."""
+        x, y, d = self.ints
+        g, h = gcd(x, d), gcd(y, d)
+        return x // g, d // g, y // h, d // h
+
     def __repr__(self) -> str:
-        if self.im == 0:
-            return f"({self.re})"
-        return f"({self.re} + {self.im}i)"
+        re, im = self.as_json()
+        return f"({re})" if im == "0" else f"({re} + {im}i)"
 
     def as_json(self) -> list[str]:
-        return [str(self.re), str(self.im)]
+        rn, rd, im_n, im_d = self.parts()
+        return [f"{n}/{d}" if d != 1 else str(n) for n, d in ((rn, rd), (im_n, im_d))]
 
 
 CRAT_ZERO = CRat(_ZERO)
@@ -1124,16 +1175,41 @@ def _pow_sum(
     bases as their own powers and skips it.  Each end sums integer
     numerators per denominator, so the floor-roots all add up over the one
     2^(K+2), and the per-denominator sums add up over the lcm of the
-    denominators, 1 for no base.
+    denominators, 1 for no base.  Up to 16 denominators scale every sum up
+    to the lcm at once, which costs no more than a tree there; more add up
+    in ``_tree_sum``.
     """
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
     for n_lo, n_hi, den in bases if exp.fast == 1 else _pow_slack(bases, exp, K):
         lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
+    if len(lows) > 16:
+        den, lo = _tree_sum(lows)
+        return lo, lo if highs == lows else _tree_sum(highs)[1], den
     den = lcm(*lows)
     lo = sum(n * (den // d) for d, n in lows.items())
     return lo, lo if highs == lows else sum(n * (den // d) for d, n in highs.items()), den
+
+
+def _tree_sum(parts: dict[int, int]) -> tuple[int, int]:
+    """(L, N) with L the lcm of the denominators d of parts' items d -> n
+    and N / L the sum of their n / d, the N that scaling every n up to L
+    gives: lcm is associative, so a balanced tree of pairwise sums, each
+    over the lcm of its two denominators, ends at it.  One level of the
+    tree forms operands of about L's size in all, so m denominators cost
+    about log m times that, where one scale-up of each n costs m times it.
+    """
+    terms = list(parts.items())
+    while len(terms) > 1:
+        pairs = []
+        for (d, a), (e, b) in zip(terms[::2], terms[1::2]):
+            g = gcd(d, e)
+            pairs.append((d // g * e, a * (e // g) + b * (d // g)))
+        if len(terms) & 1:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0]
 
 
 def _pow_mantissas(

@@ -429,19 +429,14 @@ def _quad_coefficients(
     + C) / D in integers, so A / D = |a0|^2, B / D = 2 Re(a0 conj aj) and
     C / D = |aj|^2, with the u-precision guard g = 4 + ceil(log2(1 + |B/D|
     + 2A/D)), since the quadratic's u-derivative is at most |b| + 2a on
-    [0, 1].  Writing each scalar as (X + iY) / d over the product d of its
-    two denominators, a0's once for every term, and g - 4 as the bit
-    length of ceil(N / D) - 1 for N = D + |B| + 2A, needs no gcd."""
-    d0 = alpha0.re.denominator * alpha0.im.denominator
-    x0 = alpha0.re.numerator * alpha0.im.denominator
-    y0 = alpha0.im.numerator * alpha0.re.denominator
+    [0, 1].  Each scalar is read as its integers (X + iY) / d, a0's once
+    for every term, and g - 4 as the bit length of ceil(N / D) - 1 for
+    N = D + |B| + 2A, which needs no gcd."""
+    x0, y0, d0 = alpha0.ints
     a = x0 * x0 + y0 * y0
     quads = []
     for aj in alphas:
-        re, im = aj.re, aj.im
-        dre, dim = re.denominator, im.denominator
-        dj = dre * dim
-        xj, yj = re.numerator * dim, im.numerator * dre
+        xj, yj, dj = aj.ints
         A = a * dj * dj
         B = 2 * (x0 * xj + y0 * yj) * d0 * dj
         C = (xj * xj + yj * yj) * d0 * d0
@@ -548,22 +543,17 @@ def _residual_quads(
     """(A, B, C, D) for coordinates n = 0..depth of the residual, with
     |a_0 u - d_n|^2 = (A u^2 + B u + C) / D, d_0 = t_0 and d_n = t_n - a_n
     past 0 (a_n = 0 past the list), so A / D = |a_0|^2, B / D =
-    -2 Re(d_n conj a_0) and C / D = |d_n|^2.  Each scalar is (x + iy) / d
-    over the product d of its two denominators, d_n over the product of
-    t_n's and a_n's, and D is the square of the product of all three: no
-    gcd and no Fraction."""
-    d0 = a0.re.denominator * a0.im.denominator
-    x0 = a0.re.numerator * a0.im.denominator
-    y0 = a0.im.numerator * a0.re.denominator
+    -2 Re(d_n conj a_0) and C / D = |d_n|^2.  Each scalar is read as its
+    integers (x + iy) / d, d_n over the product of t_n's and a_n's d, and
+    D is the square of the product of all three: no gcd and no Fraction."""
+    x0, y0, d0 = a0.ints
     a = x0 * x0 + y0 * y0
     quads = []
     for n in range(depth + 1):
-        t = target.get(n)
-        an = cs[n] if 0 < n < len(cs) else CRAT_ZERO
-        dt = t.re.denominator * t.im.denominator
-        da = an.re.denominator * an.im.denominator
-        x = t.re.numerator * t.im.denominator * da - an.re.numerator * an.im.denominator * dt
-        y = t.im.numerator * t.re.denominator * da - an.im.numerator * an.re.denominator * dt
+        xt, yt, dt = target.get(n).ints
+        xa, ya, da = cs[n].ints if 0 < n < len(cs) else (0, 0, 1)
+        x = xt * da - xa * dt
+        y = yt * da - ya * dt
         dd = dt * da
         B = -2 * (x * x0 + y * y0) * d0 * dd
         quads.append((a * dd * dd, B, (x * x + y * y) * d0 * d0, (d0 * dd) ** 2))
@@ -767,7 +757,7 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
         coeffs = [CRat.of(q1)]
         for lo, hi, den in _pow_slack(points, inverse, kr):
             num = -q1.numerator * (lo + hi)
-            coeffs.append(CRat(Fraction(num, q1.denominator * 2 * den)))
+            coeffs.append(CRat.from_ints(num, 0, q1.denominator * 2 * den))
         certified = expanded_residual_norm(ce, p, coeffs, basis(0), k + 2)
         if certified.hi < pow2(-k):
             break

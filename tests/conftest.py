@@ -41,13 +41,15 @@ def primes():
 
 @pytest.fixture
 def crats_built(monkeypatch):
-    """A list that gains one entry per CRat constructed from here on."""
+    """A list that gains one entry per CRat constructed from here on,
+    counted at ``CRat.from_ints``, the one constructor every CRat goes
+    through."""
     built = []
-    post_init = CRat.__post_init__
+    from_ints = CRat.from_ints.__func__
 
-    def counted(self):
+    def counted(cls, re, im, den):
         built.append(1)
-        post_init(self)
+        return from_ints(cls, re, im, den)
 
-    monkeypatch.setattr(CRat, "__post_init__", counted)
+    monkeypatch.setattr(CRat, "from_ints", classmethod(counted))
     return built

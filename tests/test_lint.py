@@ -40,18 +40,25 @@ is not a track test.
 
 The power kernels run on the integer form: ``_pow_route``,
 ``_pow_dyadic_enclosure``, ``_exp_gap``, ``_gap_terms``, ``_pow_slack``,
-``_pow_sum`` and ``_pow_mantissas``, with what is nested in them, read
-``Fraction`` only in type annotations, so they build none, and make no
+``_pow_sum``, ``_tree_sum`` and ``_pow_mantissas``, with what is nested
+in them, read ``Fraction`` only in type annotations, so they build none,
+read no ``CRat`` part as a Fraction (``.re`` or ``.im``), and make no
 ``is`` or ``is not`` comparison other than with ``None``: a base
 (lo, hi, den) is a point when lo == hi, not when two end objects are
-one.  Fractions are built only in ``Enclosure.from_ends``.
+one.  Fractions are built only in ``Enclosure.from_ends``.  The same
+holds for ``CRat``'s integer form (re, im, den): its constructor
+``from_ints``, its arithmetic and printing, and the functions in
+``INTEGER_FUNCTIONS`` that read its fields in the ball map, the
+residuals, the squared moduli, the twisted quadratics and the
+descriptor.
 
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
 and not as the literal the default already is.
 A default no caller overrides is a setting no workload runs; make it a
 constant.  Calls are matched by name; ``Cls(...)``, ``cls(...)`` and
-``super().__init__(...)`` call the ``__init__`` that class resolves to.
+``super().__init__(...)`` call the ``__init__`` that class resolves to,
+or its ``__new__`` when it defines no ``__init__``.
 Exempt are names with a leading underscore and the parameters in
 ``NO_CALLER``.
 
@@ -395,20 +402,39 @@ def test_only_the_power_kernels_test_the_exponent_track():
     assert not stray, "exponent track tests outside the power kernels:\n" + "\n".join(stray)
 
 
-# The kernels that take and return the integer form (lo, hi, den).
-INTEGER_KERNELS = {
-    "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack", "_pow_sum",
-    "_pow_mantissas",
+# Module -> the functions in it that run on integers: the power kernels,
+# and CRat's integer form, its arithmetic and printing and the readers of
+# its fields.
+INTEGER_FUNCTIONS = {
+    "rigor.py": {
+        "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack",
+        "_pow_sum", "_tree_sum", "_pow_mantissas",
+        "CRat.from_ints", "CRat.__eq__", "CRat.__hash__", "CRat.__add__", "CRat.__sub__",
+        "CRat.__neg__", "CRat.__mul__", "CRat.is_zero", "CRat.is_real", "CRat.parts",
+        "CRat.__repr__", "CRat.as_json",
+    },
+    "genset.py": {
+        "_coerce_coeffs", "StandardGenSet.residual_norm", "ballmap_from_disjoint_family.transform",
+    },
+    "lpspace.py": {"_abs2_ends", "FiniteVector.to_quintuples", "FiniteVector.from_quintuples"},
+    "twisted.py": {"_quad_coefficients", "_residual_quads"},
+    "isometry.py": {
+        "IsometryDescriptor.__post_init__", "IsometryDescriptor.as_json",
+        "IsometryDescriptor.from_json",
+    },
 }
 
 
 def _fractions_and_identities(func):
     """Lines in func, nested functions included, that read ``Fraction``
-    outside a type annotation, or compare with ``is`` or ``is not`` where
-    neither side is ``None``."""
+    outside a type annotation or a ``CRat`` part as a Fraction (``.re`` or
+    ``.im``), or compare with ``is`` or ``is not`` where neither side is
+    ``None``."""
     types_only = _type_reads(func)
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in types_only:
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("re", "im"):
             yield node.lineno
         elif isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
@@ -419,15 +445,17 @@ def _fractions_and_identities(func):
 
 
 def test_the_power_kernels_build_no_fraction():
-    tree = ast.parse((SRC / "rigor.py").read_text())
-    kernels = {name: func for name, func, _ in _functions(tree) if name in INTEGER_KERNELS}
-    assert kernels.keys() == INTEGER_KERNELS
-    stray = [
-        f"rigor.py:{line} {name}"
-        for name, func in sorted(kernels.items())
-        for line in _fractions_and_identities(func)
-    ]
-    assert not stray, "Fractions or identity tests in the integer kernels:\n" + "\n".join(stray)
+    stray = []
+    for module, names in sorted(INTEGER_FUNCTIONS.items()):
+        tree = ast.parse((SRC / module).read_text())
+        found = {name: func for name, func, _ in _functions(tree) if name in names}
+        assert found.keys() == names
+        stray += [
+            f"{module}:{line} {name}"
+            for name, func in sorted(found.items())
+            for line in _fractions_and_identities(func)
+        ]
+    assert not stray, "Fractions or identity tests in the integer functions:\n" + "\n".join(stray)
 
 
 def _classes(trees) -> dict:
@@ -444,11 +472,13 @@ def _classes(trees) -> dict:
 
 
 def _init_of(name, classes):
-    """The qualified __init__ that constructing class name runs."""
+    """The qualified __init__, or else __new__, that constructing class
+    name runs."""
     while name in classes:
         bases, methods = classes[name]
-        if "__init__" in methods:
-            return f"{name}.__init__"
+        for method in ("__init__", "__new__"):
+            if method in methods:
+                return f"{name}.{method}"
         name = next((b for b in bases if b in classes), None)
     return None
 
@@ -517,7 +547,7 @@ def test_every_default_is_set_by_a_caller():
     unset, kept = [], set()
     for path, tree in sorted(src.items()):
         for name, func, is_method in _functions(tree):
-            key = name if func.name == "__init__" else func.name
+            key = name if func.name in ("__init__", "__new__") else func.name
             for param, position, default in _defaulted(func, is_method):
                 if param.startswith("_") or any(
                     _sets(c, param, position, default) for c in calls.get(key, ())

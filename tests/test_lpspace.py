@@ -348,6 +348,78 @@ class TestPowerSumKernel:
             assert Enclosure.from_ends(*rigor._pow_sum(ends, exp, K)) == want
 
 
+class _ProductBits(int):
+    """An int that adds the bit length of every product it forms to
+    ``formed``, and keeps its type through the sums, quotients and
+    products _pow_sum makes of it, so the products of products count too."""
+
+    formed = 0
+
+    def __mul__(self, other):
+        product = int.__mul__(self, other)
+        _ProductBits.formed += product.bit_length()
+        return _ProductBits(product)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _ProductBits(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __floordiv__(self, other):
+        return _ProductBits(int.__floordiv__(self, other))
+
+    def __rfloordiv__(self, other):
+        return _ProductBits(int.__rfloordiv__(self, other))
+
+
+def _long_sum_bases(m: int, seed: int, points: bool) -> list[tuple[int, int, int]]:
+    """m bases over distinct random 40-bit denominators, whose lcm has
+    about 40 bits per base."""
+    rng = random.Random(seed)
+    dens = rng.sample(range(1 << 39, 1 << 40), m)
+    bases = []
+    for d in dens:
+        lo = rng.randrange(1 << 40)
+        bases.append((lo, lo if points else lo + rng.randrange(1, 1 << 20), d))
+    return bases
+
+
+class TestLongPowerSums:
+    """rigor._pow_sum over many denominators: the (lo, hi, den) of
+    scaling every numerator up to the lcm of all, in near-linear work."""
+
+    @pytest.mark.parametrize("points", [True, False])
+    @pytest.mark.parametrize("m", [1, 16, 17, 33, 300])
+    def test_the_ends_of_one_scale_up_to_the_lcm(self, m, points):
+        bases = _long_sum_bases(m, m, points)
+        den = math.lcm(*(d for _, _, d in bases))
+        want = (
+            sum(lo * (den // d) for lo, _, d in bases),
+            sum(hi * (den // d) for _, hi, d in bases),
+            den,
+        )
+        assert rigor._pow_sum(bases, Exponent.from_rational(1), 30) == want
+
+    def test_product_bits_grow_near_linearly(self):
+        """Work guard, free of timing noise: the bits of the products one
+        exponent-1 sum forms, at m and at 4m distinct denominators.  One
+        scale-up of every numerator to the lcm forms m products of the
+        lcm's size, so 4m bases form 16 times the bits; a balanced tree of
+        pairwise sums forms about the lcm's size per level, 4 (1 + 2 /
+        log2 m) times."""
+        exp = Exponent.from_rational(1)
+        formed = []
+        for m in (64, 256):
+            bases = [tuple(map(_ProductBits, b)) for b in _long_sum_bases(m, 5, True)]
+            _ProductBits.formed = 0
+            lo, _, den = rigor._pow_sum(bases, exp, 30)
+            formed.append(_ProductBits.formed)
+            assert F(lo, den) == sum(F(n, d) for n, _, d in bases)
+        assert formed[1] < 7 * formed[0]
+
+
 def test_norm_p_enclosure_work(monkeypatch, p32):
     """Work guard, free of timing noise: Enclosure constructions in one
     seeded m = 64, k = 30 norm at p = 3/2.  It made 185 while every term's

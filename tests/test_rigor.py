@@ -8,7 +8,9 @@ floor-roots instead.
 """
 
 import ast
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from lpcat import (
     Enclosure,
     Exponent,
     FiniteVector,
+    IsometryDescriptor,
     NegativeBase,
     OracleFailure,
     StandardGenSet,
@@ -1095,6 +1098,70 @@ def test_crat_of_takes_exact_scalars_only(value):
     refused, not converted."""
     with pytest.raises(TypeError):
         CRat.of(value)
+
+
+crat_parts = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+nonzero_scales = st.integers(-1000, 1000).filter(bool)
+
+
+def unreduced(re: Fraction, im: Fraction, scale: int) -> tuple[int, int, int]:
+    """re + im i as integers over the product of the two denominators,
+    times scale: unreduced, and with a negative denominator for scale < 0."""
+    dr, di = re.denominator, im.denominator
+    return scale * re.numerator * di, scale * im.numerator * dr, scale * dr * di
+
+
+def fraction_quadruple(re: Fraction, im: Fraction) -> list[int]:
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+class TestCanonicalCRat:
+    """A CRat is the three integers (re, im, den), den >= 1 and
+    gcd(re, im, den) = 1, however it was written: built from Fractions or
+    from unreduced integers over a denominator of either sign, it is one
+    value, and each printed form is the one the Fractions give."""
+
+    @given(crat_parts, crat_parts, nonzero_scales)
+    def test_one_value_from_fractions_and_integers(self, re, im, scale):
+        z = CRat(re, im)
+        w = CRat.from_ints(*unreduced(re, im, scale))
+        assert z == w and hash(z) == hash(w)
+        x, y, den = z.ints
+        assert den >= 1 and math.gcd(x, y, den) == 1
+        assert w.ints == z.ints and (w.re, w.im) == (re, im)
+        assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
+        with pytest.raises(AttributeError):
+            w.ints = (1, 0, 1)
+
+    @given(crat_parts, crat_parts, nonzero_scales)
+    def test_printed_forms_read_as_the_fractions(self, re, im, scale):
+        z = CRat.from_ints(*unreduced(re, im, scale))
+        assert z.as_json() == [str(re), str(im)]
+        assert repr(z) == (f"({re})" if im == 0 else f"({re} + {im}i)")
+        rows = FiniteVector.from_items([(3, z)]).to_quintuples()
+        assert rows == ([] if re == im == 0 else [[3, *fraction_quadruple(re, im)]])
+
+    @given(crat_parts, nonzero_scales)
+    def test_descriptor_json_reads_as_the_fractions(self, t, scale):
+        """A Pythagorean scalar ((1 - t^2) + 2t i) / (1 + t^2), written
+        unreduced in the descriptor file, prints back in lowest terms."""
+        re, im = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        x, y, den = unreduced(re, im, scale)
+        row = [x, den, y, den]
+        d = IsometryDescriptor.from_json({"phi": [[0, 0]], "lambdas": [row]})
+        assert d.lambdas == (CRat(re, im),)
+        assert d.as_json()["lambdas"] == [fraction_quadruple(re, im)]
+
+    @given(crat_parts, crat_parts, st.sampled_from(["re", "im", "both"]))
+    def test_a_zero_denominator_is_a_config_error(self, re, im, zeroed):
+        rd = re.denominator if zeroed == "im" else 0
+        imd = im.denominator if zeroed == "re" else 0
+        with pytest.raises(ConfigError):
+            IsometryDescriptor.from_json(
+                {"phi": [[0, 0]], "lambdas": [[re.numerator, rd, im.numerator, imd]]}
+            )
+        with pytest.raises(ConfigError):
+            FiniteVector.from_quintuples([[0, re.numerator, rd, im.numerator, imd]])
 
 
 @pytest.mark.parametrize(
