@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 from .rigor import (
     CRat,
     CRAT_ZERO,
-    ConfigError,
     Enclosure,
     Exponent,
     norm_from_power_sum,
@@ -92,8 +91,6 @@ class FiniteVector:
             if len(row) != 5:
                 raise ValueError("vector rows must be quintuples")
             i, rn, rd, imn, imd = (strict_int(x) for x in row)
-            if not rd or not imd:
-                raise ConfigError("a vector row has a zero denominator")
             items.append((i, CRat.from_ints(rn * imd, imn * rd, rd * imd)))
         return cls.from_items(items)
 

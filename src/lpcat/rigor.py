@@ -1175,37 +1175,42 @@ def _pow_sum(
     bases as their own powers and skips it.  Each end sums integer
     numerators per denominator, so the floor-roots all add up over the one
     2^(K+2), and the per-denominator sums add up over the lcm of the
-    denominators, 1 for no base.  Up to 16 denominators scale every sum up
-    to the lcm at once, which costs no more than a tree there; more add up
-    in ``_tree_sum``.
+    denominators, 1 for no base.  Up to 32 denominators scale every sum up
+    to the lcm at once; more add up in ``_tree_sum``.  Each of its pair
+    steps costs more interpreter work than one scale-up, but m
+    denominators form products of about log m times the lcm's bits in all,
+    where the scale-up forms m times them.  Under CPython 3.11 the two
+    took the same time at 32 distinct denominators of 34 bits (squares
+    below 10^10); the tree was slower below that, up to 1.7 times with
+    smaller denominators, and faster from 24 with 40-bit ones.
     """
     lows: dict[int, int] = {}
     highs: dict[int, int] = {}
     for n_lo, n_hi, den in bases if exp.fast == 1 else _pow_slack(bases, exp, K):
         lows[den] = lows.get(den, 0) + n_lo
         highs[den] = highs.get(den, 0) + n_hi
-    if len(lows) > 16:
-        den, lo = _tree_sum(lows)
-        return lo, lo if highs == lows else _tree_sum(highs)[1], den
+    if len(lows) > 32:
+        den, lo, hi = _tree_sum([(d, n, highs[d]) for d, n in lows.items()])
+        return lo, hi, den
     den = lcm(*lows)
     lo = sum(n * (den // d) for d, n in lows.items())
     return lo, lo if highs == lows else sum(n * (den // d) for d, n in highs.items()), den
 
 
-def _tree_sum(parts: dict[int, int]) -> tuple[int, int]:
-    """(L, N) with L the lcm of the denominators d of parts' items d -> n
-    and N / L the sum of their n / d, the N that scaling every n up to L
-    gives: lcm is associative, so a balanced tree of pairwise sums, each
-    over the lcm of its two denominators, ends at it.  One level of the
-    tree forms operands of about L's size in all, so m denominators cost
-    about log m times that, where one scale-up of each n costs m times it.
+def _tree_sum(terms: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(L, N_lo, N_hi) for terms (d, n_lo, n_hi): L the lcm of the d and
+    N / L the sum of the n / d on each end, the N that scaling every n up
+    to L gives.  lcm is associative, so a balanced tree of pairwise sums,
+    each over the lcm of its two denominators by one gcd, ends at it; a
+    pair of points, n_lo == n_hi on both sides, forms its products once.
     """
-    terms = list(parts.items())
     while len(terms) > 1:
         pairs = []
-        for (d, a), (e, b) in zip(terms[::2], terms[1::2]):
+        for (d, a_lo, a_hi), (e, b_lo, b_hi) in zip(terms[::2], terms[1::2]):
             g = gcd(d, e)
-            pairs.append((d // g * e, a * (e // g) + b * (d // g)))
+            u, v = e // g, d // g
+            lo = a_lo * u + b_lo * v
+            pairs.append((d * u, lo, lo if a_hi == a_lo and b_hi == b_lo else a_hi * u + b_hi * v))
         if len(terms) & 1:
             pairs.append(terms[-1])
         terms = pairs

@@ -351,7 +351,9 @@ class TestPowerSumKernel:
 class _ProductBits(int):
     """An int that adds the bit length of every product it forms to
     ``formed``, and keeps its type through the sums, quotients and
-    products _pow_sum makes of it, so the products of products count too."""
+    products _pow_sum makes of it, so the products of products count too.
+    ``gcd`` and ``lcm`` add their operands' bits, so work that moves into
+    them counts as well."""
 
     formed = 0
 
@@ -373,6 +375,21 @@ class _ProductBits(int):
     def __rfloordiv__(self, other):
         return _ProductBits(int.__rfloordiv__(self, other))
 
+    @staticmethod
+    def gcd(a: int, b: int) -> int:
+        _ProductBits.formed += a.bit_length() + b.bit_length()
+        return math.gcd(a, b)
+
+    @staticmethod
+    def lcm(*args: int) -> int:
+        """math.lcm, which folds its arguments left to right, counting the
+        bits of each partial lcm and argument it reads."""
+        acc = 1
+        for a in args:
+            _ProductBits.formed += acc.bit_length() + a.bit_length()
+            acc = math.lcm(acc, a)
+        return _ProductBits(acc)
+
 
 def _long_sum_bases(m: int, seed: int, points: bool) -> list[tuple[int, int, int]]:
     """m bases over distinct random 40-bit denominators, whose lcm has
@@ -388,10 +405,11 @@ def _long_sum_bases(m: int, seed: int, points: bool) -> list[tuple[int, int, int
 
 class TestLongPowerSums:
     """rigor._pow_sum over many denominators: the (lo, hi, den) of
-    scaling every numerator up to the lcm of all, in near-linear work."""
+    scaling every numerator up to the lcm of all, on both sides of the
+    count, 32, where it starts to add them up as a tree."""
 
     @pytest.mark.parametrize("points", [True, False])
-    @pytest.mark.parametrize("m", [1, 16, 17, 33, 300])
+    @pytest.mark.parametrize("m", [1, 2, 32, 33, 65, 300])
     def test_the_ends_of_one_scale_up_to_the_lcm(self, m, points):
         bases = _long_sum_bases(m, m, points)
         den = math.lcm(*(d for _, _, d in bases))
@@ -402,13 +420,17 @@ class TestLongPowerSums:
         )
         assert rigor._pow_sum(bases, Exponent.from_rational(1), 30) == want
 
-    def test_product_bits_grow_near_linearly(self):
-        """Work guard, free of timing noise: the bits of the products one
-        exponent-1 sum forms, at m and at 4m distinct denominators.  One
-        scale-up of every numerator to the lcm forms m products of the
-        lcm's size, so 4m bases form 16 times the bits; a balanced tree of
-        pairwise sums forms about the lcm's size per level, 4 (1 + 2 /
-        log2 m) times."""
+    def test_operand_bits_grow_near_linearly(self, monkeypatch):
+        """Size guard, free of timing noise: the bits of the products one
+        exponent-1 sum forms and of the operands of its gcd and lcm calls,
+        at m and at 4m distinct denominators.  One scale-up of every
+        numerator to the lcm forms m products of the lcm's size, so 4m
+        bases form 16 times the bits; a balanced tree of pairwise sums
+        forms about the lcm's size per level, 4 (1 + 2 / log2 m) times.
+        This bounds operand sizes, not time: CPython's multiplication and
+        gcd cost more than linear time in the size of their operands."""
+        monkeypatch.setattr(rigor, "gcd", _ProductBits.gcd)
+        monkeypatch.setattr(rigor, "lcm", _ProductBits.lcm)
         exp = Exponent.from_rational(1)
         formed = []
         for m in (64, 256):

@@ -7,18 +7,22 @@ endpoints; the library path under test goes through integer
 floor-roots instead.
 """
 
+import argparse
 import ast
 import copy
+import json
 import math
 import pickle
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpcat import rigor
+from lpcat import cli, rigor
 from lpcat.cli import parse_p
 from lpcat import (
     ComputableReal,
@@ -1154,14 +1158,23 @@ class TestCanonicalCRat:
 
     @given(crat_parts, crat_parts, st.sampled_from(["re", "im", "both"]))
     def test_a_zero_denominator_is_a_config_error(self, re, im, zeroed):
+        """The descriptor reader raises ConfigError itself; the vector
+        reader raises ZeroDivisionError, which classify's images reader
+        turns into ConfigError."""
         rd = re.denominator if zeroed == "im" else 0
         imd = im.denominator if zeroed == "re" else 0
         with pytest.raises(ConfigError):
             IsometryDescriptor.from_json(
                 {"phi": [[0, 0]], "lambdas": [[re.numerator, rd, im.numerator, imd]]}
             )
-        with pytest.raises(ConfigError):
-            FiniteVector.from_quintuples([[0, re.numerator, rd, im.numerator, imd]])
+        row = [0, re.numerator, rd, im.numerator, imd]
+        with pytest.raises(ZeroDivisionError):
+            FiniteVector.from_quintuples([row])
+        with tempfile.TemporaryDirectory() as tmp:
+            images = Path(tmp) / "images.json"
+            images.write_text(json.dumps({"images": [[row]]}))
+            with pytest.raises(ConfigError):
+                cli.cmd_classify(argparse.Namespace(p="2", input=str(images), tol=8))
 
 
 @pytest.mark.parametrize(
