@@ -17,9 +17,15 @@ from lpcat import (
 )
 
 print("== Enclosures are the only numeric currency ==")
-x = Enclosure(F(-1), F(1))
-print(f"[-1,1] * [-1,1] = {x * x}   (sign analysis, exact endpoints)")
-print(f"|[-3,2]|        = {abs(Enclosure(F(-3), F(2)))}")
+x = Enclosure(-2, 2, 4)
+print(f"Enclosure(-2, 2, 4) = {x}   (integer ends over one denominator, in lowest terms)")
+print(f"x + 1/3             = {x + Enclosure.point(F(1, 3))}   (exact endpoints)")
+print(f"x - x               = {x - x}   (each operand ranges over its own interval)")
+print(f"1 / [1, 2]          = {Enclosure(1, 2, 1).recip()}")
+try:
+    Enclosure.point(0.1)
+except TypeError:
+    print("Enclosure.point(0.1) is refused: a float's binary value is not 1/10")
 
 print()
 print("== Certified p-th powers and roots ==")

@@ -14,38 +14,36 @@ The whole library runs on three numeric currencies:
   rational within 2^-k of the represented real.
 
 Every operation is outward rounded: the result encloses the exact image of
-every point of its inputs.  There is no floating point anywhere.  Below
-the ``Enclosure`` API the power kernels take and return one integer form,
-(lo, hi, den) for [lo, hi] / den, lo == hi for a point.  ``_pow_slack``
-reduces each end once by gcd, so every route reads a value and not how
-it was written, and no kernel builds a Fraction: a power sum reaches
-``norm_from_power_sum``'s root in this form, and its one Enclosure is
-built at the return.  A power t^(a/b) of a rational point n / d is
-routed in one place, ``_pow_route``, which takes one of two routes,
-chosen by cost, and returns that form either way, equal ends for an
-exact power.  The exact route is an exact integer power followed by an
-integer floor-root: nested integer square roots when b is a power of
-two, Newton iteration seeded from the root of the top bits otherwise,
-and exact on perfect powers; a dyadic base 2^-c reads its root from one
-table entry per residue of c a mod b.  It is taken when its largest
-operand, bounded by ``_exact_pow_bits`` at scale 2^-K, fits a fixed bit
-budget; the two ends then differ only by 2^-K on the one floor-root s,
-(s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop (behind
-``lpspace.norm_of_abs2_terms`` and the twisted expansion route), sums the
-numerators of each denominator as one integer, and those sums over the
-lcm of the denominators, many of them by a balanced tree (``_tree_sum``).
-The same floor-root, under the same budget, takes powers of integer
-ratios m / den straight to integer mantissas at scale 2^-K, a
-power-of-two den by a shift: ``_pow_mantissas`` takes every term of a
-sum in one call, so the twisted norm makes one kernel call per sum.
-Otherwise the dyadic route computes t^e = exp(e ln t) in fixed point:
-ln t by square roots and an atanh series after splitting off the power
-of two, exp by a Taylor series after argument reduction and halving, each
-value an integer mantissa with a radius counted in ulps.  Its working
-precision is sized from K and the size of t^e, ln t is shared by every
-exponent of one base, and its ends lie on the grid 2^-(K+2), the
-denominator it returns.  Either way every bound is certified by integer
-operations alone.
+every point of its inputs.  There is no floating point anywhere: each
+rational entry takes an int or a Fraction only (``_ratio``).  The power
+kernels take and return one integer form, (lo, hi, den) for [lo, hi] /
+den, lo == hi for a point, which ``Enclosure`` stores as ``ints``.
+``_pow_slack`` reduces each end once by gcd, so every route reads a value
+and not how it was written, and no kernel builds a Fraction.  A power
+t^(a/b) of a rational point n / d is routed in one place, ``_pow_route``,
+which takes one of two routes, chosen by cost, and returns that form
+either way, equal ends for an exact power.  The exact route is an exact
+integer power followed by an integer floor-root: nested integer square
+roots when b is a power of two, Newton iteration seeded from the root of
+the top bits otherwise, and exact on perfect powers; a dyadic base 2^-c
+reads its root from one table entry per residue of c a mod b.  It is taken
+when its largest operand, bounded by ``_exact_pow_bits`` at scale 2^-K,
+fits a fixed bit budget; the two ends then differ only by 2^-K on the one
+floor-root s, (s, s + 1, 2^K), so ``_pow_sum``, the one power-sum loop
+(behind ``lpspace.norm_of_abs2_terms`` and the twisted expansion route),
+sums the numerators of each denominator as one integer, and those sums
+over the lcm of the denominators, many of them by a balanced tree
+(``_tree_sum``).  The same floor-root, under the same budget, takes powers
+of integer ratios m / den straight to integer mantissas at scale 2^-K, a
+power-of-two den by a shift: ``_pow_mantissas`` takes every term of a sum
+in one call, so the twisted norm makes one kernel call per sum.  Otherwise
+the dyadic route computes t^e = exp(e ln t) in fixed point: ln t by square
+roots and an atanh series after splitting off the power of two, exp by a
+Taylor series after argument reduction and halving, each value an integer
+mantissa with a radius counted in ulps.  Its working precision is sized
+from K and the size of t^e, ln t is shared by every exponent of one base,
+and its ends lie on the grid 2^-(K+2), the denominator it returns.  Either
+way every bound is certified by integer operations alone.
 Exponents come in two tracks: an exact rational fast path, and a general
 track where the exponent is only known through its own approximation
 oracle; the general track brackets the exponent by dyadics at 2^-k
@@ -70,7 +68,6 @@ finds it needs a higher one ends, and the loop's step yields that next.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -78,7 +75,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 RatLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -125,6 +121,20 @@ def strict_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
     for key in obj:
         if key not in keys:
             raise ConfigError(f"unknown {what} key {key!r}")
+
+
+def _ratio(q: RatLike) -> tuple[int, int]:
+    """q's numerator and denominator, the one check at every rational
+    entry: an int or a Fraction, never a float or a string."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {q!r}")
+    return q.numerator, q.denominator
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n / d, d >= 1, printed as the Fraction it reduces to prints."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def frac_ceil(q: Fraction) -> int:
@@ -243,119 +253,116 @@ def escalate(start: int, step: Callable[[int], int], cap: int, failure: str) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Enclosure:
-    """Closed interval with exact rational endpoints; the certified-value
-    carrier for every inexact quantity in the library."""
+    """Closed interval [lo, hi] / den, integers over one positive
+    denominator: the certified-value carrier for every inexact quantity.
+    ``ints`` holds the power kernels' form divided by gcd(lo, hi, den), so
+    equality and hashing go by value.  Only the readers ``lo``, ``hi``,
+    ``width`` and ``midpoint`` build a Fraction; printed ends read as one."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("ints",)
 
-    def __post_init__(self):
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: int, hi: int, den: int) -> "Enclosure":
+        g = gcd(lo, hi, den)
+        if den < 1 or lo > hi:
+            raise ValueError(f"malformed enclosure [{lo}, {hi}] / {den}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "ints", (lo // g, hi // g, den // g))
+        return self
+
+    def __setattr__(self, _name, _value):
+        raise AttributeError("Enclosure is immutable")
+
+    def __reduce__(self):
+        return Enclosure, self.ints
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Enclosure) and self.ints == other.ints
+
+    def __hash__(self) -> int:
+        return hash(self.ints)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def point(q: RatLike) -> "Enclosure":
-        q = Fraction(q)
-        return Enclosure(q, q)
+        n, d = _ratio(q)
+        return Enclosure(n, n, d)
 
     @staticmethod
     def from_center(center: RatLike, radius: RatLike) -> "Enclosure":
-        center, radius = Fraction(center), Fraction(radius)
-        return Enclosure(center - radius, center + radius)
-
-    @staticmethod
-    def from_ends(lo: int, hi: int, den: int) -> "Enclosure":
-        """[lo / den, hi / den], the integer form every power kernel
-        returns; equal ends give one Fraction twice."""
-        q = Fraction(lo, den)
-        return Enclosure(q, q if lo == hi else Fraction(hi, den))
-
-    def ends(self) -> tuple[int, int, int]:
-        """The integer form (lo, hi, den) the power kernels take."""
-        lo, hi = self.lo, self.hi
-        d, e = lo.denominator, hi.denominator
-        if d == e:
-            return lo.numerator, hi.numerator, d
-        return lo.numerator * e, hi.numerator * d, d * e
+        (c, d), (r, e) = _ratio(center), _ratio(radius)
+        return Enclosure(c * e - r * d, c * e + r * d, d * e)
 
     # -- geometry ----------------------------------------------------------
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.ints[0], self.ints[2])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.ints[1], self.ints[2])
+
+    @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        lo, hi, den = self.ints
+        return Fraction(hi - lo, den)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        lo, hi, den = self.ints
+        return Fraction(lo + hi, 2 * den)
 
     def contains(self, value: RatLike) -> bool:
-        return self.lo <= value <= self.hi
+        (lo, hi, den), (n, d) = self.ints, _ratio(value)
+        return lo * d <= n * den <= hi * d
 
     def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        (lo, hi, d), (olo, ohi, e) = self.ints, other.ints
+        return lo * e <= ohi * d and olo * d <= hi * e
 
     def pad(self, slack: RatLike) -> "Enclosure":
-        slack = Fraction(slack)
-        return Enclosure(self.lo - slack, self.hi + slack)
+        (lo, hi, den), (n, d) = self.ints, _ratio(slack)
+        return Enclosure(lo * d - n * den, hi * d + n * den, den * d)
 
     def clamp_nonneg(self) -> "Enclosure":
         """Intersect with [0, inf); sound whenever the enclosed value is
         known to be nonnegative."""
-        if self.lo >= 0:
-            return self
-        return Enclosure(_ZERO, max(self.hi, _ZERO))
+        lo, hi, den = self.ints
+        return self if lo >= 0 else Enclosure(0, max(hi, 0), den)
 
     # -- arithmetic (exact endpoints, outward by construction) -------------
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
+        (lo, hi, d), (olo, ohi, e) = self.ints, other.ints
+        return Enclosure(lo * e + olo * d, hi * e + ohi * d, d * e)
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo - other.hi, self.hi - other.lo)
+        (lo, hi, d), (olo, ohi, e) = self.ints, other.ints
+        return Enclosure(lo * e - ohi * d, hi * e - olo * d, d * e)
 
     def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Enclosure") -> "Enclosure":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Enclosure(min(products), max(products))
-
-    def __abs__(self) -> "Enclosure":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Enclosure(_ZERO, max(-self.lo, self.hi))
+        lo, hi, den = self.ints
+        return Enclosure(-hi, -lo, den)
 
     def scale(self, q: RatLike) -> "Enclosure":
-        q = Fraction(q)
-        if q >= 0:
-            return Enclosure(self.lo * q, self.hi * q)
-        return Enclosure(self.hi * q, self.lo * q)
+        (lo, hi, den), (n, d) = self.ints, _ratio(q)
+        return Enclosure(*sorted((lo * n, hi * n)), den * d)
 
     def recip(self) -> "Enclosure":
-        if self.lo <= 0 <= self.hi:
+        lo, hi, den = self.ints
+        if lo <= 0 <= hi:
             raise ZeroDivisionError("reciprocal of an enclosure containing 0")
-        return Enclosure(1 / self.hi, 1 / self.lo)
+        # [den / hi, den / lo] over lo hi, which is positive: lo, hi share a sign.
+        return Enclosure(den * lo, den * hi, lo * hi)
 
     def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return "[{}, {}]".format(*self.as_json())
 
     def as_json(self) -> list[str]:
-        return [str(self.lo), str(self.hi)]
+        lo, hi, den = self.ints
+        return [_ratio_str(lo, den), _ratio_str(hi, den)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +387,8 @@ class CRat:
     __slots__ = ("ints",)
 
     def __new__(cls, re: RatLike, im: RatLike = 0) -> "CRat":
-        if isinstance(re, float) or isinstance(im, float):
-            raise TypeError("floats are not accepted; use Fraction")
-        re, im = Fraction(re), Fraction(im)
-        dr, di = re.denominator, im.denominator
-        return cls.from_ints(re.numerator * di, im.numerator * dr, dr * di)
+        (x, dr), (y, di) = _ratio(re), _ratio(im)
+        return cls.from_ints(x * di, y * dr, dr * di)
 
     @classmethod
     def from_ints(cls, re: int, im: int, den: int) -> "CRat":
@@ -411,11 +415,7 @@ class CRat:
 
     @classmethod
     def of(cls, value) -> "CRat":
-        if isinstance(value, CRat):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a rational point")
+        return value if isinstance(value, CRat) else cls(value)
 
     @property
     def re(self) -> Fraction:
@@ -473,7 +473,7 @@ class CRat:
         if exact is not None:
             return Enclosure.point(exact)
         m2 = self.abs2()
-        return Enclosure.from_ends(*_pow_route(m2.numerator, m2.denominator, _HALF, k + 2))
+        return Enclosure(*_pow_route(m2.numerator, m2.denominator, _HALF, k + 2))
 
     def parts(self) -> tuple[int, int, int, int]:
         """(re numerator, re denominator, im numerator, im denominator),
@@ -487,12 +487,12 @@ class CRat:
         return f"({re})" if im == "0" else f"({re} + {im}i)"
 
     def as_json(self) -> list[str]:
-        rn, rd, im_n, im_d = self.parts()
-        return [f"{n}/{d}" if d != 1 else str(n) for n, d in ((rn, rd), (im_n, im_d))]
+        x, y, d = self.ints
+        return [_ratio_str(x, d), _ratio_str(y, d)]
 
 
 CRAT_ZERO = CRat(_ZERO)
-CRAT_ONE = CRat(_ONE)
+CRAT_ONE = CRat(1)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +607,7 @@ class ComputableReal(PrecisionOracle):
 
     @staticmethod
     def _coerce(value) -> Fraction:
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError("approximation oracles must return rationals")
-        return Fraction(value)
+        return Fraction(*_ratio(value))
 
     def approx(self, k: int) -> Fraction:
         return self._lookup(k)
@@ -670,7 +668,7 @@ class Exponent:
 
     @classmethod
     def from_rational(cls, q: RatLike) -> "Exponent":
-        q = Fraction(q)
+        q = Fraction(*_ratio(q))
         if q < 1:
             raise ConfigError(f"exponent {q} < 1 is out of range")
         return cls(q, None, f"p={q}", _checked=True)
@@ -933,15 +931,14 @@ def _pow_dyadic_enclosure(num: int, den: int, e: Fraction, tb: int) -> tuple[int
             return max(lo, 0), hi, 1 << G
 
 
-def _exact_pow_bits(num_bits: int, den_bits: int, e: Fraction, K: int) -> int:
+def _exact_pow_bits(num_bits: int, den_bits: int, a: int, b: int, K: int) -> int:
     """Upper bound on the bit length of the largest operand the exact route
-    builds for (n/d)**e at scale 2^-K, n and d of num_bits and den_bits
-    bits: the larger of n^a * 2^K and d^a for b = 1, else the bound
-    n^a * 2^(bK) * d^(a(b-1)) on the root operand n^a * 2^(bK), which also
-    covers d^a.  The (b-1) term is kept because this bound decides which
+    builds for (n/d)**(a/b) at scale 2^-K, n and d of num_bits and den_bits
+    bits and a/b in lowest terms: the larger of n^a * 2^K and d^a for
+    b = 1, else the bound n^a * 2^(bK) * d^(a(b-1)) on the root operand
+    n^a * 2^(bK), which also covers d^a.  The (b-1) term is kept because this bound decides which
     powers take the exact route, and with it the digits that reports
     print."""
-    a, b = e.numerator, e.denominator
     if b == 1:
         return max(a * num_bits + K, a * den_bits)
     return a * num_bits + (b - 1) * a * den_bits + b * K
@@ -984,7 +981,7 @@ def _pow_route(n: int, d: int, e: Fraction, K: int) -> tuple[int, int, int]:
         return n, n, d
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0  # an integer power is built unshifted
-    if _exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > _EXACT_POW_BUDGET:
+    if _exact_pow_bits(n.bit_length(), d.bit_length(), a, b, scale) > _EXACT_POW_BUDGET:
         return _DYADIC_POW_CACHE.get((n, d, a, b, K), lambda: _pow_dyadic_enclosure(n, d, e, K))
     if n == 1 and not d & (d - 1):
         # t = 2^-c: with (q, r) = divmod(c a, b), the power is 2^-q when
@@ -1243,7 +1240,7 @@ def _pow_mantissas(
     bT = b * T
     out = []
     for lo, hi, den in items:
-        if _exact_pow_bits(hi.bit_length(), den.bit_length(), e, T) > _EXACT_POW_BUDGET:
+        if _exact_pow_bits(hi.bit_length(), den.bit_length(), a, b, T) > _EXACT_POW_BUDGET:
             ((l, h, d),) = _pow_slack([(lo, hi, den)], exp, K)
             out.append(((l << T) // d, -((-h << T) // d)))
             continue
@@ -1278,12 +1275,13 @@ def pow_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     the output's magnitude, so that a subsequent root at the same k
     recovers the base without amplifying the rounding.
     """
+    lo, hi, den = x.ints
     extra = 0
-    if x.hi < 1 and x.lo > 0:
+    if hi < den and lo > 0:
         over = p.ub() - 1
         if over > 0:
-            extra = frac_ceil(over * ceil_log2(1 / x.lo))
-    return Enclosure.from_ends(*_pow_slack([x.ends()], p, k + extra)[0])
+            extra = frac_ceil(over * -_log2_floor(lo, den))
+    return Enclosure(*_pow_slack([x.ints], p, k + extra)[0])
 
 
 def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
@@ -1296,12 +1294,12 @@ def root_p(x: Enclosure, p: Exponent, k: int) -> Enclosure:
     endpoints carry integer-arithmetic certificates; on the exact route
     rational roots (perfect powers) are detected and returned exactly.
     """
-    return Enclosure.from_ends(*_pow_slack([x.ends()], p.reciprocal(), k)[0])
+    return Enclosure(*_pow_slack([x.ints], p.reciprocal(), k)[0])
 
 
 def sqrt_real(q: RatLike, label: str = "") -> ComputableReal:
     """The square root of a nonnegative rational as a ComputableReal."""
-    q = Fraction(q)
+    q = Fraction(*_ratio(q))
     if q < 0:
         raise NegativeBase("sqrt of a negative rational")
 
@@ -1362,7 +1360,7 @@ def norm_from_power_sum(
             _, e_hi = p.bracket(kt)
             t_lo, _, t_den = _pow_route(1, 2 << k, e_hi, kt)
             if hi * t_den <= t_lo * den:
-                return Enclosure.from_ends(0, 1, 2 << k)
+                return Enclosure(0, 1, 2 << k)
             continue
         if lo < den and lo != hi:
             need = k + 4 + -(_log2_floor(lo, den) * (a - b) // a)
@@ -1370,4 +1368,4 @@ def norm_from_power_sum(
                 continue
         r_lo, r_hi, r_den = _pow_slack([(lo, hi, den)], p.reciprocal(), k + 2)[0]
         if lo == hi or (r_hi - r_lo) << k < r_den:
-            return Enclosure.from_ends(r_lo, r_hi, r_den)
+            return Enclosure(r_lo, r_hi, r_den)

@@ -243,20 +243,16 @@ class CeSet:
             self.stats.record(max_stage=s)
             return tuple(self._order[: s + 1])
 
-    def left_sum(self, s: int) -> Fraction:
-        """gamma_s = sum over the first s+1 enumerated elements of 2^-c.
-        The sums are built only as far as asked: on a sparse set their
-        numerators grow with the largest element (about 1.3M bits after
-        100,000 primes), which a scan of ``element_at`` never pays."""
-        L, E = self._left_sum_ends(s)
-        return Fraction(L, 1 << E)
-
-    def _left_sum_ends(self, s: int) -> tuple[int, int]:
-        """(L, E) with gamma_s = L / 2^E, E = max(c_0, ..., c_s): adding
-        2^-c shifts the numerator only when c passes E.  Only the last sum
-        read is kept, so memory stays linear: a later stage carries it on,
-        and an earlier one, as when a scan of cutoffs starts again, is
-        summed anew from stage 0."""
+    def left_sum(self, s: int) -> tuple[int, int]:
+        """(L, E) with gamma_s = L / 2^E the sum over the first s+1
+        enumerated elements of 2^-c, and E = max(c_0, ..., c_s): adding
+        2^-c shifts the numerator only when c passes E.  The sums are built
+        only as far as asked: on a sparse set their numerators grow with
+        the largest element (about 1.3M bits after 100,000 primes), which a
+        scan of ``element_at`` never pays.  Only the last sum read is kept,
+        so memory stays linear: a later stage carries it on, and an earlier
+        one, as when a scan of cutoffs starts again, is summed anew from
+        stage 0."""
         with self._lock:
             self._extend_order(s)
             self.stats.record(max_stage=s)
@@ -278,53 +274,44 @@ class CeSet:
             return False
         return self._member(n)
 
-    def _decided_mass(self, k: int) -> int:
-        """N_b with q = N_b / 2^b the mass of the members up to the tail
-        cutoff b = k + 1, so that gamma lies in [q, q + 2^-b]: N_b = 2 N_(b-1)
-        + decide(b).  Bit j of N_B is decide(B - j), so one integer of B
-        bits holds every shorter prefix: N_b = N_B >> (B - b).  Like the
+    def gamma_enclosure(self, k: int) -> Enclosure:
+        """Certified [N_b, N_b + 1] / 2^b around gamma, N_b / 2^b the mass
+        of the members up to the tail cutoff b = k + 1: N_b = 2 N_(b-1) +
+        decide(b).  Bit j of N_B is decide(B - j), so one integer of B bits
+        holds every shorter prefix: N_b = N_B >> (B - b).  Like the
         enumeration's left sums, the decided prefix grows and each
-        candidate is decided once."""
+        candidate is decided once.  Its ``ints`` are (N_b, N_b + 1, 2^b)
+        as written, since consecutive integers share no factor."""
         if k < 0:
             raise ValueError("precision must be a natural number")
         b = k + 1
         with self._lock:
             n, top = self._gamma_prefix
             if b <= top:
-                return n >> (top - b)
-            for j in range(top + 1, b + 1):
-                n = 2 * n + self.decide(j)
-            self._gamma_prefix = (n, b)
-            return n
-
-    def gamma_enclosure(self, k: int) -> Enclosure:
-        """Certified [q, q + 2^-(k+1)] around gamma, q the decided mass
-        up to the tail cutoff B = k + 1."""
-        n = self._decided_mass(k)
-        return Enclosure(Fraction(n, 2 << k), Fraction(n + 1, 2 << k))
+                n >>= top - b
+            else:
+                for j in range(top + 1, b + 1):
+                    n = 2 * n + self.decide(j)
+                self._gamma_prefix = (n, b)
+        return Enclosure(n, n + 1, 1 << b)
 
     def tail_mass(self, s: int, k: int) -> Enclosure:
         """Certified sum_{n > s} 2^-c_n: gamma at precision k minus the left
         sum through stage s, clamped at 0 and capped by 2^-c_s when the
-        enumeration is sorted.  Needs both access modes."""
-        return Enclosure.from_ends(*self._tail_ends(s, k))
-
-    def _tail_ends(self, s: int, k: int) -> tuple[int, int, int]:
-        """(lo, hi, 2^S): ``tail_mass(s, k)`` as integer ends over one
-        denominator, the form of a routed power, S the larger of B = k + 1
-        and the left sum's exponent E; the cap 2^-c_s lies on that grid
-        too, as c_s <= E.  Only the lower end can fall below 0: the upper
-        end is at least gamma minus the left sum."""
-        b = k + 1
-        n = self._decided_mass(k)
-        L, E = self._left_sum_ends(s)
+        enumeration is sorted.  Needs both access modes.  Both ends are
+        integers over 2^S, S the larger of b = k + 1 and the left sum's
+        exponent E; the cap 2^-c_s lies on that grid too, as c_s <= E.
+        Only the lower end can fall below 0: the upper end is at least
+        gamma minus the left sum."""
+        n, _, top = self.gamma_enclosure(k).ints
+        b = top.bit_length() - 1
+        L, E = self.left_sum(s)
         scale = max(b, E)
         lo = (n << (scale - b)) - (L << (scale - E))
         hi = lo + (1 << (scale - b))
-        lo = max(lo, 0)
         if self.sorted_enumeration:
             hi = min(hi, 1 << (scale - self.element_at(s)))
-        return lo, hi, 1 << scale
+        return Enclosure(max(lo, 0), hi, 1 << scale)
 
     def exact_gamma(self) -> Optional[Fraction]:
         return self._exact_gamma
@@ -623,16 +610,16 @@ def expanded_residual_norm(
     def sum_at(K: int) -> tuple[int, int, int]:
         per = K + (depth + 2).bit_length()
         kg = per + guard
-        # gamma in [n, n + 1] / top, so 1 - gamma in [top - n - 1, top - n] / top.
-        n, top = ce._decided_mass(kg), 1 << (kg + 1)
+        # 1 - gamma in [g_den - g_hi, g_den - g_lo] / g_den.
+        g_lo, g_hi, g_den = ce.gamma_enclosure(kg).ints
         if a0.is_zero:
             return _pow_sum([(C, C, D) for _, _, C, D in quads], half, per)
-        w = _pow_slack([(max(top - n - 1, 0), top - n, top)], inverse, per + 2)
+        w = _pow_slack([(max(g_den - g_hi, 0), g_den - g_lo, g_den)], inverse, per + 2)
         us = _pow_slack(points, inverse, per + 4)
         bases = [_quad_ends(quad, u) for quad, u in zip(quads, w + us)]
         lo, hi, den = _pow_sum(bases, half, per)
         a_lo, a_hi, a_den = _pow_sum([(a0sq.numerator, a0sq.numerator, a0sq.denominator)], half, per)
-        t_lo, t_hi, t_den = ce._tail_ends(depth - 1, kg)
+        t_lo, t_hi, t_den = ce.tail_mass(depth - 1, kg).ints
         tail_den = a_den * t_den
         return lo * tail_den + a_lo * t_lo * den, hi * tail_den + a_hi * t_hi * den, den * tail_den
 
@@ -698,14 +685,18 @@ def _tail_cutoff(ce: CeSet, p: Exponent, k: int, threshold: Fraction) -> int:
     """The least candidate in [3, 512) whose tail norm is certified at or
     below threshold, tried in order at tail precisions k + 10, k + 26 and
     k + 48; a candidate past 3 whose tail mass at k + 48 certifies that it
-    must fail is skipped (see approx_e0)."""
+    must fail is skipped (see approx_e0).  That test reads gamma at k + 48
+    once per scan and a left sum L / 2^E per candidate: the tail mass is
+    at least g_lo / g_den - L / 2^E, so a skipped candidate builds no
+    Enclosure."""
     ceiling = None
     for candidate in range(3, 512):
         if candidate > 3:
             if ceiling is None:
                 ceiling = _tail_ceiling(p, threshold, k + 48)
-            lo, _, den = ce._tail_ends(candidate - 2, k + 48)
-            if lo * ceiling.denominator > ceiling.numerator * den:
+                g_lo, _, g_den = ce.gamma_enclosure(k + 48).ints
+            L, E = ce.left_sum(candidate - 2)
+            if ((g_lo << E) - L * g_den) * ceiling.denominator > ceiling.numerator * (g_den << E):
                 continue
         for kt in (k + 10, k + 26, k + 48):
             if root_p(ce.tail_mass(candidate - 2, kt), p, kt).hi <= threshold:
@@ -746,7 +737,6 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     q1 = simplest_between(scale.hi - eps.lo, scale.lo + eps.lo)
 
     prefix = ce.prefix(n1 - 2)
-    pre_mass = ce.left_sum(n1 - 2)
     start = k + 8 + ceil_log2(Fraction((m_int + 1) * n1))
     failure = "coefficient rationalisation failed to certify"
     # Each coefficient is -q1 times the middle (lo + hi) / (2 den) of
@@ -765,9 +755,9 @@ def approx_e0(ce: CeSet, p: Exponent, k: int) -> E0Approximation:
     exact_error = None
     gamma_exact = ce.exact_gamma()
     if p.fast == 1 and gamma_exact is not None:
-        exact_error = abs(1 - q1 * (1 - gamma_exact)) + abs(q1) * (
-            gamma_exact - pre_mass
-        )
+        L, E = ce.left_sum(n1 - 2)
+        pre_mass = Fraction(L, 1 << E)
+        exact_error = abs(1 - q1 * (1 - gamma_exact)) + abs(q1) * (gamma_exact - pre_mass)
 
     return E0Approximation(tuple(coeffs), n1, q1, k, certified, exact_error)
 
@@ -857,9 +847,9 @@ def gamma_from_scale(s: ComputableReal, p: Exponent) -> ComputableReal:
         step = max(6, k // 2)
         for kk in escalate(k + guard, lambda _: step, 64, "gamma-from-scale failed to converge"):
             se = s.enclosure(kk)
-            if se.lo > 0:
+            if se.ints[0] > 0:
                 # s^p in [lo, hi] / den, so gamma in [1 - den / lo, 1 - den / hi].
-                lo, hi, den = _pow_slack([se.ends()], p, kk)[0]
+                lo, hi, den = _pow_slack([se.ints], p, kk)[0]
                 if lo > 0 and den * (hi - lo) << k < lo * hi:
                     return 1 - Fraction(den * (lo + hi), 2 * lo * hi)
 

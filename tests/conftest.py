@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from lpcat import CeSet, CRat, Exponent
+from lpcat import CeSet, CRat, Enclosure, Exponent
 
 settings.register_profile("suite", max_examples=60, derandomize=True, deadline=None)
 settings.load_profile("suite")
@@ -52,4 +52,20 @@ def crats_built(monkeypatch):
         return from_ints(cls, re, im, den)
 
     monkeypatch.setattr(CRat, "from_ints", classmethod(counted))
+    return built
+
+
+@pytest.fixture
+def enclosures_built(monkeypatch):
+    """A list that gains one entry per Enclosure constructed from here on,
+    counted at ``Enclosure.__new__``, the one constructor every Enclosure
+    goes through."""
+    built = []
+    new = Enclosure.__new__
+
+    def counted(cls, lo, hi, den):
+        built.append(1)
+        return new(cls, lo, hi, den)
+
+    monkeypatch.setattr(Enclosure, "__new__", counted)
     return built

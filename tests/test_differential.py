@@ -30,6 +30,7 @@ from lpcat import (  # noqa: E402
     root_p,
     sqrt_real,
 )
+from test_rigor import between  # noqa: E402
 
 F = Fraction
 
@@ -56,7 +57,7 @@ def _iv(q: Fraction):
 def _exact(x) -> Enclosure:
     """An mpmath interval as an Enclosure with its exact binary endpoints."""
     lo, hi = (F(*to_rational(end)) for end in x._mpi_)
-    return Enclosure(lo, hi)
+    return between(lo, hi)
 
 
 def _check(ours: Enclosure, reference, k: int) -> None:
@@ -121,7 +122,7 @@ def test_sqrt2_pow_and_root_match_mpmath(x, k):
     iv.prec = 4 * k + 64
     q = iv.sqrt(iv.mpf(2))
     t_lo, t_hi = x
-    enc = Enclosure(t_lo, t_hi)
+    enc = between(t_lo, t_hi)
     _check_image(pow_p(enc, SQRT2, k), _iv(t_lo) ** q, _iv(t_hi) ** q, k)
     _check_image(root_p(enc, SQRT2, k), _iv(t_lo) ** (1 / q), _iv(t_hi) ** (1 / q), k)
 

@@ -45,12 +45,14 @@ in them, read ``Fraction`` only in type annotations, so they build none,
 read no ``CRat`` part as a Fraction (``.re`` or ``.im``), and make no
 ``is`` or ``is not`` comparison other than with ``None``: a base
 (lo, hi, den) is a point when lo == hi, not when two end objects are
-one.  Fractions are built only in ``Enclosure.from_ends``.  The same
-holds for ``CRat``'s integer form (re, im, den): its constructor
-``from_ints``, its arithmetic and printing, and the functions in
-``INTEGER_FUNCTIONS`` that read its fields in the ball map, the
-residuals, the squared moduli, the twisted quadratics and the
-descriptor.
+one.  The same holds for ``Enclosure``, which stores that form: its
+constructor, geometry, arithmetic and printing build no Fraction, which
+only its readers (``lo``, ``hi``, ``width``, ``midpoint``) do; for the
+``CeSet`` functions that return gamma's prefix sums in it; and for
+``CRat``'s integer form (re, im, den): its constructor ``from_ints``,
+its arithmetic and printing, and the functions in ``INTEGER_FUNCTIONS``
+that read its fields in the ball map, the residuals, the squared
+moduli, the twisted quadratics and the descriptor.
 
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
@@ -403,12 +405,17 @@ def test_only_the_power_kernels_test_the_exponent_track():
 
 
 # Module -> the functions in it that run on integers: the power kernels,
-# and CRat's integer form, its arithmetic and printing and the readers of
-# its fields.
+# Enclosure's constructor, geometry, arithmetic and printing, the CeSet
+# functions that read gamma, and CRat's integer form, its arithmetic and
+# printing and the readers of its fields.
 INTEGER_FUNCTIONS = {
     "rigor.py": {
         "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack",
         "_pow_sum", "_tree_sum", "_pow_mantissas",
+        "Enclosure.__new__", "Enclosure.__eq__", "Enclosure.__hash__", "Enclosure.point",
+        "Enclosure.from_center", "Enclosure.contains", "Enclosure.intersects", "Enclosure.pad",
+        "Enclosure.clamp_nonneg", "Enclosure.__add__", "Enclosure.__sub__", "Enclosure.__neg__",
+        "Enclosure.scale", "Enclosure.recip", "Enclosure.__repr__", "Enclosure.as_json",
         "CRat.from_ints", "CRat.__eq__", "CRat.__hash__", "CRat.__add__", "CRat.__sub__",
         "CRat.__neg__", "CRat.__mul__", "CRat.is_zero", "CRat.is_real", "CRat.parts",
         "CRat.__repr__", "CRat.as_json",
@@ -417,7 +424,10 @@ INTEGER_FUNCTIONS = {
         "_coerce_coeffs", "StandardGenSet.residual_norm", "ballmap_from_disjoint_family.transform",
     },
     "lpspace.py": {"_abs2_ends", "FiniteVector.to_quintuples", "FiniteVector.from_quintuples"},
-    "twisted.py": {"_quad_coefficients", "_residual_quads"},
+    "twisted.py": {
+        "_quad_coefficients", "_residual_quads",
+        "CeSet.left_sum", "CeSet.gamma_enclosure", "CeSet.tail_mass",
+    },
     "isometry.py": {
         "IsometryDescriptor.__post_init__", "IsometryDescriptor.as_json",
         "IsometryDescriptor.from_json",

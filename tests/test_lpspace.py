@@ -23,7 +23,7 @@ from lpcat import (
 )
 from lpcat import lpspace
 from lpcat.lpspace import norm_of_abs2_terms
-from test_rigor import as_ends, ref_pow_slack
+from test_rigor import as_ends, between, ref_pow_slack
 
 F = Fraction
 
@@ -45,7 +45,7 @@ def abs2_power_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
         sum_at = norm_of_abs2_terms([as_ends(m2, m2) for m2 in terms], p, k)
     finally:
         lpspace.norm_from_power_sum = real
-    return Enclosure.from_ends(*sum_at(k)) if terms else sum_at
+    return Enclosure(*sum_at(k)) if terms else sum_at
 
 
 def random_vector(rng: random.Random, width: int = 5) -> FiniteVector:
@@ -180,7 +180,7 @@ def ref_pow_point(t: Fraction, e: Fraction, K: int) -> tuple[Fraction, Fraction]
     n, d = t.numerator, t.denominator
     a, b = e.numerator, e.denominator
     scale = K if b > 1 else 0
-    if rigor._exact_pow_bits(n.bit_length(), d.bit_length(), e, scale) > rigor._EXACT_POW_BUDGET:
+    if rigor._exact_pow_bits(n.bit_length(), d.bit_length(), *e.as_integer_ratio(), scale) > rigor._EXACT_POW_BUDGET:
         lo, hi, den = rigor._pow_dyadic_enclosure(t.numerator, t.denominator, e, K)
         assert den == 1 << (K + 2)
         return F(lo, den), F(hi, den)
@@ -214,7 +214,7 @@ def ref_abs2_pow_sum(terms: list[Fraction], p: Exponent, k: int) -> Enclosure:
         elif half.fast == 1:
             term = Enclosure.point(m2)
         else:
-            term = Enclosure(*ref_pow_point(m2, half.fast, per + 2))
+            term = between(*ref_pow_point(m2, half.fast, per + 2))
         total = total + term
     return total
 
@@ -318,10 +318,10 @@ def ref_pow_sum(bases, exp: Exponent, K: int) -> Enclosure:
     total = Enclosure.point(0)
     for x_lo, x_hi in bases:
         if exp.fast is None:
-            term = ref_pow_slack(Enclosure(x_lo, x_hi), exp, K)
+            term = ref_pow_slack(between(x_lo, x_hi), exp, K)
         else:
             lo = ref_pow_point(x_lo, exp.fast, K + 2)[0]
-            term = Enclosure(lo, ref_pow_point(x_hi, exp.fast, K + 2)[1])
+            term = between(lo, ref_pow_point(x_hi, exp.fast, K + 2)[1])
         total = total + term
     return total
 
@@ -345,7 +345,7 @@ class TestPowerSumKernel:
         want = ref_pow_sum(bases, exp, K)
         for scale in (1, 6):
             ends = [as_ends(x_lo, x_hi, scale) for x_lo, x_hi in bases]
-            assert Enclosure.from_ends(*rigor._pow_sum(ends, exp, K)) == want
+            assert Enclosure(*rigor._pow_sum(ends, exp, K)) == want
 
 
 class _ProductBits(int):
@@ -442,7 +442,7 @@ class TestLongPowerSums:
         assert formed[1] < 7 * formed[0]
 
 
-def test_norm_p_enclosure_work(monkeypatch, p32):
+def test_norm_p_enclosure_work(enclosures_built, p32):
     """Work guard, free of timing noise: Enclosure constructions in one
     seeded m = 64, k = 30 norm at p = 3/2.  It made 185 while every term's
     power was an Enclosure added to a running Enclosure sum."""
@@ -451,20 +451,12 @@ def test_norm_p_enclosure_work(monkeypatch, p32):
         [(i, F(rng.randint(-9, 9), rng.randint(1, 9))) for i in range(64)]
     )
     norm_p(vector, p32, 30)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     norm_p(vector, p32, 30)
-    assert made <= 4 < 185
+    assert len(enclosures_built) <= 4 < 185
 
 
-def test_sqrt2_norm_enclosure_work(monkeypatch):
+def test_sqrt2_norm_enclosure_work(enclosures_built):
     """Work guard, free of timing noise: Enclosure constructions in one
     warm, seeded m = 64, k = 30 norm at p = sqrt(2), by norm_p on a real
     vector and by the telescoping norm of the odds' twisted presentation
@@ -485,17 +477,9 @@ def test_sqrt2_norm_enclosure_work(monkeypatch):
     coeffs = [CRat(rat(), rat()) for _ in range(64)]
     norm_p(vector, p, 30)
     presentation.norm_enclosure(coeffs, 30)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     norm_p(vector, p, 30)
-    assert made <= 4 < 124
-    made = 0
+    assert len(enclosures_built) <= 4 < 124
+    enclosures_built.clear()
     presentation.norm_enclosure(coeffs, 30)
-    assert made <= 4 < 130
+    assert len(enclosures_built) <= 4 < 130

@@ -55,7 +55,7 @@ from lpcat.twisted import (
     _quad_ends,
     _residual_quads,
 )
-from test_rigor import ref_pow_slack
+from test_rigor import between, ref_pow_slack
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -214,7 +214,7 @@ class TestCeSets:
         view = ce.view()
         assert view.element_at(0) == 1
         assert view.prefix(2) == (1, 3, 5)
-        assert view.left_sum(1) == F(5, 8)
+        assert view.left_sum(1) == (5, 3)
         assert (view.label, view.sorted_enumeration) == ("odds", True)
         assert view.stats is ce.stats
         before = (ce.stats.max_stage, ce.stats.decide_calls)
@@ -227,12 +227,18 @@ class TestCeSets:
                 getattr(view, name)
 
 
+def left_value(ce: CeSet, s: int) -> Fraction:
+    """ce.left_sum(s), the integers (L, E), as the Fraction L / 2^E."""
+    L, E = ce.left_sum(s)
+    return F(L, 1 << E)
+
+
 def ref_tail_mass(ce: CeSet, s: int, k: int) -> Enclosure:
     """CeSet.tail_mass on Enclosures: gamma's enclosure minus the point left
     sum, clamped at 0, capped by 2^-c_s on a sorted enumeration."""
-    tail = (ce.gamma_enclosure(k) - Enclosure.point(ce.left_sum(s))).clamp_nonneg()
+    tail = (ce.gamma_enclosure(k) - Enclosure.point(left_value(ce, s))).clamp_nonneg()
     if ce.sorted_enumeration:
-        tail = Enclosure(tail.lo, min(tail.hi, pow2(-ce.element_at(s))))
+        tail = between(tail.lo, min(tail.hi, pow2(-ce.element_at(s))))
     return tail
 
 
@@ -242,7 +248,7 @@ class TestGammaReal:
 
     def test_left_stream_monotone_below_gamma(self):
         ce = CeSet.odds()
-        sums = [ce.left_sum(s) for s in range(12)]
+        sums = [left_value(ce, s) for s in range(12)]
         assert all(a < b for a, b in zip(sums, sums[1:]))
         assert all(s < GAMMA_ODDS for s in sums)
 
@@ -263,7 +269,7 @@ class TestGammaReal:
         """gamma - gamma_s is at most 2^-(least natural not yet enumerated)."""
         ce = CeSet.odds()
         for s in range(1, 10):
-            left = ce.left_sum(s)
+            left = left_value(ce, s)
             missing = min(set(range(1, 50)) - set(ce.prefix(s)))
             assert GAMMA_ODDS - left <= pow2(-missing)
 
@@ -315,11 +321,11 @@ class TestGammaReal:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                total = ce.left_sum(s)
+                L, E = ce.left_sum(s)
                 held = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            assert total == F(2, 3) * (1 - F(1, 4 ** (s + 1)))
+            assert F(L, 1 << E) == F(2, 3) * (1 - F(1, 4 ** (s + 1)))
             return held
 
         assert retained(10000) <= 2.5 * retained(5000)
@@ -335,7 +341,7 @@ class TestGammaReal:
             b = k + 1
             fresh = make()
             q = sum((pow2(-j) for j in range(1, b + 1) if fresh.decide(j)), F(0))
-            assert ce.gamma_enclosure(k) == Enclosure(q, q + pow2(-b))
+            assert ce.gamma_enclosure(k) == between(q, q + pow2(-b))
         assert ce.stats.decide_calls == max(ks) + 1
 
     def test_negative_precision_rejected(self):
@@ -378,7 +384,7 @@ class TestGammaReal:
         ce = make()
         gamma = ce.exact_gamma()
         for s in range(21):
-            left = ce.left_sum(s)
+            left = left_value(ce, s)
             for k in (4, 20, 60):
                 tail = ce.tail_mass(s, k)
                 assert tail.contains(gamma - left)
@@ -405,8 +411,8 @@ class TestGammaReal:
             left = sum((F(1, 1 << c) for c in elements), F(0))
             b = k + 1
             q = sum((F(1, 1 << j) for j in range(1, b + 1) if ref.decide(j)), F(0))
-            assert ce.left_sum(s) == left
-            assert ce.gamma_enclosure(k) == Enclosure(q, q + F(1, 1 << b))
+            assert left_value(ce, s) == left
+            assert ce.gamma_enclosure(k) == between(q, q + F(1, 1 << b))
             hi = q + F(1, 1 << b) - left
             if ce.sorted_enumeration:
                 hi = min(hi, F(1, 1 << elements[-1]))
@@ -431,7 +437,7 @@ def epsilon_mantissas(alpha0: CRat, alphaj: CRat, c: int, presentation: TwistedG
     at per = K: the two-term sum on a set enumerated from c, less |a0|^p
     from the same kernel.  For m = 1, per is the sum's K plus 2."""
     assert presentation.ce.element_at(0) == c
-    s = Enclosure.from_ends(*telescoping_sum_at(presentation, [alpha0, alphaj])(K - 2))
+    s = Enclosure(*telescoping_sum_at(presentation, [alpha0, alphaj])(K - 2))
     a = alpha0.abs2()
     ((ap_lo, ap_hi),) = rigor._pow_mantissas(
         [(a.numerator, a.numerator, a.denominator)], presentation.p.half(), K + 3
@@ -449,7 +455,7 @@ def epsilon_term(alpha0, alphaj, c: int, p: Exponent, k: int) -> Enclosure:
     """The j-th correction term of the telescoping norm identity at 2^-k,
     as TwistedGenSet.norm_enclosure's sum computes it."""
     lo, hi = epsilon_mantissas(CRat.of(alpha0), CRat.of(alphaj), c, twisted_from(c, p), k)
-    return Enclosure(F(lo, 1 << (k + 5)), F(hi, 1 << (k + 5)))
+    return Enclosure(lo, hi, 1 << (k + 5))
 
 
 class TestEpsilonTerms:
@@ -464,7 +470,7 @@ class TestEpsilonTerms:
                 lo = mid
             else:
                 hi = mid
-        assert enc.intersects(Enclosure(lo, hi))
+        assert enc.intersects(between(lo, hi))
 
     def test_alphaj_zero_cancels(self, p32):
         enc = epsilon_term(F(2, 3), 0, c=1, p=p32, k=30)
@@ -475,15 +481,22 @@ class TestEpsilonTerms:
         assert epsilon_term(1, 1, c=1, p=p1, k=10) == Enclosure.point(1)
 
 
+def interval_product(x: Enclosure, y: Enclosure) -> Enclosure:
+    """x * y by sign analysis: the least and the greatest end product."""
+    products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return between(min(products), max(products))
+
+
 def ref_quad_in_u(a: F, b: F, c: F, u: Enclosure) -> Enclosure:
     """a*u^2 + b*u + c over a nonnegative enclosure u, for a >= 0: the
-    endpoints of the interval expression (u*u).scale(a) + u.scale(b) +
-    point(c), computed directly.  The square term rises with u, and the
-    linear term takes the end of u that the sign of b picks."""
+    endpoints of the interval expression interval_product(u, u).scale(a)
+    + u.scale(b) + point(c), computed directly.  The square term rises
+    with u, and the linear term takes the end of u that the sign of b
+    picks."""
     ul, uh = u.lo, u.hi
     if b >= 0:
-        return Enclosure((a * ul + b) * ul + c, (a * uh + b) * uh + c)
-    return Enclosure(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
+        return between((a * ul + b) * ul + c, (a * uh + b) * uh + c)
+    return between(a * ul * ul + b * uh + c, a * uh * uh + b * ul + c)
 
 
 nonneg_dyadics = st.builds(
@@ -503,9 +516,9 @@ class TestQuadraticInU:
         upper end is sound only for a squared modulus."""
         a, b, c = a0.abs2(), -2 * (d.re * a0.re + d.im * a0.im), d.abs2()
         uh = ul + width
-        u = Enclosure(ul, uh)
+        u = between(ul, uh)
         ref = ref_quad_in_u(a, b, c, u)
-        interval = (u * u).scale(a) + u.scale(b) + Enclosure.point(c)
+        interval = interval_product(u, u).scale(a) + u.scale(b) + Enclosure.point(c)
         assert (ref.lo, ref.hi) == (interval.lo, interval.hi)
         clamped = ref.clamp_nonneg()
         quad = _residual_quads(a0, (a0,), FiniteVector.from_items([(0, d)]), 0)[0]
@@ -610,7 +623,7 @@ class TestEpsilonKernel:
         presentation = twisted_from(c, p)
         lo, hi = epsilon_mantissas(alpha0, alphaj, c, presentation, K)
         ucache = presentation._ucache
-        ours = Enclosure(F(lo, 1 << (K + 5)), F(hi, 1 << (K + 5)))
+        ours = Enclosure(lo, hi, 1 << (K + 5))
 
         def own_u(ku):
             return rigor.root_p(Enclosure.point(pow2(-c)), p, ku)
@@ -624,7 +637,7 @@ class TestEpsilonKernel:
             ku = -(-ku // 8) * 8
             assert (c, ku) in ucache
             ((ul, uh),) = rigor._pow_mantissas([(1, 1, 1 << c)], p.reciprocal(), ku)
-            return Enclosure(F(ul, 1 << (ku + 2)), F(uh, 1 << (ku + 2)))
+            return Enclosure(ul, uh, 1 << (ku + 2))
 
         ref = reference_epsilon(alpha0, a, alphaj, c, p, K, kernel_u)
         assert ours.lo <= ref.lo and ref.hi <= ours.hi, (ours, ref)
@@ -694,7 +707,7 @@ def test_warm_norm_iroot_work(monkeypatch, p, before):
 
 
 @pytest.mark.parametrize("p, before", [(F(1), 319), (F(3, 2), 320), (F(2), 255)])
-def test_warm_norm_enclosure_work(monkeypatch, p, before):
+def test_warm_norm_enclosure_work(enclosures_built, p, before):
     """Work guard, free of timing noise: Enclosure constructions in one
     warm m = 64, k = 30 telescoping norm query.  It made ``before`` while
     every E_j term built about five; the sum on integer mantissas builds
@@ -707,17 +720,9 @@ def test_warm_norm_enclosure_work(monkeypatch, p, before):
 
     coeffs = [CRat(rat(), rat()) for _ in range(64)]
     presentation.norm_enclosure(coeffs, 30)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     presentation.norm_enclosure(coeffs, 30)
-    assert made <= 16 < before
+    assert len(enclosures_built) <= 16 < before
 
 
 
@@ -876,7 +881,7 @@ class TestTwistedNorm:
     def test_sandwich_certificate(self):
         for b in (4, 10, 40):
             enc = f0_norm_sandwich(CeSet.odds(), b)
-            assert enc == Enclosure(1 - pow2(-b), 1 + pow2(-b))
+            assert enc == between(1 - pow2(-b), 1 + pow2(-b))
             assert enc.contains(1)
 
 
@@ -1129,10 +1134,10 @@ def ref_expanded_residual_norm(
 
         if not a0.is_zero:
             a0_pow = ref_pow_slack(Enclosure.point(a0sq), half, per)
-            total = total + a0_pow * ref_tail_mass(ce, depth - 1, kg)
+            total = total + interval_product(a0_pow, ref_tail_mass(ce, depth - 1, kg))
         return total
 
-    return norm_from_power_sum(lambda K: sum_at(K).ends(), p, k)
+    return norm_from_power_sum(lambda K: sum_at(K).ints, p, k)
 
 
 EXPANSION_PS = ["1", "3/2", "2", "3", "oracle:1.5:400"]
@@ -1204,7 +1209,7 @@ def test_expanded_residual_norm_skips_w_when_a0_is_zero(monkeypatch):
 @pytest.mark.parametrize(
     "p, before", [(F(1), 174), (F(3, 2), 216), (F(2), 347), (F(3), 431)]
 )
-def test_expanded_residual_norm_enclosure_work(monkeypatch, p, before):
+def test_expanded_residual_norm_enclosure_work(enclosures_built, p, before):
     """Work guard, free of timing noise: Enclosure constructions in one
     expanded_residual_norm of [3/2, -1/2, ..., -1/(d+1)] against e_0 over
     the odds at k = 20.  With one Enclosure per coordinate and sum, d = 40
@@ -1212,26 +1217,18 @@ def test_expanded_residual_norm_enclosure_work(monkeypatch, p, before):
     d = 40 builds no more than d = 10.  (At p = 3/2 the d = 10 norm reads
     two sums, its guard jump, and d = 40 one.)"""
     exponent = Exponent.from_rational(p)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     counts = {}
     for d in (10, 40):
         coeffs = [F(3, 2)] + [F(-1, n + 1) for n in range(1, d + 1)]
-        made = 0
+        enclosures_built.clear()
         expanded_residual_norm(CeSet.odds(), exponent, coeffs, basis(0), 20)
-        counts[d] = made
+        counts[d] = len(enclosures_built)
     assert counts[40] <= counts[10]
     assert counts[40] < before / 4
 
 
-def test_oracle_expanded_residual_norm_enclosure_work(monkeypatch):
+def test_oracle_expanded_residual_norm_enclosure_work(enclosures_built):
     """Work guard, free of timing noise: Enclosure constructions in one
     warm expanded_residual_norm on the oracle track, p = oracle:1.5:400,
     of 16 seeded complex coefficients against e_0 over the odds at k = 30.
@@ -1246,17 +1243,9 @@ def test_oracle_expanded_residual_norm_enclosure_work(monkeypatch):
 
     coeffs = [CRat(rat(), rat()) for _ in range(16)]
     expanded_residual_norm(ce, p, coeffs, basis(0), 30)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     expanded_residual_norm(ce, p, coeffs, basis(0), 30)
-    assert made <= 71 < 87
+    assert len(enclosures_built) <= 71 < 87
 
 
 # SHA-256 over the ends of 48 seeded expanded_residual_norm calls and the
@@ -1296,7 +1285,7 @@ def test_expanded_residual_norm_digest():
 
 
 @pytest.mark.parametrize("p, before", [(F(1), 52), (F(3, 2), 88), (F(2), 109)])
-def test_approx_e0_enclosure_work(monkeypatch, p, before):
+def test_approx_e0_enclosure_work(enclosures_built, p, before):
     """Work guard, free of timing noise: Enclosure constructions in one
     approx_e0 over a fresh odds set at k = 20, after a warm-up call on
     another.  It built ``before`` while the tail-cutoff scan built a tail
@@ -1304,17 +1293,9 @@ def test_approx_e0_enclosure_work(monkeypatch, p, before):
     and gamma's prefix sums were Fractions."""
     exponent = Exponent.from_rational(p)
     approx_e0(CeSet.odds(), exponent, 20)
-    made = 0
-    post_init = Enclosure.__post_init__
-
-    def counted(self):
-        nonlocal made
-        made += 1
-        post_init(self)
-
-    monkeypatch.setattr(Enclosure, "__post_init__", counted)
+    enclosures_built.clear()
     approx_e0(CeSet.odds(), exponent, 20)
-    assert made <= 50 < before
+    assert len(enclosures_built) <= 50 < before
 
 
 class TestScaleExtraction:
