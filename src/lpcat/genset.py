@@ -504,15 +504,20 @@ def check_ballmap(
         if out is None:
             report.no_output.append(ball.as_json())
             continue
+        # The radius is r / s; each test cross-multiplies it with the
+        # distance's integer ends (lo, hi, den), den > 0.
+        r, s = out.radius.numerator, out.radius.denominator
         for point in _sample_points(ball, bmap.source, schedule.points_per_ball, rng):
             image = reference(point)
             dist = bmap.target.residual_norm(image, out.coeffs, schedule.residual_k)
-            if dist.hi >= out.radius:
+            _, hi, den = dist.ints
+            if hi * s >= r * den:
                 dist = bmap.target.residual_norm(
                     image, out.coeffs, schedule.residual_k + 12
                 )
+            lo, hi, den = dist.ints
             report.correctness_checked += 1
-            if dist.hi < out.radius:
+            if hi * s < r * den:
                 continue
             record = {
                 "ball": ball.as_json(),
@@ -520,7 +525,7 @@ def check_ballmap(
                 "distance": dist.as_json(),
                 "radius": str(out.radius),
             }
-            if dist.lo >= out.radius:
+            if lo * s >= r * den:
                 report.correctness_violations.append(record)
             else:
                 report.correctness_undecided.append(record)
@@ -529,6 +534,7 @@ def check_ballmap(
         image = reference(vec)
         coeffs = _vector_coeffs(vec)
         for eps in schedule.epsilons:
+            e, f = eps.numerator, eps.denominator
             ok = False
             for denom in (8, 16, 32):
                 ball = RationalBall(coeffs, eps / denom, bmap.source.label)
@@ -538,7 +544,10 @@ def check_ballmap(
                 dist = bmap.target.residual_norm(
                     image, out.coeffs, schedule.residual_k + 4
                 )
-                if dist.hi + out.radius < eps:
+                # hi / den + r / s < e / f, times den s f > 0
+                _, hi, den = dist.ints
+                r, s = out.radius.numerator, out.radius.denominator
+                if (hi * s + r * den) * f < e * den * s:
                     ok = True
                     break
             if ok:

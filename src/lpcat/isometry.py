@@ -203,18 +203,20 @@ def classify(
     conformance.  Enclosures that straddle the thresholds yield Unknown
     rather than a guess.
     """
-    band = pow2(-tol)
+    # The band 2^-tol is bn / bd; each test cross-multiplies it with an
+    # enclosure's integer ends (lo, hi, den), den > 0.
+    bn, bd = (1, 1 << tol) if tol >= 0 else (1 << -tol, 1)
+    one_minus, one_plus = bd - bn, bd + bn
     data = [_ImageData(i, img, p, tol) for i, img in enumerate(images)]
     violations: list[dict] = []
     undecided: list[dict] = []
 
     for d in data:
-        lo_ok = d.norm.lo > 1 - band
-        hi_ok = d.norm.hi < 1 + band
-        if lo_ok and hi_ok:
+        lo, hi, den = d.norm.ints
+        if lo * bd > one_minus * den and hi * bd < one_plus * den:
             continue
         record = {"kind": "norm", "image": d.index, "enclosure": d.norm.as_json()}
-        if d.norm.hi < 1 - band or d.norm.lo > 1 + band:
+        if hi * bd < one_minus * den or lo * bd > one_plus * den:
             violations.append(record)
         else:
             undecided.append(record)
@@ -226,7 +228,8 @@ def classify(
             ma_all, mb_all = data[a].moduli, data[b].moduli
             for i in sorted(ma_all.keys() & mb_all.keys()):
                 ma, mb = ma_all[i], mb_all[i]
-                if ma.hi < band or mb.hi < band:
+                (alo, ahi, aden), (blo, bhi, bden) = ma.ints, mb.ints
+                if ahi * bd < bn * aden or bhi * bd < bn * bden:
                     continue
                 record = {
                     "kind": "support_overlap",
@@ -234,7 +237,7 @@ def classify(
                     "coordinate": i,
                     "moduli": [ma.as_json(), mb.as_json()],
                 }
-                if ma.lo >= band and mb.lo >= band:
+                if alo * bd >= bn * aden and blo * bd >= bn * bden:
                     violations.append(record)
                 else:
                     undecided.append(record)
@@ -270,7 +273,9 @@ def rotation_images(p: Exponent) -> tuple[VectorRep, VectorRep]:
 def _draw_sample(rng: random.Random) -> list[tuple[int, int]]:
     """One rotation-demo sample: coordinate i is the rational a_i / b_i
     of the i-th pair (a_i, b_i)."""
-    return [(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 5))]
+    # randint(a, b) is randrange(a, b + 1), so the draws are randint's.
+    draw = rng.randrange
+    return [(draw(-8, 9), draw(1, 9)) for _ in range(draw(1, 6))]
 
 
 def _l2_norms(
@@ -293,6 +298,30 @@ def _l2_norms(
     )
 
 
+def _endpoint_gap(left: Enclosure, right: Enclosure) -> tuple[int, int]:
+    """The larger of the two endpoint distances |lo - lo'| and |hi - hi'|,
+    as (num, den) over the product of the denominators."""
+    (l1, h1, d1), (l2, h2, d2) = left.ints, right.ints
+    return max(abs(l1 * d2 - l2 * d1), abs(h1 * d2 - h2 * d1)), d1 * d2
+
+
+def _l2_samples(
+    rng: random.Random, samples: int, p2: Exponent, width_bits: int
+) -> tuple[int, int, int]:
+    """Draw the samples and compare their two l2 norms: the count of
+    consistent (intersecting) pairs, and the largest endpoint gap among
+    them as (num, den), kept by cross-multiplication."""
+    consistent, gap_num, gap_den = 0, 0, 1
+    for _ in range(samples):
+        left, right = _l2_norms(_draw_sample(rng), p2, width_bits)
+        if left.intersects(right):
+            consistent += 1
+            num, den = _endpoint_gap(left, right)
+            if num * gap_den > gap_num * den:
+                gap_num, gap_den = num, den
+    return consistent, gap_num, gap_den
+
+
 def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     """Certified two-sided report on the rotation map.
 
@@ -301,20 +330,13 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
     classifier, at tolerance 2^-8, must reject its basis images on support
     grounds; and for the ambient p != 2 the same map fails norm
     preservation on a certified witness vector.  Each sample is drawn as
-    integer pairs and both of its norms come from integer numerators, with
-    one Fraction per side (``_l2_norms``).
+    integer pairs, both of its norms come from integer numerators
+    (``_l2_norms``), and their endpoint gap is compared on integers; the
+    report's largest gap is the one Fraction the sample loop yields.
     """
     width_bits = 30
     p2 = Exponent.from_rational(2)
-    rng = random.Random(seed)
-    consistent = 0
-    max_gap = Fraction(0)
-    for _ in range(samples):
-        left, right = _l2_norms(_draw_sample(rng), p2, width_bits)
-        if left.intersects(right):
-            consistent += 1
-            gap = max(abs(left.lo - right.lo), abs(left.hi - right.hi))
-            max_gap = max(max_gap, gap)
+    consistent, gap_num, gap_den = _l2_samples(random.Random(seed), samples, p2, width_bits)
 
     img0, img1 = rotation_images(p2)
     verdict = classify([img0, img1], p2, 8)
@@ -327,14 +349,15 @@ def rotation_demo(p: Exponent, *, samples: int = 100, seed: int = 11) -> dict:
         "l2_preservation": {
             "consistent": consistent,
             "width_bits": width_bits,
-            "max_endpoint_gap": str(max_gap),
+            "max_endpoint_gap": str(Fraction(gap_num, gap_den)),
         },
         "classifier": verdict.as_json(),
     }
 
     if p.fast != 2:
         witness = norm_of_abs2_terms([(1, 1, 2), (1, 1, 2)], p, width_bits)
-        excludes_one = witness.lo > 1 or witness.hi < 1
+        lo, hi, den = witness.ints
+        excludes_one = lo > den or hi < den
         report["p_witness"] = {
             "vector": basis(0).to_quintuples(),
             "image_norm": witness.as_json(),

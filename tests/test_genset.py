@@ -292,6 +292,24 @@ class TestBallMapConstruction:
             bmap.apply(RationalBall((CRat.of(1),), F(1, 2), "F"))
 
 
+class ScriptedTarget:
+    """Stand-in target presentation whose residual_norm returns the
+    scripted enclosure for each precision k and records every k asked."""
+
+    def __init__(self, script: dict):
+        self.script, self.asked = script, []
+
+    def residual_norm(self, _v, _coeffs, k: int) -> Enclosure:
+        self.asked.append(k)
+        return self.script[k]
+
+
+class OneEpsilonSchedule(CheckSchedule):
+    """A schedule whose convergence grid is the one epsilon 1/4."""
+
+    epsilons = (F(1, 4),)
+
+
 class TestChecker:
     @pytest.mark.parametrize("source", ["zeta", "twisted"])
     def test_non_coordinate_source_refused(self, p2, source):
@@ -422,6 +440,64 @@ class TestChecker:
         assert report.correctness_checked == 9
         assert not report.correctness_violations and not report.correctness_undecided
         assert report.convergence_achieved == 24 and report.passed
+
+    # Boundary cases of check_ballmap's radius tests, whose branches were
+    # the Fraction comparisons: refine when dist.hi >= radius, pass when
+    # dist.hi < radius, a violation when dist.lo >= radius and undecided
+    # otherwise; convergence when dist.hi + radius < eps.  The output
+    # radius is 1/8, and JUST_BELOW is 1/8 - 2^-40.
+
+    JUST_BELOW = Enclosure(0, (1 << 37) - 1, 1 << 40)
+
+    @pytest.mark.parametrize(
+        "script, refined, passed, undecided, violations",
+        [
+            ({20: JUST_BELOW}, False, 3, 0, 0),
+            ({20: Enclosure(0, 1, 8), 32: JUST_BELOW}, True, 3, 0, 0),
+            ({20: Enclosure(0, 1, 8), 32: Enclosure(0, 1, 8)}, True, 0, 3, 0),
+            ({20: Enclosure(1, 2, 8), 32: Enclosure(1, 2, 8)}, True, 0, 0, 3),
+            ({20: Enclosure(1, 1, 8), 32: Enclosure(1, 1, 8)}, True, 0, 0, 3),
+        ],
+        ids=["below", "hi-at-radius-refines", "hi-at-radius-undecided",
+             "lo-at-radius-violates", "point-at-radius-violates"],
+    )
+    def test_radius_boundaries(self, p2, script, refined, passed, undecided, violations):
+        """A scripted distance with an end exactly at the output radius
+        takes the branch the Fraction comparisons took."""
+        target = ScriptedTarget(script)
+        bmap = BallMap(StandardGenSet(p2), target, "scripted",
+                       lambda ball: RationalBall(ball.coeffs, F(1, 8), "E"))
+        ball = RationalBall((CRat.of(1),), F(1, 4), "E")
+        report = check_ballmap(bmap, lambda v: v, CheckSchedule((ball,), (), 0))
+        assert target.asked == ([20, 32] * 3 if refined else [20] * 3)
+        assert report.correctness_checked == 3
+        assert len(report.correctness_undecided) == undecided
+        assert len(report.correctness_violations) == violations
+        assert report.passed == (violations == 0)
+        for record in report.correctness_undecided + report.correctness_violations:
+            assert record["radius"] == "1/8"
+            assert record["distance"] == script[32].as_json()
+
+    @pytest.mark.parametrize(
+        "hi, achieved",
+        [(JUST_BELOW, True), (Enclosure(0, 1, 8), False)],
+        ids=["below-eps-converges", "at-eps-fails"],
+    )
+    def test_convergence_boundary(self, p2, hi, achieved):
+        """With one grid epsilon 1/4 and an output radius of 1/8, a
+        distance whose upper end is exactly 1/8 gives dist.hi + radius ==
+        eps, which is not inside the neighborhood at any of the three
+        input radii; one just below converges at the first."""
+        target = ScriptedTarget({24: hi})
+        bmap = BallMap(StandardGenSet(p2), target, "scripted",
+                       lambda ball: RationalBall(ball.coeffs, F(1, 8), "E"))
+        vec = FiniteVector.from_items([(0, 1)])
+        report = check_ballmap(bmap, lambda v: v, OneEpsilonSchedule((), (vec,), 0))
+        assert target.asked == ([24] if achieved else [24] * 3)
+        assert report.convergence_achieved == int(achieved)
+        assert report.convergence_failures == (
+            [] if achieved else [{"vector": vec.to_quintuples(), "epsilon": "1/4"}]
+        )
 
     def test_report_bytes_deterministic(self, p2):
         gs = StandardGenSet(p2)

@@ -25,7 +25,9 @@ from lpcat import (
     rotation_images,
 )
 from lpcat.genset import RationalBall, StandardGenSet, exact_rep
-from lpcat.isometry import _draw_sample, _l2_norms
+import lpcat.isometry as isometry_module
+from lpcat.isometry import _draw_sample, _endpoint_gap, _l2_norms
+from lpcat.rigor import Enclosure
 from lpcat.rigor import sqrt_real
 
 F = Fraction
@@ -120,12 +122,36 @@ class TestClassifier:
         assert verdict.verdict == "Unknown"
         assert verdict.witnesses[0]["kind"] == "norm"
 
+    def test_norm_at_lower_band_edge_yields_unknown(self, p1):
+        """Nor is a norm of exactly 1 - 2^-tol."""
+        verdict = classify([FiniteVector.from_items([(0, F(255, 256))])], p1, tol=8)
+        assert verdict.verdict == "Unknown"
+        assert verdict.witnesses[0]["kind"] == "norm"
+
     def test_coordinate_below_band_is_skipped(self, p1):
         """Two images sharing index 0, where one has modulus 2^-20 < 2^-8,
         cannot overlap there."""
         first = FiniteVector.from_items([(0, 1)])
         second = FiniteVector.from_items([(0, pow2(-20)), (1, 1)])
         assert classify([first, second], p1, tol=8).verdict == "Conforms"
+
+    @pytest.mark.parametrize("band_first", [True, False])
+    def test_coordinate_at_band_overlaps(self, p1, band_first):
+        """A shared coordinate of modulus exactly 2^-tol is neither below
+        the band nor short of it: with the other image's modulus 1 there,
+        the pair certifiably overlaps, whichever image holds it; just
+        below the band, the coordinate is skipped."""
+        unit = basis(0)
+        at_band = FiniteVector.from_items([(0, F(1, 256)), (1, F(255, 256))])
+        below = FiniteVector.from_items([(0, F(1, 257)), (1, F(256, 257))])
+        pair = [at_band, unit] if band_first else [unit, at_band]
+        verdict = classify(pair, p1, tol=8)
+        assert verdict.verdict == "Violates"
+        assert [(w["kind"], w["coordinate"]) for w in verdict.witnesses] == [
+            ("support_overlap", 0)
+        ]
+        pair = [below, unit] if band_first else [unit, below]
+        assert classify(pair, p1, tol=8).verdict == "Conforms"
 
     def test_straddling_coordinate_yields_unknown(self, p2):
         """A coordinate whose enclosure straddles the threshold must not be
@@ -211,3 +237,58 @@ class TestRotationDemo:
             rotation_demo(p2, samples=samples, seed=11)
             counts.append(len(crats_built))
         assert counts[0] == counts[1]
+
+
+def _seeded_enclosure(rng: random.Random) -> Enclosure:
+    """Integer ends over a small denominator; about one in three ends is
+    zero, and about one in four enclosures is a point."""
+    den = rng.randint(1, 12)
+    lo = rng.choice((0, rng.randint(-30, 30), rng.randint(-30, 30)))
+    hi = rng.choice((lo, max(lo, 0), lo + rng.randint(0, 30), lo + rng.randint(0, 30)))
+    return Enclosure(lo, hi, den)
+
+
+class TestEndpointGap:
+    """Every real sample's two norms are equal enclosures, so only these
+    tests reach a nonzero gap."""
+
+    def test_integer_gap_is_the_fraction_gap(self):
+        """On seeded unequal pairs the integer gap (num, den) is the
+        Fraction formula max(|lo - lo'|, |hi - hi'|), with zero ends and
+        either difference negative."""
+        rng = random.Random(38)
+        signs = set()
+        zero_ends = 0
+        for _ in range(3000):
+            left, right = _seeded_enclosure(rng), _seeded_enclosure(rng)
+            num, den = _endpoint_gap(left, right)
+            assert den > 0
+            assert F(num, den) == max(abs(left.lo - right.lo), abs(left.hi - right.hi))
+            dlo, dhi = left.lo - right.lo, left.hi - right.hi
+            signs.add(((dlo > 0) - (dlo < 0), (dhi > 0) - (dhi < 0)))
+            zero_ends += 0 in (left.lo, left.hi, right.lo, right.hi)
+        assert signs == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        assert zero_ends > 500
+
+    def test_sample_loop_keeps_the_largest_gap(self, p2, monkeypatch):
+        """Fed seeded unequal pairs, some disjoint, in place of the real
+        norms, the sample loop counts the intersecting pairs and reports
+        the largest gap among them, as the Fraction loop's running max
+        did."""
+        rng = random.Random(5)
+        pairs = []
+
+        def unequal_norms(_sample, _p, _width_bits):
+            pairs.append((_seeded_enclosure(rng), _seeded_enclosure(rng)))
+            return pairs[-1]
+
+        monkeypatch.setattr(isometry_module, "_l2_norms", unequal_norms)
+        got = rotation_demo(p2, samples=300, seed=3)["l2_preservation"]
+        consistent, max_gap = 0, F(0)
+        for left, right in pairs:
+            if left.intersects(right):
+                consistent += 1
+                max_gap = max(max_gap, abs(left.lo - right.lo), abs(left.hi - right.hi))
+        assert len(pairs) == 300 and 0 < consistent < 300 and max_gap > 0
+        assert got["consistent"] == consistent
+        assert got["max_endpoint_gap"] == str(max_gap)

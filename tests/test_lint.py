@@ -42,17 +42,21 @@ The power kernels run on the integer form: ``_pow_route``,
 ``_pow_dyadic_enclosure``, ``_exp_gap``, ``_gap_terms``, ``_pow_slack``,
 ``_pow_sum``, ``_tree_sum`` and ``_pow_mantissas``, with what is nested
 in them, read ``Fraction`` only in type annotations, so they build none,
-read no ``CRat`` part as a Fraction (``.re`` or ``.im``), and make no
-``is`` or ``is not`` comparison other than with ``None``: a base
-(lo, hi, den) is a point when lo == hi, not when two end objects are
-one.  The same holds for ``Enclosure``, which stores that form: its
-constructor, geometry, arithmetic and printing build no Fraction, which
-only its readers (``lo``, ``hi``, ``width``, ``midpoint``) do; for the
-``CeSet`` functions that return gamma's prefix sums in it; and for
-``CRat``'s integer form (re, im, den): its constructor ``from_ints``,
-its arithmetic and printing, and the functions in ``INTEGER_FUNCTIONS``
-that read its fields in the ball map, the residuals, the squared
-moduli, the twisted quadratics and the descriptor.
+read no ``CRat`` part as a Fraction (``.re`` or ``.im``) and no
+``Enclosure`` end as one (``.lo``, ``.hi``, ``.width`` or
+``.midpoint``), and make no ``is`` or ``is not`` comparison other than
+with ``None``: a base (lo, hi, den) is a point when lo == hi, not when
+two end objects are one.  The same holds for ``Enclosure``, which stores
+that form: its constructor, geometry, arithmetic and printing build no
+Fraction, which only its readers (``lo``, ``hi``, ``width``,
+``midpoint``) do; for the ``CeSet`` functions that return gamma's prefix
+sums in it; for ``CRat``'s integer form (re, im, den): its constructor
+``from_ints``, its arithmetic and printing, and the functions in
+``INTEGER_FUNCTIONS`` that read its fields in the ball map, the
+residuals, the squared moduli, the twisted quadratics and the
+descriptor; and for the isometry layer's readers of ``Enclosure.ints``:
+``classify``'s band tests, ``check_ballmap``'s radius tests and the
+rotation demo's sample loop, which cross-multiply integer ends.
 
 Every parameter with a default is set by some caller: a call in
 ``src/lpcat`` or ``perfbench/`` passes it, by keyword or by position,
@@ -406,8 +410,9 @@ def test_only_the_power_kernels_test_the_exponent_track():
 
 # Module -> the functions in it that run on integers: the power kernels,
 # Enclosure's constructor, geometry, arithmetic and printing, the CeSet
-# functions that read gamma, and CRat's integer form, its arithmetic and
-# printing and the readers of its fields.
+# functions that read gamma, CRat's integer form, its arithmetic and
+# printing and the readers of its fields, and the isometry layer's
+# comparisons of enclosure ends.
 INTEGER_FUNCTIONS = {
     "rigor.py": {
         "_pow_route", "_pow_dyadic_enclosure", "_exp_gap", "_gap_terms", "_pow_slack",
@@ -422,6 +427,7 @@ INTEGER_FUNCTIONS = {
     },
     "genset.py": {
         "_coerce_coeffs", "StandardGenSet.residual_norm", "ballmap_from_disjoint_family.transform",
+        "check_ballmap",
     },
     "lpspace.py": {"_abs2_ends", "FiniteVector.to_quintuples", "FiniteVector.from_quintuples"},
     "twisted.py": {
@@ -430,21 +436,28 @@ INTEGER_FUNCTIONS = {
     },
     "isometry.py": {
         "IsometryDescriptor.__post_init__", "IsometryDescriptor.as_json",
-        "IsometryDescriptor.from_json",
+        "IsometryDescriptor.from_json", "classify", "_draw_sample", "_l2_norms",
+        "_endpoint_gap", "_l2_samples",
     },
 }
 
 
+# Attributes that build a Fraction when read: CRat's parts and
+# Enclosure's ends, width and midpoint.
+FRACTION_READERS = ("re", "im", "lo", "hi", "width", "midpoint")
+
+
 def _fractions_and_identities(func):
     """Lines in func, nested functions included, that read ``Fraction``
-    outside a type annotation or a ``CRat`` part as a Fraction (``.re`` or
-    ``.im``), or compare with ``is`` or ``is not`` where neither side is
-    ``None``."""
+    outside a type annotation, a ``CRat`` part as a Fraction (``.re`` or
+    ``.im``) or an ``Enclosure`` end as one (``.lo``, ``.hi``, ``.width``
+    or ``.midpoint``), or compare with ``is`` or ``is not`` where neither
+    side is ``None``."""
     types_only = _type_reads(func)
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in types_only:
             yield node.lineno
-        elif isinstance(node, ast.Attribute) and node.attr in ("re", "im"):
+        elif isinstance(node, ast.Attribute) and node.attr in FRACTION_READERS:
             yield node.lineno
         elif isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
